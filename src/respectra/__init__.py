@@ -19,15 +19,15 @@ from .errors import (ConvergenceFailure, DegenerateSpectrum, InputError,
                      InvalidView, NumericalError, ParseError, RespectraError,
                      TruncatedFile, UnknownExperiment, ZeroVariance)
 from .estimate import EstimationResult, EstimatorConfig, estimate
-from .matcore import (RngSeed, ToeplitzSpec, ar_gram_matrix,
-                      ar_gram_sequence, ar_u_matrix, ar_u_sequence,
-                      gaussian_matrix, rng_from_seed, spawn_seeds,
-                      sym_eigenvalues, toeplitz_materialize)
+from .matcore import (ToeplitzSpec, ar_gram_matrix, ar_gram_sequence,
+                      ar_u_matrix, ar_u_sequence, gaussian_matrix,
+                      rng_from_seed, spawn_seeds, sym_eigenvalues,
+                      toeplitz_materialize)
 from .pgm import ImageGray, central_block, read_pgm
 from .resample import (KERNELS, KernelSpec, ResampleSpec,
                        additive_quantization_noise, build_polyphase,
                        exact_autocorr_matrix, get_kernel, kernel_autocorr,
-                       quantize, upscale)
+                       quantize, support_columns, upscale)
 from .rmt import (DEFAULT_CONFIG, EigenPdf, EtaSolverConfig, eigen_pdf,
                   eta_transform, quadrature_nodes, stieltjes,
                   support_lower_edge)

@@ -1,8 +1,9 @@
 """Causal 2D autoregressive random fields and their sample autocorrelation.
 
-The field is synthesized as X = U S U^T where U is the banded Toeplitz
-filter matrix of a truncated AR(1) recursion (equal row/column correlation
-rho) and S holds i.i.d. Gaussian innovations. Renormalized sample
+The field model is X = U S U^T where U is the banded Toeplitz filter
+matrix of a truncated AR(1) recursion (equal row/column correlation rho)
+and S holds i.i.d. Gaussian innovations; fields are drawn with that law
+from the closed-form Gram matrix U U^T. Renormalized sample
 autocorrelation matrices (1/N) B B^T of N x K submatrices are the objects
 whose eigenvalue spectra the rest of the package analyzes.
 """
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShape, InvalidSpec, InvalidView, ZeroVariance
-from .matcore import ar_u_matrix, gaussian_matrix
+from .errors import (InvalidShape, InvalidSpec, InvalidView, NumericalError,
+                     ZeroVariance)
+from .matcore import ar_gram_matrix, gaussian_matrix
 
 
 @dataclass(frozen=True)
@@ -48,18 +50,26 @@ class ArParams:
 
 
 def generate_field(params, seed):
-    """Sample an n x n field X = U S U^T.
+    """Sample an n x n field with the law of X = U S U^T.
 
-    U is n x (n+q-1) with taps rho^(q-1-k); S is (n+q-1) x (n+q-1) i.i.d.
-    N(0, sigma_s2). The sample is exactly linear in sqrt(sigma_s2), so a
-    field generated with sigma_s2 = c is sqrt(c) times the sigma_s2 = 1
-    field for the same seed.
+    U is n x (n+q-1) with taps rho^(q-1-k) and S is i.i.d. N(0, sigma_s2),
+    so cov(vec X) = sigma_s2^2 (U U^T) kron (U U^T). The field is drawn as
+    C G C^T with C = chol(U U^T) from the closed-form Gram matrix and G an
+    n x n i.i.d. N(0, sigma_s2) matrix, which has exactly that law without
+    materializing U or S. U U^T is Toeplitz, so an (n, q) field has the law
+    of any n x n interior crop of a larger field with memory q. The sample
+    is exactly linear in sqrt(sigma_s2): a field generated with
+    sigma_s2 = c is sqrt(c) times the sigma_s2 = 1 field for the same seed.
     """
-    q = params.q_eff
-    u = ar_u_matrix(params.rho, params.n, q)
-    s = gaussian_matrix(params.n + q - 1, params.n + q - 1,
-                        np.sqrt(params.sigma_s2), seed)
-    return u @ s @ u.T
+    n, q = params.n, params.q_eff
+    try:
+        c = np.linalg.cholesky(ar_gram_matrix(params.rho, q, n))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"AR Gram matrix is not positive definite "
+            f"(rho={params.rho}, q={q}, n={n})") from exc
+    g = gaussian_matrix(n, n, np.sqrt(params.sigma_s2), seed)
+    return c @ g @ c.T
 
 
 @dataclass(frozen=True)

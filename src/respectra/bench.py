@@ -23,7 +23,7 @@ from .detect import DetectorConfig, detect
 from .errors import InvalidInput, InvalidSpec, UnknownExperiment
 from .matcore import ar_gram_matrix, spawn_seeds
 from .resample import (ResampleSpec, build_polyphase, get_kernel,
-                       kernel_autocorr, quantize)
+                       kernel_autocorr, quantize, support_columns)
 from .rmt import eigen_pdf, support_lower_edge
 from .spectra import d_upscaled, law_genuine, law_upscaled
 
@@ -77,44 +77,56 @@ def _aligned_center_offset(full, want, step):
 
 def genuine_block(rho, sigma_s2, block_n, delta, seed, field_n=512):
     """Quantized genuine AR block with the correlation memory of a
-    field_n-sized field (the banded synthesis makes an interior block of a
-    large field identical in law to a small field with q = field_n)."""
+    field_n-sized field: a block_n x block_n field with q = field_n has the
+    law of an interior block of the large field, so only the block is
+    drawn."""
     params = ArParams(rho=rho, n=block_n, sigma_s2=sigma_s2, q=field_n)
     x = generate_field(params, seed)
     return quantize(x, delta)
 
 
-def upscaled_block(rho, sigma_s2, block_n, spec, seed, field_n=512):
-    """Quantized upscaled AR block: synthesize the source field, upscale to
-    about field_n, quantize, and crop a phase-aligned central block."""
+def _upscaled_window(rho, sigma_s2, block_n, spec, seed, field_n):
+    """Unquantized phase-aligned central block of the upscaled field.
+
+    The source field is r = ceil(field_n / xi) wide and upscales to
+    n_up = floor(r * xi). Only source columns [lo, hi) reach the block's
+    output rows, so the source window X_w (drawn with the source's memory
+    q = r, the law of the crop of the full source) and the matching rows
+    and columns H_w of the polyphase matrix give the block as
+    H_w X_w H_w^T, with the law of the crop of H X H^T.
+    """
     r = int(np.ceil(field_n / spec.xi))
     n_up = int(np.floor(r * spec.xi))
     if block_n > n_up:
         raise InvalidSpec(
             f"block size {block_n} exceeds upscaled extent {n_up}")
-    params = ArParams(rho=rho, n=r, sigma_s2=sigma_s2)
-    x = generate_field(params, seed)
-    h = build_polyphase(spec, n_up, r)
-    y = h @ x @ h.T
+    c = _aligned_center_offset(n_up, block_n, spec.L)
+    lo, hi = support_columns(spec, c, block_n, r)
+    x = generate_field(ArParams(rho=rho, n=hi - lo, sigma_s2=sigma_s2, q=r),
+                       seed)
+    h = build_polyphase(spec, block_n, hi - lo, row0=c, col0=lo)
+    return h @ x @ h.T
+
+
+def upscaled_block(rho, sigma_s2, block_n, spec, seed, field_n=512):
+    """Quantized upscaled AR block: the phase-aligned central block_n x
+    block_n crop of a source field of memory ceil(field_n / xi) upscaled to
+    about field_n, drawn from only the source window the crop depends on
+    and quantized when the spec carries delta."""
+    y = _upscaled_window(rho, sigma_s2, block_n, spec, seed, field_n)
     if spec.delta is not None:
         y = quantize(y, spec.delta)
-    c = _aligned_center_offset(n_up, block_n, spec.L)
-    return y[c:c + block_n, c:c + block_n]
-
-
-def _scaled_quantized_crop(unit_field, sigma_s2, delta, block_n, step=1):
-    z = quantize(np.sqrt(sigma_s2) * unit_field, delta)
-    c = _aligned_center_offset(z.shape[0], block_n, step)
-    return z[c:c + block_n, c:c + block_n]
+    return y
 
 
 def run_snr_sweep(spec):
     """Detector AUC as a function of the signal-to-noise ratio
     sigma_s2/sigma_w2, genuine versus xi = 3/2 linear-kernel upscaling.
 
-    Unit-variance fields are synthesized once per realization and rescaled
-    per SNR point before quantization, so the whole sweep shares random
-    numbers. Returns a list of (snr, auc) rows.
+    Unit-variance blocks (the genuine block and the upscaled central block
+    of ``genuine_block``/``upscaled_block``, unquantized) are drawn once per
+    realization and rescaled per SNR point before quantization, so the
+    whole sweep shares random numbers. Returns a list of (snr, auc) rows.
     """
     p = {"rho": 0.97, "field_n": 512, "block_n": 32, "k": 9, "delta": 1.0,
          "snr_grid": tuple(10.0 ** e for e in range(6)),
@@ -126,28 +138,21 @@ def run_snr_sweep(spec):
     cfg = DetectorConfig(k=p["k"], delta=delta)
 
     seeds = spawn_seeds(spec.base_seed, 2 * spec.realizations)
-    gen_fields, ups_fields = [], []
-    r = int(np.ceil(p["field_n"] / rspec.xi))
-    n_up = int(np.floor(r * rspec.xi))
-    h = build_polyphase(rspec, n_up, r)
+    blocks = []
     for i in range(spec.realizations):
         gen = generate_field(
             ArParams(rho=p["rho"], n=p["block_n"], q=p["field_n"]), seeds[2 * i])
-        gen_fields.append(gen)
-        src = generate_field(ArParams(rho=p["rho"], n=r), seeds[2 * i + 1])
-        ups_fields.append(h @ src @ h.T)
+        ups = _upscaled_window(p["rho"], 1.0, p["block_n"], rspec,
+                               seeds[2 * i + 1], p["field_n"])
+        blocks.append((gen, ups))
 
     rows = []
     for snr in p["snr_grid"]:
-        sigma_s2 = snr * sigma_w2
+        scale = np.sqrt(snr * sigma_w2)
         kap_g, kap_u = [], []
-        for i in range(spec.realizations):
-            zg = _scaled_quantized_crop(gen_fields[i], sigma_s2, delta,
-                                        p["block_n"])
-            kap_g.append(detect(zg, cfg).kappa)
-            zu = _scaled_quantized_crop(ups_fields[i], sigma_s2, delta,
-                                        p["block_n"], step=rspec.L)
-            kap_u.append(detect(zu, cfg).kappa)
+        for gen, ups in blocks:
+            kap_g.append(detect(quantize(scale * gen, delta), cfg).kappa)
+            kap_u.append(detect(quantize(scale * ups, delta), cfg).kappa)
         rows.append((snr, roc_auc(kap_g, kap_u).auc))
     return rows
 
@@ -157,18 +162,22 @@ def _param_hash(params):
     return hashlib.sha256(canon.encode()).hexdigest()[:10]
 
 
-def _write_csv(path, header, rows):
+def format_csv(header, rows):
+    """CSV text: one header row, LF line endings, floats with 17
+    significant digits (round-trip exact), everything else via str()."""
     def fmt(v):
-        if isinstance(v, float):
-            return format(v, ".17g")
-        return str(v)
+        return format(v, ".17g") if isinstance(v, float) else str(v)
 
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_csv(header, rows))
     return path
 
 

@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from .bench import (genuine_block, parse_factor, run_figure, upscaled_block)
+from .bench import (format_csv, genuine_block, parse_factor, run_figure,
+                    upscaled_block)
 from .detect import DetectorConfig, detect
 from .errors import InputError, InvalidSize, NumericalError, ZeroVariance
 from .estimate import EstimatorConfig, estimate
@@ -118,15 +119,6 @@ def _emit(text, out):
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _csv(header, rows):
-    def fmt(v):
-        return format(v, ".17g") if isinstance(v, float) else str(v)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _resample_spec(args, with_delta=True):
     lnum, m = parse_factor(args.xi)
     return ResampleSpec(L=lnum, M=m, phi=args.phi,
@@ -178,7 +170,8 @@ def _cmd_detect(args):
         rows = [(v, float(result.per_view_lambda[v]),
                  float(result.lambda0_per_view[v]), int(v in result.below_set))
                 for v in range(len(result.per_view_lambda))]
-        _emit(_csv(["view", "lambda_k", "lambda0", "below"], rows), args.out)
+        _emit(format_csv(["view", "lambda_k", "lambda0", "below"], rows),
+              args.out)
     return 0
 
 
@@ -195,7 +188,7 @@ def _cmd_estimate(args):
     else:
         rows = [(v, int(result.per_view_p[v])) for v in
                 range(len(result.per_view_p))]
-        _emit(_csv(["view", "p_v"], rows), args.out)
+        _emit(format_csv(["view", "p_v"], rows), args.out)
     return 0
 
 
@@ -212,7 +205,7 @@ def _cmd_pdf(args):
     fmt = args.format or "csv"
     if fmt == "csv":
         rows = list(zip(pdf.lambda_grid.tolist(), pdf.density.tolist()))
-        _emit(_csv(["lambda", "density"], rows), args.out)
+        _emit(format_csv(["lambda", "density"], rows), args.out)
     else:
         _emit(json.dumps({
             "zero_mass": pdf.zero_mass,
@@ -234,8 +227,9 @@ def _cmd_spectrum(args):
         values = d_upscaled(omega, args.rho, kernel_autocorr(spec))
     fmt = args.format or "csv"
     if fmt == "csv":
-        _emit(_csv(["omega", "value"],
-                   list(zip(omega.tolist(), values.tolist()))), args.out)
+        _emit(format_csv(["omega", "value"],
+                         list(zip(omega.tolist(), values.tolist()))),
+              args.out)
     else:
         _emit(json.dumps({"omega": omega.tolist(),
                           "value": values.tolist()}, indent=2), args.out)
@@ -254,8 +248,8 @@ def _cmd_generate(args):
                                _resample_spec(args), seed, field_n=args.n)
     fmt = args.format or "csv"
     if fmt == "csv":
-        _emit(_csv([f"c{j}" for j in range(field.shape[1])],
-                   [tuple(row) for row in field.tolist()]), args.out)
+        _emit(format_csv([f"c{j}" for j in range(field.shape[1])],
+                         [tuple(row) for row in field.tolist()]), args.out)
     else:
         _emit(json.dumps({"field": field.tolist()}), args.out)
     return 0

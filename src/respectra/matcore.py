@@ -15,10 +15,6 @@ from .errors import InvalidMatrix, InvalidShape
 
 SYMMETRY_RTOL = 1e-9
 
-# Seeds are 64-bit unsigned integers; identical seeds give bit-identical
-# sample streams through numpy's PCG64.
-RngSeed = int
-
 
 def rng_from_seed(seed):
     """PCG64 generator for a 64-bit integer seed (or a SeedSequence)."""

@@ -126,21 +126,40 @@ class ResampleSpec:
         return None if self.delta is None else self.delta ** 2 / 12.0
 
 
-def build_polyphase(spec, out_rows, in_rows):
+def build_polyphase(spec, out_rows, in_rows, row0=0, col0=0):
     """Polyphase interpolation matrix H with H[i, j] = h(i*M/L + phi - j).
 
     Rows near the input boundary are zero padded (no reflection); they are a
-    vanishing fraction of the matrix as sizes grow. out_rows may not exceed
-    ceil(in_rows * xi), past which rows have no support at all.
+    vanishing fraction of the matrix as sizes grow. ``row0`` and ``col0``
+    select a window: the result holds rows row0 .. row0+out_rows-1 and
+    columns col0 .. col0+in_rows-1 of the matrix, bit-identical to the same
+    slice of the full one. The last row may not exceed
+    ceil((col0 + in_rows) * xi), past which rows have no support at all.
     """
     if out_rows <= 0 or in_rows <= 0:
         raise InvalidShape(f"need positive sizes, got {out_rows}x{in_rows}")
-    if out_rows > int(np.ceil(in_rows * spec.xi)):
+    if row0 + out_rows > int(np.ceil((col0 + in_rows) * spec.xi)):
         raise InvalidShape(
-            f"{out_rows} output rows exceed ceil({in_rows} * {spec.xi})")
-    i = np.arange(out_rows)[:, None]
-    j = np.arange(in_rows)[None, :]
+            f"{row0 + out_rows} output rows exceed "
+            f"ceil({col0 + in_rows} * {spec.xi})")
+    i = np.arange(row0, row0 + out_rows)[:, None]
+    j = np.arange(col0, col0 + in_rows)[None, :]
     return spec.kernel(i * spec.M / spec.L + spec.phi - j)
+
+
+def support_columns(spec, row0, out_rows, in_rows):
+    """Input columns [lo, hi) outside which rows row0 .. row0+out_rows-1 of
+    the polyphase matrix are zero.
+
+    Row i is nonzero only at columns j with |i*M/L + phi - j| < a, a the
+    kernel half-support; the result is clipped to [0, in_rows).
+    """
+    a = int(np.ceil(spec.kernel.half_support))
+    first = row0 * spec.M / spec.L + spec.phi
+    last = (row0 + out_rows - 1) * spec.M / spec.L + spec.phi
+    lo = max(0, int(np.floor(first)) + 1 - a)
+    hi = min(in_rows, int(np.ceil(last)) + a)
+    return lo, hi
 
 
 def kernel_autocorr(spec):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from respectra import (ArParams, InvalidShape, InvalidView, ZeroVariance,
-                       crop_view, generate_field, sample_autocorr, view_count)
+from respectra import (ArParams, InvalidShape, InvalidView, NumericalError,
+                       ZeroVariance, ar_gram_matrix, crop_view, generate_field,
+                       sample_autocorr, view_count)
 
 
 def lag1_row_correlation(x):
@@ -28,6 +29,31 @@ class TestGenerateField:
         x = generate_field(ArParams(rho=0.5, n=512, q=512), seed=2)
         want = 1.0 / (1.0 - 0.25) ** 2
         assert abs(x.var() / want - 1.0) < 0.10
+
+    def test_row_covariance_kronecker_oracle(self):
+        # cov(vec X) = G kron G with G = U U^T, so E[X X^T] / n = tr(G)/n G.
+        # 4000 draws of a 6 x 6 field give a standard error of about 0.02 of
+        # the largest entry; the tolerance is 0.1 of it (about 5 standard
+        # errors).
+        rho, n, q, draws = 0.9, 6, 40, 4000
+        gram = ar_gram_matrix(rho, q, n)
+        want = np.trace(gram) / n * gram
+        acc = np.zeros((n, n))
+        for s in range(draws):
+            x = generate_field(ArParams(rho=rho, n=n, q=q), seed=s)
+            acc += x @ x.T / n
+        err = np.abs(acc / draws - want).max()
+        assert err <= 0.1 * np.abs(want).max()
+
+    def test_singular_gram_raises_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(NumericalError) as info:
+            generate_field(ArParams(rho=0.9, n=8, q=16), seed=1)
+        assert "rho=0.9" in str(info.value)
+        assert "q=16" in str(info.value) and "n=8" in str(info.value)
 
     def test_eigenvalue_scaling_in_sigma(self):
         p1 = ArParams(rho=0.9, n=64, sigma_s2=1.0)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from respectra import (ExperimentSpec, InvalidInput, UnknownExperiment,
-                       parse_factor, roc_auc, run_figure, run_snr_sweep)
+import respectra.armodel
+from respectra import (KERNELS, ExperimentSpec, InvalidInput, ResampleSpec,
+                       UnknownExperiment, ar_gram_matrix, build_polyphase,
+                       parse_factor, roc_auc, run_figure, run_snr_sweep,
+                       upscaled_block)
 
 
 def mann_whitney_auc(genuine, upscaled):
@@ -59,6 +62,35 @@ class TestParseFactor:
         from respectra import InvalidSpec
         with pytest.raises(InvalidSpec):
             parse_factor("0.5")
+
+
+class TestUpscaledBlockLaw:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_covariance_factor_matches_full_field(self, name, monkeypatch):
+        # With the innovations G replaced by the identity, generate_field
+        # returns its Gram matrix and upscaled_block returns the covariance
+        # factor H_w Gram_w H_w^T of its law (cov(vec Y) is that factor
+        # kron itself). It must equal the central crop of H Gram H^T of the
+        # full source field: relative error <= 1e-12 (roundoff only).
+        monkeypatch.setattr(respectra.armodel, "gaussian_matrix",
+                            lambda rows, cols, sigma, seed:
+                            sigma * np.eye(rows, cols))
+        rho, field_n = 0.9, 64
+        for lnum, m in ((2, 1), (3, 2), (8, 5)):
+            for phi in (0.0, 0.3):
+                spec = ResampleSpec(L=lnum, M=m, phi=phi, kernel=KERNELS[name])
+                r = int(np.ceil(field_n / spec.xi))
+                n_up = int(np.floor(r * spec.xi))
+                h = build_polyphase(spec, n_up, r)
+                full = h @ ar_gram_matrix(rho, r, r) @ h.T
+                for block_n in (16, n_up):
+                    off = (n_up - block_n) // 2
+                    c = off - off % lnum
+                    want = full[c:c + block_n, c:c + block_n]
+                    got = upscaled_block(rho, 1.0, block_n, spec, seed=0,
+                                         field_n=field_n)
+                    assert np.abs(got - want).max() <= \
+                        1e-12 * np.abs(want).max()
 
 
 class TestSnrSweep:

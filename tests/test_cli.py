@@ -129,6 +129,17 @@ class TestGenerateCommand:
         assert np.allclose(vals, 2 * np.round(vals / 2))
 
 
+    def test_synthesis_failure_exits_3(self, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        code, out, err = run(capsys, "generate", "--n", "8", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err and "rho=0.97" in err
+
+
 class TestExperimentCommand:
     def test_fig1b(self, capsys, tmp_path):
         code, out, _ = run(capsys, "experiment", "fig1b", "--out",
