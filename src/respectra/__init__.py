@@ -13,11 +13,11 @@ from .armodel import (ArParams, SampleAutocorr, crop_view, generate_field,
 from .bench import (ExperimentSpec, RocCurve, genuine_block, parse_factor,
                     roc_auc, run_figure, run_snr_sweep, upscaled_block)
 from .detect import DetectionResult, DetectorConfig, detect
-from .errors import (ConvergenceFailure, DegenerateSpectrum, InputError,
-                     InsufficientViews, InvalidConfig, InvalidInput,
-                     InvalidMatrix, InvalidShape, InvalidSize, InvalidSpec,
-                     InvalidView, NumericalError, ParseError, RespectraError,
-                     TruncatedFile, UnknownExperiment, ZeroVariance)
+from .errors import (ConvergenceFailure, InputError, InsufficientViews,
+                     InvalidConfig, InvalidInput, InvalidMatrix, InvalidShape,
+                     InvalidSize, InvalidSpec, InvalidView, NumericalError,
+                     ParseError, RespectraError, TruncatedFile,
+                     UnknownExperiment, ZeroVariance)
 from .estimate import EstimationResult, EstimatorConfig, estimate
 from .matcore import (ToeplitzSpec, ar_gram_matrix, ar_gram_sequence,
                       ar_u_matrix, ar_u_sequence, gaussian_matrix,

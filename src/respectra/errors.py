@@ -76,9 +76,5 @@ class ConvergenceFailure(NumericalError):
         self.residual = residual
 
 
-class DegenerateSpectrum(NumericalError):
-    pass
-
-
 class InsufficientViews(NumericalError):
     pass

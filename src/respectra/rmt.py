@@ -12,17 +12,23 @@ plus the explicit point-mass branch. The Stieltjes transform follows from
 S(-1/gamma) = gamma eta(gamma), and evaluating it just above the real axis
 recovers the eigenvalue density.
 
-Solver notes: the fixed point is iterated with damping and then polished
-with a secant step on the E2 residual, which also rescues the slow
-convergence near support edges. Iterating E2 with a relative residual
-criterion keeps the stop rule meaningful at large |gamma| where E2 decays
-like 1/gamma. For density sweeps the grid is processed in descending
-lambda order, warm starting each point from its neighbor; a converged
-point whose density comes out negative is re-solved with plain damped
-iteration from a cold start before clamping (the secant step can
-occasionally lock onto the nonphysical conjugate root).
+Solver notes: the fixed point is iterated with damping until the relative
+residual falls below 1e-2 and then finished by Newton steps on
+F(E2) = g(E2) - E2, whose derivative comes from the same quadrature sums
+as g. The stop rule is on the Newton step relative to |E2|, and the
+stepped iterate is returned, so where Newton converges quadratically
+(away from support edges) the E2 error is far below the tolerance; this
+matters near zero, where |S| ~ zero_mass/|lambda + i nu| amplifies it.
+For real gamma > 0 the iterates stay inside a bracket around the
+positive root, the physical one. _density_point is the one place that
+solves at a point lambda + i nu, forms S and the density and picks the
+root: a density below -1e-12 marks the nonphysical root and the point is
+re-solved from conj(E2) (logged at DEBUG on this module's logger and
+counted in EigenPdf.rescued_points). Density sweeps run in descending
+lambda order, warm starting each point from its neighbor.
 """
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,12 +36,17 @@ import numpy as np
 from .errors import ConvergenceFailure, InvalidSpec
 from .spectra import afze
 
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class EtaSolverConfig:
     """Fixed-point solver and quadrature settings.
 
-    ``tolerance`` bounds the relative change of E2 between iterations.
+    ``tolerance`` bounds the last Newton step relative to |E2|;
+    ``picard_warmup`` caps the damped steps taken before Newton, and
+    ``divergence_window`` counts Newton steps without a smaller residual
+    before the solve is reported as diverging.
     Quadrature is composite Gauss-Legendre on (0, pi) with panel edges
     graded toward 0 as (k/panels)^grading, where the AR spectrum peaks;
     the law's symmetry around pi supplies the other half interval.
@@ -75,83 +86,85 @@ class _LawAtoms:
 
     Weights fold in the angular density and the symmetric doubling, so
     sum(weights) + mass = 1 and E[g] = mass * g(0) + sum(weights * g(values)).
+    ``wv`` and ``wv2`` are the weights times the values and their squares,
+    the numerators of the fixed-point map and of its derivative.
     """
 
-    __slots__ = ("values", "weights", "mass", "mean")
+    __slots__ = ("values", "weights", "mass", "mean", "wv", "wv2")
 
     def __init__(self, law, config):
         nodes, panel_w = quadrature_nodes(config)
         self.values = np.asarray(law.transform(nodes), dtype=float)
         self.weights = 2.0 * law.angular_density * panel_w
         self.mass = law.zero_mass
-        self.mean = float((self.weights * self.values).sum())
+        self.wv = self.weights * self.values
+        self.wv2 = self.wv * self.values
+        self.mean = float(self.wv.sum())
 
 
 def _cold_start(atoms_t, gamma):
     # paper-style initialization E1 = 1
-    return ((atoms_t.weights * atoms_t.values
-             / (1.0 + gamma * atoms_t.values)).sum())
+    return (atoms_t.wv / (1.0 + gamma * atoms_t.values)).sum()
 
 
 def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
-    """Solve the E1/E2 fixed point; returns (e2, iterations)."""
-    dv, dw = atoms_d.values, atoms_d.weights
-    tv, tw = atoms_t.values, atoms_t.weights
+    """Solve E2 = g(E2); returns (e2, iterations).
 
-    def g(e2):
-        e1 = (dw * dv / (1.0 + gamma * beta * dv * e2)).sum()
-        return (tw * tv / (1.0 + gamma * tv * e1)).sum()
-
-    tol = config.tolerance
-    damping = config.damping
-    e2 = warm if warm is not None else _cold_start(atoms_t, gamma)
-    it = 0
-    x0 = f0 = None
-    for _ in range(min(config.picard_warmup, config.max_iters)):
-        e2_raw = g(e2)
-        it += 1
-        if abs(e2_raw - e2) <= tol * max(abs(e2_raw), abs(e2), 1e-300):
-            return e2_raw, it
-        x0, f0 = e2, e2_raw - e2
-        e2 = (1.0 - damping) * e2 + damping * e2_raw
-
-    # secant acceleration on F(x) = g(x) - x, with damped fallback steps
-    x1 = e2
-    g1 = g(x1)
-    it += 1
-    f1 = g1 - x1
-    best = abs(f1)
-    stale = 0
-    while it < config.max_iters:
-        if abs(f1) <= tol * max(abs(x1), abs(g1), 1e-300):
-            return g1, it
-        denom = f1 - f0
-        x2 = g1 if denom == 0 else x1 - f1 * (x1 - x0) / denom
-        if not np.isfinite(abs(x2)):
-            x2 = g1
-        g2 = g(x2)
-        it += 1
-        f2 = g2 - x2
-        if abs(f2) > 10.0 * abs(f1):
-            # bad secant step: take a plain damped step instead
-            x2 = (1.0 - damping) * x1 + damping * g1
-            g2 = g(x2)
-            it += 1
-            f2 = g2 - x2
-        if abs(f2) < best:
-            best = abs(f2)
-            stale = 0
+    Damped Picard steps run until the relative residual of g is below 1e-2
+    (at most ``picard_warmup`` of them), then Newton steps on
+    F(x) = g(x) - x, with g'(x) from the same atom sums as g. The iterate
+    after the first Newton step no longer than tolerance * |E2| is
+    returned. For real gamma > 0 the positive root is the physical one:
+    F(0) > 0 > F(x) for every x >= E[T], so every iterate is kept inside a
+    bracket with that sign change, shrunk at each evaluation, and a step
+    leaving it is replaced by bisection. Each evaluation of g counts as
+    one iteration.
+    """
+    cd = gamma * beta * atoms_d.values
+    ct = gamma * atoms_t.values
+    gain = gamma * gamma * beta
+    tol, damping = config.tolerance, config.damping
+    bracket = np.imag(gamma) == 0 and np.real(gamma) > 0
+    lo, hi = 0.0, atoms_t.mean
+    x = _cold_start(atoms_t, gamma) if warm is None else warm
+    if bracket and not lo < np.real(x) < hi:
+        x = 0.5 * (lo + hi)
+    newton = False
+    best, stale = np.inf, 0
+    for it in range(1, config.max_iters + 1):
+        a = 1.0 + cd * x
+        b = 1.0 + ct * (atoms_d.wv / a).sum()
+        f = (atoms_t.wv / b).sum() - x
+        if bracket:
+            if np.real(f) > 0:
+                lo = np.real(x)
+            else:
+                hi = np.real(x)
+        newton = newton or it > config.picard_warmup \
+            or abs(f) <= 1e-2 * max(abs(f + x), abs(x))
+        step = damping * f
+        if newton:
+            slope = gain * (atoms_t.wv2 / (b * b)).sum() \
+                * (atoms_d.wv2 / (a * a)).sum()
+            if slope != 1.0:
+                step = f / (1.0 - slope)
+        if bracket and not lo < np.real(x + step) < hi:
+            step = 0.5 * (lo + hi) - x
+        x = x + step
+        if not newton:
+            continue
+        if abs(step) <= tol * abs(x):
+            return x, it
+        if abs(f) < best:
+            best, stale = abs(f), 0
         else:
             stale += 1
             if stale >= config.divergence_window:
                 raise ConvergenceFailure(
-                    f"fixed point diverging at gamma={gamma}",
-                    residual=abs(f2))
-        x0, f0 = x1, f1
-        x1, f1, g1 = x2, f2, g2
+                    f"fixed point diverging at gamma={gamma}", residual=abs(f))
     raise ConvergenceFailure(
         f"fixed point not converged after {config.max_iters} iterations "
-        f"at gamma={gamma}", residual=abs(f1))
+        f"at gamma={gamma}", residual=abs(f))
 
 
 def _eta_given_e2(atoms_d, beta, gamma, e2):
@@ -195,6 +208,10 @@ class EigenPdf:
     rest). On the self-selected adaptive grid, zero_mass + integral = 1
     within 1e-2. ``nu`` is the imaginary offset used for the inversion; the
     known point mass smeared by nu is subtracted exactly before clamping.
+    ``clamped_points`` counts grid points whose density stayed below -1e-12
+    and was clamped to zero, ``rescued_points`` those re-solved from
+    conj(E2) after a negative density, and ``solver_iterations`` every
+    fixed-point iteration of the sweep, rescues included.
     """
 
     zero_mass: float
@@ -206,6 +223,7 @@ class EigenPdf:
     law: str = ""
     clamped_points: int = 0
     solver_iterations: int = 0
+    rescued_points: int = 0
 
     def continuous_mass(self):
         return float(np.trapezoid(self.density, self.lambda_grid))
@@ -232,9 +250,10 @@ class EigenPdf:
         eigenvalue support.
 
         When the law has a point mass at zero the sampled density near zero
-        carries solver error amplified by |S| ~ zero_mass/|lambda + i nu|, so
-        this estimate can fall anywhere down to the grid floor (it does for
-        Marchenko-Pastur at beta < 1). support_lower_edge is the edge to use.
+        carries solver error amplified by |S| ~ zero_mass/|lambda + i nu|
+        (below 1e-6 of the peak for Marchenko-Pastur at beta in {0.25,
+        0.5}), and the estimate is only good to a grid step plus the
+        Cauchy leakage of nu. support_lower_edge is the edge to use.
         """
         peak = self.density.max()
         if peak <= 0:
@@ -259,6 +278,58 @@ class EigenPdf:
                        nu=self.nu * sigma_s2)
 
 
+def _density_point(atoms_d, atoms_t, beta, zero_mass, lam, nu, config,
+                   warm=None):
+    """Density of the continuous part at lam, smoothed by nu.
+
+    Solves the fixed point at gamma = -1/(lam + i nu), forms S(z) and
+    Im S/pi minus the point mass at zero smeared by nu, and keeps the
+    physical root: a density below -1e-12 is taken to mark the
+    nonphysical root, so the point is re-solved from conj(E2) and the
+    larger density kept. Returns (density, e2, S, iterations, rescued); the
+    density is not clamped.
+    """
+    gamma = -1.0 / (lam + 1j * nu)
+    smear = zero_mass * nu / (np.pi * (lam * lam + nu * nu))
+
+    def solve(start):
+        try:
+            e2, its = _solve_e2(atoms_d, atoms_t, beta, gamma, config,
+                                warm=start)
+        except ConvergenceFailure as exc:
+            raise ConvergenceFailure(f"inversion failed at lambda={lam:g}",
+                                     residual=exc.residual) from exc
+        s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
+        return s.imag / np.pi - smear, e2, s, its
+
+    f, e2, s, its = solve(warm)
+    if f >= -1e-12:
+        return f, e2, s, its, False
+    f_b, e2_b, s_b, its_b = solve(np.conj(e2))
+    _log.debug("lambda=%g nu=%g: density %.3e, re-solved from conj(E2): "
+               "%.3e", lam, nu, f, f_b)
+    if f_b > f:
+        f, e2, s = f_b, e2_b, s_b
+    return f, e2, s, its + its_b, True
+
+
+def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, config):
+    """Densities over an increasing grid, solved from the largest lambda
+    down, each point warm started from its neighbor's E2.
+
+    Returns (unclamped densities, E2 at grid[0], iterations, rescues).
+    """
+    density = np.empty(len(grid))
+    warm = None
+    iters = rescued = 0
+    for k in range(len(grid) - 1, -1, -1):
+        density[k], warm, _, its, resc = _density_point(
+            atoms_d, atoms_t, beta, zero_mass, grid[k], nu, config, warm)
+        iters += its
+        rescued += resc
+    return density, warm, iters, rescued
+
+
 def _default_grid(atoms_d, atoms_t, beta, xi, zero_mass, points, config):
     """Adaptive log-spaced grid plus a nu override.
 
@@ -276,16 +347,9 @@ def _default_grid(atoms_d, atoms_t, beta, xi, zero_mass, points, config):
     hi0 = 16.0 * atoms_d.values.max() * atoms_t.values.max()
     coarse = np.geomspace(lo, max(hi0, lo * 1e6), 144)
     nu_c = 1e-4 * np.median(coarse)
-    dens = np.empty(len(coarse))
-    warm = None
-    for k in range(len(coarse) - 1, -1, -1):
-        lam = coarse[k]
-        gamma = -1.0 / (lam + 1j * nu_c)
-        e2, _ = _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=warm)
-        warm = e2
-        s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
-        f = s.imag / np.pi - zero_mass * nu_c / (np.pi * (lam * lam + nu_c * nu_c))
-        dens[k] = max(f, 0.0)
+    dens, warm, _, _ = _sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c,
+                              config)
+    dens = np.maximum(dens, 0.0)
     seg_mass = 0.5 * (dens[1:] + dens[:-1]) * np.diff(coarse)
     seg_mom = 0.5 * (dens[1:] * coarse[1:] + dens[:-1] * coarse[:-1]) * np.diff(coarse)
     tail_mass = np.concatenate([np.cumsum(seg_mass[::-1])[::-1], [0.0]])
@@ -304,23 +368,13 @@ def _default_grid(atoms_d, atoms_t, beta, xi, zero_mass, points, config):
     return np.geomspace(lo, hi, points), nu_override
 
 
-def _density_point(atoms_d, atoms_t, beta, zero_mass, lam, nu, config,
-                   warm=None):
-    gamma = -1.0 / (lam + 1j * nu)
-    e2, _ = _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=warm)
-    s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
-    f = s.imag / np.pi - zero_mass * nu / (np.pi * (lam * lam + nu * nu))
-    return f, e2, s
-
-
 def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG,
                        rel_precision=1e-3):
     """Lower edge of the nonzero-eigenvalue support of the limiting law.
 
-    The grid-based EigenPdf.lambda_minus rule is unreliable near zero: the
-    Cauchy kernel of the Stieltjes smoothing leaks O(nu) density below the
-    true edge, and solver error amplified by the point mass at zero can
-    exceed a tiny relative threshold. Here each probe point is classified
+    The grid-based EigenPdf.lambda_minus rule can only resolve the edge to
+    a grid step, and the Cauchy kernel of the Stieltjes smoothing leaks
+    O(nu) density below the true edge. Here each probe point is classified
     by how the smoothed density responds to shrinking nu (constant inside
     the support, proportional to nu outside), and the edge is located by
     bisection in log-lambda. A point counts as inside only if its density
@@ -336,12 +390,8 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG,
     coarse, _ = _default_grid(atoms_d, atoms_t, beta, xi, zero_mass, 160,
                               config)
     nu_c = 1e-4 * float(np.median(coarse))
-    dens = np.empty(len(coarse))
-    warm = None
-    for k in range(len(coarse) - 1, -1, -1):
-        f, warm, _ = _density_point(atoms_d, atoms_t, beta, zero_mass,
-                                    coarse[k], nu_c, config, warm=warm)
-        dens[k] = max(f, 0.0)
+    dens = np.maximum(_sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c,
+                             config)[0], 0.0)
 
     # eta errors are amplified by |S| ~ mass/max(lambda, nu) near zero, so
     # the edge probes solve far below the tolerance they must resolve
@@ -352,10 +402,10 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG,
         # shrinking nu leaves the density unchanged inside the support but
         # scales it down linearly outside (pure Cauchy-tail leakage); a
         # density within its evaluation error is no evidence either way
-        f1, w1, _ = _density_point(atoms_d, atoms_t, beta, zero_mass, lam,
-                                   nu_c, tight)
+        f1, w1 = _density_point(atoms_d, atoms_t, beta, zero_mass, lam,
+                                nu_c, tight)[:2]
         f2, _, s2 = _density_point(atoms_d, atoms_t, beta, zero_mass, lam,
-                                   nu_c / 4.0, tight, warm=w1)
+                                   nu_c / 4.0, tight, warm=w1)[:3]
         budget = max(tight.tolerance * abs(s2) / np.pi, noise_floor)
         return f2 > 0.5 * f1 and f2 > budget
 
@@ -401,8 +451,10 @@ def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
         1e-4 times the median grid lambda.
 
     The sweep runs from the largest lambda down, warm starting each fixed
-    point from its neighbor. Raises ConvergenceFailure (annotated with the
-    offending lambda) if some grid point cannot be solved.
+    point from its neighbor, so a call with a given grid and nu reproduces
+    the density of the call that chose them. Raises ConvergenceFailure
+    (annotated with the offending lambda) if some grid point cannot be
+    solved.
     """
     if not 0.0 < beta <= 1.0:
         raise InvalidSpec(f"beta must lie in (0, 1], got {beta}")
@@ -424,40 +476,12 @@ def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
     if nu <= 0:
         raise InvalidSpec(f"nu must be positive, got {nu}")
 
-    density = np.empty(len(grid))
-    warm = None
-    clamped = 0
-    iters_total = 0
-    for k in range(len(grid) - 1, -1, -1):
-        lam = grid[k]
-        gamma = -1.0 / (lam + 1j * nu)
-        try:
-            e2, its = _solve_e2(atoms_d, atoms_t, beta, gamma, config,
-                                warm=warm)
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(
-                f"inversion failed at lambda={lam:g}",
-                residual=exc.residual) from exc
-        iters_total += its
-        s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
-        f = s.imag / np.pi - zero_mass * nu / (np.pi * (lam * lam + nu * nu))
-        if f < -1e-12:
-            # possible nonphysical root: re-solve by plain damped iteration
-            retry = replace(config, picard_warmup=config.max_iters)
-            e2_b, its_b = _solve_e2(atoms_d, atoms_t, beta, gamma, retry)
-            iters_total += its_b
-            s_b = gamma * _eta_given_e2(atoms_d, beta, gamma, e2_b)
-            f_b = s_b.imag / np.pi \
-                - zero_mass * nu / (np.pi * (lam * lam + nu * nu))
-            if f_b > f:
-                f, e2 = f_b, e2_b
-        warm = e2
-        if f < 0.0:
-            if f < -1e-12:
-                clamped += 1
-            f = 0.0
-        density[k] = f
-    return EigenPdf(zero_mass=zero_mass, lambda_grid=grid, density=density,
+    density, _, iters, rescued = _sweep(atoms_d, atoms_t, beta, zero_mass,
+                                        grid, nu, config)
+    clamped = int(np.count_nonzero(density < -1e-12))
+    return EigenPdf(zero_mass=zero_mass, lambda_grid=grid,
+                    density=np.maximum(density, 0.0),
                     beta=beta, xi=xi, nu=nu,
                     law=f"D~{law_d.descriptor} T~{law_t.descriptor} beta={beta}",
-                    clamped_points=clamped, solver_iterations=iters_total)
+                    clamped_points=clamped, solver_iterations=iters,
+                    rescued_points=rescued)

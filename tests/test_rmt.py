@@ -1,11 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
-from respectra import (ArParams, ConvergenceFailure, EtaSolverConfig,
-                       InvalidSpec, KERNELS, ResampleSpec, afze, eigen_pdf,
-                       eta_transform, generate_field, law_genuine,
-                       law_upscaled, quadrature_nodes, stieltjes,
-                       support_lower_edge)
+from respectra import (DEFAULT_CONFIG, ArParams, ConvergenceFailure,
+                       EtaSolverConfig, InvalidSpec, KERNELS, ResampleSpec,
+                       afze, eigen_pdf, eta_transform, generate_field,
+                       law_genuine, law_upscaled, quadrature_nodes,
+                       stieltjes, support_lower_edge)
+from respectra.rmt import _LawAtoms, _solve_e2
 
 TIGHT = EtaSolverConfig(tolerance=1e-12)
 
@@ -60,6 +63,21 @@ class TestEtaTransform:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[0] < 1.0
 
+    def test_real_gamma_takes_positive_root(self):
+        # the criterion-2 laws: at real gamma > 0 the physical E2 is
+        # positive, so eta lies between the zero-eigenvalue fraction and 1
+        gen = law_genuine(0.97)
+        ups = law_upscaled(0.97, ResampleSpec(L=2, M=1))
+        for law, beta, xi in ((gen, 0.5, 1.0), (gen, 1.0, 1.0),
+                              (ups, 1.0, 2.0)):
+            atoms = _LawAtoms(law, DEFAULT_CONFIG)
+            for gamma in (1.0, 1e4, 1e8):
+                e2, _ = _solve_e2(atoms, atoms, beta, gamma, DEFAULT_CONFIG)
+                eta = eta_transform(law, law, beta, gamma)
+                assert e2 > 0, f"beta={beta} xi={xi} gamma={gamma}: E2={e2}"
+                assert afze(beta, xi) <= eta <= 1.0, \
+                    f"beta={beta} xi={xi} gamma={gamma}: eta={eta}"
+
     def test_rejects_bad_beta(self):
         law = law_genuine(0.5)
         with pytest.raises(InvalidSpec):
@@ -105,6 +123,62 @@ class TestEigenPdf:
         step = np.diff(np.log(pdf.lambda_grid)).max()
         assert np.log(pdf.lambda_minus() / lo) <= 2 * step
         assert abs(np.log(pdf.lambda_plus() / hi)) <= 2 * step
+
+    def test_mp_density_vanishes_below_lower_edge(self):
+        # error in E2 is amplified by |S| ~ zero_mass/|lambda + i nu| near
+        # zero; it must not show up as density outside the support
+        law = law_genuine(0.0)
+        for beta in (0.5, 0.25):
+            pdf = eigen_pdf(law, law, beta)
+            lo = (1 - np.sqrt(beta)) ** 2
+            below = pdf.lambda_grid < 0.9 * lo
+            assert pdf.density[below].max() <= 1e-6 * pdf.density.max()
+            step = np.diff(np.log(pdf.lambda_grid)).max()
+            assert abs(np.log(pdf.lambda_minus() / lo)) <= 2 * step
+
+    def test_support_edge_oracle_brackets(self):
+        # brackets from tolerance-1e-13 densities for nu from 1e-6 down to
+        # 1e-10: below the lower end the density scales with nu (outside
+        # the support), at the upper end it does not (inside)
+        cases = (("linear", 0.1860, 0.1862), ("b-spline", 0.02153, 0.02154))
+        for name, lo, hi in cases:
+            spec = ResampleSpec(L=2, M=1, kernel=KERNELS[name])
+            law = law_upscaled(0.95, spec)
+            edge = support_lower_edge(law, law, 0.125, xi=2.0)
+            assert lo <= edge <= hi, f"{name}: {edge}"
+
+    def test_density_matches_tight_solve(self):
+        cases = ((0.97, None, 0.25), (0.97, None, 0.5), (0.97, None, 1.0),
+                 (0.97, ("b-spline", 2, 1), 0.5),
+                 (0.97, ("linear", 3, 2), 0.5),
+                 (0.97, ("lanczos3", 3, 2), 1.0))
+        for rho, kernel, beta in cases:
+            if kernel is None:
+                law, xi = law_genuine(rho), 1.0
+            else:
+                spec = ResampleSpec(L=kernel[1], M=kernel[2],
+                                    kernel=KERNELS[kernel[0]])
+                law, xi = law_upscaled(rho, spec), spec.xi
+            pdf = eigen_pdf(law, law, beta, xi=xi)
+            ref = eigen_pdf(law, law, beta, xi=xi, grid=pdf.lambda_grid,
+                            nu=pdf.nu, config=TIGHT)
+            err = np.abs(pdf.density - ref.density).max()
+            assert err <= 1e-5 * ref.density.max(), f"{law.descriptor}"
+
+    def test_negative_density_rescued_from_conjugate_root(self, caplog):
+        # a cold start at this point lands on the nonphysical root; the
+        # rescue must recover what a sweep warm started from above finds
+        law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
+        lam, nu = 0.120091, 7.27324e-7
+        with caplog.at_level(logging.DEBUG, logger="respectra.rmt"):
+            pdf = eigen_pdf(law, law, 0.125, xi=1.5, grid=[0.11, lam], nu=nu)
+        assert pdf.rescued_points == 1
+        assert pdf.clamped_points == 0
+        assert any("conj(E2)" in r.getMessage() for r in caplog.records)
+        sweep = eigen_pdf(law, law, 0.125, xi=1.5,
+                          grid=np.geomspace(lam, 0.5, 200), nu=nu)
+        assert sweep.rescued_points == 0
+        assert pdf.density[-1] == pytest.approx(sweep.density[0], rel=1e-6)
 
     def test_genuine_support_compresses_as_beta_drops(self):
         law = law_genuine(0.97)
