@@ -8,24 +8,22 @@ detector and a resampling-factor estimator on top of the resulting
 signal/noise eigenvalue separation.
 """
 
-from .armodel import (ArParams, SampleAutocorr, crop_view, generate_field,
-                      sample_autocorr, view_count)
+from .armodel import ArParams, SampleAutocorr, generate_field, sample_autocorr
 from .bench import (ExperimentSpec, RocCurve, genuine_block, parse_factor,
                     roc_auc, run_figure, run_snr_sweep, upscaled_block)
 from .detect import DetectionResult, DetectorConfig, detect
 from .errors import (ConvergenceFailure, InputError, InsufficientViews,
                      InvalidConfig, InvalidInput, InvalidMatrix, InvalidShape,
-                     InvalidSize, InvalidSpec, InvalidView, NumericalError,
-                     ParseError, RespectraError, TruncatedFile,
-                     UnknownExperiment, ZeroVariance)
+                     InvalidSize, InvalidSpec, NumericalError, ParseError,
+                     RespectraError, TruncatedFile, UnknownExperiment,
+                     ZeroVariance)
 from .estimate import EstimationResult, EstimatorConfig, estimate
 from .matcore import (ToeplitzSpec, ar_gram_matrix, ar_gram_sequence,
                       ar_u_matrix, ar_u_sequence, gaussian_matrix,
                       rng_from_seed, spawn_seeds, sym_eigenvalues,
                       toeplitz_materialize)
 from .pgm import ImageGray, central_block, read_pgm
-from .resample import (KERNELS, KernelSpec, ResampleSpec,
-                       additive_quantization_noise, build_polyphase,
+from .resample import (KERNELS, KernelSpec, ResampleSpec, build_polyphase,
                        exact_autocorr_matrix, get_kernel, kernel_autocorr,
                        quantize, support_columns, upscale)
 from .rmt import (DEFAULT_CONFIG, EigenPdf, EtaSolverConfig, eigen_pdf,

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidShape, InvalidSpec, InvalidView, NumericalError,
-                     ZeroVariance)
+from .errors import InvalidShape, InvalidSpec, NumericalError, ZeroVariance
 from .matcore import ar_gram_matrix, gaussian_matrix
 
 
@@ -103,28 +102,3 @@ def sample_autocorr(block, standardize=False):
             raise ZeroVariance("cannot standardize a constant block")
         b = (b - b.mean()) / sd
     return SampleAutocorr(matrix=(b @ b.T) / n, beta=k / n, normalizer=n)
-
-
-def view_count(n, k):
-    """Number of sliding views V = 2 (N - K + 1) over an N x N matrix."""
-    return 2 * (n - k + 1)
-
-
-def crop_view(z, v, k):
-    """v-th sliding N x K view of an N x N matrix.
-
-    Even v takes columns v/2 .. v/2+K-1 of Z; odd v takes the same columns
-    of Z^T (i.e. rows of Z). Indices are 0-based; v ranges over
-    0 .. 2(N-K+1)-1.
-    """
-    z = np.asarray(z, dtype=float)
-    n = z.shape[0]
-    if z.shape[0] != z.shape[1]:
-        raise InvalidShape(f"expected a square matrix, got {z.shape}")
-    if not 0 <= v < view_count(n, k):
-        raise InvalidView(f"view index {v} out of range for V={view_count(n, k)}")
-    if v % 2 == 0:
-        c = v // 2
-        return z[:, c:c + k]
-    c = (v - 1) // 2
-    return z.T[:, c:c + k]

@@ -12,8 +12,8 @@ block is labeled upscaled when kappa falls below sigma_w2 (1 + sqrt(beta))^2.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .armodel import view_count
 from .errors import InvalidConfig
 from .spectra import mp_edges
 
@@ -75,33 +75,30 @@ class DetectionResult:
 
 
 def lower_median(values):
-    """Median with the deterministic lower-middle convention: element at
-    1-based index ceil(n/2) of the sorted sequence."""
-    v = np.sort(np.asarray(values, dtype=float))
-    if len(v) == 0:
+    """Median along the last axis with the deterministic lower-middle
+    convention: element at 1-based index ceil(n/2) of the sorted sequence."""
+    v = np.sort(np.asarray(values, dtype=float), axis=-1)
+    if v.shape[-1] == 0:
         raise InvalidConfig("median of an empty set")
-    return float(v[(len(v) + 1) // 2 - 1])
+    return v[..., (v.shape[-1] + 1) // 2 - 1]
 
 
 def view_eigenvalues(z, k):
     """Descending eigenvalues of (1/N) Z_K Z_K^T for every sliding view.
 
-    Views are independent and their spectra are computed through the K x K
-    Gram (1/N) Z_K^T Z_K, which shares the nonzero eigenvalues of the N x N
-    form. Returns a (V, K) array.
+    View 2c takes columns c .. c+K-1 of the N x N matrix Z, view 2c+1 the
+    same columns of Z^T (rows of Z), so there are V = 2 (N - K + 1) views.
+    The views are one (2, V/2, N, K) stack of strided windows over the
+    pair (Z, Z^T), so no view is copied. Their spectra come from the K x K
+    Grams (1/N) Z_K^T Z_K, which share the nonzero eigenvalues of the
+    N x N form, formed by one batched product and solved by one stacked
+    eigvalsh. Returns a (V, K) array.
     """
     z = np.asarray(z, dtype=float)
     n = z.shape[0]
-    v_total = view_count(n, k)
-    out = np.empty((v_total, k))
-    for v in range(v_total):
-        if v % 2 == 0:
-            zk = z[:, v // 2:v // 2 + k]
-        else:
-            c = (v - 1) // 2
-            zk = z.T[:, c:c + k]
-        out[v] = np.linalg.eigvalsh((zk.T @ zk) / n)[::-1]
-    return out
+    views = sliding_window_view(np.stack((z, z.T)), (n, k), axis=(1, 2))[:, 0]
+    gram = (views.swapaxes(-1, -2) @ views) / n
+    return np.linalg.eigvalsh(gram.swapaxes(0, 1).reshape(-1, k, k))[:, ::-1]
 
 
 def detect(z, cfg):
@@ -130,23 +127,16 @@ def detect(z, cfg):
     below = lam < edges.lower
     below_set = np.nonzero(below)[0]
 
-    lambda0 = np.full(len(eig), np.nan)
-    for v in range(len(eig)):
-        above = eig[v][eig[v] > edges.lower]
-        if len(above):
-            lambda0[v] = above.min()
+    # fmin skips the masked entries and leaves NaN for rows with none left
+    lambda0 = np.fmin.reduce(np.where(eig > edges.lower, eig, np.nan), axis=1)
 
     n_below = len(below_set)
     if n_below == 0:
         kappa = float(lam.min())
     elif n_below < len(eig):
-        kappa = lower_median(lam[~below])
-    else:
-        finite = lambda0[np.isfinite(lambda0)]
-        if len(finite) == 0:
-            kappa = 0.0
-        else:
-            kappa = float(finite.min())
+        kappa = float(lower_median(lam[~below]))
+    else:  # NaN: no view has an eigenvalue above the edge, kappa = 0
+        kappa = float(np.nan_to_num(np.fmin.reduce(lambda0)))
     return DetectionResult(
         kappa=kappa,
         threshold=float(threshold),

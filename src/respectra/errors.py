@@ -30,10 +30,6 @@ class InvalidSpec(InputError):
     pass
 
 
-class InvalidView(InputError):
-    pass
-
-
 class InvalidConfig(InputError):
     pass
 

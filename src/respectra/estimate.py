@@ -89,23 +89,19 @@ class EstimationResult:
 
 
 def ratio_profile(eigenvalues):
-    """Psi[i-1] = lambda_i / lambda_{i+1} for descending eigenvalues.
+    """Psi[..., i-1] = lambda_i / lambda_{i+1} along the last axis of
+    descending eigenvalues (one profile per row of a (V, K) array).
 
-    Eigenvalues at or below RATIO_ZERO_CUTOFF times the largest are treated
-    as exact zeros: a positive/zero ratio is +inf (a maximal gap), a
-    zero/zero ratio is 1 (no gap information).
+    Eigenvalues at or below RATIO_ZERO_CUTOFF times the row's largest are
+    treated as exact zeros: a positive/zero ratio is +inf (a maximal gap),
+    a zero/zero ratio is 1 (no gap information).
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    cut = RATIO_ZERO_CUTOFF * lam[0] if lam[0] > 0 else 0.0
-    psi = np.empty(len(lam) - 1)
-    for i in range(len(lam) - 1):
-        if lam[i + 1] > cut:
-            psi[i] = lam[i] / lam[i + 1]
-        elif lam[i] > cut:
-            psi[i] = np.inf
-        else:
-            psi[i] = 1.0
-    return psi
+    top = lam[..., :1]
+    cut = np.where(top > 0, RATIO_ZERO_CUTOFF * top, 0.0)
+    head, tail = lam[..., :-1], lam[..., 1:]
+    psi = np.where(head > cut, np.inf, 1.0)
+    return np.divide(head, tail, out=psi, where=tail > cut)
 
 
 def estimate(z, cfg):
@@ -134,43 +130,26 @@ def estimate(z, cfg):
     window = slice(i_start - 1, k - 1)     # Psi indices for i in I
 
     eig = view_eigenvalues(z, k)
-    v_total = len(eig)
-    psi = np.empty((v_total, k - 1))
-    i_v = np.empty(v_total, dtype=int)
-    below = np.empty(v_total, dtype=bool)
-    for v in range(v_total):
-        psi[v] = ratio_profile(eig[v])
-        below[v] = eig[v, -1] < edges.lower
-        i_v[v] = int(np.argmin(np.abs(eig[v] - edges.upper))) + 1  # 1-based
-
+    psi = ratio_profile(eig)
+    below = eig[:, -1] < edges.lower
     below_set = np.nonzero(below)[0]
     if below.all():
         raise InsufficientViews(
             "every view sits below the noise floor; mu is undefined")
 
-    terms = []
-    for v in range(v_total):
-        if below[v]:
-            continue
-        seg = psi[v, window]
-        med = lower_median(seg)
-        peak = seg.max()
-        if np.isinf(peak) and np.isinf(med):
-            terms.append(1.0)  # profile is all maximal gaps: no contrast
-        elif med == 0:
-            terms.append(np.inf)
-        else:
-            terms.append(peak / med)
+    # descending profiles are >= 1, so med >= 1; a profile of all maximal
+    # gaps (med = inf) has no contrast and contributes 1
+    seg = psi[~below, window]
+    med = lower_median(seg)
+    terms = np.divide(seg.max(axis=1), med, out=np.ones_like(med),
+                      where=~np.isinf(med))
     mu = float(np.mean(terms))
 
-    p_v = np.zeros(v_total, dtype=int)
-    for v in range(v_total):
-        if below[v]:
-            continue
-        if mu >= cfg.t_mu:
-            p_v[v] = i_start + int(np.argmax(psi[v, window]))
-        else:
-            p_v[v] = i_v[v]
+    if mu >= cfg.t_mu:
+        votes = i_start + np.argmax(psi[:, window], axis=1)
+    else:
+        votes = np.argmin(np.abs(eig - edges.upper), axis=1) + 1  # 1-based
+    p_v = np.where(below, 0, votes)
 
     counts = np.bincount(p_v, minlength=k + 1)
     p_hat = int(np.argmax(counts))         # smallest index wins ties

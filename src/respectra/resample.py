@@ -13,7 +13,6 @@ from math import gcd
 import numpy as np
 
 from .errors import InvalidShape, InvalidSpec
-from .matcore import rng_from_seed
 
 
 def _h_linear(t):
@@ -199,19 +198,6 @@ def quantize(y, delta):
     if delta <= 0:
         raise InvalidSpec(f"quantization step must be positive, got {delta}")
     return delta * np.round(np.asarray(y, dtype=float) / delta)
-
-
-def additive_quantization_noise(y, delta, seed):
-    """Theory-matched alternative to rounding: add U(-delta/2, delta/2) noise.
-
-    The additive model has exactly the variance delta^2/12 assumed by the
-    asymptotic analysis; real pipelines round. Offering both separates
-    model error from algorithm error in tests.
-    """
-    if delta <= 0:
-        raise InvalidSpec(f"quantization step must be positive, got {delta}")
-    y = np.asarray(y, dtype=float)
-    return y + rng_from_seed(seed).uniform(-delta / 2, delta / 2, size=y.shape)
 
 
 def upscale(field, spec):

@@ -22,8 +22,9 @@ matters near zero, where |S| ~ zero_mass/|lambda + i nu| amplifies it.
 For real gamma > 0 the iterates stay inside a bracket around the
 positive root, the physical one. _density_point is the one place that
 solves at a point lambda + i nu, forms S and the density and picks the
-root: a density below -1e-12 marks the nonphysical root and the point is
-re-solved from conj(E2) (logged at DEBUG on this module's logger and
+root: a density below minus its evaluation-error budget (E2 tolerance
+times |S|/pi, at least 1e-12) marks the nonphysical root and the point
+is re-solved from conj(E2) (logged at DEBUG on this module's logger and
 counted in EigenPdf.rescued_points). Density sweeps run in descending
 lambda order, warm starting each point from its neighbor.
 """
@@ -208,10 +209,11 @@ class EigenPdf:
     rest). On the self-selected adaptive grid, zero_mass + integral = 1
     within 1e-2. ``nu`` is the imaginary offset used for the inversion; the
     known point mass smeared by nu is subtracted exactly before clamping.
-    ``clamped_points`` counts grid points whose density stayed below -1e-12
-    and was clamped to zero, ``rescued_points`` those re-solved from
-    conj(E2) after a negative density, and ``solver_iterations`` every
-    fixed-point iteration of the sweep, rescues included.
+    Negative densities are clamped to zero; ``clamped_points`` counts the
+    grid points whose density stayed below minus its evaluation-error
+    budget, ``rescued_points`` those re-solved from conj(E2) after falling
+    below it, and ``solver_iterations`` every fixed-point iteration of the
+    sweep, rescues included.
     """
 
     zero_mass: float
@@ -283,11 +285,14 @@ def _density_point(atoms_d, atoms_t, beta, zero_mass, lam, nu, config,
     """Density of the continuous part at lam, smoothed by nu.
 
     Solves the fixed point at gamma = -1/(lam + i nu), forms S(z) and
-    Im S/pi minus the point mass at zero smeared by nu, and keeps the
-    physical root: a density below -1e-12 is taken to mark the
-    nonphysical root, so the point is re-solved from conj(E2) and the
-    larger density kept. Returns (density, e2, S, iterations, rescued); the
-    density is not clamped.
+    Im S/pi minus the point mass at zero smeared by nu. The density's
+    evaluation-error budget is max(1e-12, tolerance |S|/pi): an E2 within
+    the relative tolerance moves Im S/pi that much, which near zero
+    (|S| ~ zero_mass/|lambda + i nu|) far exceeds 1e-12. A density below
+    minus its budget is taken to mark the nonphysical root, so the point
+    is re-solved from conj(E2) and the larger density kept. Returns
+    (density, e2, budget, iterations, rescued); the density is not
+    clamped.
     """
     gamma = -1.0 / (lam + 1j * nu)
     smear = zero_mass * nu / (np.pi * (lam * lam + nu * nu))
@@ -300,34 +305,38 @@ def _density_point(atoms_d, atoms_t, beta, zero_mass, lam, nu, config,
             raise ConvergenceFailure(f"inversion failed at lambda={lam:g}",
                                      residual=exc.residual) from exc
         s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
-        return s.imag / np.pi - smear, e2, s, its
+        budget = max(1e-12, config.tolerance * abs(s) / np.pi)
+        return s.imag / np.pi - smear, e2, budget, its
 
-    f, e2, s, its = solve(warm)
-    if f >= -1e-12:
-        return f, e2, s, its, False
-    f_b, e2_b, s_b, its_b = solve(np.conj(e2))
+    f, e2, budget, its = solve(warm)
+    if f >= -budget:
+        return f, e2, budget, its, False
+    f_b, e2_b, budget_b, its_b = solve(np.conj(e2))
     _log.debug("lambda=%g nu=%g: density %.3e, re-solved from conj(E2): "
                "%.3e", lam, nu, f, f_b)
     if f_b > f:
-        f, e2, s = f_b, e2_b, s_b
-    return f, e2, s, its + its_b, True
+        f, e2, budget = f_b, e2_b, budget_b
+    return f, e2, budget, its + its_b, True
 
 
 def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, config):
     """Densities over an increasing grid, solved from the largest lambda
     down, each point warm started from its neighbor's E2.
 
-    Returns (unclamped densities, E2 at grid[0], iterations, rescues).
+    Returns (unclamped densities, E2 at grid[0], iterations, rescues,
+    points whose density stayed below minus its budget).
     """
     density = np.empty(len(grid))
     warm = None
-    iters = rescued = 0
+    iters = rescued = clamped = 0
     for k in range(len(grid) - 1, -1, -1):
-        density[k], warm, _, its, resc = _density_point(
+        density[k], warm, budget, its, resc = _density_point(
             atoms_d, atoms_t, beta, zero_mass, grid[k], nu, config, warm)
         iters += its
         rescued += resc
-    return density, warm, iters, rescued
+        if density[k] < -budget:
+            clamped += 1
+    return density, warm, iters, rescued, clamped
 
 
 def _default_grid(atoms_d, atoms_t, beta, xi, zero_mass, points, config):
@@ -347,8 +356,8 @@ def _default_grid(atoms_d, atoms_t, beta, xi, zero_mass, points, config):
     hi0 = 16.0 * atoms_d.values.max() * atoms_t.values.max()
     coarse = np.geomspace(lo, max(hi0, lo * 1e6), 144)
     nu_c = 1e-4 * np.median(coarse)
-    dens, warm, _, _ = _sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c,
-                              config)
+    dens, warm = _sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c,
+                        config)[:2]
     dens = np.maximum(dens, 0.0)
     seg_mass = 0.5 * (dens[1:] + dens[:-1]) * np.diff(coarse)
     seg_mom = 0.5 * (dens[1:] * coarse[1:] + dens[:-1] * coarse[:-1]) * np.diff(coarse)
@@ -404,10 +413,9 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG,
         # density within its evaluation error is no evidence either way
         f1, w1 = _density_point(atoms_d, atoms_t, beta, zero_mass, lam,
                                 nu_c, tight)[:2]
-        f2, _, s2 = _density_point(atoms_d, atoms_t, beta, zero_mass, lam,
-                                   nu_c / 4.0, tight, warm=w1)[:3]
-        budget = max(tight.tolerance * abs(s2) / np.pi, noise_floor)
-        return f2 > 0.5 * f1 and f2 > budget
+        f2, _, budget = _density_point(atoms_d, atoms_t, beta, zero_mass,
+                                       lam, nu_c / 4.0, tight, warm=w1)[:3]
+        return f2 > 0.5 * f1 and f2 > max(budget, noise_floor)
 
     peak = int(np.argmax(dens))
     if peak == 0 or inside(float(coarse[0])):
@@ -476,9 +484,8 @@ def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
     if nu <= 0:
         raise InvalidSpec(f"nu must be positive, got {nu}")
 
-    density, _, iters, rescued = _sweep(atoms_d, atoms_t, beta, zero_mass,
-                                        grid, nu, config)
-    clamped = int(np.count_nonzero(density < -1e-12))
+    density, _, iters, rescued, clamped = _sweep(
+        atoms_d, atoms_t, beta, zero_mass, grid, nu, config)
     return EigenPdf(zero_mass=zero_mass, lambda_grid=grid,
                     density=np.maximum(density, 0.0),
                     beta=beta, xi=xi, nu=nu,

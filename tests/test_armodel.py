@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from respectra import (ArParams, InvalidShape, InvalidView, NumericalError,
-                       ZeroVariance, ar_gram_matrix, crop_view, generate_field,
-                       sample_autocorr, view_count)
+from respectra import (ArParams, InvalidShape, NumericalError, ZeroVariance,
+                       ar_gram_matrix, generate_field, sample_autocorr)
 
 
 def lag1_row_correlation(x):
@@ -111,25 +110,3 @@ class TestSampleAutocorr:
         assert out.matrix.shape == (16, 16)
         with pytest.raises(ZeroVariance):
             sample_autocorr(np.full((4, 2), 7.0), standardize=True)
-
-
-class TestCropView:
-    def test_view_count_paper_configuration(self):
-        assert view_count(32, 9) == 48
-
-    def test_even_views_take_columns(self):
-        z = np.arange(25.0).reshape(5, 5)
-        assert np.array_equal(crop_view(z, 0, 3), z[:, 0:3])
-        assert np.array_equal(crop_view(z, 2, 3), z[:, 1:4])
-
-    def test_odd_views_take_transposed_columns(self):
-        z = np.arange(25.0).reshape(5, 5)
-        assert np.array_equal(crop_view(z, 1, 3), z.T[:, 0:3])
-        assert np.array_equal(crop_view(z, 5, 3), z.T[:, 2:5])
-
-    def test_out_of_range(self):
-        z = np.zeros((5, 5))
-        with pytest.raises(InvalidView):
-            crop_view(z, view_count(5, 3), 3)
-        with pytest.raises(InvalidView):
-            crop_view(z, -1, 3)

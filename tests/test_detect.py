@@ -3,7 +3,7 @@ import pytest
 
 from respectra import (DetectorConfig, InvalidConfig, ResampleSpec, detect,
                        genuine_block, mp_edges, upscaled_block)
-from respectra.detect import lower_median
+from respectra.detect import lower_median, view_eigenvalues
 
 SNR = 1.2e4  # sigma_s2 = 1000 at delta = 1
 
@@ -35,6 +35,30 @@ class TestLowerMedian:
 
     def test_even_count_takes_lower_middle(self):
         assert lower_median([4.0, 1.0, 3.0, 2.0]) == 2.0
+
+    def test_rows_of_2d_input(self):
+        rows = np.array([[4.0, 1.0, 3.0, 2.0], [9.0, 7.0, 8.0, 5.0],
+                         [0.5, np.inf, 0.25, np.inf]])
+        med = lower_median(rows)
+        assert np.array_equal(med, [lower_median(r) for r in rows])
+        assert np.array_equal(med, [2.0, 7.0, 0.5])
+
+
+class TestViewEigenvalues:
+    def test_view_count_paper_configuration(self):
+        z = np.random.default_rng(0).standard_normal((32, 32))
+        assert view_eigenvalues(z, 9).shape == (48, 9)
+
+    @pytest.mark.parametrize("n,k", [(32, 9), (64, 16), (32, 32), (40, 2)])
+    def test_view_order_matches_per_view_loop(self, n, k):
+        # view 2c: columns c..c+K-1 of Z; view 2c+1: the same columns of Z^T
+        z = np.random.default_rng(n + k).standard_normal((n, n))
+        ref = []
+        for c in range(n - k + 1):
+            for m in (z, z.T):
+                zk = m[:, c:c + k]
+                ref.append(np.linalg.eigvalsh((zk.T @ zk) / n)[::-1])
+        np.testing.assert_allclose(view_eigenvalues(z, k), ref, rtol=1e-12)
 
 
 class TestDecision:
@@ -90,6 +114,19 @@ class TestInvariants:
         res = detect(z, cfg)
         assert res.per_view_lambda.min() > res.threshold
         assert not res.is_upscaled
+
+    def test_lambda0_matches_per_view_loop(self):
+        # a strong corner leaves some views entirely at the noise floor
+        z = np.zeros((40, 40))
+        z[:12, :12] = np.round(
+            np.random.default_rng(5).standard_normal((12, 12)) * 100)
+        res = detect(z, DetectorConfig(k=9, delta=1.0))
+        ref = []
+        for ev in view_eigenvalues(z, 9):
+            above = ev[ev > res.mp_lower]
+            ref.append(above.min() if len(above) else np.nan)
+        assert np.isnan(ref).any() and not np.isnan(ref).all()
+        np.testing.assert_array_equal(res.lambda0_per_view, ref)
 
     def test_all_noise_floor_gives_kappa_zero(self):
         res = detect(np.zeros((16, 16)), DetectorConfig(k=5, delta=1.0))

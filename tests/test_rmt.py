@@ -136,6 +136,14 @@ class TestEigenPdf:
             step = np.diff(np.log(pdf.lambda_grid)).max()
             assert abs(np.log(pdf.lambda_minus() / lo)) <= 2 * step
 
+    def test_mp_rounding_noise_is_not_rescued_or_clamped(self):
+        # near zero Im S/pi and the subtracted point mass are both ~1e7, so
+        # densities of -1e-9 there are within the evaluation-error budget
+        law = law_genuine(0.0)
+        pdf = eigen_pdf(law, law, 0.25)
+        assert pdf.rescued_points == 0
+        assert pdf.clamped_points == 0
+
     def test_support_edge_oracle_brackets(self):
         # brackets from tolerance-1e-13 densities for nu from 1e-6 down to
         # 1e-10: below the lower end the density scales with nu (outside
