@@ -52,7 +52,7 @@ def generate_field(params, seed):
     """Sample an n x n field with the law of X = U S U^T.
 
     U is n x (n+q-1) with taps rho^(q-1-k) and S is i.i.d. N(0, sigma_s2),
-    so cov(vec X) = sigma_s2^2 (U U^T) kron (U U^T). The field is drawn as
+    so cov(vec X) = sigma_s2 (U U^T) kron (U U^T). The field is drawn as
     C G C^T with C = chol(U U^T) from the closed-form Gram matrix and G an
     n x n i.i.d. N(0, sigma_s2) matrix, which has exactly that law without
     materializing U or S. U U^T is Toeplitz, so an (n, q) field has the law

@@ -212,7 +212,9 @@ def _cmd_pdf(args):
             "lambda": pdf.lambda_grid.tolist(),
             "density": pdf.density.tolist(),
             "beta": pdf.beta, "xi": pdf.xi, "nu": pdf.nu,
-            "law": pdf.law,
+            "law": pdf.law, "clamped_points": pdf.clamped_points,
+            "rescued_points": pdf.rescued_points,
+            "solver_iterations": pdf.solver_iterations,
         }, indent=2, sort_keys=True), args.out)
     return 0
 

@@ -27,6 +27,9 @@ times |S|/pi, at least 1e-12) marks the nonphysical root and the point
 is re-solved from conj(E2) (logged at DEBUG on this module's logger and
 counted in EigenPdf.rescued_points). Density sweeps run in descending
 lambda order, warm starting each point from its neighbor.
+
+support_lower_edge reads no density: it finds the lower support edge as
+the fold of the fixed point's real inverse map, from the same atom sums.
 """
 
 import logging
@@ -255,7 +258,7 @@ class EigenPdf:
         carries solver error amplified by |S| ~ zero_mass/|lambda + i nu|
         (below 1e-6 of the peak for Marchenko-Pastur at beta in {0.25,
         0.5}), and the estimate is only good to a grid step plus the
-        Cauchy leakage of nu. support_lower_edge is the edge to use.
+        Cauchy leakage of nu. Use support_lower_edge, which has neither.
         """
         peak = self.density.max()
         if peak <= 0:
@@ -339,7 +342,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, config):
     return density, warm, iters, rescued, clamped
 
 
-def _default_grid(atoms_d, atoms_t, beta, xi, zero_mass, points, config):
+def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, config):
     """Adaptive log-spaced grid plus a nu override.
 
     A coarse descending sweep locates the upper support edge, keeping
@@ -377,64 +380,60 @@ def _default_grid(atoms_d, atoms_t, beta, xi, zero_mass, points, config):
     return np.geomspace(lo, hi, points), nu_override
 
 
-def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG,
-                       rel_precision=1e-3):
+def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG):
     """Lower edge of the nonzero-eigenvalue support of the limiting law.
 
-    The grid-based EigenPdf.lambda_minus rule can only resolve the edge to
-    a grid step, and the Cauchy kernel of the Stieltjes smoothing leaks
-    O(nu) density below the true edge. Here each probe point is classified
-    by how the smoothed density responds to shrinking nu (constant inside
-    the support, proportional to nu outside), and the edge is located by
-    bisection in log-lambda. A point counts as inside only if its density
-    also exceeds its evaluation-error budget, the larger of the tight E2
-    tolerance times |S(z)|/pi and 1e-6 of the coarse sweep's peak; a
-    density below that is rounding noise and no evidence of support.
-    Returns the grid floor when the support extends to zero (beta = 1 style
-    laws).
+    Outside the support the fixed point has a real solution, and the edges
+    are the folds of its real inverse map (Silverstein & Choi 1995). With
+    u = gamma E2 and v = gamma E1 it reads u psi(u) = phi(v) at lambda =
+    -psi(u)/v, where psi(u) = E[D/(1 + beta D u)], phi(v) = E[vT/(1 + vT)].
+    In w = -1/v < min T, phi = E[T/(T - w)] increases, so each u has one
+    root w(u); lambda(u) = w(u) psi(u) rises through 0 at u0 psi(u0) =
+    P(T != 0), then falls back to 0, and the edge is its maximum. The sign
+    of dlambda/du is bracketed by doubling or halving u and bisected in
+    log u to 1e-9, where lambda is flat to rounding. Atoms of value 0 count
+    with the point mass. Returns 0.0 when the support reaches zero, i.e.
+    P(D != 0)/beta <= P(T != 0) (beta = 1 for identical laws). ``xi`` is
+    not read. Raises ConvergenceFailure if a root is not found.
     """
+    if not 0.0 < beta <= 1.0:
+        raise InvalidSpec(f"beta must lie in (0, 1], got {beta}")
     atoms_d = _LawAtoms(law_d, config)
     atoms_t = _LawAtoms(law_t, config)
-    zero_mass = afze(beta, xi)
-    coarse, _ = _default_grid(atoms_d, atoms_t, beta, xi, zero_mass, 160,
-                              config)
-    nu_c = 1e-4 * float(np.median(coarse))
-    dens = np.maximum(_sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c,
-                             config)[0], 0.0)
+    pos = atoms_t.values > 0
+    t, wt = atoms_t.values[pos], atoms_t.wv[pos]
+    if atoms_d.weights[atoms_d.values > 0].sum() / beta \
+            <= atoms_t.weights[pos].sum():
+        return 0.0
+    w = 0.0
 
-    # eta errors are amplified by |S| ~ mass/max(lambda, nu) near zero, so
-    # the edge probes solve far below the tolerance they must resolve
-    tight = replace(config, tolerance=min(config.tolerance, 1e-12))
-    noise_floor = 1e-6 * float(dens.max())
+    def fold(u):
+        # Newton for w(u) on the bracket (-inf, min T), bisecting steps that
+        # leave it; dlambda/du = w' psi + w psi', w' = (u psi)'/phi'(w)
+        nonlocal w
+        a = 1.0 + beta * atoms_d.values * u
+        psi = (atoms_d.wv / a).sum()
+        lo, hi = -np.inf, t.min()
+        for _ in range(100):
+            q = wt / (t - w)
+            f, slope = q.sum() - u * psi, (q / (t - w)).sum()
+            lo, hi = (lo, w) if f > 0 else (w, hi)
+            # converged once f is within the rounding of w or of the sums
+            if abs(f) <= 8.0 * np.finfo(float).eps * (abs(w) * slope + u * psi):
+                return ((atoms_d.wv / (a * a)).sum() * psi
+                        > w * beta * (atoms_d.wv2 / (a * a)).sum() * slope,
+                        w * psi)
+            w = w - f / slope if lo < w - f / slope < hi else 0.5 * (lo + hi)
+        raise ConvergenceFailure(f"no real root at u={u:g}", residual=abs(f))
 
-    def inside(lam):
-        # shrinking nu leaves the density unchanged inside the support but
-        # scales it down linearly outside (pure Cauchy-tail leakage); a
-        # density within its evaluation error is no evidence either way
-        f1, w1 = _density_point(atoms_d, atoms_t, beta, zero_mass, lam,
-                                nu_c, tight)[:2]
-        f2, _, budget = _density_point(atoms_d, atoms_t, beta, zero_mass,
-                                       lam, nu_c / 4.0, tight, warm=w1)[:3]
-        return f2 > 0.5 * f1 and f2 > max(budget, noise_floor)
-
-    peak = int(np.argmax(dens))
-    if peak == 0 or inside(float(coarse[0])):
-        return float(coarse[0])
-    lo_i, hi_i = 0, peak          # classification flips once in between
-    while hi_i - lo_i > 1:
-        mid = (lo_i + hi_i) // 2
-        if inside(float(coarse[mid])):
-            hi_i = mid
+    lo, hi, u = 0.0, np.inf, 1.0 / (beta * atoms_d.mean)
+    while hi > lo * (1.0 + 1e-9):
+        if fold(u)[0]:
+            lo = u
         else:
-            lo_i = mid
-    lo, hi = float(coarse[lo_i]), float(coarse[hi_i])
-    while hi / lo - 1.0 > rel_precision and hi - lo > nu_c:
-        mid = float(np.sqrt(lo * hi))
-        if inside(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(np.sqrt(lo * hi))
+            hi = u
+        u = 2.0 * u if hi == np.inf else 0.5 * u if lo == 0 else np.sqrt(lo * hi)
+    return float(fold(np.sqrt(lo * hi))[1])
 
 
 def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
@@ -471,8 +470,8 @@ def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
     zero_mass = afze(beta, xi)
     nu_override = None
     if grid is None:
-        grid, nu_override = _default_grid(atoms_d, atoms_t, beta, xi,
-                                          zero_mass, points, config)
+        grid, nu_override = _default_grid(atoms_d, atoms_t, beta, zero_mass,
+                                          points, config)
     else:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 2 or grid[0] <= 0 \

@@ -68,13 +68,11 @@ class SpectralLaw:
         if abs(total - 1.0) > 1e-12:
             raise InvalidSpec(f"law masses add to {total}, expected 1")
 
-    def expect(self, g, nodes, panel_weights):
-        """E[g(value)] using quadrature nodes on (0, pi), symmetry doubled."""
-        contribution = (panel_weights * g(self.transform(nodes))).sum()
-        return self.zero_mass * g(0.0) + 2.0 * self.angular_density * contribution
-
     def mean(self, nodes, panel_weights):
-        return self.expect(lambda v: v, nodes, panel_weights)
+        """E[value] using quadrature nodes on (0, pi), symmetry doubled; the
+        point mass at zero adds nothing."""
+        contribution = (panel_weights * self.transform(nodes)).sum()
+        return 2.0 * self.angular_density * contribution
 
     def sample(self, n, seed):
         """Monte Carlo draws from the law (testing aid)."""

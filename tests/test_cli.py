@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from respectra import upscaled_block, ResampleSpec
+from respectra import (ResampleSpec, eigen_pdf, law_upscaled,
+                       upscaled_block)
 from respectra.cli import main
 
 
@@ -102,6 +103,12 @@ class TestPdfCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["zero_mass"] == pytest.approx(0.75)
+        law = law_upscaled(0.9, ResampleSpec(L=2, M=1))
+        pdf = eigen_pdf(law, law, 0.5, xi=2.0)
+        for key in ("clamped_points", "rescued_points", "solver_iterations"):
+            assert type(payload[key]) is int
+            assert payload[key] == getattr(pdf, key)
+        assert payload["solver_iterations"] > 0
 
 
 class TestSpectrumCommand:

@@ -5,9 +5,9 @@ import pytest
 
 from respectra import (DEFAULT_CONFIG, ArParams, ConvergenceFailure,
                        EtaSolverConfig, InvalidSpec, KERNELS, ResampleSpec,
-                       afze, eigen_pdf, eta_transform, generate_field,
-                       law_genuine, law_upscaled, quadrature_nodes,
-                       stieltjes, support_lower_edge)
+                       SpectralLaw, afze, eigen_pdf, eta_transform,
+                       generate_field, law_genuine, law_upscaled,
+                       quadrature_nodes, stieltjes, support_lower_edge)
 from respectra.rmt import _LawAtoms, _solve_e2
 
 TIGHT = EtaSolverConfig(tolerance=1e-12)
@@ -195,9 +195,34 @@ class TestEigenPdf:
 
     def test_support_edge_matches_mp(self):
         law = law_genuine(0.0)
-        for beta in (0.25, 0.5):
+        for beta in (0.125, 0.25, 0.5, 0.99, 0.999):
             edge = support_lower_edge(law, law, beta)
-            assert edge == pytest.approx((1 - np.sqrt(beta)) ** 2, rel=5e-3)
+            assert edge == pytest.approx((1 - np.sqrt(beta)) ** 2, rel=1e-8)
+
+    def test_support_edge_is_zero_when_support_reaches_zero(self):
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        for law, xi in ((law_genuine(0.97), 1.0),
+                        (law_upscaled(0.97, spline), 2.0)):
+            assert support_lower_edge(law, law, 1.0, xi=xi) == 0.0
+
+    def test_support_edge_counts_zero_atoms_with_point_mass(self):
+        # a law that is 0 on part of the angles has the edge of the law
+        # with that part moved into its point mass
+        nodes, weights = quadrature_nodes()
+        p = weights[nodes < 1.0].sum() / np.pi
+        cut = SpectralLaw(zero_mass=0.0, angular_density=0.5 / np.pi,
+                          transform=lambda w: np.where(w < 1.0, 1.0, 0.0))
+        massed = SpectralLaw(zero_mass=1.0 - p, angular_density=0.5 * p / np.pi,
+                             transform=np.ones_like)
+        for beta in (0.25, 0.5):
+            assert support_lower_edge(cut, cut, beta) == pytest.approx(
+                support_lower_edge(massed, massed, beta), rel=1e-12)
+
+    def test_support_edge_rejects_beta_outside_unit_interval(self):
+        law = law_genuine(0.9)
+        for beta in (0.0, -0.5, 1.5):
+            with pytest.raises(InvalidSpec):
+                support_lower_edge(law, law, beta)
 
     def test_upscaled_total_probability(self):
         law = law_upscaled(0.97, ResampleSpec(L=2, M=1))
