@@ -64,12 +64,14 @@ class TruncatedFile(InputError):
 
 
 class ConvergenceFailure(NumericalError):
-    """Fixed-point iteration did not converge. Carries the last residual."""
+    """Fixed-point iteration did not converge. Carries the last residual
+    and, from a solve over several points, the index of the failing one."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, point=None):
         super().__init__(message if residual is None
                          else f"{message} (residual {residual:.3e})")
         self.residual = residual
+        self.point = point
 
 
 class InsufficientViews(NumericalError):

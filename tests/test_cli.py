@@ -110,6 +110,16 @@ class TestPdfCommand:
             assert payload[key] == getattr(pdf, key)
         assert payload["solver_iterations"] > 0
 
+    @pytest.mark.parametrize("flags", [("--nu", "nan"), ("--nu", "inf"),
+                                       ("--nu", "0"), ("--points", "0"),
+                                       ("--points", "1")])
+    def test_degenerate_inputs_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, "pdf", "--rho", "0.9", "--beta", "0.5",
+                             *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestSpectrumCommand:
     def test_genuine_values(self, capsys):

@@ -1,14 +1,20 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import respectra
 
 from respectra import (DEFAULT_CONFIG, ArParams, ConvergenceFailure,
                        EtaSolverConfig, InvalidSpec, KERNELS, ResampleSpec,
                        SpectralLaw, afze, eigen_pdf, eta_transform,
                        generate_field, law_genuine, law_upscaled,
                        quadrature_nodes, stieltjes, support_lower_edge)
-from respectra.rmt import _LawAtoms, _solve_e2
+from respectra.rmt import _density_points, _LawAtoms, _solve_e2
 
 TIGHT = EtaSolverConfig(tolerance=1e-12)
 
@@ -188,6 +194,96 @@ class TestEigenPdf:
         assert sweep.rescued_points == 0
         assert pdf.density[-1] == pytest.approx(sweep.density[0], rel=1e-6)
 
+    def test_points_solved_together_match_points_solved_alone(self):
+        # a point's density, E2, budget, iterations and rescue do not depend
+        # on the other points of its batch; lambda = 0.120091 is the point
+        # whose cold start needs the conj(E2) rescue
+        law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
+        atoms = _LawAtoms(law, DEFAULT_CONFIG)
+        lam = np.append(np.geomspace(0.05, 2.0, 23), 0.120091)
+        args = (atoms, atoms, 0.125, afze(0.125, 1.5))
+        batch = _density_points(*args, lam, 7.27324e-7, DEFAULT_CONFIG)
+        assert batch[4][-1] and not batch[4][:-1].all()
+        for k in range(len(lam)):
+            alone = _density_points(*args, lam[k:k + 1], 7.27324e-7,
+                                    DEFAULT_CONFIG)
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[k:k + 1], want), f"lambda={lam[k]}"
+        gen = _LawAtoms(law_genuine(0.97), DEFAULT_CONFIG)
+        gammas = np.array([1.0, 1e4, 1e8])
+        e2, its = _solve_e2(gen, gen, 0.5, gammas, DEFAULT_CONFIG)
+        for k, gamma in enumerate(gammas):
+            assert (e2[k], its[k]) == tuple(
+                v[0] for v in _solve_e2(gen, gen, 0.5, gamma, DEFAULT_CONFIG))
+
+    def test_given_grid_reproduces_default_call(self):
+        # a law with a gap below its support, and a beta = 1 law whose
+        # support reaches zero, so its nu is the override
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        for law, beta, xi in ((law_genuine(0.97), 0.5, 1.0),
+                              (law_upscaled(0.97, spline), 1.0, 2.0)):
+            pdf = eigen_pdf(law, law, beta, xi=xi)
+            if beta == 1.0:
+                assert pdf.nu < 1e-4 * np.median(pdf.lambda_grid)
+            again = eigen_pdf(law, law, beta, xi=xi, grid=pdf.lambda_grid,
+                              nu=pdf.nu)
+            assert np.array_equal(again.density, pdf.density)
+            assert again.solver_iterations == pdf.solver_iterations
+
+    def test_density_matches_4096_atom_quadrature(self):
+        # the criterion-3 laws (beta = 1 takes the nu override) and MP at
+        # beta 0.5, against 4 096 atoms on the same grid and nu: within 1e-8
+        # of the peak, or no worse than 1 024 atoms plus 1e-10 of the peak.
+        # Near zero the density is Im S/pi minus a smeared point mass of
+        # size ~|S| (1e7 for MP), so it is compared to within the rounding
+        # of that difference, 8 eps times the smear, on top.
+        fine = EtaSolverConfig(quad_panels=256)
+        cases = [(law_genuine(0.0), 1.0, 0.5)]
+        for rho in (0.9, 0.97):
+            laws = [(law_genuine(rho), 1.0)]
+            for name in ("linear", "catmull-rom", "b-spline", "lanczos3"):
+                for lnum, m in ((3, 2), (2, 1)):
+                    spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
+                    laws.append((law_upscaled(rho, spec), spec.xi))
+            cases += [(law, xi, beta) for law, xi in laws
+                      for beta in (0.25, 0.5, 1.0)]
+        for law, xi, beta in cases:
+            pdf = eigen_pdf(law, law, beta, xi=xi)
+            on_grid = dict(xi=xi, grid=pdf.lambda_grid, nu=pdf.nu)
+            ref = eigen_pdf(law, law, beta, config=fine, **on_grid)
+            peak = ref.density.max()
+            smear = pdf.zero_mass * pdf.nu / (
+                np.pi * (pdf.lambda_grid ** 2 + pdf.nu ** 2))
+            diff = np.abs(pdf.density - ref.density)
+            err = (diff - 8 * np.finfo(float).eps * smear).max()
+            if err > 1e-8 * peak:
+                mid = eigen_pdf(law, law, beta,
+                                config=EtaSolverConfig(quad_panels=64),
+                                **on_grid)
+                floor = (np.abs(mid.density - ref.density)
+                         - 8 * np.finfo(float).eps * smear).max()
+                assert err <= floor + 1e-10 * peak, \
+                    f"{law.descriptor} beta={beta}: {err / peak:.2e} of peak"
+            assert support_lower_edge(law, law, beta) == pytest.approx(
+                support_lower_edge(law, law, beta, config=fine), rel=1e-12)
+
+    def test_density_bytes_do_not_depend_on_blas_threads(self):
+        # two interpreters whose environments differ only in
+        # OPENBLAS_NUM_THREADS
+        script = ("import sys, respectra as r\n"
+                  "law = r.law_genuine(0.97)\n"
+                  "pdf = r.eigen_pdf(law, law, 0.5, points=96)\n"
+                  "sys.stdout.write(pdf.density.tobytes().hex())\n")
+        src = str(Path(respectra.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        runs = [subprocess.run([sys.executable, "-c", script], check=True,
+                               capture_output=True, text=True, timeout=120,
+                               env=dict(env, OPENBLAS_NUM_THREADS=threads))
+                for threads in ("1", "2")]
+        assert len(runs[0].stdout) == 96 * 16
+        assert runs[0].stdout == runs[1].stdout
+
     def test_genuine_support_compresses_as_beta_drops(self):
         law = law_genuine(0.97)
         lams = [support_lower_edge(law, law, b) for b in (1.0, 0.5, 0.25)]
@@ -262,6 +358,18 @@ class TestEigenPdf:
             eigen_pdf(law, law, 0.5, grid=np.array([0.0, 1.0]))
         with pytest.raises(InvalidSpec):
             eigen_pdf(law, law, 0.5, grid=np.array([2.0, 1.0]))
+        for grid in ([np.nan, 1.0], [0.5, np.inf], [1.0]):
+            with pytest.raises(InvalidSpec):
+                eigen_pdf(law, law, 0.5, grid=np.array(grid), nu=1e-4)
+
+    def test_rejects_nonfinite_nu_and_too_few_points(self):
+        law = law_genuine(0.5)
+        for nu in (np.nan, np.inf, -np.inf, 0.0, -1e-4):
+            with pytest.raises(InvalidSpec):
+                eigen_pdf(law, law, 0.5, nu=nu)
+        for points in (1, 0, -3):
+            with pytest.raises(InvalidSpec):
+                eigen_pdf(law, law, 0.5, points=points)
 
     def test_support_edge_monotone_in_rho_and_xi(self):
         # the smallest nonzero support point shrinks toward zero as the
