@@ -28,12 +28,19 @@ forms S and the density and picks the root: a density below minus its
 evaluation-error budget (E2 tolerance times |S|/pi, at least 1e-12) marks
 the nonphysical root and the point is re-solved from conj(E2) (logged at
 DEBUG on this module's logger and counted in EigenPdf.rescued_points).
-A density sweep runs in two levels. Every 8th grid point and both ends
-form a chain solved from the largest lambda down, each link warm started
-from E2 extrapolated as a power of lambda through the links above it; the
-chain is what keeps the sweep on the physical root. The points between
-are then solved in chunks of at most 32, each started from the chain's
-E2 interpolated in log lambda (log E2 linear in log lambda).
+A density sweep walks its grid from the largest lambda down. Every 8th
+grid point and both ends form a chain, each link warm started from E2
+extrapolated as a power of lambda through the links above it; the chain is
+what keeps the sweep on the physical root. After every 4 links the points
+between them, at most 28, are solved as one batch, each started from the
+chain's E2 interpolated in log lambda (log E2 linear in log lambda). The
+default grid's calibration uses the same walk over a coarse grid and stops
+it at the first batch that reaches below the tail cut, the only part its
+tail-mass rule reads. Where the support reaches zero (P(D != 0)/beta <=
+P(T != 0)) a cold-started fine-nu solve at the bottom of the coarse grid
+probes for an A/sqrt(lambda) divergence, the conj(E2) rescue picking the
+physical root; where the support has a gap there is no divergence and no
+probe.
 
 support_lower_edge reads no density: it finds the lower support edge as
 the fold of the fixed point's real inverse map, from the same atom sums.
@@ -352,7 +359,7 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, config,
 
 
 _CHAIN_STRIDE = 8       # grid points per link of the warm-started chain
-_CHUNK = 32             # points per batched solve: (32 x 256) complex = 128 KiB
+_BATCH_LINKS = 4        # links walked per batched solve: <= 28 points between
 
 
 def _power_law(at, x0, x1, e0, e1):
@@ -361,19 +368,23 @@ def _power_law(at, x0, x1, e0, e1):
     return e0 * (e1 / e0) ** ((at - x0) / (x1 - x0))
 
 
-def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, config):
-    """Densities over an increasing grid, in two levels.
+def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, config, stop=None):
+    """Densities over an increasing grid, walked from the largest lambda down.
 
-    Every 8th point and both ends form a chain solved from the largest
-    lambda down; each link starts from E2 extrapolated as a power of lambda
-    through the two links above it (the first two from a cold start and
-    from the first). The chain is what keeps the sweep on the physical
-    root. The other points are then solved in chunks of at most 32, each
-    started from the chain's E2 interpolated the same way between the links
-    around it.
+    Every 8th point and both ends form a chain solved one link at a time;
+    each link starts from E2 extrapolated as a power of lambda through the
+    two links above it (the first two from a cold start and from the
+    first). The chain is what keeps the sweep on the physical root. After
+    every 4 links below the top, the at most 28 points between them are
+    solved as one batch, each started from the chain's E2 interpolated the
+    same way between the links around it. A point's answer depends only on
+    the grid and nu, not on its batch.
 
-    Returns (unclamped densities, E2 at grid[0], iterations, rescues,
-    points whose density stayed below minus its budget).
+    After each batch ``stop`` (if given) is called with the densities
+    solved so far, the top slice of the grid, and the walk ends when it
+    returns true. Returns (unclamped densities of the solved top slice,
+    iterations, rescues, points of the slice whose density stayed below
+    minus its budget).
     """
     n = len(grid)
     density, budget = np.empty(n), np.empty(n)
@@ -389,8 +400,11 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, config):
 
     log = np.log(grid)
     chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), n - 1))
+    rest = np.setdiff1d(np.arange(n), chain)
+    pos = np.searchsorted(chain, rest)
+    lower, upper = chain[pos - 1], chain[pos]
     down = chain[::-1]
-    warm = None
+    warm, top, end = None, n - 1, len(rest)
     for i, k in enumerate(down):
         solve(slice(k, k + 1), warm)
         if 0 < i < len(down) - 1:
@@ -399,51 +413,80 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, config):
                               e2[above], e2[k])
         else:
             warm = e2[k]
-    rest = np.setdiff1d(np.arange(n), chain)
-    upper = chain[np.searchsorted(chain, rest)]
-    lower = chain[np.searchsorted(chain, rest) - 1]
-    start = _power_law(log[rest], log[lower], log[upper], e2[lower], e2[upper])
-    for i in range(0, len(rest), _CHUNK):
-        solve(rest[i:i + _CHUNK], start[i:i + _CHUNK])
-    clamped = int(np.count_nonzero(density < -budget))
-    return density, e2[0], iters, rescued, clamped
+        if i == 0 or (i % _BATCH_LINKS and k > 0):
+            continue        # batch after every 4th link and after the last
+        b = slice(np.searchsorted(rest, k), end)
+        if b.start < b.stop:
+            lo, up = lower[b], upper[b]
+            solve(rest[b], _power_law(log[rest[b]], log[lo], log[up],
+                                      e2[lo], e2[up]))
+        top, end = k, b.start
+        if stop is not None and stop(density[k:]):
+            break
+    clamped = int(np.count_nonzero(density[top:] < -budget[top:]))
+    return density[top:], iters, rescued, clamped
+
+
+def _tail_kept(grid, dens, beta, scale):
+    """Mask of the points of an increasing grid whose tail, the density
+    above them, holds at most 1e-4 beta of the mass and 1e-3 scale of the
+    first moment; a suffix of the grid, since the tails only grow downward
+    and each depends only on the densities above its point."""
+    dens = np.maximum(dens, 0.0)
+    seg_mass = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
+    seg_mom = 0.5 * (dens[1:] * grid[1:] + dens[:-1] * grid[:-1]) * np.diff(grid)
+    tail_mass = np.concatenate([np.cumsum(seg_mass[::-1])[::-1], [0.0]])
+    tail_mom = np.concatenate([np.cumsum(seg_mom[::-1])[::-1], [0.0]])
+    return (tail_mass <= 1e-4 * beta) & (tail_mom <= 1e-3 * scale)
+
+
+def _support_reaches_zero(atoms_d, atoms_t, beta):
+    """P(D != 0)/beta <= P(T != 0): the nonzero-eigenvalue support has no
+    gap above zero (beta = 1 for identical laws). Atoms of value 0 count
+    with the point mass."""
+    return atoms_d.weights[atoms_d.values > 0].sum() / beta \
+        <= atoms_t.weights[atoms_t.values > 0].sum()
 
 
 def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, config):
     """Adaptive log-spaced grid plus a nu override.
 
-    A coarse descending sweep locates the upper support edge, keeping
-    enough of the thin right tail that both the truncated mass and the
-    truncated first moment are negligible. A fine-nu probe at the lower
-    end then measures the coefficient of a possible A/sqrt(lambda)
-    divergence (beta = 1 style laws); if present, the lower limit is pushed
-    down until the untabulated mass 2 A sqrt(lo) is negligible and nu is
-    capped so the Cauchy smoothing does not displace the divergence's mass
-    out of the grid. Returns (grid, nu_override-or-None).
+    A coarse sweep walks down from above the support and stops at the
+    first batch whose lowest point already carries more tail than the
+    budgets allow, so the upper end keeps enough of the thin right tail
+    that both the truncated mass and the truncated first moment are
+    negligible; the rest of the coarse grid is never solved. Only when the
+    support reaches zero (beta = 1 style laws) does a cold-started fine-nu
+    probe at the lower end measure the coefficient A of a possible
+    A/sqrt(lambda) divergence, the conj(E2) rescue picking the physical
+    root; if present, the lower limit is pushed down until the untabulated
+    mass 2 A sqrt(lo) is negligible and nu is capped so the Cauchy
+    smoothing does not displace the divergence's mass out of the grid.
+    Returns (grid, nu_override-or-None).
     """
     scale = beta * atoms_d.mean * atoms_t.mean
     lo = 1e-8 * scale
     hi0 = 16.0 * atoms_d.values.max() * atoms_t.values.max()
     coarse = np.geomspace(lo, max(hi0, lo * 1e6), 144)
     nu_c = 1e-4 * np.median(coarse)
-    dens, warm = _sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c,
-                        config)[:2]
-    dens = np.maximum(dens, 0.0)
-    seg_mass = 0.5 * (dens[1:] + dens[:-1]) * np.diff(coarse)
-    seg_mom = 0.5 * (dens[1:] * coarse[1:] + dens[:-1] * coarse[:-1]) * np.diff(coarse)
-    tail_mass = np.concatenate([np.cumsum(seg_mass[::-1])[::-1], [0.0]])
-    tail_mom = np.concatenate([np.cumsum(seg_mom[::-1])[::-1], [0.0]])
-    keep = (tail_mass <= 1e-4 * beta) & (tail_mom <= 1e-3 * scale)
-    hi = 1.3 * coarse[int(np.argmax(keep))]
 
-    f_probe = _density_points(atoms_d, atoms_t, beta, zero_mass, coarse[:1],
-                              1e-3 * coarse[0], config, warm=warm)[0][0]
-    sqrt_coeff = max(f_probe, 0.0) * np.sqrt(coarse[0])
+    def cut_found(dens):
+        return not _tail_kept(coarse[-len(dens):], dens, beta, scale)[0]
+
+    dens = _sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c, config,
+                  stop=cut_found)[0]
+    top = coarse[-len(dens):]
+    hi = 1.3 * top[int(np.argmax(_tail_kept(top, dens, beta, scale)))]
+
     nu_override = None
-    if 2.0 * sqrt_coeff * np.sqrt(lo) > 1e-3 * beta:
-        lo = max((5e-4 * beta / sqrt_coeff) ** 2, 1e-13 * scale)
-        nu_override = min(1e-4 * np.sqrt(lo * hi),
-                          (1e-3 * beta / sqrt_coeff) ** 2)
+    if _support_reaches_zero(atoms_d, atoms_t, beta):
+        f_probe = _density_points(atoms_d, atoms_t, beta, zero_mass,
+                                  coarse[:1], 1e-3 * coarse[0], config)[0][0]
+        sqrt_coeff = max(f_probe, 0.0) * np.sqrt(coarse[0])
+        if 2.0 * sqrt_coeff * np.sqrt(lo) > 1e-3 * beta:
+            lo = max((5e-4 * beta / sqrt_coeff) ** 2, 1e-13 * scale)
+            nu_override = min(1e-4 * np.sqrt(lo * hi),
+                              (1e-3 * beta / sqrt_coeff) ** 2)
     return np.geomspace(lo, hi, points), nu_override
 
 
@@ -467,11 +510,10 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG):
         raise InvalidSpec(f"beta must lie in (0, 1], got {beta}")
     atoms_d = _LawAtoms(law_d, config)
     atoms_t = _LawAtoms(law_t, config)
+    if _support_reaches_zero(atoms_d, atoms_t, beta):
+        return 0.0
     pos = atoms_t.values > 0
     t, wt = atoms_t.values[pos], atoms_t.wv[pos]
-    if atoms_d.weights[atoms_d.values > 0].sum() / beta \
-            <= atoms_t.weights[pos].sum():
-        return 0.0
     w = 0.0
 
     def fold(u):
@@ -524,11 +566,16 @@ def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
         Imaginary offset for the Stieltjes inversion; defaults to
         1e-4 times the median grid lambda.
 
-    The sweep solves a chain of every 8th grid point from the largest
-    lambda down, each link warm started from the previous ones, then the
-    points between in batches started from the chain. Each point's answer
-    depends only on the grid and nu, so a call with a given grid and nu
-    reproduces the density of the call that chose them. Raises
+    The sweep walks the grid from the largest lambda down: a chain of
+    every 8th point, each link warm started from the links above it, and
+    after every 4 links the points between them in one batch started from
+    the chain. The default grid is calibrated by the same walk over a
+    coarse grid, stopped once it reaches below the tail cut that sets the
+    grid's upper end; a cold-started probe for an A/sqrt(lambda)
+    divergence at zero, which sets the lower end and the nu override, runs
+    only where the support reaches zero. Each point's answer depends only
+    on the grid and nu, so a call with a given grid and nu reproduces the
+    density of the call that chose them. Raises
     InvalidSpec for a non-finite or nonpositive nu, a grid that is not
     finite, increasing and positive, or fewer than 2 points, and
     ConvergenceFailure (annotated with the offending lambda) if some grid
@@ -557,7 +604,7 @@ def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
         nu = nu_override if nu_override is not None \
             else 1e-4 * float(np.median(grid))
 
-    density, _, iters, rescued, clamped = _sweep(
+    density, iters, rescued, clamped = _sweep(
         atoms_d, atoms_t, beta, zero_mass, grid, nu, config)
     return EigenPdf(zero_mass=zero_mass, lambda_grid=grid,
                     density=np.maximum(density, 0.0),

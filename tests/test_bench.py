@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,6 +129,31 @@ class TestRunFigure:
         first = lines[1].split(",")
         # AR leading eigenvalue dominates the white-noise one
         assert float(first[1]) > float(first[2])
+
+    def test_fig1b_within_1e_13_across_blas_threads(self, tmp_path):
+        # the reproducibility contract across BLAS thread counts: fig1b's
+        # 512 x 512 products, Cholesky and eigvalsh are threaded, so its
+        # columns may move, by at most 1e-13 of each column's maximum; two
+        # interpreters whose environments differ only in the thread counts
+        script = ("import sys, respectra\n"
+                  "print(respectra.run_figure('fig1b', sys.argv[1]))\n")
+        src = str(Path(respectra.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+        cols = []
+        for threads in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / threads)],
+                check=True, capture_output=True, text=True, timeout=300,
+                env=dict(env, **dict.fromkeys(pins, threads)))
+            cols.append(np.loadtxt(run.stdout.strip(), delimiter=",",
+                                   skiprows=1))
+        assert cols[0].shape == (512, 3)
+        assert np.all(np.abs(cols[0] - cols[1])
+                      <= 1e-13 * np.abs(cols[0]).max(axis=0))
 
     def test_fig2_dataset_normalization(self, tmp_path):
         path = run_figure("fig2", tmp_path,

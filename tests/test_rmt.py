@@ -14,7 +14,8 @@ from respectra import (DEFAULT_CONFIG, ArParams, ConvergenceFailure,
                        SpectralLaw, afze, eigen_pdf, eta_transform,
                        generate_field, law_genuine, law_upscaled,
                        quadrature_nodes, stieltjes, support_lower_edge)
-from respectra.rmt import _density_points, _LawAtoms, _solve_e2
+from respectra.rmt import (_default_grid, _density_points, _LawAtoms,
+                           _power_law, _solve_e2, _support_reaches_zero)
 
 TIGHT = EtaSolverConfig(tolerance=1e-12)
 
@@ -37,6 +38,95 @@ def mp_density(lam, beta, s2=1.0):
     m = (lam > lo) & (lam < hi)
     out[m] = np.sqrt((hi - lam[m]) * (lam[m] - lo)) / (2 * np.pi * s2 * lam[m])
     return out
+
+
+def coarse_grid(atoms, beta):
+    """The calibration's 144-point coarse grid and its nu."""
+    lo = 1e-8 * (beta * atoms.mean * atoms.mean)
+    coarse = np.geomspace(lo, max(16.0 * atoms.values.max() ** 2, lo * 1e6),
+                          144)
+    return coarse, 1e-4 * np.median(coarse)
+
+
+def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
+    """A density sweep over a whole grid as it was before the walk was
+    batched: a chain of every 8th point and both ends from the top down,
+    each link started from E2 extrapolated as a power of lambda through the
+    two links above it, then the other points in chunks of 32 started from
+    the chain's E2 interpolated in log lambda. Returns (densities, E2,
+    iterations); ``chain_only`` leaves the points between the links
+    unsolved."""
+    n = len(grid)
+    dens, e2, its = np.zeros(n), np.zeros(n, dtype=complex), np.zeros(n, int)
+
+    def solve(idx, start):
+        dens[idx], e2[idx], _, its[idx] = _density_points(
+            atoms, atoms, beta, zero_mass, grid[idx], nu, DEFAULT_CONFIG,
+            start)[:4]
+
+    log = np.log(grid)
+    chain = np.unique(np.append(np.arange(0, n, 8), n - 1))
+    down, warm = chain[::-1], None
+    for i, k in enumerate(down):
+        solve(slice(k, k + 1), warm)
+        above = down[i - 1]
+        warm = e2[k] if i in (0, len(down) - 1) else _power_law(
+            log[down[i + 1]], log[above], log[k], e2[above], e2[k])
+    if not chain_only:
+        rest = np.setdiff1d(np.arange(n), chain)
+        pos = np.searchsorted(chain, rest)
+        lower, upper = chain[pos - 1], chain[pos]
+        start = _power_law(log[rest], log[lower], log[upper], e2[lower],
+                           e2[upper])
+        for i in range(0, len(rest), 32):
+            solve(rest[i:i + 32], start[i:i + 32])
+    return dens, e2, its
+
+
+def warm_sqrt_coefficient(atoms, beta, zero_mass, coarse, e2):
+    """A of a density A/sqrt(lambda) at the bottom coarse point, from a
+    fine-nu solve started from the chain's bottom E2."""
+    f = _density_points(atoms, atoms, beta, zero_mass, coarse[:1],
+                        1e-3 * coarse[0], DEFAULT_CONFIG, warm=e2[0])[0][0]
+    return max(f, 0.0) * np.sqrt(coarse[0])
+
+
+def calibration_oracle(law, beta, xi, points=512):
+    """Default grid and nu of eigen_pdf by the full coarse sweep: the tail
+    rule over all 144 coarse points and the sqrt probe, warm started from
+    the chain, on every law."""
+    atoms = _LawAtoms(law, DEFAULT_CONFIG)
+    zero_mass = afze(beta, xi)
+    coarse, nu = coarse_grid(atoms, beta)
+    dens, e2, _ = two_level_sweep(atoms, beta, zero_mass, coarse, nu)
+    scale = beta * atoms.mean * atoms.mean
+    dens, step = np.maximum(dens, 0.0), np.diff(coarse)
+    mass = 0.5 * (dens[1:] + dens[:-1]) * step
+    mom = 0.5 * (dens[1:] * coarse[1:] + dens[:-1] * coarse[:-1]) * step
+    keep = np.append((np.cumsum(mass[::-1])[::-1] <= 1e-4 * beta)
+                     & (np.cumsum(mom[::-1])[::-1] <= 1e-3 * scale), True)
+    lo, hi = coarse[0], 1.3 * coarse[int(np.argmax(keep))]
+    a = warm_sqrt_coefficient(atoms, beta, zero_mass, coarse, e2)
+    if 2.0 * a * np.sqrt(lo) <= 1e-3 * beta:
+        grid = np.geomspace(lo, hi, points)
+        return grid, 1e-4 * float(np.median(grid))
+    lo = max((5e-4 * beta / a) ** 2, 1e-13 * scale)
+    return (np.geomspace(lo, hi, points),
+            min(1e-4 * np.sqrt(lo * hi), (1e-3 * beta / a) ** 2))
+
+
+def scan_laws():
+    """rho in {0, 0.5, 0.9, 0.97, 0.98}: genuine plus four kernels at 3/2
+    and 2/1, each at beta 0.125, 0.25, 0.5 and 1 (rho 0 genuine is MP)."""
+    for rho in (0.0, 0.5, 0.9, 0.97, 0.98):
+        laws = [(law_genuine(rho), 1.0)]
+        for name in ("linear", "catmull-rom", "b-spline", "lanczos3"):
+            for lnum, m in ((3, 2), (2, 1)):
+                spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
+                laws.append((law_upscaled(rho, spec), spec.xi))
+        for law, xi in laws:
+            for beta in (0.125, 0.25, 0.5, 1.0):
+                yield law, xi, beta
 
 
 class TestEtaTransform:
@@ -229,6 +319,83 @@ class TestEigenPdf:
                               nu=pdf.nu)
             assert np.array_equal(again.density, pdf.density)
             assert again.solver_iterations == pdf.solver_iterations
+
+    def test_batched_walk_matches_two_level_sweep(self):
+        # densities and iterations do not depend on how the walk batches the
+        # points between the links; 100 points end the walk between batches,
+        # and lambda = 0.120091 sits inside the grid's rescue region
+        law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
+        atoms = _LawAtoms(law, DEFAULT_CONFIG)
+        grid, nu = np.geomspace(0.05, 2.0, 100), 7.27324e-7
+        pdf = eigen_pdf(law, law, 0.125, xi=1.5, grid=grid, nu=nu)
+        dens, _, its = two_level_sweep(atoms, 0.125, afze(0.125, 1.5), grid,
+                                       nu)
+        assert np.array_equal(pdf.density, np.maximum(dens, 0.0))
+        assert pdf.solver_iterations == its.sum()
+
+    def test_calibration_matches_full_coarse_sweep(self, monkeypatch):
+        # the walk stops at the tail cut and only laws whose support reaches
+        # zero are probed, from a cold start: laws with a gap keep the full
+        # sweep's grid and nu bit for bit, the rest (the last three here,
+        # b-spline 2/1 taking the nu override) within rounding of the probe.
+        # The linear 3/2 laws at beta 0.125 cut at coarse points 112 and
+        # 111, at and just past the end of the walk's first batch
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        linear = ResampleSpec(L=3, M=2, kernel=KERNELS["linear"])
+        lanczos = ResampleSpec(L=3, M=2, kernel=KERNELS["lanczos3"])
+        gen = law_genuine(0.97)
+        cases = ((gen, 1.0, 0.25), (gen, 1.0, 0.5),
+                 (law_upscaled(0.97, spline), 2.0, 0.5),
+                 (law_upscaled(0.97, linear), 1.5, 0.5),
+                 (law_upscaled(0.97, linear), 1.5, 0.125),
+                 (law_upscaled(0.98, linear), 1.5, 0.125),
+                 (law_genuine(0.0), 1.0, 0.5),
+                 (law_upscaled(0.97, lanczos), 1.5, 1.0), (gen, 1.0, 1.0),
+                 (law_upscaled(0.9, spline), 2.0, 1.0))
+        for law, xi, beta in cases:
+            pdf = eigen_pdf(law, law, beta, xi=xi)
+            grid, nu = calibration_oracle(law, beta, xi)
+            atoms = _LawAtoms(law, DEFAULT_CONFIG)
+            if _support_reaches_zero(atoms, atoms, beta):
+                assert pdf.lambda_grid == pytest.approx(grid, rel=1e-12)
+                assert pdf.nu == pytest.approx(nu, rel=1e-12)
+            else:
+                assert np.array_equal(pdf.lambda_grid, grid), law.descriptor
+                assert pdf.nu == nu, law.descriptor
+        assert nu < 1e-4 * np.median(grid)
+
+        # the calibration of genuine rho 0.97 beta 0.5 solves only the top
+        # slice of the 144 coarse points
+        solved = []
+
+        def counted(atoms_d, atoms_t, beta, zero_mass, lam, *args, **kw):
+            solved.extend(lam)
+            return _density_points(atoms_d, atoms_t, beta, zero_mass, lam,
+                                   *args, **kw)
+
+        monkeypatch.setattr(respectra.rmt, "_density_points", counted)
+        atoms = _LawAtoms(gen, DEFAULT_CONFIG)
+        _default_grid(atoms, atoms, 0.5, afze(0.5, 1.0), 512, DEFAULT_CONFIG)
+        assert 0 < len(solved) <= 64
+
+    def test_no_law_with_a_gap_takes_the_sqrt_override(self):
+        # the probe the calibration no longer runs where the support has a
+        # gap: warm started from the full chain, it stays far from the
+        # override 2 A sqrt(lo) > 1e-3 beta on every such law of the scan
+        gaps = 0
+        for law, xi, beta in scan_laws():
+            atoms = _LawAtoms(law, DEFAULT_CONFIG)
+            if _support_reaches_zero(atoms, atoms, beta):
+                continue
+            gaps += 1
+            zero_mass = afze(beta, xi)
+            coarse, nu = coarse_grid(atoms, beta)
+            e2 = two_level_sweep(atoms, beta, zero_mass, coarse, nu,
+                                 chain_only=True)[1]
+            a = warm_sqrt_coefficient(atoms, beta, zero_mass, coarse, e2)
+            assert 2.0 * a * np.sqrt(coarse[0]) <= 1e-3 * beta, \
+                f"{law.descriptor} beta={beta}"
+        assert gaps == 135
 
     def test_density_matches_4096_atom_quadrature(self):
         # the criterion-3 laws (beta = 1 takes the nu override) and MP at
