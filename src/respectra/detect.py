@@ -12,7 +12,7 @@ block is labeled upscaled when kappa falls below sigma_w2 (1 + sqrt(beta))^2.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidConfig
 from .spectra import mp_edges
@@ -88,17 +88,25 @@ def view_eigenvalues(z, k):
 
     View 2c takes columns c .. c+K-1 of the N x N matrix Z, view 2c+1 the
     same columns of Z^T (rows of Z), so there are V = 2 (N - K + 1) views.
-    The views are one (2, V/2, N, K) stack of strided windows over the
-    pair (Z, Z^T), so no view is copied. Their spectra come from the K x K
-    Grams (1/N) Z_K^T Z_K, which share the nonzero eigenvalues of the
-    N x N form, formed by one batched product and solved by one stacked
-    eigvalsh. Returns a (V, K) array.
+    Their spectra come from the K x K Grams (1/N) Z_K^T Z_K, which share
+    the nonzero eigenvalues of the N x N form. The Gram of view 2c is the
+    K x K diagonal window at (c, c) of (1/N) Z^T Z and that of view 2c+1
+    the same window of (1/N) Z Z^T, so the pair of products is formed once
+    and every Gram is a read-only strided window of it, solved by one
+    stacked eigvalsh. Returns a (V, K) array.
     """
     z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[0] != z.shape[1]:
+        raise InvalidConfig(f"expected a square block, got {z.shape}")
     n = z.shape[0]
-    views = sliding_window_view(np.stack((z, z.T)), (n, k), axis=(1, 2))[:, 0]
-    gram = (views.swapaxes(-1, -2) @ views) / n
-    return np.linalg.eigvalsh(gram.swapaxes(0, 1).reshape(-1, k, k))[:, ::-1]
+    if not 1 <= k <= n:
+        raise InvalidConfig(f"K={k} outside 1..N, block size N={n}")
+    pair = np.stack((z.T @ z, z @ z.T)) / n
+    s_pair, s_row, s_col = pair.strides
+    grams = as_strided(pair, shape=(n - k + 1, 2, k, k),
+                       strides=(s_row + s_col, s_pair, s_row, s_col),
+                       writeable=False)
+    return np.linalg.eigvalsh(grams).reshape(-1, k)[:, ::-1]
 
 
 def detect(z, cfg):
@@ -112,17 +120,11 @@ def detect(z, cfg):
     If in that last branch no view has any eigenvalue above the edge, the
     spectrum is all noise floor and kappa = 0 (strongest upscaling evidence).
     """
-    z = np.asarray(z, dtype=float)
-    n = z.shape[0]
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise InvalidConfig(f"detector expects a square block, got {z.shape}")
-    if cfg.k > n:
-        raise InvalidConfig(f"K={cfg.k} exceeds block size N={n}")
-    beta = cfg.k / n
+    eig = view_eigenvalues(z, cfg.k)  # checks the block and K
+    beta = cfg.k / len(z)
     edges = mp_edges(cfg.sigma_w2, beta)
     threshold = edges.upper if cfg.threshold is None else cfg.threshold
 
-    eig = view_eigenvalues(z, cfg.k)
     lam = eig[:, -1]
     below = lam < edges.lower
     below_set = np.nonzero(below)[0]

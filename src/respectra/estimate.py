@@ -117,19 +117,13 @@ def estimate(z, cfg):
     with the one-sided variant [1, (K-1)/((p_hat-k_w)-1)) when mu < t_mu
     and [1, xi_max) when p_hat = 0 or the endpoint degenerates.
     """
-    z = np.asarray(z, dtype=float)
-    n = z.shape[0]
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise InvalidConfig(f"estimator expects a square block, got {z.shape}")
     k = cfg.k
-    if k > n:
-        raise InvalidConfig(f"K={k} exceeds block size N={n}")
-    beta = k / n
+    eig = view_eigenvalues(z, k)  # checks the block and K
+    beta = k / len(z)
     edges = mp_edges(cfg.sigma_w2, beta)
     i_start = int(k / cfg.xi_max)          # 1-based window start
     window = slice(i_start - 1, k - 1)     # Psi indices for i in I
 
-    eig = view_eigenvalues(z, k)
     psi = ratio_profile(eig)
     below = eig[:, -1] < edges.lower
     below_set = np.nonzero(below)[0]

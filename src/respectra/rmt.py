@@ -283,23 +283,6 @@ class EigenPdf:
             raise InvalidSpec("density integrates to zero; no continuous part")
         return cum / total
 
-    def lambda_minus(self, rel_threshold=1e-6):
-        """Smallest grid lambda where the density exceeds rel_threshold times
-        its maximum: a grid estimate of the lower edge of the nonzero-
-        eigenvalue support.
-
-        When the law has a point mass at zero the sampled density near zero
-        carries solver error amplified by |S| ~ zero_mass/|lambda + i nu|
-        (below 1e-6 of the peak for Marchenko-Pastur at beta in {0.25,
-        0.5}), and the estimate is only good to a grid step plus the
-        Cauchy leakage of nu. Use support_lower_edge, which has neither.
-        """
-        peak = self.density.max()
-        if peak <= 0:
-            raise InvalidSpec("density is identically zero on the grid")
-        idx = np.argmax(self.density > rel_threshold * peak)
-        return float(self.lambda_grid[idx])
-
     def lambda_plus(self, rel_threshold=1e-6):
         """Largest grid lambda where the density exceeds rel_threshold times
         its maximum."""

@@ -23,6 +23,12 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             detect(np.zeros((4, 4)), DetectorConfig(k=9, delta=1.0))
 
+    @pytest.mark.parametrize("z", [np.float64(1.0), np.ones(32),
+                                   np.ones((32, 31))])
+    def test_rejects_input_that_is_not_a_square_block(self, z):
+        with pytest.raises(InvalidConfig):
+            detect(z, DetectorConfig(k=9, delta=1.0))
+
     def test_custom_threshold(self):
         z = genuine_block(0.97, 1000.0, 32, 1.0, seed=3)
         res = detect(z, DetectorConfig(k=9, delta=1.0, threshold=1e9))
@@ -59,6 +65,15 @@ class TestViewEigenvalues:
                 zk = m[:, c:c + k]
                 ref.append(np.linalg.eigvalsh((zk.T @ zk) / n)[::-1])
         np.testing.assert_allclose(view_eigenvalues(z, k), ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape,k", [((8, 8), 9), ((8, 8), 0),
+                                         ((8, 9), 3), ((8,), 3),
+                                         ((2, 8, 8), 3)])
+    def test_rejects_widths_and_shapes_outside_the_block(self, shape, k):
+        # the Grams are strided windows of one product; a bad K or shape
+        # must raise before any window could reach past it
+        with pytest.raises(InvalidConfig):
+            view_eigenvalues(np.ones(shape), k)
 
 
 class TestDecision:

@@ -49,8 +49,51 @@ class TestReadPgm:
             read_pgm(write(tmp_path, b"P5 4 4 255\n" + bytes(7)))
 
     def test_truncated_ascii(self, tmp_path):
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(TruncatedFile,
+                           match="holds 3 samples, need 4"):
             read_pgm(write(tmp_path, "P2 2 2 255 0 1 2"))
+
+    def test_trailing_comment_is_not_a_sample(self, tmp_path):
+        with pytest.raises(TruncatedFile,
+                           match="holds 3 samples, need 4"):
+            read_pgm(write(tmp_path, "P2 2 2 255 0 1 2 # 7\n"))
+
+    def test_comment_between_samples(self, tmp_path):
+        img = read_pgm(write(tmp_path, "P2 3 1 10\n1 # one\n2\n#x y\n 3"))
+        assert np.array_equal(img.pixels, [[1, 2, 3]])
+
+    def test_sample_glued_to_comment(self, tmp_path):
+        img = read_pgm(write(tmp_path, "P2 2 1 10\n5#c\n6"))
+        assert np.array_equal(img.pixels, [[5, 6]])
+
+    @pytest.mark.parametrize("sep", ["\r", "\r\n", "\t"])
+    def test_cr_crlf_and_tab_separators(self, tmp_path, sep):
+        text = sep.join(["P2", "2", "2", "255", "0", "128", "255", "64"])
+        img = read_pgm(write(tmp_path, text + sep))
+        assert np.array_equal(img.pixels, [[0, 128], [255, 64]])
+
+    def test_bad_sample_carries_offset(self, tmp_path):
+        with pytest.raises(ParseError, match="got b'7x'") as err:
+            read_pgm(write(tmp_path, "P2 3 1 10 1 # c\n7x 2"))
+        assert err.value.offset == 16
+
+    def test_signed_sample_rejected(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            read_pgm(write(tmp_path, "P2 1 1 10 -5"))
+        assert err.value.offset == 10
+
+    @pytest.mark.parametrize("text,offset", [("P2 2 1 10 +5 1_0", 10),
+                                             ("P2 2 1 10 5 1_0", 12)])
+    def test_plus_and_underscore_samples_rejected(self, tmp_path, text,
+                                                  offset):
+        with pytest.raises(ParseError) as err:
+            read_pgm(write(tmp_path, text))
+        assert err.value.offset == offset
+
+    def test_signed_header_integer_rejected(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            read_pgm(write(tmp_path, "P2 +2 1 10 5 6"))
+        assert err.value.offset == 3
 
     def test_sample_above_maxval(self, tmp_path):
         with pytest.raises(ParseError):

@@ -217,7 +217,8 @@ class TestEigenPdf:
         lo = (1 - np.sqrt(0.5)) ** 2
         hi = (1 + np.sqrt(0.5)) ** 2
         step = np.diff(np.log(pdf.lambda_grid)).max()
-        assert np.log(pdf.lambda_minus() / lo) <= 2 * step
+        assert support_lower_edge(law, law, 0.5) == pytest.approx(
+            lo, rel=1e-12)
         assert abs(np.log(pdf.lambda_plus() / hi)) <= 2 * step
 
     def test_mp_density_vanishes_below_lower_edge(self):
@@ -229,8 +230,8 @@ class TestEigenPdf:
             lo = (1 - np.sqrt(beta)) ** 2
             below = pdf.lambda_grid < 0.9 * lo
             assert pdf.density[below].max() <= 1e-6 * pdf.density.max()
-            step = np.diff(np.log(pdf.lambda_grid)).max()
-            assert abs(np.log(pdf.lambda_minus() / lo)) <= 2 * step
+            assert support_lower_edge(law, law, beta) == pytest.approx(
+                lo, rel=1e-12)
 
     def test_mp_rounding_noise_is_not_rescued_or_clamped(self):
         # near zero Im S/pi and the subtracted point mass are both ~1e7, so
