@@ -8,7 +8,7 @@ is the flat Marchenko-Pastur bulk. This is the structural difference the
 whole detector is built on.
 """
 
-from respectra import ArParams, generate_field, sample_autocorr
+from respectra import ArParams, generate_field, sample_autocorr, standardize
 
 N = 384
 RHO = 0.945
@@ -19,8 +19,7 @@ noise = generate_field(ArParams(rho=0.0, n=N, q=1), seed=2)
 # standardize both fields the way real image blocks are standardized
 scree = {}
 for name, field in (("2d-ar", ar), ("gaussian", noise)):
-    z = (field - field.mean()) / field.std()
-    scree[name] = sample_autocorr(z).eigenvalues()
+    scree[name] = sample_autocorr(standardize(field)).eigenvalues()
 
 print(f"{'rank':>6} {'2d-ar':>12} {'gaussian':>12}")
 for i in list(range(8)) + [15, 31, 63, 127, N - 1]:

@@ -8,20 +8,16 @@ detector and a resampling-factor estimator on top of the resulting
 signal/noise eigenvalue separation.
 """
 
-from .armodel import ArParams, SampleAutocorr, generate_field, sample_autocorr
+from .armodel import (ArParams, SampleAutocorr, generate_field,
+                      sample_autocorr, standardize)
 from .bench import (ExperimentSpec, RocCurve, genuine_block, parse_factor,
                     roc_auc, run_figure, run_snr_sweep, upscaled_block)
 from .detect import DetectionResult, DetectorConfig, detect
-from .errors import (ConvergenceFailure, InputError, InsufficientViews,
-                     InvalidConfig, InvalidInput, InvalidMatrix, InvalidShape,
-                     InvalidSize, InvalidSpec, NumericalError, ParseError,
-                     RespectraError, TruncatedFile, UnknownExperiment,
-                     ZeroVariance)
+from .errors import (ConvergenceFailure, InputError, NumericalError,
+                     ParseError, RespectraError)
 from .estimate import EstimationResult, EstimatorConfig, estimate
-from .matcore import (ToeplitzSpec, ar_gram_matrix, ar_gram_sequence,
-                      ar_u_matrix, ar_u_sequence, gaussian_matrix,
-                      rng_from_seed, spawn_seeds, sym_eigenvalues,
-                      toeplitz_materialize)
+from .matcore import (ar_gram_matrix, ar_gram_sequence, ar_u_matrix,
+                      gaussian_matrix, rng_from_seed, spawn_seeds)
 from .pgm import ImageGray, central_block, read_pgm
 from .resample import (KERNELS, KernelSpec, ResampleSpec, build_polyphase,
                        exact_autocorr_matrix, get_kernel, kernel_autocorr,

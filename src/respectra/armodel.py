@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShape, InvalidSpec, NumericalError, ZeroVariance
+from .errors import InputError, NumericalError
 from .matcore import ar_gram_matrix, gaussian_matrix
 
 
@@ -35,13 +35,13 @@ class ArParams:
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
-            raise InvalidSpec(f"rho must lie in [0, 1), got {self.rho}")
+            raise InputError(f"rho must lie in [0, 1), got {self.rho}")
         if self.sigma_s2 <= 0:
-            raise InvalidSpec(f"sigma_s2 must be positive, got {self.sigma_s2}")
+            raise InputError(f"sigma_s2 must be positive, got {self.sigma_s2}")
         if self.n < 2:
-            raise InvalidSpec(f"field side length must be >= 2, got {self.n}")
+            raise InputError(f"field side length must be >= 2, got {self.n}")
         if self.q is not None and self.q < 1:
-            raise InvalidSpec(f"AR truncation length must be >= 1, got {self.q}")
+            raise InputError(f"AR truncation length must be >= 1, got {self.q}")
 
     @property
     def q_eff(self):
@@ -84,21 +84,22 @@ class SampleAutocorr:
         return np.linalg.eigvalsh(self.matrix)[::-1].copy()
 
 
-def sample_autocorr(block, standardize=False):
-    """(1/N) B B^T for an N x K block, with beta = K/N.
+def standardize(block):
+    """The block reduced to zero mean and unit standard deviation over all
+    entries, the preprocessing applied to real image blocks before spectral
+    analysis. A constant block cannot be standardized."""
+    b = np.asarray(block, dtype=float)
+    sd = b.std()
+    if sd == 0:
+        raise InputError("cannot standardize a constant block")
+    return (b - b.mean()) / sd
 
-    With standardize=True the block is first reduced to zero mean and unit
-    standard deviation over all entries (the preprocessing applied to real
-    image blocks before spectral analysis); synthetic zero-mean fields are
-    analyzed raw by default. A constant block cannot be standardized.
-    """
+
+def sample_autocorr(block):
+    """(1/N) B B^T for an N x K block, with beta = K/N. Synthetic zero-mean
+    fields are analyzed raw; image blocks go through standardize first."""
     b = np.asarray(block, dtype=float)
     n, k = b.shape
     if k > n:
-        raise InvalidShape(f"block must have K <= N, got {n}x{k}")
-    if standardize:
-        sd = b.std()
-        if sd == 0:
-            raise ZeroVariance("cannot standardize a constant block")
-        b = (b - b.mean()) / sd
+        raise InputError(f"block must have K <= N, got {n}x{k}")
     return SampleAutocorr(matrix=(b @ b.T) / n, beta=k / n, normalizer=n)

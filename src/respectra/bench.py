@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .armodel import ArParams, generate_field
+from .armodel import ArParams, generate_field, sample_autocorr, standardize
 from .detect import DetectorConfig, detect
-from .errors import InvalidInput, InvalidSpec, UnknownExperiment
+from .errors import InputError
 from .matcore import ar_gram_matrix, spawn_seeds
 from .resample import (ResampleSpec, build_polyphase, get_kernel,
                        kernel_autocorr, quantize, support_columns)
@@ -38,7 +38,6 @@ class ExperimentSpec:
     params: dict = field(default_factory=dict)
     base_seed: int = 20240901
     realizations: int = 200
-    out: Path = None
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ def roc_auc(genuine_stats, upscaled_stats):
     g = np.asarray(genuine_stats, dtype=float)
     u = np.asarray(upscaled_stats, dtype=float)
     if len(g) == 0 or len(u) == 0:
-        raise InvalidInput("both statistic lists must be nonempty")
+        raise InputError("both statistic lists must be nonempty")
     pool = np.unique(np.concatenate([g, u]))
     thresholds = np.concatenate([[-np.inf], pool, [np.inf]])
     far = np.array([(g < t).mean() for t in thresholds])
@@ -98,7 +97,7 @@ def _upscaled_window(rho, sigma_s2, block_n, spec, seed, field_n):
     r = int(np.ceil(field_n / spec.xi))
     n_up = int(np.floor(r * spec.xi))
     if block_n > n_up:
-        raise InvalidSpec(
+        raise InputError(
             f"block size {block_n} exceeds upscaled extent {n_up}")
     c = _aligned_center_offset(n_up, block_n, spec.L)
     lo, hi = support_columns(spec, c, block_n, r)
@@ -133,7 +132,6 @@ def run_snr_sweep(spec):
          "L": 3, "M": 2, "kernel": "linear"}
     p.update(spec.params)
     delta = p["delta"]
-    sigma_w2 = delta * delta / 12.0
     rspec = ResampleSpec(L=p["L"], M=p["M"], kernel=get_kernel(p["kernel"]))
     cfg = DetectorConfig(k=p["k"], delta=delta)
 
@@ -148,7 +146,7 @@ def run_snr_sweep(spec):
 
     rows = []
     for snr in p["snr_grid"]:
-        scale = np.sqrt(snr * sigma_w2)
+        scale = np.sqrt(snr * cfg.sigma_w2)
         kap_g, kap_u = [], []
         for gen, ups in blocks:
             kap_g.append(detect(quantize(scale * gen, delta), cfg).kappa)
@@ -181,20 +179,14 @@ def _write_csv(path, header, rows):
     return path
 
 
-def _standardized_scree(matrix):
-    x = (matrix - matrix.mean()) / matrix.std()
-    sigma = (x @ x.T) / x.shape[0]
-    return np.linalg.eigvalsh(sigma)[::-1]
-
-
 def _fig1b(spec, out_dir):
     p = {"rho": 0.945, "n": 512}
     p.update(spec.params)
     seed_ar, seed_g = spawn_seeds(spec.base_seed, 2)
     ar = generate_field(ArParams(rho=p["rho"], n=p["n"]), seed_ar)
     gauss = generate_field(ArParams(rho=0.0, n=p["n"], q=1), seed_g)
-    scree_ar = _standardized_scree(ar)
-    scree_g = _standardized_scree(gauss)
+    scree_ar = sample_autocorr(standardize(ar)).eigenvalues()
+    scree_g = sample_autocorr(standardize(gauss)).eigenvalues()
     rows = [(i + 1, scree_ar[i], scree_g[i]) for i in range(p["n"])]
     return _write_csv(out_dir / f"fig1b_{_param_hash(p)}.csv",
                       ["rank", "lambda_ar", "lambda_gauss"], rows)
@@ -261,19 +253,15 @@ def _fig5(spec, out_dir):
          "xi_grid": ((6, 5), (7, 5), (8, 5), (9, 5), (2, 1)),
          "rho_fixed": 0.95}
     p.update(spec.params)
+    cases = [("vs_rho", rho, p["xi_fixed"]) for rho in p["rho_grid"]] \
+        + [("vs_xi", p["rho_fixed"], factor) for factor in p["xi_grid"]]
     rows = []
     for name in p["kernels"]:
-        for rho in p["rho_grid"]:
-            rspec = ResampleSpec(L=p["xi_fixed"][0], M=p["xi_fixed"][1],
-                                 kernel=get_kernel(name))
+        for sweep, rho, (lnum, m) in cases:
+            rspec = ResampleSpec(L=lnum, M=m, kernel=get_kernel(name))
             law = law_upscaled(rho, rspec)
             edge = support_lower_edge(law, law, p["beta"], xi=rspec.xi)
-            rows.append(("vs_rho", name, rho, rspec.xi, edge))
-        for (lnum, m) in p["xi_grid"]:
-            rspec = ResampleSpec(L=lnum, M=m, kernel=get_kernel(name))
-            law = law_upscaled(p["rho_fixed"], rspec)
-            edge = support_lower_edge(law, law, p["beta"], xi=rspec.xi)
-            rows.append(("vs_xi", name, p["rho_fixed"], rspec.xi, edge))
+            rows.append((sweep, name, rho, rspec.xi, edge))
     return _write_csv(out_dir / f"fig5_{_param_hash(p)}.csv",
                       ["sweep", "kernel", "rho", "xi", "lambda_minus"], rows)
 
@@ -298,7 +286,7 @@ def run_figure(experiment, out_dir, params=None, base_seed=20240901,
     Monte Carlo figures; the desk default is 200.
     """
     if experiment not in _FIGURES:
-        raise UnknownExperiment(
+        raise InputError(
             f"unknown experiment {experiment!r}; choose from {sorted(_FIGURES)}")
     if realizations is None:
         realizations = 1000 if full else 200
@@ -314,5 +302,5 @@ def parse_factor(text):
     frac = Fraction(text) if "/" in str(text) else Fraction(str(text))
     frac = frac.limit_denominator(64)
     if frac < 1:
-        raise InvalidSpec(f"resampling factor must be >= 1, got {text}")
+        raise InputError(f"resampling factor must be >= 1, got {text}")
     return frac.numerator, frac.denominator

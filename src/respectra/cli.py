@@ -15,10 +15,11 @@ import sys
 
 import numpy as np
 
+from .armodel import standardize
 from .bench import (format_csv, genuine_block, parse_factor, run_figure,
                     upscaled_block)
 from .detect import DetectorConfig, detect
-from .errors import InputError, InvalidSize, NumericalError, ZeroVariance
+from .errors import InputError, NumericalError
 from .estimate import EstimatorConfig, estimate
 from .pgm import central_block, read_pgm
 from .resample import ResampleSpec, get_kernel, kernel_autocorr
@@ -132,7 +133,7 @@ def _analysis_block(args):
     if args.synthetic:
         block_n = args.block_size or min(args.n, 32)
         if block_n > args.n:
-            raise InvalidSize(
+            raise InputError(
                 f"block size {block_n} exceeds field extent {args.n}")
         lnum, m = parse_factor(args.xi)
         if lnum == m:
@@ -149,14 +150,9 @@ def _analysis_block(args):
         img = read_pgm(args.image)
     except OSError as exc:
         raise InputError(f"cannot read {args.image}: {exc}") from exc
-    block_n = args.block_size or 32
-    raw = central_block(img, block_n, standardize=False)
-    sd = raw.std()
-    if sd == 0:
-        raise ZeroVariance("central block is constant; cannot standardize")
-    block = (raw - raw.mean()) / sd
+    raw = central_block(img, args.block_size or 32)
     # standardization rescales the quantization step into block units
-    return block, args.delta / sd
+    return standardize(raw), args.delta / raw.std()
 
 
 def _cmd_detect(args):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InvalidConfig
+from .errors import InputError
 from .spectra import mp_edges
 
 
@@ -29,9 +29,9 @@ class DetectorConfig:
 
     def __post_init__(self):
         if self.k < 2:
-            raise InvalidConfig(f"K must be at least 2, got {self.k}")
+            raise InputError(f"K must be at least 2, got {self.k}")
         if self.delta <= 0:
-            raise InvalidConfig(f"delta must be positive, got {self.delta}")
+            raise InputError(f"delta must be positive, got {self.delta}")
 
     @property
     def sigma_w2(self):
@@ -79,7 +79,7 @@ def lower_median(values):
     convention: element at 1-based index ceil(n/2) of the sorted sequence."""
     v = np.sort(np.asarray(values, dtype=float), axis=-1)
     if v.shape[-1] == 0:
-        raise InvalidConfig("median of an empty set")
+        raise InputError("median of an empty set")
     return v[..., (v.shape[-1] + 1) // 2 - 1]
 
 
@@ -97,10 +97,10 @@ def view_eigenvalues(z, k):
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise InvalidConfig(f"expected a square block, got {z.shape}")
+        raise InputError(f"expected a square block, got {z.shape}")
     n = z.shape[0]
     if not 1 <= k <= n:
-        raise InvalidConfig(f"K={k} outside 1..N, block size N={n}")
+        raise InputError(f"K={k} outside 1..N, block size N={n}")
     pair = np.stack((z.T @ z, z @ z.T)) / n
     s_pair, s_row, s_col = pair.strides
     grams = as_strided(pair, shape=(n - k + 1, 2, k, k),

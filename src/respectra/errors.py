@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-Input-side problems (bad shapes, malformed files, invalid parameters) derive
-from InputError; failures of the numerical machinery derive from
-NumericalError. The CLI maps the two branches to exit codes 2 and 3.
+Input-side problems (bad shapes, malformed or truncated files, invalid
+parameters, constant blocks) raise InputError; failures of the numerical
+machinery raise NumericalError. The CLI maps the two branches to exit codes
+2 and 3. The two subclasses carry data: ParseError the byte offset of the
+problem, ConvergenceFailure the last residual and the failing point.
 """
 
 
@@ -18,38 +20,6 @@ class NumericalError(RespectraError):
     """A numerical procedure failed to produce a usable result (exit code 3)."""
 
 
-class InvalidMatrix(InputError):
-    pass
-
-
-class InvalidShape(InputError):
-    pass
-
-
-class InvalidSpec(InputError):
-    pass
-
-
-class InvalidConfig(InputError):
-    pass
-
-
-class InvalidSize(InputError):
-    pass
-
-
-class InvalidInput(InputError):
-    pass
-
-
-class UnknownExperiment(InputError):
-    pass
-
-
-class ZeroVariance(InputError):
-    pass
-
-
 class ParseError(InputError):
     """Malformed file content. Carries the byte offset of the problem."""
 
@@ -57,10 +27,6 @@ class ParseError(InputError):
         super().__init__(message if offset is None
                          else f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-class TruncatedFile(InputError):
-    pass
 
 
 class ConvergenceFailure(NumericalError):
@@ -73,6 +39,3 @@ class ConvergenceFailure(NumericalError):
         self.residual = residual
         self.point = point
 
-
-class InsufficientViews(NumericalError):
-    pass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import lower_median, view_eigenvalues
-from .errors import InsufficientViews, InvalidConfig
+from .errors import InputError, NumericalError
 from .spectra import mp_edges
 
 RATIO_ZERO_CUTOFF = 1e-14
@@ -40,15 +40,15 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.k < 3:
-            raise InvalidConfig(f"K must be at least 3, got {self.k}")
+            raise InputError(f"K must be at least 3, got {self.k}")
         if self.delta <= 0:
-            raise InvalidConfig(f"delta must be positive, got {self.delta}")
+            raise InputError(f"delta must be positive, got {self.delta}")
         if self.k_w < 1:
-            raise InvalidConfig(f"k_w must be >= 1, got {self.k_w}")
+            raise InputError(f"k_w must be >= 1, got {self.k_w}")
         if self.xi_max <= 1:
-            raise InvalidConfig(f"xi_max must exceed 1, got {self.xi_max}")
+            raise InputError(f"xi_max must exceed 1, got {self.xi_max}")
         if int(self.k / self.xi_max) < 1:
-            raise InvalidConfig("floor(K / xi_max) must be >= 1")
+            raise InputError("floor(K / xi_max) must be >= 1")
 
     @property
     def sigma_w2(self):
@@ -128,7 +128,7 @@ def estimate(z, cfg):
     below = eig[:, -1] < edges.lower
     below_set = np.nonzero(below)[0]
     if below.all():
-        raise InsufficientViews(
+        raise NumericalError(
             "every view sits below the noise floor; mu is undefined")
 
     # descending profiles are >= 1, so med >= 1; a profile of all maximal

@@ -1,5 +1,5 @@
-"""Dense matrix primitives: seeded Gaussian sampling, symmetric eigenvalues,
-and Toeplitz builders shared by the field model and the resampling operators.
+"""Dense matrix primitives: seeded Gaussian sampling and the Toeplitz
+matrices of the truncated AR(1) filter bank.
 
 Matrices are plain float64 numpy arrays in row-major (C) order. Randomness
 comes from numpy's PCG64 generator; a given 64-bit seed always reproduces the
@@ -7,13 +7,9 @@ same stream, and all sampling is linear in the requested standard deviation
 (scaled standard normals), so fields scale exactly with sigma.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidMatrix, InvalidShape
-
-SYMMETRY_RTOL = 1e-9
+from .errors import InputError
 
 
 def rng_from_seed(seed):
@@ -29,74 +25,19 @@ def spawn_seeds(seed, n):
 def gaussian_matrix(rows, cols, sigma, seed):
     """i.i.d. N(0, sigma^2) matrix, deterministic per seed."""
     if rows <= 0 or cols <= 0:
-        raise InvalidShape(f"matrix dimensions must be positive, got {rows}x{cols}")
+        raise InputError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if sigma <= 0:
-        raise InvalidShape(f"sigma must be positive, got {sigma}")
+        raise InputError(f"sigma must be positive, got {sigma}")
     return sigma * rng_from_seed(seed).standard_normal((rows, cols))
 
 
-def sym_eigenvalues(m):
-    """All eigenvalues of a symmetric matrix, sorted descending.
-
-    The input must be square and symmetric within a relative tolerance of
-    1e-9; otherwise InvalidMatrix is raised.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
-        raise InvalidMatrix("matrix is not symmetric within 1e-9 relative tolerance")
-    return np.linalg.eigvalsh(m)[::-1].copy()
-
-
-@dataclass(frozen=True)
-class ToeplitzSpec:
-    """Constant-diagonal matrix description.
-
-    ``center`` is the value on the main diagonal (lag 0) and ``lags`` holds
-    the values at lags 1, 2, ... For ``symmetric`` specs the materialized
-    matrix depends on |i-j| only; otherwise the lags run one-sided toward the
-    upper triangle (entry at column offset j-i >= 0) and the lower triangle
-    is zero, which is the shape of a causal filter bank.
-    """
-
-    center: float
-    lags: tuple
-    symmetric: bool = True
-
-    def sequence(self):
-        return np.concatenate([[self.center], np.asarray(self.lags, dtype=float)])
-
-
-def toeplitz_materialize(spec, rows, cols):
-    """Materialize a ToeplitzSpec into a dense rows x cols matrix.
-
-    Entries outside the band covered by the spec's lags are zero.
-    """
-    if rows <= 0 or cols <= 0:
-        raise InvalidShape(f"matrix dimensions must be positive, got {rows}x{cols}")
-    seq = spec.sequence()
-    offsets = np.arange(cols)[None, :] - np.arange(rows)[:, None]
-    if spec.symmetric:
-        offsets = np.abs(offsets)
-    padded = np.zeros(max(rows, cols) + len(seq))
-    padded[: len(seq)] = seq
-    out = np.where((offsets >= 0) & (offsets < len(seq)),
-                   padded[np.clip(offsets, 0, None)], 0.0)
-    return out
-
-
-def ar_u_sequence(rho, q):
-    """Truncated causal AR(1) synthesis taps u[n] = rho^(q-1-n), n = 0..q-1."""
-    return rho ** np.arange(q - 1, -1, -1, dtype=float)
-
-
 def ar_u_matrix(rho, n, q):
-    """n x (n+q-1) banded Toeplitz filter matrix built from ar_u_sequence."""
-    u = ar_u_sequence(rho, q)
-    spec = ToeplitzSpec(center=u[0], lags=tuple(u[1:]), symmetric=False)
-    return toeplitz_materialize(spec, n, n + q - 1)
+    """n x (n+q-1) banded Toeplitz filter matrix: row i holds the causal
+    AR(1) synthesis taps u[k] = rho^(q-1-k), k = 0..q-1, at columns i+k."""
+    out = np.zeros((n, n + q - 1))
+    rows, taps = np.arange(n)[:, None], np.arange(q)[None, :]
+    out[rows, rows + taps] = rho ** np.arange(q - 1, -1, -1, dtype=float)
+    return out
 
 
 def ar_gram_sequence(rho, q, length):
@@ -119,5 +60,4 @@ def ar_gram_sequence(rho, q, length):
 def ar_gram_matrix(rho, q, n):
     """Dense n x n U U^T Gram matrix of the truncated AR(1) filter bank."""
     seq = ar_gram_sequence(rho, q, n)
-    spec = ToeplitzSpec(center=seq[0], lags=tuple(seq[1:]), symmetric=True)
-    return toeplitz_materialize(spec, n, n)
+    return seq[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]

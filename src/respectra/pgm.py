@@ -4,7 +4,7 @@ Supports the ASCII (P2) and binary (P5) variants with maxval up to 65535;
 binary 16-bit samples are big-endian per the format. Comments (# to end of
 line) are skipped wherever whitespace may stand. Header integers and ASCII
 samples must be plain ASCII digits; a malformed token raises ParseError
-with its byte offset, and a short payload raises TruncatedFile.
+with its byte offset, and a short payload raises InputError.
 """
 
 import re
@@ -13,7 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import InvalidSize, ParseError, TruncatedFile, ZeroVariance
+from .errors import InputError, ParseError
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ _TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(?:([0-9]+)(?![^\s#])|([^\s#]*))")
 def _reject(m, what, truncated):
     """Raise for a token match whose token is not plain ASCII digits."""
     if not m[2]:
-        raise TruncatedFile(truncated)
+        raise InputError(truncated)
     raise ParseError(f"expected {what}, got {m[2]!r}", offset=m.start(2))
 
 
@@ -78,7 +78,7 @@ def read_pgm(path):
     m = _TOKEN.match(data)
     magic = m[m.lastindex]
     if not magic:
-        raise TruncatedFile("unexpected end of file inside header")
+        raise InputError("unexpected end of file inside header")
     if magic not in (b"P2", b"P5"):
         raise ParseError(f"unsupported magic {magic!r} (want P2 or P5)",
                          offset=m.start(m.lastindex))
@@ -93,7 +93,7 @@ def read_pgm(path):
         need = count * itemsize
         payload = data[pos:pos + need]
         if len(payload) < need:
-            raise TruncatedFile(
+            raise InputError(
                 f"binary payload holds {len(payload)} bytes, need {need}")
         dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
         pixels = np.frombuffer(payload, dtype=dtype).astype(np.int64)
@@ -105,21 +105,13 @@ def read_pgm(path):
                      pixels=pixels.reshape(height, width))
 
 
-def central_block(img, size, standardize=True):
+def central_block(img, size):
     """Centered size x size crop as float values, ties broken toward the
-    top-left. With standardize=True (the image-analysis default) the block
-    is reduced to zero mean and unit standard deviation; constant blocks
-    raise ZeroVariance."""
+    top-left."""
     if size > min(img.width, img.height):
-        raise InvalidSize(
+        raise InputError(
             f"block size {size} exceeds image extent "
             f"{img.width}x{img.height}")
     r0 = (img.height - size) // 2
     c0 = (img.width - size) // 2
-    block = img.pixels[r0:r0 + size, c0:c0 + size].astype(float)
-    if standardize:
-        sd = block.std()
-        if sd == 0:
-            raise ZeroVariance("central block is constant; cannot standardize")
-        block = (block - block.mean()) / sd
-    return block
+    return img.pixels[r0:r0 + size, c0:c0 + size].astype(float)

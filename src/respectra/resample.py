@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import InvalidShape, InvalidSpec
+from .errors import InputError
 
 
 def _h_linear(t):
@@ -80,7 +80,7 @@ def get_kernel(name):
     key = name.lower()
     key = _KERNEL_ALIASES.get(key, key)
     if key not in KERNELS:
-        raise InvalidSpec(f"unknown kernel {name!r}; choose from {sorted(KERNELS)}")
+        raise InputError(f"unknown kernel {name!r}; choose from {sorted(KERNELS)}")
     return KERNELS[key]
 
 
@@ -103,26 +103,21 @@ class ResampleSpec:
 
     def __post_init__(self):
         if self.L < 1 or self.M < 1:
-            raise InvalidSpec(f"L and M must be positive, got L={self.L} M={self.M}")
+            raise InputError(f"L and M must be positive, got L={self.L} M={self.M}")
         if gcd(self.L, self.M) != 1:
-            raise InvalidSpec(f"L={self.L} and M={self.M} must be coprime")
+            raise InputError(f"L={self.L} and M={self.M} must be coprime")
         if self.L < self.M:
-            raise InvalidSpec(f"xi = L/M must be >= 1, got {self.L}/{self.M}")
+            raise InputError(f"xi = L/M must be >= 1, got {self.L}/{self.M}")
         if not 0.0 <= self.phi < 1.0:
-            raise InvalidSpec(f"phase must lie in [0, 1), got {self.phi}")
+            raise InputError(f"phase must lie in [0, 1), got {self.phi}")
         if self.delta is not None and self.delta <= 0:
-            raise InvalidSpec(f"quantization step must be positive, got {self.delta}")
+            raise InputError(f"quantization step must be positive, got {self.delta}")
         if isinstance(self.kernel, str):
             object.__setattr__(self, "kernel", get_kernel(self.kernel))
 
     @property
     def xi(self):
         return self.L / self.M
-
-    @property
-    def sigma_w2(self):
-        """Quantization-noise variance delta^2 / 12 (None when unquantized)."""
-        return None if self.delta is None else self.delta ** 2 / 12.0
 
 
 def build_polyphase(spec, out_rows, in_rows, row0=0, col0=0):
@@ -136,9 +131,9 @@ def build_polyphase(spec, out_rows, in_rows, row0=0, col0=0):
     ceil((col0 + in_rows) * xi), past which rows have no support at all.
     """
     if out_rows <= 0 or in_rows <= 0:
-        raise InvalidShape(f"need positive sizes, got {out_rows}x{in_rows}")
+        raise InputError(f"need positive sizes, got {out_rows}x{in_rows}")
     if row0 + out_rows > int(np.ceil((col0 + in_rows) * spec.xi)):
-        raise InvalidShape(
+        raise InputError(
             f"{row0 + out_rows} output rows exceed "
             f"ceil({col0 + in_rows} * {spec.xi})")
     i = np.arange(row0, row0 + out_rows)[:, None]
@@ -196,7 +191,7 @@ def exact_autocorr_matrix(spec, in_rows):
 def quantize(y, delta):
     """Uniform mid-tread quantization delta * round(y / delta)."""
     if delta <= 0:
-        raise InvalidSpec(f"quantization step must be positive, got {delta}")
+        raise InputError(f"quantization step must be positive, got {delta}")
     return delta * np.round(np.asarray(y, dtype=float) / delta)
 
 
@@ -207,11 +202,11 @@ def upscale(field, spec):
     """
     x = np.asarray(field, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise InvalidShape(f"expected a square field, got {x.shape}")
+        raise InputError(f"expected a square field, got {x.shape}")
     r = x.shape[0]
     n = int(np.floor(r * spec.xi))
     if n < 2:
-        raise InvalidShape(f"upscaled output {n}x{n} is smaller than 2x2")
+        raise InputError(f"upscaled output {n}x{n} is smaller than 2x2")
     h = build_polyphase(spec, n, r)
     y = h @ x @ h.T
     if spec.delta is not None:

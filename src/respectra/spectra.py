@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InputError
 from .resample import kernel_autocorr
 
 TWO_PI = 2.0 * np.pi
@@ -66,7 +66,7 @@ class SpectralLaw:
     def __post_init__(self):
         total = self.zero_mass + self.angular_density * TWO_PI
         if abs(total - 1.0) > 1e-12:
-            raise InvalidSpec(f"law masses add to {total}, expected 1")
+            raise InputError(f"law masses add to {total}, expected 1")
 
     def mean(self, nodes, panel_weights):
         """E[value] using quadrature nodes on (0, pi), symmetry doubled; the
@@ -87,7 +87,7 @@ class SpectralLaw:
 def law_genuine(rho):
     """Law of the AR(1) limiting spectrum: d(Omega), Omega uniform, no mass."""
     if not 0.0 <= rho < 1.0:
-        raise InvalidSpec(f"rho must lie in [0, 1), got {rho}")
+        raise InputError(f"rho must lie in [0, 1), got {rho}")
     return SpectralLaw(
         zero_mass=0.0,
         transform=lambda w: d_genuine(w, rho),
@@ -97,16 +97,17 @@ def law_genuine(rho):
     )
 
 
-def law_upscaled(rho, spec, probe_points=4096):
+def law_upscaled(rho, spec):
     """Mixed law after upscaling by xi > 1: P(value=0) = 1 - 1/xi, and the
-    continuous branch maps a (2 pi xi)^-1-density angle through d'."""
+    continuous branch maps a (2 pi xi)^-1-density angle through d'; clamps
+    are counted on 4096 probe angles."""
     if not 0.0 <= rho < 1.0:
-        raise InvalidSpec(f"rho must lie in [0, 1), got {rho}")
+        raise InputError(f"rho must lie in [0, 1), got {rho}")
     xi = spec.xi
     if xi <= 1.0:
-        raise InvalidSpec(f"upscaled law requires xi > 1, got xi={xi}")
+        raise InputError(f"upscaled law requires xi > 1, got xi={xi}")
     r_hh = kernel_autocorr(spec)
-    probe = np.linspace(0.0, TWO_PI, probe_points, endpoint=False)
+    probe = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     raw = d_genuine(probe, rho) * cosine_series(probe, r_hh)
     return SpectralLaw(
         zero_mass=1.0 - 1.0 / xi,
@@ -127,9 +128,9 @@ def afze(beta, xi=1.0):
     fields and 1 - beta/xi after upscaling.
     """
     if not 0.0 < beta <= 1.0:
-        raise InvalidSpec(f"beta must lie in (0, 1], got {beta}")
+        raise InputError(f"beta must lie in (0, 1], got {beta}")
     if xi < 1.0:
-        raise InvalidSpec(f"xi must be >= 1, got {xi}")
+        raise InputError(f"xi must be >= 1, got {xi}")
     return 1.0 - min(beta / xi, 1.0 / xi)
 
 
@@ -146,9 +147,9 @@ class MpEdges:
 def mp_edges(sigma_w2, beta):
     """Limiting eigenvalue support of the quantization-noise autocorrelation."""
     if sigma_w2 <= 0:
-        raise InvalidSpec(f"sigma_w2 must be positive, got {sigma_w2}")
+        raise InputError(f"sigma_w2 must be positive, got {sigma_w2}")
     if beta < 0:
-        raise InvalidSpec(f"beta must be nonnegative, got {beta}")
+        raise InputError(f"beta must be nonnegative, got {beta}")
     root = np.sqrt(beta)
     return MpEdges(lower=sigma_w2 * (1.0 - root) ** 2,
                    upper=sigma_w2 * (1.0 + root) ** 2,

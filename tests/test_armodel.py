@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from respectra import (ArParams, InvalidShape, NumericalError, ZeroVariance,
-                       ar_gram_matrix, generate_field, sample_autocorr)
+from respectra import (ArParams, InputError, NumericalError, ar_gram_matrix,
+                       generate_field, sample_autocorr, standardize)
 
 
 def lag1_row_correlation(x):
@@ -72,8 +72,8 @@ class TestGenerateField:
         for s in range(20):
             ar = generate_field(ArParams(rho=0.945, n=128), seed=s)
             g = generate_field(ArParams(rho=0.0, n=128, q=1), seed=1000 + s)
-            lam_ar = sample_autocorr((ar - ar.mean()) / ar.std()).eigenvalues()
-            lam_g = sample_autocorr((g - g.mean()) / g.std()).eigenvalues()
+            lam_ar = sample_autocorr(standardize(ar)).eigenvalues()
+            lam_g = sample_autocorr(standardize(g)).eigenvalues()
             wins += lam_ar[0] > lam_g[0]
         assert wins > 10
 
@@ -100,13 +100,33 @@ class TestSampleAutocorr:
         assert abs(np.mean(vals) / (9 / 32) - 1.0) < 0.15
 
     def test_rejects_wide_block(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InputError, match="K <= N"):
             sample_autocorr(np.ones((4, 8)))
 
     def test_standardize_flag(self):
         rng = np.random.default_rng(4)
         b = 3.0 + 2.0 * rng.standard_normal((16, 8))
-        out = sample_autocorr(b, standardize=True)
-        assert out.matrix.shape == (16, 16)
-        with pytest.raises(ZeroVariance):
-            sample_autocorr(np.full((4, 2), 7.0), standardize=True)
+        z = standardize(b)
+        assert z.mean() == pytest.approx(0.0, abs=1e-12)
+        assert z.std() == pytest.approx(1.0)
+        assert sample_autocorr(z).matrix.shape == (16, 16)
+        with pytest.raises(InputError, match="constant"):
+            standardize(np.full((4, 2), 7.0))
+
+    def test_eigenvalues_descending(self):
+        rng = np.random.default_rng(11)
+        ev = sample_autocorr(rng.standard_normal((20, 12))).eigenvalues()
+        assert np.all(np.diff(ev) <= 0)
+
+    def test_eigenvalues_psd(self):
+        rng = np.random.default_rng(7)
+        ev = sample_autocorr(rng.standard_normal((30, 15))).eigenvalues()
+        assert ev.min() >= -1e-10
+
+    def test_eigenvalues_gram_duality(self):
+        # nonzero spectra of (1/N) B B^T and (1/N) B^T B coincide
+        rng = np.random.default_rng(9)
+        b = rng.standard_normal((24, 10))
+        big = sample_autocorr(b).eigenvalues()[:10]
+        small = np.linalg.eigvalsh(b.T @ b / 24)[::-1]
+        assert np.allclose(big, small, rtol=1e-8)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import respectra.armodel
-from respectra import (KERNELS, ExperimentSpec, InvalidInput, ResampleSpec,
-                       UnknownExperiment, ar_gram_matrix, build_polyphase,
-                       parse_factor, roc_auc, run_figure, run_snr_sweep,
-                       upscaled_block)
+from respectra import (KERNELS, ExperimentSpec, InputError, ResampleSpec,
+                       ar_gram_matrix, build_polyphase, parse_factor, roc_auc,
+                       run_figure, run_snr_sweep, upscaled_block)
 
 
 def mann_whitney_auc(genuine, upscaled):
@@ -53,7 +52,7 @@ class TestRocAuc:
                                                   abs=1e-9)
 
     def test_rejects_empty(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError, match="must be nonempty"):
             roc_auc([], [0.1])
 
 
@@ -64,8 +63,7 @@ class TestParseFactor:
         assert parse_factor("1.5") == (3, 2)
 
     def test_rejects_downscale(self):
-        from respectra import InvalidSpec
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="factor must be >= 1"):
             parse_factor("0.5")
 
 
@@ -118,7 +116,7 @@ class TestSnrSweep:
 
 class TestRunFigure:
     def test_unknown_experiment(self, tmp_path):
-        with pytest.raises(UnknownExperiment):
+        with pytest.raises(InputError, match="unknown experiment 'fig99'"):
             run_figure("fig99", tmp_path)
 
     def test_fig1b_dataset(self, tmp_path):

@@ -64,6 +64,15 @@ class TestDetectCommand:
         assert code == 0
         assert json.loads(out)["is_upscaled"] is True
 
+    @pytest.mark.parametrize("command", ["detect", "estimate"])
+    def test_constant_image_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "flat.pgm"
+        path.write_text("P2 40 40 255\n" + " 7" * 1600 + "\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "constant" in err
+
     def test_json_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "res.json"
         code, _, _ = run(capsys, "detect", "--synthetic", "--n", "32",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from respectra import (DetectorConfig, InvalidConfig, ResampleSpec, detect,
+from respectra import (DetectorConfig, InputError, ResampleSpec, detect,
                        genuine_block, mp_edges, upscaled_block)
 from respectra.detect import lower_median, view_eigenvalues
 
@@ -18,15 +18,15 @@ class TestConfig:
         assert res.beta == pytest.approx(9 / 32)
 
     def test_rejects_bad_k(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InputError, match="K must be at least 2"):
             DetectorConfig(k=1, delta=1.0)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InputError, match=r"K=9 outside 1\.\.N"):
             detect(np.zeros((4, 4)), DetectorConfig(k=9, delta=1.0))
 
     @pytest.mark.parametrize("z", [np.float64(1.0), np.ones(32),
                                    np.ones((32, 31))])
     def test_rejects_input_that_is_not_a_square_block(self, z):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InputError, match="expected a square block"):
             detect(z, DetectorConfig(k=9, delta=1.0))
 
     def test_custom_threshold(self):
@@ -72,7 +72,8 @@ class TestViewEigenvalues:
     def test_rejects_widths_and_shapes_outside_the_block(self, shape, k):
         # the Grams are strided windows of one product; a bad K or shape
         # must raise before any window could reach past it
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InputError,
+                           match=r"expected a square block|outside 1\.\.N"):
             view_eigenvalues(np.ones(shape), k)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from respectra import (EstimatorConfig, InsufficientViews, InvalidConfig,
+from respectra import (EstimatorConfig, InputError, NumericalError,
                        KERNELS, ResampleSpec, estimate, genuine_block,
                        mp_edges, upscaled_block)
 from respectra.detect import lower_median, view_eigenvalues
@@ -17,7 +17,7 @@ class TestConfig:
         assert int(cfg.k / cfg.xi_max) == 4
 
     def test_rejects_bad_window(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InputError, match=r"floor\(K / xi_max\)"):
             EstimatorConfig(k=3, delta=1.0, k_w=2, xi_max=4.0)
 
 
@@ -119,7 +119,7 @@ class TestEstimate:
         assert 0 < len(res.below_set) < len(res.per_view_p)
 
     def test_insufficient_views(self):
-        with pytest.raises(InsufficientViews):
+        with pytest.raises(NumericalError, match="below the noise floor"):
             estimate(np.zeros((24, 24)),
                      EstimatorConfig(k=8, delta=1.0, k_w=2))
 

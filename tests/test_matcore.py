@@ -1,67 +1,8 @@
 import numpy as np
 import pytest
 
-from respectra import (InvalidMatrix, InvalidShape, ToeplitzSpec,
-                       ar_gram_matrix, ar_u_matrix, ar_u_sequence,
-                       gaussian_matrix, sym_eigenvalues, toeplitz_materialize)
-
-
-class TestSymEigenvalues:
-    def test_identity(self):
-        assert np.allclose(sym_eigenvalues(np.eye(3)), [1, 1, 1])
-
-    def test_shuffled_diagonal(self):
-        # diag(4,1,0) conjugated by a random rotation keeps its spectrum
-        rng = np.random.default_rng(3)
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        m = q @ np.diag([4.0, 1.0, 0.0]) @ q.T
-        m = 0.5 * (m + m.T)
-        assert np.allclose(sym_eigenvalues(m), [4, 1, 0], atol=1e-12)
-
-    def test_two_by_two_hand_oracle(self):
-        # char. poly of [[2,1],[1,2]]: (2-x)^2 - 1 = 0 -> x = 3, 1
-        assert np.allclose(sym_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])),
-                           [3.0, 1.0])
-
-    def test_descending_order(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((20, 20))
-        ev = sym_eigenvalues(a + a.T)
-        assert np.all(np.diff(ev) <= 0)
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((40, 40))
-        m = a + a.T
-        ev = sym_eigenvalues(m)
-        w, v = np.linalg.eigh(m)
-        norm = np.linalg.norm(m, 2)
-        for i in range(40):
-            r = np.linalg.norm(m @ v[:, i] - w[i] * v[:, i])
-            assert r <= 1e-8 * norm
-        assert np.allclose(ev, w[::-1])
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(InvalidMatrix):
-            sym_eigenvalues(np.ones((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidMatrix):
-            sym_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_gram_psd(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((15, 30))
-        ev = sym_eigenvalues(a @ a.T)
-        assert ev.min() >= -1e-10
-
-    def test_gram_duality(self):
-        # nonzero spectra of (1/N) B B^T and (1/N) B^T B coincide
-        rng = np.random.default_rng(9)
-        b = rng.standard_normal((24, 10))
-        big = sym_eigenvalues(b @ b.T / 24)[:10]
-        small = sym_eigenvalues(b.T @ b / 24)
-        assert np.allclose(big, small, rtol=1e-8)
+from respectra import (InputError, ar_gram_matrix, ar_gram_sequence,
+                       ar_u_matrix, gaussian_matrix)
 
 
 class TestGaussianMatrix:
@@ -85,52 +26,50 @@ class TestGaussianMatrix:
         assert np.allclose(b, 2.5 * a)
 
     def test_rejects_zero_sigma(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InputError, match="sigma must be positive"):
             gaussian_matrix(4, 4, 0.0, seed=1)
 
     def test_rejects_zero_dims(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InputError, match="dimensions must be positive"):
             gaussian_matrix(0, 4, 1.0, seed=1)
 
 
 class TestToeplitz:
     def test_ar_row_pattern(self):
         # u_Q[n] = rho^(Q-1-n): Q=3, rho=0.5 -> [0.25, 0.5, 1.0]
-        u = ar_u_sequence(0.5, 3)
-        assert np.allclose(u, [0.25, 0.5, 1.0])
         m = ar_u_matrix(0.5, 2, 3)
-        assert np.allclose(m, [[0.25, 0.5, 1.0, 0.0],
-                               [0.0, 0.25, 0.5, 1.0]])
+        assert np.array_equal(m, [[0.25, 0.5, 1.0, 0.0],
+                                  [0.0, 0.25, 0.5, 1.0]])
 
     def test_symmetric_closed_form(self):
-        # d[n] = rho^n/(1-rho^2) at rho=1/2: [[4/3,2/3,1/3],...]
-        seq = 0.5 ** np.arange(3) / (1 - 0.25)
-        spec = ToeplitzSpec(center=seq[0], lags=tuple(seq[1:]), symmetric=True)
-        m = toeplitz_materialize(spec, 3, 3)
+        # d[n] = rho^n/(1-rho^2) at rho=1/2, q large enough that the
+        # truncation factor 1 - rho^(2(q-n)) is 1 to rounding
+        m = ar_gram_matrix(0.5, 64, 3)
         third = 1.0 / 3.0
         want = np.array([[4 * third, 2 * third, third],
                          [2 * third, 4 * third, 2 * third],
                          [third, 2 * third, 4 * third]])
         assert np.allclose(m, want)
 
-    def test_zero_sequence(self):
-        spec = ToeplitzSpec(center=0.0, lags=(0.0, 0.0), symmetric=True)
-        assert np.all(toeplitz_materialize(spec, 4, 4) == 0)
-
     def test_band_is_zero_outside(self):
-        spec = ToeplitzSpec(center=1.0, lags=(2.0,), symmetric=False)
-        m = toeplitz_materialize(spec, 3, 5)
-        want = np.array([[1.0, 2.0, 0.0, 0.0, 0.0],
-                         [0.0, 1.0, 2.0, 0.0, 0.0],
-                         [0.0, 0.0, 1.0, 2.0, 0.0]])
-        assert np.allclose(m, want)
+        # lags at or beyond q vanish in U U^T, and U is zero off its band
+        q, n = 3, 6
+        gram = ar_gram_matrix(0.8, q, n)
+        lag = np.abs(np.arange(n)[None, :] - np.arange(n)[:, None])
+        assert np.all(gram[lag >= q] == 0)
+        assert np.all(gram[lag < q] > 0)
+        u = ar_u_matrix(0.8, 4, q)
+        offset = np.arange(4 + q - 1)[None, :] - np.arange(4)[:, None]
+        assert np.all(u[(offset < 0) | (offset >= q)] == 0)
 
     def test_symmetric_matrix_is_symmetric(self):
-        rng = np.random.default_rng(1)
-        seq = rng.standard_normal(6)
-        spec = ToeplitzSpec(center=seq[0], lags=tuple(seq[1:]), symmetric=True)
-        m = toeplitz_materialize(spec, 6, 6)
+        n = 7
+        m = ar_gram_matrix(0.9, 5, n)
         assert np.array_equal(m, m.T)
+        seq = ar_gram_sequence(0.9, 5, n)
+        for i in range(n):
+            for j in range(n):
+                assert m[i, j] == seq[abs(i - j)]
 
 
 class TestArGram:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from respectra import (ImageGray, InvalidSize, ParseError, TruncatedFile,
-                       ZeroVariance, central_block, read_pgm)
+from respectra import (ImageGray, InputError, ParseError, central_block,
+                       read_pgm, standardize)
 
 
 def write(tmp_path, payload, name="img.pgm"):
@@ -45,17 +45,15 @@ class TestReadPgm:
         assert err.value.offset == 3
 
     def test_truncated_binary(self, tmp_path):
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(InputError, match="holds 7 bytes, need 16"):
             read_pgm(write(tmp_path, b"P5 4 4 255\n" + bytes(7)))
 
     def test_truncated_ascii(self, tmp_path):
-        with pytest.raises(TruncatedFile,
-                           match="holds 3 samples, need 4"):
+        with pytest.raises(InputError, match="holds 3 samples, need 4"):
             read_pgm(write(tmp_path, "P2 2 2 255 0 1 2"))
 
     def test_trailing_comment_is_not_a_sample(self, tmp_path):
-        with pytest.raises(TruncatedFile,
-                           match="holds 3 samples, need 4"):
+        with pytest.raises(InputError, match="holds 3 samples, need 4"):
             read_pgm(write(tmp_path, "P2 2 2 255 0 1 2 # 7\n"))
 
     def test_comment_between_samples(self, tmp_path):
@@ -111,25 +109,25 @@ class TestCentralBlock:
 
     def test_tie_toward_top_left(self):
         img = self.make(4, 4)
-        block = central_block(img, 2, standardize=False)
+        block = central_block(img, 2)
         assert np.array_equal(block, img.pixels[1:3, 1:3].astype(float))
 
     def test_full_size_is_identity(self):
         img = self.make(3, 3)
-        assert np.array_equal(central_block(img, 3, standardize=False),
+        assert np.array_equal(central_block(img, 3),
                               img.pixels.astype(float))
 
     def test_too_large(self):
-        with pytest.raises(InvalidSize):
+        with pytest.raises(InputError, match="block size 5 exceeds"):
             central_block(self.make(4, 4), 5)
 
     def test_standardization(self):
-        block = central_block(self.make(6, 6), 4)
+        block = standardize(central_block(self.make(6, 6), 4))
         assert block.mean() == pytest.approx(0.0, abs=1e-12)
         assert block.std() == pytest.approx(1.0)
 
     def test_constant_raises(self):
         img = ImageGray(width=4, height=4, maxval=255,
                         pixels=np.full((4, 4), 9))
-        with pytest.raises(ZeroVariance):
-            central_block(img, 2)
+        with pytest.raises(InputError, match="constant"):
+            standardize(central_block(img, 2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from respectra import (InvalidSpec, KERNELS, ResampleSpec, ar_gram_matrix,
+from respectra import (InputError, KERNELS, ResampleSpec, ar_gram_matrix,
                        build_polyphase, exact_autocorr_matrix, get_kernel,
                        kernel_autocorr, quantize, support_columns, upscale)
 
@@ -51,22 +51,18 @@ class TestKernels:
     def test_aliases(self):
         assert get_kernel("bspline") is KERNELS["b-spline"]
         assert get_kernel("CATMULL-ROM") is KERNELS["catmull-rom"]
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="unknown kernel 'nearest'"):
             get_kernel("nearest")
 
 
 class TestResampleSpec:
     def test_rejects_non_coprime(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="must be coprime"):
             ResampleSpec(L=4, M=2)
 
     def test_rejects_downscale(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="must be >= 1"):
             ResampleSpec(L=2, M=3)
-
-    def test_sigma_w2(self):
-        assert ResampleSpec(L=2, M=1, delta=1.0).sigma_w2 == pytest.approx(1 / 12)
-        assert ResampleSpec(L=2, M=1).sigma_w2 is None
 
 
 class TestBuildPolyphase:
@@ -137,8 +133,7 @@ class TestBuildPolyphase:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_too_many_output_rows(self):
-        from respectra import InvalidShape
-        with pytest.raises(InvalidShape):
+        with pytest.raises(InputError, match="output rows exceed"):
             build_polyphase(ResampleSpec(L=2, M=1), 20, 8)
 
 

@@ -10,7 +10,7 @@ import pytest
 import respectra
 
 from respectra import (DEFAULT_CONFIG, ArParams, ConvergenceFailure,
-                       EtaSolverConfig, InvalidSpec, KERNELS, ResampleSpec,
+                       EtaSolverConfig, InputError, KERNELS, ResampleSpec,
                        SpectralLaw, afze, eigen_pdf, eta_transform,
                        generate_field, law_genuine, law_upscaled,
                        quadrature_nodes, stieltjes, support_lower_edge)
@@ -176,7 +176,7 @@ class TestEtaTransform:
 
     def test_rejects_bad_beta(self):
         law = law_genuine(0.5)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match=r"beta must lie in \(0, 1\]"):
             eta_transform(law, law, 1.5, 1.0)
 
     def test_divergence_reported(self):
@@ -485,7 +485,7 @@ class TestEigenPdf:
     def test_support_edge_rejects_beta_outside_unit_interval(self):
         law = law_genuine(0.9)
         for beta in (0.0, -0.5, 1.5):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(InputError, match=r"beta must lie in \(0, 1\]"):
                 support_lower_edge(law, law, beta)
 
     def test_upscaled_total_probability(self):
@@ -522,21 +522,21 @@ class TestEigenPdf:
 
     def test_custom_grid_validation(self):
         law = law_genuine(0.5)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="grid must be finite"):
             eigen_pdf(law, law, 0.5, grid=np.array([0.0, 1.0]))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="grid must be finite"):
             eigen_pdf(law, law, 0.5, grid=np.array([2.0, 1.0]))
         for grid in ([np.nan, 1.0], [0.5, np.inf], [1.0]):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(InputError, match="grid must be finite"):
                 eigen_pdf(law, law, 0.5, grid=np.array(grid), nu=1e-4)
 
     def test_rejects_nonfinite_nu_and_too_few_points(self):
         law = law_genuine(0.5)
         for nu in (np.nan, np.inf, -np.inf, 0.0, -1e-4):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(InputError, match="nu must be positive"):
                 eigen_pdf(law, law, 0.5, nu=nu)
         for points in (1, 0, -3):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(InputError, match="points must be at least 2"):
                 eigen_pdf(law, law, 0.5, points=points)
 
     def test_support_edge_monotone_in_rho_and_xi(self):

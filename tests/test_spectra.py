@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from respectra import (InvalidSpec, KERNELS, ResampleSpec, afze,
+from respectra import (InputError, KERNELS, ResampleSpec, afze,
                        cosine_series, d_genuine, d_upscaled, gap_lower_bound,
                        kernel_autocorr, law_genuine, law_upscaled, mp_edges,
                        quadrature_nodes, signal_floor_bound)
@@ -60,7 +60,7 @@ class TestLaws:
         assert law.angular_density == pytest.approx(1 / (4 * np.pi))
 
     def test_upscaled_rejects_identity(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="requires xi > 1"):
             law_upscaled(0.97, ResampleSpec(L=1, M=1))
 
     def test_genuine_mean_closed_form(self):
@@ -111,7 +111,7 @@ class TestAfze:
         assert afze(1.0, 2.0) == pytest.approx(0.5)
 
     def test_rejects_beta_above_one(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match=r"beta must lie in \(0, 1\]"):
             afze(1.2, 1.0)
 
 
