@@ -48,6 +48,16 @@ class ArParams:
         return self.n if self.q is None else self.q
 
 
+def ar_gram_cholesky(rho, q, n):
+    """Lower Cholesky factor of the n x n Gram matrix U U^T of memory q."""
+    try:
+        return np.linalg.cholesky(ar_gram_matrix(rho, q, n))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"AR Gram matrix is not positive definite "
+            f"(rho={rho}, q={q}, n={n})") from exc
+
+
 def generate_field(params, seed):
     """Sample an n x n field with the law of X = U S U^T.
 
@@ -60,13 +70,8 @@ def generate_field(params, seed):
     is exactly linear in sqrt(sigma_s2): a field generated with
     sigma_s2 = c is sqrt(c) times the sigma_s2 = 1 field for the same seed.
     """
-    n, q = params.n, params.q_eff
-    try:
-        c = np.linalg.cholesky(ar_gram_matrix(params.rho, q, n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"AR Gram matrix is not positive definite "
-            f"(rho={params.rho}, q={q}, n={n})") from exc
+    n = params.n
+    c = ar_gram_cholesky(params.rho, params.q_eff, n)
     g = gaussian_matrix(n, n, np.sqrt(params.sigma_s2), seed)
     return c @ g @ c.T
 

@@ -18,10 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .armodel import ArParams, generate_field, sample_autocorr, standardize
-from .detect import DetectorConfig, detect
+from .armodel import (ArParams, ar_gram_cholesky, generate_field,
+                      sample_autocorr, standardize)
+from .detect import DetectorConfig, block_kappas
 from .errors import InputError
-from .matcore import ar_gram_matrix, spawn_seeds
+from .matcore import spawn_seeds
 from .resample import (ResampleSpec, build_polyphase, get_kernel,
                        kernel_autocorr, quantize, support_columns)
 from .rmt import eigen_pdf, support_lower_edge
@@ -63,8 +64,9 @@ def roc_auc(genuine_stats, upscaled_stats):
         raise InputError("both statistic lists must be nonempty")
     pool = np.unique(np.concatenate([g, u]))
     thresholds = np.concatenate([[-np.inf], pool, [np.inf]])
-    far = np.array([(g < t).mean() for t in thresholds])
-    det = np.array([(u < t).mean() for t in thresholds])
+    # the count of stats < t is t's left insertion point in the sorted stats
+    far = np.searchsorted(np.sort(g), thresholds) / len(g)
+    det = np.searchsorted(np.sort(u), thresholds) / len(u)
     auc = float(np.trapezoid(det, far))
     return RocCurve(thresholds=thresholds, far=far, detection=det, auc=auc)
 
@@ -124,8 +126,10 @@ def run_snr_sweep(spec):
 
     Unit-variance blocks (the genuine block and the upscaled central block
     of ``genuine_block``/``upscaled_block``, unquantized) are drawn once per
-    realization and rescaled per SNR point before quantization, so the
-    whole sweep shares random numbers. Returns a list of (snr, auc) rows.
+    realization into an (R, 2, N, N) stack and rescaled per SNR point
+    before quantization, so the whole sweep shares random numbers. Each
+    SNR point quantizes the stack and detects all its blocks with one
+    ``block_kappas`` call. Returns a list of (snr, auc) rows.
     """
     p = {"rho": 0.97, "field_n": 512, "block_n": 32, "k": 9, "delta": 1.0,
          "snr_grid": tuple(10.0 ** e for e in range(6)),
@@ -136,22 +140,18 @@ def run_snr_sweep(spec):
     cfg = DetectorConfig(k=p["k"], delta=delta)
 
     seeds = spawn_seeds(spec.base_seed, 2 * spec.realizations)
-    blocks = []
+    blocks = np.empty((spec.realizations, 2, p["block_n"], p["block_n"]))
     for i in range(spec.realizations):
-        gen = generate_field(
+        blocks[i, 0] = generate_field(
             ArParams(rho=p["rho"], n=p["block_n"], q=p["field_n"]), seeds[2 * i])
-        ups = _upscaled_window(p["rho"], 1.0, p["block_n"], rspec,
-                               seeds[2 * i + 1], p["field_n"])
-        blocks.append((gen, ups))
+        blocks[i, 1] = _upscaled_window(p["rho"], 1.0, p["block_n"], rspec,
+                                        seeds[2 * i + 1], p["field_n"])
 
     rows = []
     for snr in p["snr_grid"]:
         scale = np.sqrt(snr * cfg.sigma_w2)
-        kap_g, kap_u = [], []
-        for gen, ups in blocks:
-            kap_g.append(detect(quantize(scale * gen, delta), cfg).kappa)
-            kap_u.append(detect(quantize(scale * ups, delta), cfg).kappa)
-        rows.append((snr, roc_auc(kap_g, kap_u).auc))
+        kappa = block_kappas(quantize(scale * blocks, delta), cfg)
+        rows.append((snr, roc_auc(kappa[:, 0], kappa[:, 1]).auc))
     return rows
 
 
@@ -216,9 +216,10 @@ def _fig3(spec, out_dir):
             rspec = ResampleSpec(L=lnum, M=m, kernel=get_kernel(name))
             xi = rspec.xi
             r = int(np.ceil(n / xi))
-            h = build_polyphase(rspec, n, r)
-            d = h @ ar_gram_matrix(rho, r, r) @ h.T
-            lam = np.linalg.eigvalsh(d)[::-1]
+            # the nonzero eigenvalues of H G H^T = A A^T, A = H chol(G),
+            # are those of the r x r Gram A^T A
+            a = build_polyphase(rspec, n, r) @ ar_gram_cholesky(rho, r, r)
+            lam = np.linalg.eigvalsh(a.T @ a)[::-1]
             count = int(round(n / xi))
             idx = np.arange(1, count + 1)
             omega = 2.0 * np.pi * (idx - 1) / (n / xi)

@@ -83,6 +83,34 @@ def lower_median(values):
     return v[..., (v.shape[-1] + 1) // 2 - 1]
 
 
+def _square_blocks(z, k, stack=False):
+    """z as a float array once it is one square block, or with ``stack`` a
+    (..., N, N) stack of them, and 1 <= K <= N."""
+    z = np.asarray(z, dtype=float)
+    if (z.ndim < 2 if stack else z.ndim != 2) or z.shape[-1] != z.shape[-2]:
+        raise InputError(f"expected a square block, got {z.shape}")
+    n = z.shape[-1]
+    if not 1 <= k <= n:
+        raise InputError(f"K={k} outside 1..N, block size N={n}")
+    return z
+
+
+def _view_spectra(z, k):
+    """Descending view spectra of every block of a checked (..., N, N)
+    stack, as ``view_eigenvalues`` forms them: returns (..., V, K)."""
+    n = z.shape[-1]
+    lead = z.shape[:-2]
+    pair = np.empty(lead + (2, n, n))
+    np.matmul(z.swapaxes(-1, -2), z, out=pair[..., 0, :, :])
+    np.matmul(z, z.swapaxes(-1, -2), out=pair[..., 1, :, :])
+    pair /= n
+    *s_lead, s_pair, s_row, s_col = pair.strides
+    grams = as_strided(pair, shape=lead + (n - k + 1, 2, k, k),
+                       strides=(*s_lead, s_row + s_col, s_pair, s_row, s_col),
+                       writeable=False)
+    return np.linalg.eigvalsh(grams).reshape(lead + (-1, k))[..., ::-1]
+
+
 def view_eigenvalues(z, k):
     """Descending eigenvalues of (1/N) Z_K Z_K^T for every sliding view.
 
@@ -93,20 +121,41 @@ def view_eigenvalues(z, k):
     K x K diagonal window at (c, c) of (1/N) Z^T Z and that of view 2c+1
     the same window of (1/N) Z Z^T, so the pair of products is formed once
     and every Gram is a read-only strided window of it, solved by one
-    stacked eigvalsh. Returns a (V, K) array.
+    stacked eigvalsh. Returns a (V, K) array. ``block_kappas`` runs the
+    same code over a stack of blocks, with one eigvalsh for all of them.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise InputError(f"expected a square block, got {z.shape}")
-    n = z.shape[0]
-    if not 1 <= k <= n:
-        raise InputError(f"K={k} outside 1..N, block size N={n}")
-    pair = np.stack((z.T @ z, z @ z.T)) / n
-    s_pair, s_row, s_col = pair.strides
-    grams = as_strided(pair, shape=(n - k + 1, 2, k, k),
-                       strides=(s_row + s_col, s_pair, s_row, s_col),
-                       writeable=False)
-    return np.linalg.eigvalsh(grams).reshape(-1, k)[:, ::-1]
+    return _view_spectra(_square_blocks(z, k), k)
+
+
+def _kappa(eig, lower):
+    """kappa (see ``detect``) of each block of a (..., V, K) stack of view
+    spectra, given the lower MP edge; returns an array of shape (...).
+    The median and the noise-floor branches are evaluated only when some
+    block needs them: a stack with no view in S pays for no sort."""
+    lam = eig[..., -1]
+    if lam.min() >= lower:
+        return lam.min(-1)
+    # the n views in S sort first (below the edge, the rest are not), so
+    # the lower median of the other V - n sits at index (V - 1 + n) // 2
+    v, n = lam.shape[-1], (lam < lower).sum(-1)
+    mid = np.take_along_axis(np.sort(lam, -1), ((v - 1 + n) // 2)[..., None],
+                             axis=-1)
+    kappa = np.where(n > 0, mid[..., 0], lam.min(-1))
+    full = n == v
+    if not full.any():
+        return kappa
+    # NaN: no eigenvalue of any view above the edge, kappa = 0
+    floor = np.fmin.reduce(np.where(eig > lower, eig, np.nan), axis=(-2, -1))
+    return np.where(full, np.nan_to_num(floor), kappa)
+
+
+def block_kappas(blocks, cfg):
+    """kappa of every block of a (..., N, N) stack, as ``detect(block,
+    cfg).kappa`` gives it, from one stacked eigvalsh; returns shape (...).
+    """
+    z = _square_blocks(blocks, cfg.k, stack=True)
+    return _kappa(_view_spectra(z, cfg.k),
+                  mp_edges(cfg.sigma_w2, cfg.k / z.shape[-1]).lower)
 
 
 def detect(z, cfg):
@@ -124,28 +173,17 @@ def detect(z, cfg):
     beta = cfg.k / len(z)
     edges = mp_edges(cfg.sigma_w2, beta)
     threshold = edges.upper if cfg.threshold is None else cfg.threshold
-
+    kappa = float(_kappa(eig, edges.lower))
     lam = eig[:, -1]
-    below = lam < edges.lower
-    below_set = np.nonzero(below)[0]
-
-    # fmin skips the masked entries and leaves NaN for rows with none left
-    lambda0 = np.fmin.reduce(np.where(eig > edges.lower, eig, np.nan), axis=1)
-
-    n_below = len(below_set)
-    if n_below == 0:
-        kappa = float(lam.min())
-    elif n_below < len(eig):
-        kappa = float(lower_median(lam[~below]))
-    else:  # NaN: no view has an eigenvalue above the edge, kappa = 0
-        kappa = float(np.nan_to_num(np.fmin.reduce(lambda0)))
     return DetectionResult(
         kappa=kappa,
         threshold=float(threshold),
         is_upscaled=bool(kappa < threshold),
         per_view_lambda=lam,
-        below_set=below_set,
-        lambda0_per_view=lambda0,
+        below_set=np.nonzero(lam < edges.lower)[0],
+        # fmin skips the masked entries and leaves NaN for rows with none left
+        lambda0_per_view=np.fmin.reduce(
+            np.where(eig > edges.lower, eig, np.nan), axis=1),
         beta=beta,
         sigma_w2=cfg.sigma_w2,
         mp_lower=edges.lower,

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import respectra.armodel
-from respectra import (KERNELS, ExperimentSpec, InputError, ResampleSpec,
-                       ar_gram_matrix, build_polyphase, parse_factor, roc_auc,
-                       run_figure, run_snr_sweep, upscaled_block)
+from respectra import (KERNELS, ArParams, DetectorConfig, ExperimentSpec,
+                       InputError, NumericalError, ResampleSpec,
+                       ar_gram_matrix, build_polyphase, detect,
+                       generate_field, get_kernel, parse_factor, quantize,
+                       roc_auc, run_figure, run_snr_sweep, spawn_seeds,
+                       upscaled_block)
 
 
 def mann_whitney_auc(genuine, upscaled):
@@ -54,6 +57,23 @@ class TestRocAuc:
     def test_rejects_empty(self):
         with pytest.raises(InputError, match="must be nonempty"):
             roc_auc([], [0.1])
+
+    @pytest.mark.parametrize("g,u", [
+        ([0.1, 0.2, 0.2, 0.5], [0.2, 0.2, 0.05, 0.1]),   # ties across classes
+        ([0.3, 0.3, 0.3], [0.3, 0.3]),                    # one value only
+        ([0.0, 1.0, 1.0, 2.0, 2.0, 2.0], [1.0, 2.0, 2.0, 3.0]),
+        ([5.0], [-1.0, 7.0, 7.0, 5.0])])
+    def test_rates_equal_per_threshold_counts(self, g, u):
+        # oracle: the per-threshold mean of stats < t, over the pooled
+        # values and both infinite ends
+        out = roc_auc(g, u)
+        assert out.thresholds[0] == -np.inf and out.thresholds[-1] == np.inf
+        far = np.array([(np.array(g) < t).mean() for t in out.thresholds])
+        det = np.array([(np.array(u) < t).mean() for t in out.thresholds])
+        assert np.array_equal(out.far, far)
+        assert np.array_equal(out.detection, det)
+        assert out.far[0] == out.detection[0] == 0.0
+        assert out.far[-1] == out.detection[-1] == 1.0
 
 
 class TestParseFactor:
@@ -112,6 +132,44 @@ class TestSnrSweep:
                               params={"snr_grid": (1e3,)},
                               base_seed=11, realizations=8)
         assert run_snr_sweep(spec) == run_snr_sweep(spec)
+
+    def test_rows_equal_per_block_detection(self):
+        # oracle: each block drawn, quantized and detected on its own
+        spec = ExperimentSpec(experiment="fig7",
+                              params={"snr_grid": (0.3, 10.0, 1e4)},
+                              base_seed=13, realizations=10)
+        cfg = DetectorConfig(k=9, delta=1.0)
+        rspec = ResampleSpec(L=3, M=2, kernel=get_kernel("linear"))
+        seeds = spawn_seeds(13, 20)
+        pairs = [(generate_field(ArParams(rho=0.97, n=32, q=512),
+                                 seeds[2 * i]),
+                  upscaled_block(0.97, 1.0, 32, rspec, seeds[2 * i + 1]))
+                 for i in range(10)]
+        rows = []
+        for snr in (0.3, 10.0, 1e4):
+            scale = np.sqrt(snr * cfg.sigma_w2)
+            kap = [[detect(quantize(scale * b, 1.0), cfg).kappa for b in pair]
+                   for pair in pairs]
+            rows.append((snr, roc_auc([k[0] for k in kap],
+                                      [k[1] for k in kap]).auc))
+        assert run_snr_sweep(spec) == rows
+
+    def test_one_eigensolve_per_snr_point(self, monkeypatch):
+        # every block of an SNR point goes through one stacked eigvalsh; a
+        # fallback to per-block calls would make 2 R calls per point
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        spec = ExperimentSpec(experiment="fig7",
+                              params={"snr_grid": (1.0, 1e2, 1e4)},
+                              base_seed=7, realizations=6)
+        run_snr_sweep(spec)
+        assert calls == [(6, 2, 24, 2, 9, 9)] * 3
 
 
 class TestRunFigure:
@@ -172,6 +230,37 @@ class TestRunFigure:
         dpr = np.array([float(r.split(",")[4]) for r in rows])
         mid = slice(26, 230)
         assert np.max(np.abs(lam[mid] / dpr[mid] - 1)) < 0.10
+
+    def test_fig3_equals_dense_eigenvalues(self, tmp_path):
+        # oracle: eigvalsh of the dense n x n H G H^T, top round(n/xi)
+        # eigenvalues, within 1e-13 of each curve's largest
+        n, rho = 96, 0.97
+        path = run_figure("fig3", tmp_path,
+                          params={"n": n, "kernels": ("lanczos3", "linear"),
+                                  "factors": ((8, 5), (2, 1))})
+        rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
+        for name in ("lanczos3", "linear"):
+            for lnum, m in ((8, 5), (2, 1)):
+                spec = ResampleSpec(L=lnum, M=m, kernel=get_kernel(name))
+                r = int(np.ceil(n / spec.xi))
+                h = build_polyphase(spec, n, r)
+                want = np.linalg.eigvalsh(
+                    h @ ar_gram_matrix(rho, r, r) @ h.T)[::-1]
+                got = [(int(row[2]), float(row[3]))
+                       for row in rows if row[:2] == [name, f"{lnum}/{m}"]]
+                count = int(round(n / spec.xi))
+                assert [i for i, _ in got] == list(range(1, count + 1))
+                lam = np.array([v for _, v in got])
+                assert np.abs(lam - want[:count]).max() <= 1e-13 * want[0]
+
+    def test_fig3_gram_failure_is_numerical_error(self, tmp_path,
+                                                  monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(NumericalError, match="rho=0.97"):
+            run_figure("fig3", tmp_path, params={"n": 64})
 
     def test_fig4_dataset(self, tmp_path):
         path = run_figure("fig4", tmp_path,

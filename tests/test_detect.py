@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from respectra import (DetectorConfig, InputError, ResampleSpec, detect,
-                       genuine_block, mp_edges, upscaled_block)
-from respectra.detect import lower_median, view_eigenvalues
+from respectra import (ArParams, DetectorConfig, InputError, ResampleSpec,
+                       detect, generate_field, genuine_block, mp_edges,
+                       quantize, spawn_seeds, upscaled_block)
+from respectra.detect import (_view_spectra, block_kappas, lower_median,
+                              view_eigenvalues)
 
 SNR = 1.2e4  # sigma_s2 = 1000 at delta = 1
 
@@ -148,3 +150,59 @@ class TestInvariants:
         res = detect(np.zeros((16, 16)), DetectorConfig(k=5, delta=1.0))
         assert res.kappa == 0.0
         assert res.is_upscaled
+
+
+def kappa_oracle(eig, lower):
+    """kappa of one block's (V, K) view spectra, branch by branch."""
+    lam = eig[:, -1]
+    below = lam < lower
+    if not below.any():
+        return lam.min()
+    if not below.all():
+        return lower_median(lam[~below])
+    above = eig[eig > lower]
+    return above.min() if above.size else 0.0
+
+
+class TestStackedBlocks:
+    @pytest.mark.parametrize("shape,k", [((5, 2, 32, 32), 9),
+                                         ((3, 64, 64), 16)])
+    def test_stacked_spectra_equal_per_block_calls(self, shape, k):
+        z = np.random.default_rng(k).standard_normal(shape)
+        got = _view_spectra(z, k)
+        assert got.shape == shape[:-2] + (2 * (shape[-1] - k + 1), k)
+        for idx in np.ndindex(shape[:-2]):
+            assert np.array_equal(got[idx], view_eigenvalues(z[idx], k))
+
+    def test_block_kappas_equal_detect_on_every_branch(self):
+        # fig7's unit-variance blocks at SNR 0.003 .. 1e3: the lowest point
+        # quantizes some blocks to all zeros (kappa 0) and leaves others
+        # with every view below the edge, the middle ones mix blocks with
+        # some views below and blocks with none, the highest has none below
+        cfg = DetectorConfig(k=9, delta=1.0)
+        spec = ResampleSpec(L=3, M=2, kernel="linear")
+        seeds = spawn_seeds(5, 16)
+        blocks = np.array([
+            [generate_field(ArParams(rho=0.97, n=32, q=512), seeds[2 * i]),
+             upscaled_block(0.97, 1.0, 32, spec, seeds[2 * i + 1])]
+            for i in range(8)])
+        branches = set()
+        for snr in (0.003, 0.03, 0.3, 1e3):
+            q = quantize(np.sqrt(snr * cfg.sigma_w2) * blocks, cfg.delta)
+            got = block_kappas(q, cfg)
+            assert got.shape == (8, 2)
+            for idx in np.ndindex(8, 2):
+                res = detect(q[idx], cfg)
+                ref = kappa_oracle(view_eigenvalues(q[idx], 9), res.mp_lower)
+                assert got[idx] == res.kappa == ref
+                n = len(res.below_set)
+                branches.add("none" if n == 0 else "some" if n < 48
+                             else "all, zero" if ref == 0 else "all")
+        assert branches == {"none", "some", "all", "all, zero"}
+
+    @pytest.mark.parametrize("shape,k", [((4, 8, 8), 9), ((4, 8, 9), 3),
+                                         ((8,), 3)])
+    def test_block_kappas_rejects_bad_stacks(self, shape, k):
+        with pytest.raises(InputError,
+                           match=r"expected a square block|outside 1\.\.N"):
+            block_kappas(np.ones(shape), DetectorConfig(k=k, delta=1.0))
