@@ -129,6 +129,12 @@ def build_polyphase(spec, out_rows, in_rows, row0=0, col0=0):
     columns col0 .. col0+in_rows-1 of the matrix, bit-identical to the same
     slice of the full one. The last row may not exceed
     ceil((col0 + in_rows) * xi), past which rows have no support at all.
+
+    Row i is nonzero only where |i*M/L + phi - j| < a, a the kernel
+    half-support, so h is evaluated only on each row's band of 2a + 2
+    columns from floor(i*M/L + phi) - a; every kernel is exactly 0.0 for
+    |t| >= a, so the zeros elsewhere are the values the full evaluation
+    gives.
     """
     if out_rows <= 0 or in_rows <= 0:
         raise InputError(f"need positive sizes, got {out_rows}x{in_rows}")
@@ -136,9 +142,14 @@ def build_polyphase(spec, out_rows, in_rows, row0=0, col0=0):
         raise InputError(
             f"{row0 + out_rows} output rows exceed "
             f"ceil({col0 + in_rows} * {spec.xi})")
+    a = int(np.ceil(spec.kernel.half_support))
     i = np.arange(row0, row0 + out_rows)[:, None]
-    j = np.arange(col0, col0 + in_rows)[None, :]
-    return spec.kernel(i * spec.M / spec.L + spec.phi - j)
+    pos = i * spec.M / spec.L + spec.phi
+    j = np.floor(pos).astype(int) - a + np.arange(2 * a + 2)
+    r, k = np.nonzero((j >= col0) & (j < col0 + in_rows))
+    h = np.zeros((out_rows, in_rows))
+    h[r, j[r, k] - col0] = spec.kernel(pos - j)[r, k]
+    return h
 
 
 def support_columns(spec, row0, out_rows, in_rows):

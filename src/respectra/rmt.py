@@ -109,7 +109,7 @@ class _LawAtoms:
     the numerators of the fixed-point map and of its derivative.
     """
 
-    __slots__ = ("values", "weights", "mass", "mean", "wv", "wv2")
+    __slots__ = ("values", "weights", "mass", "mean", "wv", "wv2", "_complex")
 
     def __init__(self, law, config):
         nodes, panel_w = quadrature_nodes(config)
@@ -119,6 +119,22 @@ class _LawAtoms:
         self.wv = self.weights * self.values
         self.wv2 = self.wv * self.values
         self.mean = float(self.wv.sum())
+        self._complex = None
+
+    def as_complex(self):
+        """These atoms with values, weights, wv and wv2 cast to complex.
+
+        numpy has no real x complex loop: it casts the real operand to
+        (w, 0.0) on every call. Complex solves multiply by these copies,
+        cast once per law, and get the same bits.
+        """
+        if self._complex is None:
+            twin = object.__new__(_LawAtoms)
+            twin.mass, twin.mean, twin._complex = self.mass, self.mean, None
+            for name in ("values", "weights", "wv", "wv2"):
+                setattr(twin, name, getattr(self, name).astype(complex))
+            self._complex = twin
+        return self._complex
 
 
 def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
@@ -144,37 +160,46 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
     gamma = np.atleast_1d(gamma) * 1.0
     tol = config.tolerance
     bracket = (gamma.imag == 0) & (gamma.real > 0)
-    bracketed = bracket.any()
-    lo, hi = np.zeros(len(gamma)), np.full(len(gamma), atoms_t.mean)
+    bracketed = np.count_nonzero(bracket)
     if warm is None:        # paper-style initialization E1 = 1
-        x = (atoms_t.wv / (1.0 + gamma[:, None] * atoms_t.values)).sum(axis=1)
+        x = np.add.reduce(
+            atoms_t.wv / (1.0 + gamma[:, None] * atoms_t.values), axis=1)
     else:
-        x = np.broadcast_to(warm, gamma.shape) + np.zeros_like(gamma)
-    x = np.where(bracket & ~((lo < x.real) & (x.real < hi)), 0.5 * (lo + hi), x)
+        x = warm + np.zeros(len(gamma), gamma.dtype)
+    if bracketed:
+        lo, hi = np.zeros(len(x)), np.full(len(x), atoms_t.mean)
+        x = np.where(bracket & ~((lo < x.real) & (x.real < hi)),
+                     0.5 * (lo + hi), x)
+    if np.iscomplexobj(x):
+        atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
     point, g = np.arange(len(x)), gamma
-    newton = np.zeros(len(x), dtype=bool)
+    gb, ggb = g * beta, g * g * beta
+    newton, all_newton = np.zeros(len(x), dtype=bool), False
     best, stale = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
     # the loop tests masks with np.count_nonzero, a few times cheaper than
     # .any() on arrays this small; chain links solve one point at a time
     for it in range(1, config.max_iters + 1):
-        ra = np.reciprocal(1.0 + (g * beta * x)[:, None] * atoms_d.values)
-        e1 = (atoms_d.wv * ra).sum(axis=1)
+        ra = np.reciprocal(1.0 + (gb * x)[:, None] * atoms_d.values)
+        e1 = np.add.reduce(atoms_d.wv * ra, axis=1)
         rb = np.reciprocal(1.0 + (g * e1)[:, None] * atoms_t.values)
-        f = (atoms_t.wv * rb).sum(axis=1) - x
+        f = np.add.reduce(atoms_t.wv * rb, axis=1) - x
         residual = np.abs(f)
         if bracketed:
             up = f.real > 0
             lo = np.where(bracket & up, x.real, lo)
             hi = np.where(bracket & ~up, x.real, hi)
-        if np.count_nonzero(newton) < len(x):
+        if not all_newton:
             newton |= (it > config.picard_warmup) \
                 | (residual <= 1e-2 * np.maximum(np.abs(f + x), np.abs(x)))
+            all_newton = np.count_nonzero(newton) == len(x)
         step = _DAMPING * f
-        if np.count_nonzero(newton):
-            slope = g * g * beta * (atoms_t.wv2 * rb * rb).sum(axis=1) \
-                * (atoms_d.wv2 * ra * ra).sum(axis=1)
-            np.divide(f, 1.0 - slope, out=step, where=newton & (slope != 1.0))
+        if all_newton or np.count_nonzero(newton):
+            slope = ggb * np.add.reduce(atoms_t.wv2 * rb * rb, axis=1) \
+                * np.add.reduce(atoms_d.wv2 * ra * ra, axis=1)
+            usable = slope != 1.0
+            np.divide(f, 1.0 - slope, out=step,
+                      where=usable if all_newton else newton & usable)
         if bracketed:
             moved = (x + step).real
             step = np.where(bracket & ~((lo < moved) & (moved < hi)),
@@ -182,18 +207,30 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
         x = x + step
         # stale counts a Newton point's steps since its residual last fell
         better = residual < best
-        best = np.where(newton & better, residual, best)
-        stale = np.where(better, 0, stale + newton)
-        done = newton & (np.abs(step) <= tol * np.abs(x))
-        if np.count_nonzero(done):
+        if all_newton:
+            best = np.where(better, residual, best)
+            stale = np.where(better, 0, stale + 1)
+            done = np.abs(step) <= tol * np.abs(x)
+        else:
+            best = np.where(newton & better, residual, best)
+            stale = np.where(better, 0, stale + newton)
+            done = newton & (np.abs(step) <= tol * np.abs(x))
+        finished = np.count_nonzero(done)
+        if finished == len(x):
+            e2[point], its[point] = x, it
+            return e2, its
+        if finished:
             e2[point[done]], its[point[done]] = x[done], it
-            if done.all():
-                return e2, its
             keep = ~done
-            point, x, g, bracket, lo, hi, newton, best, stale, residual = (
-                v[keep] for v in (point, x, g, bracket, lo, hi, newton, best,
-                                  stale, residual))
-        if np.count_nonzero(stale >= _DIVERGENCE_WINDOW):
+            point, x, g, gb, ggb, newton, best, stale, residual = (
+                v[keep] for v in (point, x, g, gb, ggb, newton, best, stale,
+                                  residual))
+            if bracketed:
+                bracket, lo, hi = bracket[keep], lo[keep], hi[keep]
+        # stale grows by at most one per iteration, so no point can reach
+        # the window before this iteration number
+        if it >= _DIVERGENCE_WINDOW \
+                and np.count_nonzero(stale >= _DIVERGENCE_WINDOW):
             k = np.argmax(stale)
             raise ConvergenceFailure(
                 f"fixed point diverging at gamma={gamma[point[k]]}",
@@ -204,8 +241,10 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
 
 
 def _eta_given_e2(atoms_d, beta, gamma, e2):
-    return atoms_d.mass + (atoms_d.weights / (
-        1.0 + (gamma * beta * e2)[:, None] * atoms_d.values)).sum(axis=1)
+    if np.iscomplexobj(e2):
+        atoms_d = atoms_d.as_complex()
+    return atoms_d.mass + np.add.reduce(atoms_d.weights / (
+        1.0 + (gamma * beta * e2)[:, None] * atoms_d.values), axis=1)
 
 
 def eta_transform(law_d, law_t, beta, gamma, config=DEFAULT_CONFIG):
@@ -328,7 +367,7 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, config,
 
     f, e2, budget, its = solve(lam, warm)
     rescued = f < -budget
-    if rescued.any():
+    if np.count_nonzero(rescued):
         f_b, e2_b, budget_b, its_b = solve(lam[rescued], np.conj(e2[rescued]))
         _log.debug("nu=%g: densities %s at lambda=%s, re-solved from "
                    "conj(E2): %s", nu, f[rescued], lam[rescued], f_b)

@@ -21,6 +21,13 @@ def brute_force_gram(spec, in_rows):
     return g
 
 
+def dense_polyphase(spec, out_rows, in_rows, row0=0, col0=0):
+    """The kernel evaluated at every entry: H[i, j] = h(i*M/L + phi - j)."""
+    i = np.arange(row0, row0 + out_rows)[:, None]
+    j = np.arange(col0, col0 + in_rows)[None, :]
+    return spec.kernel(i * spec.M / spec.L + spec.phi - j)
+
+
 class TestKernels:
     def test_symmetry(self):
         t = np.linspace(0.0, 3.5, 200)
@@ -131,6 +138,28 @@ class TestBuildPolyphase:
             want = (h @ x @ h.T)[c:c + block_n, c:c + block_n]
             got = hw @ x[lo:hi, lo:hi] @ hw.T
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_band_matches_dense_evaluation(self, name):
+        # (out_rows, in_rows, row0, col0): the whole matrix down to the last
+        # allowed row ceil((col0 + in_rows) xi) - 1; a window whose row
+        # bands cross both col0 and col0 + in_rows; a window ending at the
+        # last allowed row; a single input column
+        for lnum, m in ((2, 1), (3, 2), (5, 3), (4, 1), (7, 4)):
+            for phi in (0.0, 0.3, 0.75):
+                spec = ResampleSpec(L=lnum, M=m, phi=phi, kernel=KERNELS[name])
+                xi = spec.xi
+                last = int(np.ceil(12 * xi))
+                windows = ((int(np.ceil(24 * xi)), 24, 0, 0),
+                           (int(8 * xi), 6, int(3 * xi), 5),
+                           (9, 5, last - 9, 7),
+                           (int(np.ceil(5 * xi)) - int(2 * xi), 1,
+                            int(2 * xi), 4))
+                for window in windows:
+                    got = build_polyphase(spec, *window)
+                    want = dense_polyphase(spec, *window)
+                    assert got.tobytes() == want.tobytes(), \
+                        f"{lnum}/{m} phi={phi} window={window}"
 
     def test_too_many_output_rows(self):
         with pytest.raises(InputError, match="output rows exceed"):

@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,30 @@ class TestEtaTransform:
                 assert e2 > 0, f"beta={beta} xi={xi} gamma={gamma}: E2={e2}"
                 assert afze(beta, xi) <= eta <= 1.0, \
                     f"beta={beta} xi={xi} gamma={gamma}: eta={eta}"
+
+    def test_real_gamma_stays_real_and_complex_copies_match(self):
+        # real gamma keeps real arithmetic (a complex iterate stored into
+        # the real E2 would warn that it drops imaginary parts); complex
+        # solves multiply by the atoms' complex copies, which are exact
+        # casts and do not depend on an earlier real solve on the atoms
+        law = law_genuine(0.97)
+        atoms = _LawAtoms(law, DEFAULT_CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e2, _ = _solve_e2(atoms, atoms, 0.5, np.array([1.0, 1e4]),
+                              DEFAULT_CONFIG)
+            eta = eta_transform(law, law, 0.5, 1e8)
+        assert e2.dtype == np.float64 and np.isrealobj(eta)
+        args = (0.5, afze(0.5, 1.0), np.geomspace(0.05, 2.0, 5), 1e-5,
+                DEFAULT_CONFIG)
+        used = _density_points(atoms, atoms, *args)
+        fresh = _LawAtoms(law, DEFAULT_CONFIG)
+        for got, want in zip(used, _density_points(fresh, fresh, *args)):
+            assert got.tobytes() == want.tobytes()
+        for name in ("values", "weights", "wv", "wv2"):
+            cast = getattr(atoms, name).astype(complex)
+            assert getattr(atoms.as_complex(), name).tobytes() \
+                == cast.tobytes()
 
     def test_rejects_bad_beta(self):
         law = law_genuine(0.5)
