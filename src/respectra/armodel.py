@@ -8,6 +8,7 @@ autocorrelation matrices (1/N) B B^T of N x K submatrices are the objects
 whose eigenvalue spectra the rest of the package analyzes.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,33 @@ class ArParams:
         return self.n if self.q is None else self.q
 
 
+# Monte Carlo trials draw many small blocks from a few parameter sets, so
+# parameter-only factors of at most _MEMO_SIDE x _MEMO_SIDE entries are
+# kept, read-only, in LRU memos of _MEMO_SIZE entries (at most 32 KiB
+# each). Larger fields build theirs per call and keep nothing alive.
+_MEMO_SIDE = 64
+_MEMO_SIZE = 64
+
+
 def ar_gram_cholesky(rho, q, n):
-    """Lower Cholesky factor of the n x n Gram matrix U U^T of memory q."""
+    """Lower Cholesky factor of the n x n Gram matrix U U^T of memory q.
+
+    For n <= 64 the factor is read-only and shared: it comes from an LRU
+    memo keyed by (rho, q, n), bit-identical to a fresh factorization.
+    """
+    if n <= _MEMO_SIDE:
+        return _memo_cholesky(rho, q, n)
+    return _cholesky(rho, q, n)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo_cholesky(rho, q, n):
+    c = _cholesky(rho, q, n)
+    c.flags.writeable = False
+    return c
+
+
+def _cholesky(rho, q, n):
     try:
         return np.linalg.cholesky(ar_gram_matrix(rho, q, n))
     except np.linalg.LinAlgError as exc:

@@ -11,6 +11,7 @@ single documented header row, LF line endings and dot decimal separators,
 named ``<figure>_<paramhash>.csv``.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .armodel import (ArParams, ar_gram_cholesky, generate_field,
-                      sample_autocorr, standardize)
+from .armodel import (_MEMO_SIDE, _MEMO_SIZE, ArParams, ar_gram_cholesky,
+                      generate_field, sample_autocorr, standardize)
 from .detect import DetectorConfig, block_kappas
 from .errors import InputError
 from .matcore import spawn_seeds
@@ -86,6 +87,25 @@ def genuine_block(rho, sigma_s2, block_n, delta, seed, field_n=512):
     return quantize(x, delta)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _window_plan(spec, block_n, field_n):
+    """(r, c, lo, hi, H_w) of ``_upscaled_window``, memoized per argument
+    set. H_w is read-only, and None when it has more than _MEMO_SIDE rows
+    or columns: the memo keeps only the scalars of large windows."""
+    r = int(np.ceil(field_n / spec.xi))
+    n_up = int(np.floor(r * spec.xi))
+    if block_n > n_up:
+        raise InputError(
+            f"block size {block_n} exceeds upscaled extent {n_up}")
+    c = _aligned_center_offset(n_up, block_n, spec.L)
+    lo, hi = support_columns(spec, c, block_n, r)
+    h = None
+    if max(block_n, hi - lo) <= _MEMO_SIDE:
+        h = build_polyphase(spec, block_n, hi - lo, row0=c, col0=lo)
+        h.flags.writeable = False
+    return r, c, lo, hi, h
+
+
 def _upscaled_window(rho, sigma_s2, block_n, spec, seed, field_n):
     """Unquantized phase-aligned central block of the upscaled field.
 
@@ -94,18 +114,14 @@ def _upscaled_window(rho, sigma_s2, block_n, spec, seed, field_n):
     output rows, so the source window X_w (drawn with the source's memory
     q = r, the law of the crop of the full source) and the matching rows
     and columns H_w of the polyphase matrix give the block as
-    H_w X_w H_w^T, with the law of the crop of H X H^T.
+    H_w X_w H_w^T, with the law of the crop of H X H^T. Windows of at most
+    64 x 64 entries take H_w from the memo of ``_window_plan``.
     """
-    r = int(np.ceil(field_n / spec.xi))
-    n_up = int(np.floor(r * spec.xi))
-    if block_n > n_up:
-        raise InputError(
-            f"block size {block_n} exceeds upscaled extent {n_up}")
-    c = _aligned_center_offset(n_up, block_n, spec.L)
-    lo, hi = support_columns(spec, c, block_n, r)
+    r, c, lo, hi, h = _window_plan(spec, block_n, field_n)
     x = generate_field(ArParams(rho=rho, n=hi - lo, sigma_s2=sigma_s2, q=r),
                        seed)
-    h = build_polyphase(spec, block_n, hi - lo, row0=c, col0=lo)
+    if h is None:
+        h = build_polyphase(spec, block_n, hi - lo, row0=c, col0=lo)
     return h @ x @ h.T
 
 

@@ -100,11 +100,14 @@ def _view_spectra(z, k):
     stack, as ``view_eigenvalues`` forms them: returns (..., V, K)."""
     n = z.shape[-1]
     lead = z.shape[:-2]
-    pair = np.empty(lead + (2, n, n))
-    np.matmul(z.swapaxes(-1, -2), z, out=pair[..., 0, :, :])
-    np.matmul(z, z.swapaxes(-1, -2), out=pair[..., 1, :, :])
+    # the two products interleave row by row, so the pair stride (N) is
+    # below the window stride (2N + 1) and eigvalsh lays its output out in
+    # view order: the reshape below is a view, not a copy
+    pair = np.empty(lead + (n, 2, n))
+    np.matmul(z.swapaxes(-1, -2), z, out=pair[..., 0, :])
+    np.matmul(z, z.swapaxes(-1, -2), out=pair[..., 1, :])
     pair /= n
-    *s_lead, s_pair, s_row, s_col = pair.strides
+    *s_lead, s_row, s_pair, s_col = pair.strides
     grams = as_strided(pair, shape=lead + (n - k + 1, 2, k, k),
                        strides=(*s_lead, s_row + s_col, s_pair, s_row, s_col),
                        writeable=False)

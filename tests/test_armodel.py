@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import respectra.armodel
 from respectra import (ArParams, InputError, NumericalError, ar_gram_matrix,
                        generate_field, sample_autocorr, standardize)
+from respectra.armodel import ar_gram_cholesky
 
 
 def lag1_row_correlation(x):
@@ -49,6 +51,8 @@ class TestGenerateField:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
+        # a memoized factor from an earlier test would skip the factorization
+        respectra.armodel._memo_cholesky.cache_clear()
         with pytest.raises(NumericalError) as info:
             generate_field(ArParams(rho=0.9, n=8, q=16), seed=1)
         assert "rho=0.9" in str(info.value)
@@ -76,6 +80,40 @@ class TestGenerateField:
             lam_g = sample_autocorr(standardize(g)).eigenvalues()
             wins += lam_ar[0] > lam_g[0]
         assert wins > 10
+
+
+class TestArGramCholeskyMemo:
+    # (0.9, 16, 8) and (0.9, 32, 8) share rho and n, (0.97, 64, 8) and
+    # (0.97, 64, 16) share rho and q: a key missing q or n returns a
+    # factor of another Gram
+    KEYS = ((0.9, 16, 8), (0.9, 32, 8), (0.97, 64, 8), (0.97, 64, 16),
+            (0.0, 1, 8), (0.97, 512, 32), (0.97, 512, 64))
+
+    def test_factor_is_read_only_fresh_factorization(self):
+        respectra.armodel._memo_cholesky.cache_clear()
+        for _ in ("miss", "hit"):
+            for rho, q, n in self.KEYS:
+                got = ar_gram_cholesky(rho, q, n)
+                want = np.linalg.cholesky(ar_gram_matrix(rho, q, n))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0, 0] = 1.0
+        info = respectra.armodel._memo_cholesky.cache_info()
+        assert (info.misses, info.hits) == (len(self.KEYS), len(self.KEYS))
+
+    def test_shared_up_to_64_fresh_above(self):
+        assert ar_gram_cholesky(0.9, 64, 64) is ar_gram_cholesky(0.9, 64, 64)
+        respectra.armodel._memo_cholesky.cache_clear()
+        big = ar_gram_cholesky(0.9, 65, 65)
+        again = ar_gram_cholesky(0.9, 65, 65)
+        assert big is not again and big.flags.writeable
+        assert big.tobytes() == again.tobytes()
+        assert respectra.armodel._memo_cholesky.cache_info().currsize == 0
+
+    def test_memo_has_a_fixed_size(self):
+        info = respectra.armodel._memo_cholesky.cache_info()
+        assert info.maxsize == 64
 
 
 class TestSampleAutocorr:

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import respectra.armodel
+import respectra.bench
 from respectra import (KERNELS, ArParams, DetectorConfig, ExperimentSpec,
                        InputError, NumericalError, ResampleSpec,
                        ar_gram_matrix, build_polyphase, detect,
-                       generate_field, get_kernel, parse_factor, quantize,
-                       roc_auc, run_figure, run_snr_sweep, spawn_seeds,
-                       upscaled_block)
+                       gaussian_matrix, generate_field, genuine_block,
+                       get_kernel, parse_factor, quantize, roc_auc,
+                       run_figure, run_snr_sweep, spawn_seeds,
+                       support_columns, upscaled_block)
 
 
 def mann_whitney_auc(genuine, upscaled):
@@ -114,6 +116,79 @@ class TestUpscaledBlockLaw:
                                          field_n=field_n)
                     assert np.abs(got - want).max() <= \
                         1e-12 * np.abs(want).max()
+
+
+def clear_memos():
+    respectra.armodel._memo_cholesky.cache_clear()
+    respectra.bench._window_plan.cache_clear()
+
+
+def drawn_without_memo(rho, sigma_s2, n, q, seed):
+    c = np.linalg.cholesky(ar_gram_matrix(rho, q, n))
+    return c @ gaussian_matrix(n, n, np.sqrt(sigma_s2), seed) @ c.T
+
+
+def upscaled_without_memo(rho, sigma_s2, block_n, spec, seed, field_n):
+    r = int(np.ceil(field_n / spec.xi))
+    n_up = int(np.floor(r * spec.xi))
+    off = (n_up - block_n) // 2
+    c = off - off % spec.L
+    lo, hi = support_columns(spec, c, block_n, r)
+    x = drawn_without_memo(rho, sigma_s2, hi - lo, r, seed)
+    h = build_polyphase(spec, block_n, hi - lo, row0=c, col0=lo)
+    return quantize(h @ x @ h.T, spec.delta)
+
+
+class TestBlockMemo:
+    # each block is drawn twice (memo miss, then hit) at two field sizes
+    # that share every other argument: a memo key missing the field size
+    # (q of the AR factor, r of the window) returns the other one's factor
+    FIELDS = (512, 128)
+
+    @pytest.mark.parametrize("block_n", [32, 64])
+    def test_genuine_block_matches_unmemoized_draw(self, block_n):
+        clear_memos()
+        for field_n in self.FIELDS:
+            want = quantize(drawn_without_memo(0.97, 1000.0, block_n,
+                                               field_n, 3), 1.0)
+            for _ in ("miss", "hit"):
+                got = genuine_block(0.97, 1000.0, block_n, 1.0, 3,
+                                    field_n=field_n)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3])
+    @pytest.mark.parametrize("block_n", [32, 64])
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_upscaled_block_matches_unmemoized_draw(self, name, block_n,
+                                                     phi):
+        clear_memos()
+        for lnum, m in ((2, 1), (3, 2)):
+            spec = ResampleSpec(L=lnum, M=m, phi=phi, kernel=KERNELS[name],
+                                delta=1.0)
+            for field_n in self.FIELDS:
+                want = upscaled_without_memo(0.97, 1000.0, block_n, spec, 5,
+                                             field_n)
+                for _ in ("miss", "hit"):
+                    got = upscaled_block(0.97, 1000.0, block_n, spec, 5,
+                                         field_n=field_n)
+                    assert got.tobytes() == want.tobytes()
+        info = respectra.bench._window_plan.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
+
+    def test_window_memo_keeps_only_small_windows(self):
+        spec = ResampleSpec(L=3, M=2, kernel=KERNELS["lanczos3"])
+        plan = respectra.bench._window_plan
+        small = plan(spec, 64, 512)[-1]
+        assert small.shape[0] == 64 and small.shape[1] <= 64
+        assert plan(spec, 64, 512)[-1] is small
+        with pytest.raises(ValueError, match="read-only"):
+            small[0, 0] = 1.0
+        assert plan(spec, 96, 512)[-1] is None
+        assert plan.cache_info().maxsize == 64
+        # the public builder still hands out a fresh, writable matrix
+        r, c, lo, hi, _ = plan(spec, 64, 512)
+        fresh = build_polyphase(spec, 64, hi - lo, row0=c, col0=lo)
+        assert fresh.flags.writeable and fresh.tobytes() == small.tobytes()
 
 
 class TestSnrSweep:
@@ -259,6 +334,8 @@ class TestRunFigure:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
+        # n = 64 keeps every factor memoized; clear it to reach the failure
+        respectra.armodel._memo_cholesky.cache_clear()
         with pytest.raises(NumericalError, match="rho=0.97"):
             run_figure("fig3", tmp_path, params={"n": 64})
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import respectra.armodel
 from respectra import (ResampleSpec, eigen_pdf, law_upscaled,
                        upscaled_block)
 from respectra.cli import main
@@ -160,6 +161,8 @@ class TestGenerateCommand:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
+        # test_quantized_values may have memoized the same factor
+        respectra.armodel._memo_cholesky.cache_clear()
         code, out, err = run(capsys, "generate", "--n", "8", "--seed", "1")
         assert code == 3
         assert out == ""

@@ -68,6 +68,24 @@ class TestViewEigenvalues:
                 ref.append(np.linalg.eigvalsh((zk.T @ zk) / n)[::-1])
         np.testing.assert_allclose(view_eigenvalues(z, k), ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("shape,k", [((32, 32), 9), ((64, 64), 16),
+                                         ((3, 2, 32, 32), 9), ((5, 5), 5)])
+    def test_spectra_are_a_view_of_the_eigensolve(self, monkeypatch, shape,
+                                                  k):
+        # eigvalsh returns the spectra in view order, so no copy is made
+        outs = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def kept(a):
+            outs.append(eigvalsh(a))
+            return outs[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", kept)
+        z = np.random.default_rng(k).standard_normal(shape)
+        got = _view_spectra(z, k)
+        assert outs[0].flags.c_contiguous
+        assert np.shares_memory(got, outs[0])
+
     @pytest.mark.parametrize("shape,k", [((8, 8), 9), ((8, 8), 0),
                                          ((8, 9), 3), ((8,), 3),
                                          ((2, 8, 8), 3)])
