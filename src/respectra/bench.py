@@ -316,8 +316,12 @@ def run_figure(experiment, out_dir, params=None, base_seed=20240901,
 
 def parse_factor(text):
     """Parse a resampling factor given as 'L/M' or a decimal into (L, M)."""
-    frac = Fraction(text) if "/" in str(text) else Fraction(str(text))
-    frac = frac.limit_denominator(64)
+    try:
+        frac = Fraction(str(text)).limit_denominator(64)
+        float(frac)  # OverflowError past the float range, as for 1e400
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"resampling factor must be a finite number such "
+                         f"as 2 or 3/2, got {text}") from None
     if frac < 1:
         raise InputError(f"resampling factor must be >= 1, got {text}")
     return frac.numerator, frac.denominator

@@ -88,6 +88,12 @@ class TestParseFactor:
         with pytest.raises(InputError, match="factor must be >= 1"):
             parse_factor("0.5")
 
+    @pytest.mark.parametrize("text", ["abc", "nan", "inf", "1/0", "1e400",
+                                      "3/2.5", ""])
+    def test_rejects_malformed(self, text):
+        with pytest.raises(InputError, match="must be a finite number"):
+            parse_factor(text)
+
 
 class TestUpscaledBlockLaw:
     @pytest.mark.parametrize("name", sorted(KERNELS))

@@ -15,6 +15,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def usage_error(capsys, *argv):
+    """stderr of a command line that argparse rejects with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+# flags a subcommand took without reading them
+REMOVED_FLAGS = (
+    ("detect", "--t-mu", "2"), ("detect", "--xi-max", "2"),
+    ("pdf", "--sigma-s2", "1"), ("pdf", "--n", "8"), ("pdf", "--delta", "1"),
+    ("pdf", "--seed", "1"), ("spectrum", "--sigma-s2", "1"),
+    ("spectrum", "--n", "8"), ("spectrum", "--delta", "1"),
+    ("spectrum", "--seed", "1"),
+)
+
+
 def mp_density(lam, beta, s2=1.0):
     lo = s2 * (1 - np.sqrt(beta)) ** 2
     hi = s2 * (1 + np.sqrt(beta)) ** 2
@@ -74,6 +92,14 @@ class TestDetectCommand:
         assert out == ""
         assert "constant" in err
 
+    def test_csv_format(self, capsys):
+        code, out, _ = run(capsys, "detect", "--synthetic", "--n", "32",
+                           "--k", "9", "--seed", "3", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "view,lambda_k,lambda0,below"
+        assert len(lines) - 1 == 2 * (32 - 9 + 1)
+
     def test_json_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "res.json"
         code, _, _ = run(capsys, "detect", "--synthetic", "--n", "32",
@@ -92,6 +118,15 @@ class TestEstimateCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["xi_lower"] <= 2.0 < payload["xi_upper"]
+
+    def test_csv_format(self, capsys):
+        code, out, _ = run(capsys, "estimate", "--synthetic", "--n", "64",
+                           "--block-size", "32", "--k", "16", "--xi", "2",
+                           "--seed", "7", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "view,p_v"
+        assert len(lines) - 1 == 2 * (32 - 16 + 1)
 
 
 class TestPdfCommand:
@@ -141,6 +176,26 @@ class TestSpectrumCommand:
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(1 / 0.03 ** 2)
 
+    def test_json_format(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--rho", "0.9", "--xi", "3/2",
+                           "--points", "8", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["omega", "value"]
+        assert len(payload["omega"]) == len(payload["value"]) == 8
+
+    @pytest.mark.parametrize("points", ["-3", "0"])
+    def test_nonpositive_points_exit_2(self, capsys, points):
+        assert "--points" in usage_error(capsys, "spectrum", "--points",
+                                         points)
+
+    @pytest.mark.parametrize("xi", ["abc", "1/0", "1e400"])
+    def test_malformed_xi_exits_2(self, capsys, xi):
+        code, out, err = run(capsys, "spectrum", "--xi", xi)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: resampling factor")
+
 
 class TestGenerateCommand:
     def test_deterministic_output(self, capsys):
@@ -156,6 +211,28 @@ class TestGenerateCommand:
         assert np.allclose(vals, 2 * np.round(vals / 2))
 
 
+    def test_json_format_is_one_compact_line(self, capsys):
+        code, out, _ = run(capsys, "generate", "--n", "8", "--seed", "1",
+                           "--format", "json")
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
+        payload = json.loads(out)
+        assert list(payload) == ["field"]
+        assert np.shape(payload["field"]) == (8, 8)
+
+    def test_block_larger_than_field_exits_2(self, capsys):
+        code, out, err = run(capsys, "generate", "--n", "8",
+                             "--block-size", "16")
+        assert code == 2
+        assert out == ""
+        assert "exceeds field extent" in err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, _, err = run(capsys, "generate", "--n", "8", "--out", str(path))
+        assert code == 2
+        assert err.startswith("error: cannot write") and str(path) in err
+
     def test_synthesis_failure_exits_3(self, capsys, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -167,6 +244,17 @@ class TestGenerateCommand:
         assert code == 3
         assert out == ""
         assert "numerical failure" in err and "rho=0.97" in err
+
+
+@pytest.mark.parametrize("command", ["detect --synthetic", "generate"])
+def test_zero_block_size_exits_2(capsys, command):
+    assert "--block-size" in usage_error(capsys, *command.split(),
+                                         "--block-size", "0")
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+def test_removed_flag_exits_2(capsys, command, flag, value):
+    assert flag in usage_error(capsys, command, flag, value)
 
 
 class TestExperimentCommand:
@@ -190,3 +278,10 @@ class TestSeedEnv:
         monkeypatch.setenv("RMT_SEED", "778")
         b = run(capsys, "generate", "--n", "8")
         assert a != b
+
+    def test_malformed_rmt_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RMT_SEED", "abc")
+        code, out, err = run(capsys, "generate", "--n", "8")
+        assert code == 2
+        assert out == ""
+        assert "RMT_SEED" in err
