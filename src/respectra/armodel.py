@@ -37,7 +37,7 @@ class ArParams:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise InputError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.sigma_s2 <= 0:
+        if not self.sigma_s2 > 0:
             raise InputError(f"sigma_s2 must be positive, got {self.sigma_s2}")
         if self.n < 2:
             raise InputError(f"field side length must be >= 2, got {self.n}")

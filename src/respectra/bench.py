@@ -72,11 +72,6 @@ def roc_auc(genuine_stats, upscaled_stats):
     return RocCurve(thresholds=thresholds, far=far, detection=det, auc=auc)
 
 
-def _aligned_center_offset(full, want, step):
-    off = (full - want) // 2
-    return off - (off % step)
-
-
 def genuine_block(rho, sigma_s2, block_n, delta, seed, field_n=512):
     """Quantized genuine AR block with the correlation memory of a
     field_n-sized field: a block_n x block_n field with q = field_n has the
@@ -89,7 +84,7 @@ def genuine_block(rho, sigma_s2, block_n, delta, seed, field_n=512):
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _window_plan(spec, block_n, field_n):
-    """(r, c, lo, hi, H_w) of ``_upscaled_window``, memoized per argument
+    """(r, c, lo, hi, H_w) of ``upscaled_block``, memoized per argument
     set. H_w is read-only, and None when it has more than _MEMO_SIDE rows
     or columns: the memo keeps only the scalars of large windows."""
     r = int(np.ceil(field_n / spec.xi))
@@ -97,7 +92,10 @@ def _window_plan(spec, block_n, field_n):
     if block_n > n_up:
         raise InputError(
             f"block size {block_n} exceeds upscaled extent {n_up}")
-    c = _aligned_center_offset(n_up, block_n, spec.L)
+    # the central offset, moved down to a multiple of L so that the block
+    # starts on polyphase component 0
+    off = (n_up - block_n) // 2
+    c = off - off % spec.L
     lo, hi = support_columns(spec, c, block_n, r)
     h = None
     if max(block_n, hi - lo) <= _MEMO_SIDE:
@@ -106,8 +104,9 @@ def _window_plan(spec, block_n, field_n):
     return r, c, lo, hi, h
 
 
-def _upscaled_window(rho, sigma_s2, block_n, spec, seed, field_n):
-    """Unquantized phase-aligned central block of the upscaled field.
+def upscaled_block(rho, sigma_s2, block_n, spec, seed, field_n=512):
+    """Phase-aligned central block_n x block_n block of an upscaled AR
+    field, quantized when the spec carries delta.
 
     The source field is r = ceil(field_n / xi) wide and upscales to
     n_up = floor(r * xi). Only source columns [lo, hi) reach the block's
@@ -122,18 +121,8 @@ def _upscaled_window(rho, sigma_s2, block_n, spec, seed, field_n):
                        seed)
     if h is None:
         h = build_polyphase(spec, block_n, hi - lo, row0=c, col0=lo)
-    return h @ x @ h.T
-
-
-def upscaled_block(rho, sigma_s2, block_n, spec, seed, field_n=512):
-    """Quantized upscaled AR block: the phase-aligned central block_n x
-    block_n crop of a source field of memory ceil(field_n / xi) upscaled to
-    about field_n, drawn from only the source window the crop depends on
-    and quantized when the spec carries delta."""
-    y = _upscaled_window(rho, sigma_s2, block_n, spec, seed, field_n)
-    if spec.delta is not None:
-        y = quantize(y, spec.delta)
-    return y
+    y = h @ x @ h.T
+    return y if spec.delta is None else quantize(y, spec.delta)
 
 
 def run_snr_sweep(spec):
@@ -145,12 +134,10 @@ def run_snr_sweep(spec):
     realization into an (R, 2, N, N) stack and rescaled per SNR point
     before quantization, so the whole sweep shares random numbers. Each
     SNR point quantizes the stack and detects all its blocks with one
-    ``block_kappas`` call. Returns a list of (snr, auc) rows.
+    ``block_kappas`` call. ``spec.params`` override fig7's defaults.
+    Returns a list of (snr, auc) rows.
     """
-    p = {"rho": 0.97, "field_n": 512, "block_n": 32, "k": 9, "delta": 1.0,
-         "snr_grid": tuple(10.0 ** e for e in range(6)),
-         "L": 3, "M": 2, "kernel": "linear"}
-    p.update(spec.params)
+    p = _with_defaults("fig7", spec.params)
     delta = p["delta"]
     rspec = ResampleSpec(L=p["L"], M=p["M"], kernel=get_kernel(p["kernel"]))
     cfg = DetectorConfig(k=p["k"], delta=delta)
@@ -160,8 +147,8 @@ def run_snr_sweep(spec):
     for i in range(spec.realizations):
         blocks[i, 0] = generate_field(
             ArParams(rho=p["rho"], n=p["block_n"], q=p["field_n"]), seeds[2 * i])
-        blocks[i, 1] = _upscaled_window(p["rho"], 1.0, p["block_n"], rspec,
-                                        seeds[2 * i + 1], p["field_n"])
+        blocks[i, 1] = upscaled_block(p["rho"], 1.0, p["block_n"], rspec,
+                                      seeds[2 * i + 1], p["field_n"])
 
     rows = []
     for snr in p["snr_grid"]:
@@ -169,11 +156,6 @@ def run_snr_sweep(spec):
         kappa = block_kappas(quantize(scale * blocks, delta), cfg)
         rows.append((snr, roc_auc(kappa[:, 0], kappa[:, 1]).auc))
     return rows
-
-
-def _param_hash(params):
-    canon = repr(sorted(params.items()))
-    return hashlib.sha256(canon.encode()).hexdigest()[:10]
 
 
 def format_csv(header, rows):
@@ -187,44 +169,28 @@ def format_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path, header, rows):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(format_csv(header, rows))
-    return path
-
-
-def _fig1b(spec, out_dir):
-    p = {"rho": 0.945, "n": 512}
-    p.update(spec.params)
+def _fig1b(spec):
+    p = spec.params
     seed_ar, seed_g = spawn_seeds(spec.base_seed, 2)
     ar = generate_field(ArParams(rho=p["rho"], n=p["n"]), seed_ar)
     gauss = generate_field(ArParams(rho=0.0, n=p["n"], q=1), seed_g)
     scree_ar = sample_autocorr(standardize(ar)).eigenvalues()
     scree_g = sample_autocorr(standardize(gauss)).eigenvalues()
-    rows = [(i + 1, scree_ar[i], scree_g[i]) for i in range(p["n"])]
-    return _write_csv(out_dir / f"fig1b_{_param_hash(p)}.csv",
-                      ["rank", "lambda_ar", "lambda_gauss"], rows)
+    return [(i + 1, scree_ar[i], scree_g[i]) for i in range(p["n"])]
 
 
-def _fig2(spec, out_dir):
-    p = {"rho": 0.97, "betas": (0.25, 0.5, 1.0)}
-    p.update(spec.params)
-    law = law_genuine(p["rho"])
+def _fig2(spec):
+    law = law_genuine(spec.params["rho"])
     rows = []
-    for beta in p["betas"]:
+    for beta in spec.params["betas"]:
         pdf = eigen_pdf(law, law, beta)
         rows.extend((beta, lam, f)
                     for lam, f in zip(pdf.lambda_grid, pdf.density))
-    return _write_csv(out_dir / f"fig2_{_param_hash(p)}.csv",
-                      ["beta", "lambda", "density"], rows)
+    return rows
 
 
-def _fig3(spec, out_dir):
-    p = {"rho": 0.97, "n": 1024,
-         "factors": ((4, 3), (8, 5), (2, 1)), "kernels": KERNEL_NAMES}
-    p.update(spec.params)
+def _fig3(spec):
+    p = spec.params
     rho, n = p["rho"], p["n"]
     rows = []
     for name in p["kernels"]:
@@ -242,34 +208,25 @@ def _fig3(spec, out_dir):
             approx = np.sort(d_upscaled(omega, rho, kernel_autocorr(rspec)))[::-1]
             rows.extend((name, f"{lnum}/{m}", int(i), lam[i - 1], approx[i - 1])
                         for i in idx)
-    return _write_csv(out_dir / f"fig3_{_param_hash(p)}.csv",
-                      ["kernel", "xi", "i", "lambda_finite", "dprime_sorted"],
-                      rows)
+    return rows
 
 
-def _fig4(spec, out_dir):
-    p = {"rho": 0.97, "betas": (0.25, 0.5, 1.0),
-         "factors": ((3, 2), (2, 1)), "kernels": KERNEL_NAMES}
-    p.update(spec.params)
+def _fig4(spec):
+    p = spec.params
     rows = []
     for name in p["kernels"]:
         for (lnum, m) in p["factors"]:
             rspec = ResampleSpec(L=lnum, M=m, kernel=get_kernel(name))
             law = law_upscaled(p["rho"], rspec)
             for beta in p["betas"]:
-                pdf = eigen_pdf(law, law, beta, xi=rspec.xi)
+                pdf = eigen_pdf(law, law, beta)
                 rows.extend((name, f"{lnum}/{m}", beta, lam, f)
                             for lam, f in zip(pdf.lambda_grid, pdf.density))
-    return _write_csv(out_dir / f"fig4_{_param_hash(p)}.csv",
-                      ["kernel", "xi", "beta", "lambda", "density"], rows)
+    return rows
 
 
-def _fig5(spec, out_dir):
-    p = {"beta": 0.125, "kernels": KERNEL_NAMES,
-         "rho_grid": (0.90, 0.92, 0.94, 0.96, 0.98), "xi_fixed": (3, 2),
-         "xi_grid": ((6, 5), (7, 5), (8, 5), (9, 5), (2, 1)),
-         "rho_fixed": 0.95}
-    p.update(spec.params)
+def _fig5(spec):
+    p = spec.params
     cases = [("vs_rho", rho, p["xi_fixed"]) for rho in p["rho_grid"]] \
         + [("vs_xi", p["rho_fixed"], factor) for factor in p["xi_grid"]]
     rows = []
@@ -279,49 +236,91 @@ def _fig5(spec, out_dir):
             law = law_upscaled(rho, rspec)
             edge = support_lower_edge(law, law, p["beta"], xi=rspec.xi)
             rows.append((sweep, name, rho, rspec.xi, edge))
-    return _write_csv(out_dir / f"fig5_{_param_hash(p)}.csv",
-                      ["sweep", "kernel", "rho", "xi", "lambda_minus"], rows)
+    return rows
 
 
-def _fig7(spec, out_dir):
-    rows = run_snr_sweep(spec)
-    p = dict(spec.params)
-    p["realizations"] = spec.realizations
-    return _write_csv(out_dir / f"fig7_{_param_hash(p)}.csv",
-                      ["snr", "auc"], rows)
+# figure id -> (rows function of an ExperimentSpec whose params hold every
+# default, default params, CSV header). fig7's entry looks run_snr_sweep up
+# when it runs, so a wrapper installed on the module attribute (the
+# benchmark's tracer) sees the call.
+_FIGURES = {
+    "fig1b": (_fig1b, {"rho": 0.945, "n": 512},
+              ("rank", "lambda_ar", "lambda_gauss")),
+    "fig2": (_fig2, {"rho": 0.97, "betas": (0.25, 0.5, 1.0)},
+             ("beta", "lambda", "density")),
+    "fig3": (_fig3, {"rho": 0.97, "n": 1024, "kernels": KERNEL_NAMES,
+                     "factors": ((4, 3), (8, 5), (2, 1))},
+             ("kernel", "xi", "i", "lambda_finite", "dprime_sorted")),
+    "fig4": (_fig4, {"rho": 0.97, "betas": (0.25, 0.5, 1.0),
+                     "factors": ((3, 2), (2, 1)), "kernels": KERNEL_NAMES},
+             ("kernel", "xi", "beta", "lambda", "density")),
+    "fig5": (_fig5, {"beta": 0.125, "kernels": KERNEL_NAMES,
+                     "rho_grid": (0.90, 0.92, 0.94, 0.96, 0.98),
+                     "xi_fixed": (3, 2), "rho_fixed": 0.95,
+                     "xi_grid": ((6, 5), (7, 5), (8, 5), (9, 5), (2, 1))},
+             ("sweep", "kernel", "rho", "xi", "lambda_minus")),
+    "fig7": (lambda spec: run_snr_sweep(spec),
+             {"rho": 0.97, "field_n": 512, "block_n": 32, "k": 9,
+              "delta": 1.0, "L": 3, "M": 2, "kernel": "linear",
+              "snr_grid": tuple(10.0 ** e for e in range(6))},
+             ("snr", "auc")),
+}
 
 
-_FIGURES = {"fig1b": _fig1b, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
-            "fig5": _fig5, "fig7": _fig7}
+def _with_defaults(experiment, params):
+    """The figure's default params, overridden by ``params``."""
+    return {**_FIGURES[experiment][1], **params}
 
 
 def run_figure(experiment, out_dir, params=None, base_seed=20240901,
                realizations=None, full=False):
     """Produce the CSV dataset for one figure id; returns the written path.
 
-    ``full`` restores the reference-scale realization count (1000) for the
-    Monte Carlo figures; the desk default is 200.
+    This is the one writer of figure datasets. The file is
+    ``<id>_<hash>.csv`` in out_dir, the hash taken over the figure's
+    default params overridden by ``params`` (for fig7, the Monte Carlo
+    figure, with the realization count added), so spelling out a default
+    keeps the name and the bytes. ``full`` restores the reference-scale
+    realization count (1000) for the Monte Carlo figures; the desk default
+    is 200.
     """
     if experiment not in _FIGURES:
         raise InputError(
             f"unknown experiment {experiment!r}; choose from {sorted(_FIGURES)}")
+    rows, _, header = _FIGURES[experiment]
     if realizations is None:
         realizations = 1000 if full else 200
-    spec = ExperimentSpec(experiment=experiment, params=params or {},
+    spec = ExperimentSpec(experiment=experiment,
+                          params=_with_defaults(experiment, params or {}),
                           base_seed=base_seed, realizations=realizations)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _FIGURES[experiment](spec, out_dir)
+    key = (dict(spec.params, realizations=realizations)
+           if experiment == "fig7" else spec.params)
+    digest = hashlib.sha256(repr(sorted(key.items())).encode()).hexdigest()
+    path = Path(out_dir) / f"{experiment}_{digest[:10]}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(format_csv(header, rows(spec)))
+    return path
 
 
 def parse_factor(text):
-    """Parse a resampling factor given as 'L/M' or a decimal into (L, M)."""
+    """Parse a resampling factor given as 'L/M' or a decimal into (L, M).
+
+    M is at most 64 (a decimal is read as the nearest such fraction) and
+    the factor at most 64, so L <= 4096. Past that bound nothing useful is
+    left to analyze: the 512-wide default field would be upscaled from at
+    most 8 source columns, hardly more than the widest kernel's 6-tap
+    support. And cost grows with L: ``kernel_autocorr`` evaluates the
+    kernel on about (2a + k_w) L points per lag (12 L for lanczos3), so an
+    unbounded L (``--xi 1e20``) asks numpy for an impossible array.
+    """
     try:
         frac = Fraction(str(text)).limit_denominator(64)
         float(frac)  # OverflowError past the float range, as for 1e400
     except (ValueError, ZeroDivisionError, OverflowError):
         raise InputError(f"resampling factor must be a finite number such "
                          f"as 2 or 3/2, got {text}") from None
-    if frac < 1:
-        raise InputError(f"resampling factor must be >= 1, got {text}")
+    if not 1 <= frac <= 64:
+        raise InputError(f"resampling factor must be >= 1 and at most 64, "
+                         f"got {text}")
     return frac.numerator, frac.denominator

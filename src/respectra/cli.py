@@ -209,12 +209,9 @@ def _cmd_estimate(args):
 
 def _cmd_pdf(args):
     spec = _spec(args)
-    if spec is None:
-        law, xi = law_genuine(args.rho), 1.0
-    else:
-        law, xi = law_upscaled(args.rho, spec), spec.xi
-    pdf = eigen_pdf(law, law, args.beta, xi=xi, nu=args.nu,
-                    points=args.points)
+    law = (law_genuine(args.rho) if spec is None
+           else law_upscaled(args.rho, spec))
+    pdf = eigen_pdf(law, law, args.beta, nu=args.nu, points=args.points)
     _write(args, lambda: {
         "zero_mass": pdf.zero_mass,
         "lambda": pdf.lambda_grid.tolist(),

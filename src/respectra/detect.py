@@ -20,17 +20,16 @@ from .spectra import mp_edges
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Detector settings: view width K, quantization step delta and the
-    decision threshold (None selects the theoretical MP upper edge)."""
+    """Detector settings: view width K and quantization step delta. The
+    decision threshold is the theoretical MP upper edge."""
 
     k: int = 9
     delta: float = 1.0
-    threshold: float = None
 
     def __post_init__(self):
         if self.k < 2:
             raise InputError(f"K must be at least 2, got {self.k}")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise InputError(f"delta must be positive, got {self.delta}")
 
     @property
@@ -95,6 +94,16 @@ def _square_blocks(z, k, stack=False):
     return z
 
 
+def _beta(k, n):
+    """Aspect ratio K/N of a detector or estimator run, which needs K < N:
+    at K = N (beta = 1) the support of every law reaches zero and the
+    genuine signal floor bound is negative at every SNR, so a genuine
+    block cannot be told from an upscaled one."""
+    if k >= n:
+        raise InputError(f"K={k} must be below the block size N={n}")
+    return k / n
+
+
 def _view_spectra(z, k):
     """Descending view spectra of every block of a checked (..., N, N)
     stack, as ``view_eigenvalues`` forms them: returns (..., V, K)."""
@@ -157,8 +166,8 @@ def block_kappas(blocks, cfg):
     cfg).kappa`` gives it, from one stacked eigvalsh; returns shape (...).
     """
     z = _square_blocks(blocks, cfg.k, stack=True)
-    return _kappa(_view_spectra(z, cfg.k),
-                  mp_edges(cfg.sigma_w2, cfg.k / z.shape[-1]).lower)
+    lower = mp_edges(cfg.sigma_w2, _beta(cfg.k, z.shape[-1])).lower
+    return _kappa(_view_spectra(z, cfg.k), lower)
 
 
 def detect(z, cfg):
@@ -171,17 +180,17 @@ def detect(z, cfg):
     the minimum over views of the smallest eigenvalue above the lower edge.
     If in that last branch no view has any eigenvalue above the edge, the
     spectrum is all noise floor and kappa = 0 (strongest upscaling evidence).
+    The threshold is the upper MP edge. K must be below N.
     """
     eig = view_eigenvalues(z, cfg.k)  # checks the block and K
-    beta = cfg.k / len(z)
+    beta = _beta(cfg.k, len(z))
     edges = mp_edges(cfg.sigma_w2, beta)
-    threshold = edges.upper if cfg.threshold is None else cfg.threshold
     kappa = float(_kappa(eig, edges.lower))
     lam = eig[:, -1]
     return DetectionResult(
         kappa=kappa,
-        threshold=float(threshold),
-        is_upscaled=bool(kappa < threshold),
+        threshold=float(edges.upper),
+        is_upscaled=bool(kappa < edges.upper),
         per_view_lambda=lam,
         below_set=np.nonzero(lam < edges.lower)[0],
         # fmin skips the masked entries and leaves NaN for rows with none left

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import lower_median, view_eigenvalues
+from .detect import _beta, lower_median, view_eigenvalues
 from .errors import InputError, NumericalError
 from .spectra import mp_edges
 
@@ -41,11 +41,11 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.k < 3:
             raise InputError(f"K must be at least 3, got {self.k}")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise InputError(f"delta must be positive, got {self.delta}")
         if self.k_w < 1:
             raise InputError(f"k_w must be >= 1, got {self.k_w}")
-        if self.xi_max <= 1:
+        if not self.xi_max > 1:
             raise InputError(f"xi_max must exceed 1, got {self.xi_max}")
         if int(self.k / self.xi_max) < 1:
             raise InputError("floor(K / xi_max) must be >= 1")
@@ -119,7 +119,7 @@ def estimate(z, cfg):
     """
     k = cfg.k
     eig = view_eigenvalues(z, k)  # checks the block and K
-    beta = k / len(z)
+    beta = _beta(k, len(z))
     edges = mp_edges(cfg.sigma_w2, beta)
     i_start = int(k / cfg.xi_max)          # 1-based window start
     window = slice(i_start - 1, k - 1)     # Psi indices for i in I

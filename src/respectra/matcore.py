@@ -26,7 +26,7 @@ def gaussian_matrix(rows, cols, sigma, seed):
     """i.i.d. N(0, sigma^2) matrix, deterministic per seed."""
     if rows <= 0 or cols <= 0:
         raise InputError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if sigma <= 0:
+    if not sigma > 0:
         raise InputError(f"sigma must be positive, got {sigma}")
     return sigma * rng_from_seed(seed).standard_normal((rows, cols))
 

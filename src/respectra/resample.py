@@ -110,7 +110,7 @@ class ResampleSpec:
             raise InputError(f"xi = L/M must be >= 1, got {self.L}/{self.M}")
         if not 0.0 <= self.phi < 1.0:
             raise InputError(f"phase must lie in [0, 1), got {self.phi}")
-        if self.delta is not None and self.delta <= 0:
+        if self.delta is not None and not self.delta > 0:
             raise InputError(f"quantization step must be positive, got {self.delta}")
         if isinstance(self.kernel, str):
             object.__setattr__(self, "kernel", get_kernel(self.kernel))
@@ -201,7 +201,7 @@ def exact_autocorr_matrix(spec, in_rows):
 
 def quantize(y, delta):
     """Uniform mid-tread quantization delta * round(y / delta)."""
-    if delta <= 0:
+    if not delta > 0:
         raise InputError(f"quantization step must be positive, got {delta}")
     return delta * np.round(np.asarray(y, dtype=float) / delta)
 

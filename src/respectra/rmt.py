@@ -565,7 +565,7 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG):
     return float(fold(np.sqrt(lo * hi))[1])
 
 
-def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
+def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512,
               config=DEFAULT_CONFIG):
     """Asymptotic eigenvalue pdf of the renormalized sample autocorrelation.
 
@@ -576,9 +576,10 @@ def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
         (identical for the models used here).
     beta : float
         Aspect ratio K/N of the analyzed submatrix, in (0, 1].
-    xi : float
-        Resampling factor carried by the laws (1 for genuine fields); sets
-        the point mass at zero through the zero-eigenvalue fraction.
+    xi : float, optional
+        Resampling factor (1 for genuine fields); sets the point mass at
+        zero through the zero-eigenvalue fraction. When omitted it is the
+        factor both laws carry (``SpectralLaw.xi``).
     grid : array, optional
         Increasing positive lambda grid. When omitted an adaptive log-spaced
         grid of ``points`` entries is selected to cover the full support.
@@ -597,7 +598,8 @@ def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
     on the grid and nu, so a call with a given grid and nu reproduces the
     density of the call that chose them. Raises
     InputError for a non-finite or nonpositive nu, a grid that is not
-    finite, increasing and positive, or fewer than 2 points, and
+    finite, increasing and positive, fewer than 2 points, or an omitted xi
+    with laws that carry different factors, and
     ConvergenceFailure (annotated with the offending lambda) if some grid
     point cannot be solved.
     """
@@ -613,6 +615,11 @@ def eigen_pdf(law_d, law_t, beta, xi=1.0, grid=None, nu=None, points=512,
                 or grid[0] <= 0 or np.any(np.diff(grid) <= 0):
             raise InputError(
                 "grid must be finite, increasing and strictly positive")
+    if xi is None:
+        if law_d.xi != law_t.xi:
+            raise InputError(f"the laws carry different factors, xi = "
+                             f"{law_d.xi} and {law_t.xi}; pass xi")
+        xi = law_d.xi
     atoms_d = _LawAtoms(law_d, config)
     atoms_t = _LawAtoms(law_t, config)
     zero_mass = afze(beta, xi)

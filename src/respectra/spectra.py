@@ -21,7 +21,10 @@ TWO_PI = 2.0 * np.pi
 
 
 def d_genuine(omega, rho):
-    """Limiting Toeplitz spectrum of the AR(1) Gram: 1/(1+rho^2-2 rho cos w)."""
+    """Limiting Toeplitz spectrum of the AR(1) Gram: 1/(1+rho^2-2 rho cos w),
+    for rho in [0, 1)."""
+    if not 0.0 <= rho < 1.0:
+        raise InputError(f"rho must lie in [0, 1), got {rho}")
     omega = np.asarray(omega, dtype=float)
     return 1.0 / (1.0 + rho * rho - 2.0 * rho * np.cos(omega))
 
@@ -146,9 +149,9 @@ class MpEdges:
 
 def mp_edges(sigma_w2, beta):
     """Limiting eigenvalue support of the quantization-noise autocorrelation."""
-    if sigma_w2 <= 0:
+    if not sigma_w2 > 0:
         raise InputError(f"sigma_w2 must be positive, got {sigma_w2}")
-    if beta < 0:
+    if not beta >= 0:
         raise InputError(f"beta must be nonnegative, got {beta}")
     root = np.sqrt(beta)
     return MpEdges(lower=sigma_w2 * (1.0 - root) ** 2,

@@ -83,10 +83,19 @@ class TestParseFactor:
         assert parse_factor("3/2") == (3, 2)
         assert parse_factor("2") == (2, 1)
         assert parse_factor("1.5") == (3, 2)
+        # the other factors in use, and the bound of 64 itself
+        for lnum, m in ((1, 1), (4, 3), (6, 5), (8, 5), (9, 5), (64, 1),
+                        (4095, 64)):
+            assert parse_factor(f"{lnum}/{m}") == (lnum, m)
 
     def test_rejects_downscale(self):
         with pytest.raises(InputError, match="factor must be >= 1"):
             parse_factor("0.5")
+
+    @pytest.mark.parametrize("text", ["1e20", "65", "4097/64"])
+    def test_rejects_factor_above_64(self, text):
+        with pytest.raises(InputError, match="at most 64"):
+            parse_factor(text)
 
     @pytest.mark.parametrize("text", ["abc", "nan", "inf", "1/0", "1e400",
                                       "3/2.5", ""])
@@ -366,6 +375,47 @@ class TestRunFigure:
         assert edge["b-spline"] < edge["linear"]
         assert edge["linear"] < edge["catmull-rom"]
         assert edge["linear"] < edge["lanczos3"]
+
+    # small params per figure, and one default spelled out on top of them
+    SMALL = {
+        "fig1b": ({"n": 16}, {"rho": 0.945}),
+        "fig2": ({"betas": (0.5,)}, {"rho": 0.97}),
+        "fig3": ({"n": 32, "kernels": ("linear",), "factors": ((2, 1),)},
+                 {"rho": 0.97}),
+        "fig4": ({"betas": (0.5,), "kernels": ("linear",),
+                  "factors": ((2, 1),)}, {"rho": 0.97}),
+        "fig5": ({"kernels": ("linear",), "rho_grid": (0.9,),
+                  "xi_grid": ((2, 1),)}, {"beta": 0.125}),
+        "fig7": ({"snr_grid": (1e2,), "block_n": 16, "field_n": 64},
+                 {"k": 9}),
+    }
+
+    @pytest.mark.parametrize("figure", sorted(SMALL))
+    def test_spelled_out_default_keeps_name_and_bytes(self, tmp_path,
+                                                      figure):
+        small, default = self.SMALL[figure]
+        paths = [run_figure(figure, tmp_path / d, params=params, base_seed=3,
+                            realizations=4)
+                 for d, params in (("a", small), ("b", {**small, **default}))]
+        assert paths[0].name == paths[1].name
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_fig7_name_keeps_realization_count(self, tmp_path):
+        small = self.SMALL["fig7"][0]
+        names = {run_figure("fig7", tmp_path, params=small,
+                            realizations=n).name for n in (4, 5)}
+        assert len(names) == 2
+
+    def test_fig7_calls_the_module_attribute(self, tmp_path, monkeypatch):
+        # the benchmark traces bench.run_snr_sweep by replacing the module
+        # attribute; fig7 must reach the replacement
+        calls = []
+        sweep = respectra.bench.run_snr_sweep
+        monkeypatch.setattr(respectra.bench, "run_snr_sweep",
+                            lambda spec: calls.append(spec) or sweep(spec))
+        run_figure("fig7", tmp_path, params=self.SMALL["fig7"][0],
+                   realizations=4)
+        assert len(calls) == 1
 
     def test_deterministic_bytes(self, tmp_path):
         p1 = run_figure("fig7", tmp_path / "a",

@@ -257,6 +257,28 @@ def test_removed_flag_exits_2(capsys, command, flag, value):
     assert flag in usage_error(capsys, command, flag, value)
 
 
+# malformed values that ended in a traceback, a NaN or infinite output, or
+# a verdict at K = N, where the detector has no operating range
+REJECTED_VALUES = (
+    ("detect", "--synthetic", "--delta", "nan"),
+    ("generate", "--sigma-s2", "nan", "--n", "8"),
+    ("estimate", "--synthetic", "--xi-max", "nan"),
+    ("spectrum", "--rho", "1"),
+    ("spectrum", "--rho", "nan"),
+    ("spectrum", "--xi", "1e20"),
+    ("detect", "--synthetic", "--n", "32", "--k", "32"),
+    ("estimate", "--synthetic", "--n", "32", "--k", "32"),
+)
+
+
+@pytest.mark.parametrize("argv", REJECTED_VALUES, ids=" ".join)
+def test_rejected_value_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 class TestExperimentCommand:
     def test_fig1b(self, capsys, tmp_path):
         code, out, _ = run(capsys, "experiment", "fig1b", "--out",

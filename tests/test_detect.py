@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from respectra import (ArParams, DetectorConfig, InputError, ResampleSpec,
-                       detect, generate_field, genuine_block, mp_edges,
-                       quantize, spawn_seeds, upscaled_block)
+from respectra import (ArParams, DetectorConfig, EstimatorConfig, InputError,
+                       ResampleSpec, detect, estimate, generate_field,
+                       genuine_block, mp_edges, quantize, spawn_seeds,
+                       upscaled_block)
 from respectra.detect import (_view_spectra, block_kappas, lower_median,
                               view_eigenvalues)
 
@@ -25,16 +26,24 @@ class TestConfig:
         with pytest.raises(InputError, match=r"K=9 outside 1\.\.N"):
             detect(np.zeros((4, 4)), DetectorConfig(k=9, delta=1.0))
 
+    def test_rejects_k_equal_to_n(self):
+        # at K = N (beta = 1) the genuine signal floor bound is negative at
+        # every SNR; view_eigenvalues still computes the spectra there
+        z = genuine_block(0.97, 1000.0, 16, 1.0, seed=3)
+        match = "K=16 must be below the block size N=16"
+        with pytest.raises(InputError, match=match):
+            detect(z, DetectorConfig(k=16, delta=1.0))
+        with pytest.raises(InputError, match=match):
+            estimate(z, EstimatorConfig(k=16, delta=1.0))
+        with pytest.raises(InputError, match=match):
+            block_kappas(np.stack([z, z]), DetectorConfig(k=16, delta=1.0))
+        assert view_eigenvalues(z, 16).shape == (2, 16)
+
     @pytest.mark.parametrize("z", [np.float64(1.0), np.ones(32),
                                    np.ones((32, 31))])
     def test_rejects_input_that_is_not_a_square_block(self, z):
         with pytest.raises(InputError, match="expected a square block"):
             detect(z, DetectorConfig(k=9, delta=1.0))
-
-    def test_custom_threshold(self):
-        z = genuine_block(0.97, 1000.0, 32, 1.0, seed=3)
-        res = detect(z, DetectorConfig(k=9, delta=1.0, threshold=1e9))
-        assert res.is_upscaled  # everything is below an absurd threshold
 
 
 class TestLowerMedian:

@@ -520,6 +520,22 @@ class TestEigenPdf:
         assert pdf.continuous_mass() == pytest.approx(0.25, abs=1e-2)
         assert pdf.total_mass() == pytest.approx(1.0, abs=1e-2)
 
+    def test_omitted_xi_is_the_laws_factor(self):
+        # without it an upscaled law got the genuine zero mass 1 - beta:
+        # zero_mass 0.5 and total mass 0.872 for this law
+        law = law_upscaled(0.97, ResampleSpec(L=2, M=1))
+        pdf = eigen_pdf(law, law, 0.5)
+        assert pdf.xi == 2.0
+        assert pdf.zero_mass == pytest.approx(0.75)
+        assert pdf.total_mass() == pytest.approx(1.0, abs=1e-2)
+        ref = eigen_pdf(law, law, 0.5, xi=2.0)
+        assert np.array_equal(pdf.density, ref.density)
+
+    def test_omitted_xi_rejects_laws_of_different_factors(self):
+        up = law_upscaled(0.97, ResampleSpec(L=2, M=1))
+        with pytest.raises(InputError, match="laws carry different factors"):
+            eigen_pdf(law_genuine(0.97), up, 0.5)
+
     def test_first_moment_identity(self):
         # trace identity: first moment = beta E[D] E[T]
         nodes, weights = quadrature_nodes()

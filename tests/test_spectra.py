@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from respectra import (InputError, KERNELS, ResampleSpec, afze,
+from respectra import (ArParams, DetectorConfig, EstimatorConfig,
+                       InputError, KERNELS, ResampleSpec, afze,
                        cosine_series, d_genuine, d_upscaled, gap_lower_bound,
-                       kernel_autocorr, law_genuine, law_upscaled, mp_edges,
-                       quadrature_nodes, signal_floor_bound)
+                       gaussian_matrix, kernel_autocorr, law_genuine,
+                       law_upscaled, mp_edges, quadrature_nodes, quantize,
+                       signal_floor_bound)
+
+NAN = float("nan")
 
 
 class TestDGenuine:
@@ -17,6 +21,12 @@ class TestDGenuine:
     def test_flat_for_white_noise(self):
         w = np.linspace(0, 2 * np.pi, 50)
         assert np.allclose(d_genuine(w, 0.0), 1.0)
+
+    @pytest.mark.parametrize("rho", [1.0, -0.1, NAN])
+    def test_rejects_rho_outside_unit_interval(self, rho):
+        # rho = 1 would divide by zero at omega = 0
+        with pytest.raises(InputError, match=r"rho must lie in \[0, 1\)"):
+            d_genuine(np.array([0.0, 1.0]), rho)
 
     def test_mean_is_ar_variance(self):
         # closed-form AR(1) spectrum integral: mean over omega = 1/(1-rho^2)
@@ -143,3 +153,25 @@ class TestGapBound:
     def test_signal_floor(self):
         assert signal_floor_bound(100.0, 1.0, 0.25, 0.1) == pytest.approx(
             100 * 0.1 - (1 + 0.5) ** 2)
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: ArParams(rho=0.5, n=8, sigma_s2=NAN), "sigma_s2 must be positive"),
+    (lambda: quantize(np.ones(3), NAN), "quantization step must be positive"),
+    (lambda: ResampleSpec(L=2, M=1, delta=NAN),
+     "quantization step must be positive"),
+    (lambda: DetectorConfig(k=9, delta=NAN), "delta must be positive"),
+    (lambda: EstimatorConfig(k=16, delta=NAN), "delta must be positive"),
+    (lambda: EstimatorConfig(k=16, xi_max=NAN), "xi_max must exceed 1"),
+    (lambda: gaussian_matrix(2, 2, NAN, seed=1), "sigma must be positive"),
+    (lambda: mp_edges(NAN, 0.5), "sigma_w2 must be positive"),
+    (lambda: mp_edges(1.0, NAN), "beta must be nonnegative"),
+], ids=["ArParams.sigma_s2", "quantize", "ResampleSpec.delta",
+        "DetectorConfig.delta", "EstimatorConfig.delta",
+        "EstimatorConfig.xi_max", "gaussian_matrix", "mp_edges.sigma_w2",
+        "mp_edges.beta"])
+def test_nan_fails_range_checks(build, match):
+    # every comparison with NaN is false, so a check written as x <= 0
+    # would let NaN through; the checks are written as not x > 0
+    with pytest.raises(InputError, match=match):
+        build()
