@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_range
 from .matcore import ar_gram_matrix, gaussian_matrix
 
 
@@ -35,14 +35,11 @@ class ArParams:
     q: int = None
 
     def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise InputError(f"rho must lie in [0, 1), got {self.rho}")
-        if not self.sigma_s2 > 0:
-            raise InputError(f"sigma_s2 must be positive, got {self.sigma_s2}")
-        if self.n < 2:
-            raise InputError(f"field side length must be >= 2, got {self.n}")
-        if self.q is not None and self.q < 1:
-            raise InputError(f"AR truncation length must be >= 1, got {self.q}")
+        check_range("rho", self.rho, 0, 1, high_open=True)
+        check_range("sigma_s2", self.sigma_s2, 0, low_open=True)
+        check_range("field side length", self.n, 2)
+        if self.q is not None:
+            check_range("AR truncation length", self.q, 1)
 
     @property
     def q_eff(self):
@@ -108,7 +105,6 @@ class SampleAutocorr:
 
     matrix: np.ndarray
     beta: float
-    normalizer: int
 
     def eigenvalues(self):
         """Eigenvalues sorted descending (PSD up to roundoff)."""
@@ -133,4 +129,4 @@ def sample_autocorr(block):
     n, k = b.shape
     if k > n:
         raise InputError(f"block must have K <= N, got {n}x{k}")
-    return SampleAutocorr(matrix=(b @ b.T) / n, beta=k / n, normalizer=n)
+    return SampleAutocorr(matrix=(b @ b.T) / n, beta=k / n)

@@ -19,11 +19,11 @@ from .armodel import standardize
 from .bench import (format_csv, genuine_block, parse_factor, run_figure,
                     upscaled_block)
 from .detect import DetectorConfig, detect
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_range
 from .estimate import EstimatorConfig, estimate
 from .pgm import central_block, read_pgm
 from .resample import ResampleSpec, get_kernel, kernel_autocorr
-from .rmt import eigen_pdf
+from .rmt import MAX_POINTS, eigen_pdf
 from .spectra import d_genuine, d_upscaled, law_genuine, law_upscaled
 
 DEFAULT_SEED = 12345
@@ -225,6 +225,7 @@ def _cmd_pdf(args):
 
 
 def _cmd_spectrum(args):
+    check_range("points", args.points, 1, MAX_POINTS)
     omega = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
     spec = _spec(args)
     values = (d_genuine(omega, args.rho) if spec is None else

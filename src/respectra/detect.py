@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InputError
+from .errors import InputError, check_range
 from .spectra import mp_edges
 
 
@@ -27,10 +27,8 @@ class DetectorConfig:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InputError(f"K must be at least 2, got {self.k}")
-        if not self.delta > 0:
-            raise InputError(f"delta must be positive, got {self.delta}")
+        check_range("K", self.k, 2)
+        check_range("delta", self.delta, 0, low_open=True)
 
     @property
     def sigma_w2(self):

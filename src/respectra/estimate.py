@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import _beta, lower_median, view_eigenvalues
-from .errors import InputError, NumericalError
+from .errors import NumericalError, check_range
 from .spectra import mp_edges
 
 RATIO_ZERO_CUTOFF = 1e-14
@@ -39,16 +39,12 @@ class EstimatorConfig:
     t_mu: float = 2.0
 
     def __post_init__(self):
-        if self.k < 3:
-            raise InputError(f"K must be at least 3, got {self.k}")
-        if not self.delta > 0:
-            raise InputError(f"delta must be positive, got {self.delta}")
-        if self.k_w < 1:
-            raise InputError(f"k_w must be >= 1, got {self.k_w}")
-        if not self.xi_max > 1:
-            raise InputError(f"xi_max must exceed 1, got {self.xi_max}")
-        if int(self.k / self.xi_max) < 1:
-            raise InputError("floor(K / xi_max) must be >= 1")
+        check_range("K", self.k, 3)
+        check_range("delta", self.delta, 0, low_open=True)
+        check_range("k_w", self.k_w, 1)
+        check_range("xi_max", self.xi_max, 1, low_open=True)
+        check_range("t_mu", self.t_mu, 0, low_open=True)
+        check_range("floor(K / xi_max)", int(self.k / self.xi_max), 1)
 
     @property
     def sigma_w2(self):

@@ -9,7 +9,7 @@ same stream, and all sampling is linear in the requested standard deviation
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_range
 
 
 def rng_from_seed(seed):
@@ -26,8 +26,7 @@ def gaussian_matrix(rows, cols, sigma, seed):
     """i.i.d. N(0, sigma^2) matrix, deterministic per seed."""
     if rows <= 0 or cols <= 0:
         raise InputError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if not sigma > 0:
-        raise InputError(f"sigma must be positive, got {sigma}")
+    check_range("sigma", sigma, 0, low_open=True)
     return sigma * rng_from_seed(seed).standard_normal((rows, cols))
 
 

@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_range
 
 
 def _h_linear(t):
@@ -102,16 +102,15 @@ class ResampleSpec:
     delta: float = None
 
     def __post_init__(self):
-        if self.L < 1 or self.M < 1:
-            raise InputError(f"L and M must be positive, got L={self.L} M={self.M}")
+        check_range("L", self.L, 0, low_open=True)
+        check_range("M", self.M, 0, low_open=True)
         if gcd(self.L, self.M) != 1:
             raise InputError(f"L={self.L} and M={self.M} must be coprime")
         if self.L < self.M:
             raise InputError(f"xi = L/M must be >= 1, got {self.L}/{self.M}")
-        if not 0.0 <= self.phi < 1.0:
-            raise InputError(f"phase must lie in [0, 1), got {self.phi}")
-        if self.delta is not None and not self.delta > 0:
-            raise InputError(f"quantization step must be positive, got {self.delta}")
+        check_range("phase", self.phi, 0, 1, high_open=True)
+        if self.delta is not None:
+            check_range("quantization step", self.delta, 0, low_open=True)
         if isinstance(self.kernel, str):
             object.__setattr__(self, "kernel", get_kernel(self.kernel))
 
@@ -201,8 +200,7 @@ def exact_autocorr_matrix(spec, in_rows):
 
 def quantize(y, delta):
     """Uniform mid-tread quantization delta * round(y / delta)."""
-    if not delta > 0:
-        raise InputError(f"quantization step must be positive, got {delta}")
+    check_range("quantization step", delta, 0, low_open=True)
     return delta * np.round(np.asarray(y, dtype=float) / delta)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_range
 from .resample import kernel_autocorr
 
 TWO_PI = 2.0 * np.pi
@@ -23,8 +23,7 @@ TWO_PI = 2.0 * np.pi
 def d_genuine(omega, rho):
     """Limiting Toeplitz spectrum of the AR(1) Gram: 1/(1+rho^2-2 rho cos w),
     for rho in [0, 1)."""
-    if not 0.0 <= rho < 1.0:
-        raise InputError(f"rho must lie in [0, 1), got {rho}")
+    check_range("rho", rho, 0, 1, high_open=True)
     omega = np.asarray(omega, dtype=float)
     return 1.0 / (1.0 + rho * rho - 2.0 * rho * np.cos(omega))
 
@@ -77,20 +76,10 @@ class SpectralLaw:
         contribution = (panel_weights * self.transform(nodes)).sum()
         return 2.0 * self.angular_density * contribution
 
-    def sample(self, n, seed):
-        """Monte Carlo draws from the law (testing aid)."""
-        rng = np.random.Generator(np.random.PCG64(seed))
-        omega = rng.uniform(0.0, TWO_PI, size=n)
-        values = self.transform(omega)
-        if self.zero_mass > 0:
-            values = np.where(rng.uniform(size=n) < self.zero_mass, 0.0, values)
-        return values
-
 
 def law_genuine(rho):
     """Law of the AR(1) limiting spectrum: d(Omega), Omega uniform, no mass."""
-    if not 0.0 <= rho < 1.0:
-        raise InputError(f"rho must lie in [0, 1), got {rho}")
+    check_range("rho", rho, 0, 1, high_open=True)
     return SpectralLaw(
         zero_mass=0.0,
         transform=lambda w: d_genuine(w, rho),
@@ -103,11 +92,9 @@ def law_genuine(rho):
 def law_upscaled(rho, spec):
     """Mixed law after upscaling by xi > 1: P(value=0) = 1 - 1/xi, and the
     continuous branch maps a (2 pi xi)^-1-density angle through d'; clamps
-    are counted on 4096 probe angles."""
-    if not 0.0 <= rho < 1.0:
-        raise InputError(f"rho must lie in [0, 1), got {rho}")
+    are counted on 4096 probe angles; d_genuine checks rho."""
     xi = spec.xi
-    if xi <= 1.0:
+    if spec.L == spec.M:  # ResampleSpec holds L >= M
         raise InputError(f"upscaled law requires xi > 1, got xi={xi}")
     r_hh = kernel_autocorr(spec)
     probe = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
@@ -130,10 +117,8 @@ def afze(beta, xi=1.0):
     so P(nonzero) = 1/xi and the fraction reduces to 1 - beta for genuine
     fields and 1 - beta/xi after upscaling.
     """
-    if not 0.0 < beta <= 1.0:
-        raise InputError(f"beta must lie in (0, 1], got {beta}")
-    if xi < 1.0:
-        raise InputError(f"xi must be >= 1, got {xi}")
+    check_range("beta", beta, 0, 1, low_open=True)
+    check_range("xi", xi, 1)
     return 1.0 - min(beta / xi, 1.0 / xi)
 
 
@@ -149,10 +134,8 @@ class MpEdges:
 
 def mp_edges(sigma_w2, beta):
     """Limiting eigenvalue support of the quantization-noise autocorrelation."""
-    if not sigma_w2 > 0:
-        raise InputError(f"sigma_w2 must be positive, got {sigma_w2}")
-    if not beta >= 0:
-        raise InputError(f"beta must be nonnegative, got {beta}")
+    check_range("sigma_w2", sigma_w2, 0, low_open=True)
+    check_range("beta", beta, 0)
     root = np.sqrt(beta)
     return MpEdges(lower=sigma_w2 * (1.0 - root) ** 2,
                    upper=sigma_w2 * (1.0 + root) ** 2,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +272,13 @@ REJECTED_VALUES = (
     ("spectrum", "--xi", "1e20"),
     ("detect", "--synthetic", "--n", "32", "--k", "32"),
     ("estimate", "--synthetic", "--n", "32", "--k", "32"),
+    ("generate", "--sigma-s2", "inf", "--n", "8"),
+    ("generate", "--delta", "inf", "--n", "8"),
+    ("detect", "--synthetic", "--delta", "inf"),
+    ("estimate", "--synthetic", "--t-mu", "nan"),
+    # rejected before the grid is allocated (745 GiB for pdf)
+    ("pdf", "--points", "100000000000"),
+    ("spectrum", "--points", "100000000000"),
 )
 
 
@@ -277,6 +288,21 @@ def test_rejected_value_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_module_entrypoint_exits_2():
+    # python -m respectra.cli goes through entrypoint, whose sys.exit
+    # carries main's exit code to the process
+    src = str(Path(respectra.armodel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(
+        [sys.executable, "-m", "respectra.cli", "generate", "--sigma-s2",
+         "inf", "--n", "4"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error:")
 
 
 class TestExperimentCommand:

@@ -551,16 +551,6 @@ class TestEigenPdf:
         pdf = eigen_pdf(law, law, 1.0, xi=1.5)
         assert pdf.density.min() >= 0.0
 
-    def test_scaling_by_sigma(self):
-        law = law_genuine(0.9)
-        pdf = eigen_pdf(law, law, 0.5)
-        scaled = pdf.scaled(4.0)
-        assert np.allclose(scaled.lambda_grid, 4.0 * pdf.lambda_grid)
-        assert scaled.continuous_mass() == pytest.approx(
-            pdf.continuous_mass(), rel=1e-12)
-        assert scaled.first_moment() == pytest.approx(4.0 * pdf.first_moment(),
-                                                      rel=1e-12)
-
     def test_custom_grid_validation(self):
         law = law_genuine(0.5)
         with pytest.raises(InputError, match="grid must be finite"):

@@ -9,6 +9,7 @@ from respectra import (ArParams, DetectorConfig, EstimatorConfig,
                        signal_floor_bound)
 
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestDGenuine:
@@ -87,11 +88,6 @@ class TestLaws:
                                                   kernel=KERNELS[name]))
             assert law.negative_clamped >= 0
 
-    def test_sampling_respects_mass(self):
-        law = law_upscaled(0.9, ResampleSpec(L=2, M=1))
-        draws = law.sample(20000, seed=4)
-        assert abs((draws == 0).mean() - 0.5) < 0.02
-
 
 class TestTraceConsistency:
     def test_law_mean_matches_finite_trace(self):
@@ -155,23 +151,36 @@ class TestGapBound:
             100 * 0.1 - (1 + 0.5) ** 2)
 
 
-@pytest.mark.parametrize("build,match", [
-    (lambda: ArParams(rho=0.5, n=8, sigma_s2=NAN), "sigma_s2 must be positive"),
-    (lambda: quantize(np.ones(3), NAN), "quantization step must be positive"),
-    (lambda: ResampleSpec(L=2, M=1, delta=NAN),
+RANGE_CHECKS = (
+    ("ArParams.sigma_s2", lambda x: ArParams(rho=0.5, n=8, sigma_s2=x),
+     "sigma_s2 must be positive"),
+    ("quantize", lambda x: quantize(np.ones(3), x),
      "quantization step must be positive"),
-    (lambda: DetectorConfig(k=9, delta=NAN), "delta must be positive"),
-    (lambda: EstimatorConfig(k=16, delta=NAN), "delta must be positive"),
-    (lambda: EstimatorConfig(k=16, xi_max=NAN), "xi_max must exceed 1"),
-    (lambda: gaussian_matrix(2, 2, NAN, seed=1), "sigma must be positive"),
-    (lambda: mp_edges(NAN, 0.5), "sigma_w2 must be positive"),
-    (lambda: mp_edges(1.0, NAN), "beta must be nonnegative"),
-], ids=["ArParams.sigma_s2", "quantize", "ResampleSpec.delta",
-        "DetectorConfig.delta", "EstimatorConfig.delta",
-        "EstimatorConfig.xi_max", "gaussian_matrix", "mp_edges.sigma_w2",
-        "mp_edges.beta"])
-def test_nan_fails_range_checks(build, match):
-    # every comparison with NaN is false, so a check written as x <= 0
-    # would let NaN through; the checks are written as not x > 0
+    ("ResampleSpec.delta", lambda x: ResampleSpec(L=2, M=1, delta=x),
+     "quantization step must be positive"),
+    ("DetectorConfig.delta", lambda x: DetectorConfig(k=9, delta=x),
+     "delta must be positive"),
+    ("EstimatorConfig.delta", lambda x: EstimatorConfig(k=16, delta=x),
+     "delta must be positive"),
+    ("EstimatorConfig.xi_max", lambda x: EstimatorConfig(k=16, xi_max=x),
+     "xi_max must exceed 1"),
+    ("EstimatorConfig.t_mu", lambda x: EstimatorConfig(k=16, t_mu=x),
+     "t_mu must be positive"),
+    ("gaussian_matrix", lambda x: gaussian_matrix(2, 2, x, seed=1),
+     "sigma must be positive"),
+    ("mp_edges.sigma_w2", lambda x: mp_edges(x, 0.5),
+     "sigma_w2 must be positive"),
+    ("mp_edges.beta", lambda x: mp_edges(1.0, x), "beta must be nonnegative"),
+)
+
+
+# NaN fails every comparison and an infinity passes one side of it, so
+# each check also asks for a finite value (errors.check_range)
+@pytest.mark.parametrize("build,value,match", [
+    (build, value, match) for value in (NAN, INF, -INF)
+    for _, build, match in RANGE_CHECKS
+], ids=[name if value is NAN else f"{name}={value}"
+        for value in (NAN, INF, -INF) for name, _, _ in RANGE_CHECKS])
+def test_nan_fails_range_checks(build, value, match):
     with pytest.raises(InputError, match=match):
-        build()
+        build(value)
