@@ -12,17 +12,23 @@ plus the explicit point-mass branch. The Stieltjes transform follows from
 S(-1/gamma) = gamma eta(gamma), and evaluating it just above the real axis
 recovers the eigenvalue density.
 
-Solver notes: one solver works on a vector of points. Each point is
-iterated with damped steps until its relative residual falls below 1e-2 and
-then finished by Newton steps on F(E2) = g(E2) - E2, whose derivative
-comes from the same quadrature sums as g. The stop rule is on the Newton
-step relative to |E2|, and the stepped iterate is returned, so where
-Newton converges quadratically (away from support edges) the E2 error is
-far below the tolerance; this matters near zero, where |S| ~
-zero_mass/|lambda + i nu| amplifies it. For real gamma > 0 the iterates
-stay inside a bracket around the positive root, the physical one. The
-points are rows of (points x atoms) arrays summed along the atom axis, so
-a point's answer does not depend on the other points or on BLAS.
+Solver notes: each point is iterated with damped steps until its
+relative residual falls below 1e-2 and then finished by Newton steps on
+F(E2) = g(E2) - E2, whose derivative comes from the same quadrature sums
+as g. The stop rule is on the Newton step relative to |E2|, and the
+stepped iterate is returned, so where Newton converges quadratically (away
+from support edges) the E2 error is far below the tolerance; this matters
+near zero, where |S| ~ zero_mass/|lambda + i nu| amplifies it. For real
+gamma > 0 the iterates stay inside a bracket around the positive root, the
+physical one. The points are rows of (points x atoms) arrays summed along
+the atom axis, so a point's answer does not depend on the other points or
+on BLAS. The solver has two paths over one map and slope
+(_fixed_point_map, _map_slope), picked by the number of points: a single
+point without a bracket (every chain link, the sqrt probe, a one-point
+rescue) keeps its Newton switch, stall counter and stop test in Python
+scalars; a vector of points, or real gamma > 0, keeps them in per-point
+masks. Both do the same arithmetic on one-row arrays, so a point's bits do
+not depend on the path.
 _density_points is the one place that solves at points lambda + i nu,
 forms S and the density and picks the root: a density below minus its
 evaluation-error budget (E2 tolerance times |S|/pi, at least 1e-12) marks
@@ -68,19 +74,28 @@ MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
 class EtaSolverConfig:
     """Fixed-point solver and quadrature settings.
 
-    ``tolerance`` bounds the last Newton step relative to |E2|;
-    ``picard_warmup`` caps the damped steps taken before Newton.
+    ``tolerance`` (positive) bounds the last Newton step relative to |E2|;
+    ``max_iters`` (at least 1) caps the iterations of each point and
+    ``picard_warmup`` (nonnegative) the damped steps taken before Newton.
     Quadrature is composite Gauss-Legendre on (0, pi) with ``quad_panels``
     panels of order 16 whose edges are graded toward 0 as (k/panels)^3,
     where the AR spectrum peaks; the law's symmetry around pi supplies the
     other half interval. The default 16 panels give 256 atoms; their
     densities match a 4 096-atom solve to within 1e-8 of the peak.
+    ``quad_panels`` must be at least 1. A value outside these domains
+    raises InputError.
     """
 
     tolerance: float = 1e-6
     max_iters: int = 10000
     quad_panels: int = 16
     picard_warmup: int = 60
+
+    def __post_init__(self):
+        check_range("tolerance", self.tolerance, 0, low_open=True)
+        check_range("max_iters", self.max_iters, 1)
+        check_range("quad_panels", self.quad_panels, 1)
+        check_range("picard_warmup", self.picard_warmup, 0)
 
 
 DEFAULT_CONFIG = EtaSolverConfig()
@@ -138,6 +153,24 @@ class _LawAtoms:
         return self._complex
 
 
+def _fixed_point_map(atoms_d, atoms_t, g, gb, x):
+    """F(x) = g(x) - x at each point of the vector x, where gb = gamma beta;
+    also returns the reciprocals (ra, rb) of the two atom sums, from which
+    _map_slope forms g'(x). Points are rows of (points x atoms) arrays
+    summed along the atom axis, so each row is computed alone."""
+    ra = np.reciprocal(1.0 + (gb * x)[:, None] * atoms_d.values)
+    e1 = np.add.reduce(atoms_d.wv * ra, axis=1)
+    rb = np.reciprocal(1.0 + (g * e1)[:, None] * atoms_t.values)
+    return np.add.reduce(atoms_t.wv * rb, axis=1) - x, ra, rb
+
+
+def _map_slope(atoms_d, atoms_t, ggb, ra, rb):
+    """g'(x) at each point from the reciprocals of _fixed_point_map, where
+    ggb = gamma^2 beta."""
+    return ggb * np.add.reduce(atoms_t.wv2 * rb * rb, axis=1) \
+        * np.add.reduce(atoms_d.wv2 * ra * ra, axis=1)
+
+
 def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
     """Solve E2 = g(E2) at each point of a vector of gamma; returns arrays
     (e2, iterations) over the points.
@@ -156,7 +189,9 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
     axis only, and each has its own Newton switch, stale counter and
     bracket, so a point's answer does not depend on the other points.
     Converged rows leave the arrays. A failure names the index of its
-    point in ConvergenceFailure.point.
+    point in ConvergenceFailure.point. A single point without a bracket
+    (a chain link, the sqrt probe, a one-point rescue) is solved by
+    _solve_one, the same arithmetic with scalar bookkeeping.
     """
     gamma = np.atleast_1d(gamma) * 1.0
     tol = config.tolerance
@@ -173,18 +208,17 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
                      0.5 * (lo + hi), x)
     if np.iscomplexobj(x):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
+    gb, ggb = gamma * beta, gamma * gamma * beta
+    if len(x) == 1 and not bracketed:
+        return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, config)
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
     point, g = np.arange(len(x)), gamma
-    gb, ggb = g * beta, g * g * beta
     newton, all_newton = np.zeros(len(x), dtype=bool), False
     best, stale = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
     # the loop tests masks with np.count_nonzero, a few times cheaper than
-    # .any() on arrays this small; chain links solve one point at a time
+    # .any() on arrays this small
     for it in range(1, config.max_iters + 1):
-        ra = np.reciprocal(1.0 + (gb * x)[:, None] * atoms_d.values)
-        e1 = np.add.reduce(atoms_d.wv * ra, axis=1)
-        rb = np.reciprocal(1.0 + (g * e1)[:, None] * atoms_t.values)
-        f = np.add.reduce(atoms_t.wv * rb, axis=1) - x
+        f, ra, rb = _fixed_point_map(atoms_d, atoms_t, g, gb, x)
         residual = np.abs(f)
         if bracketed:
             up = f.real > 0
@@ -196,8 +230,7 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
             all_newton = np.count_nonzero(newton) == len(x)
         step = _DAMPING * f
         if all_newton or np.count_nonzero(newton):
-            slope = ggb * np.add.reduce(atoms_t.wv2 * rb * rb, axis=1) \
-                * np.add.reduce(atoms_d.wv2 * ra * ra, axis=1)
+            slope = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
             usable = slope != 1.0
             np.divide(f, 1.0 - slope, out=step,
                       where=usable if all_newton else newton & usable)
@@ -239,6 +272,44 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
     raise ConvergenceFailure(
         f"fixed point not converged after {config.max_iters} iterations "
         f"at gamma={gamma[point[0]]}", residual=residual[0], point=point[0])
+
+
+def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, config):
+    """_solve_e2 at one unbracketed point: gamma, gamma beta, gamma^2 beta
+    and the start x are arrays of one entry. The map, slope and step are
+    _solve_e2's on a one-row array, so the answer is bit-identical to that
+    row of a batch; only the Newton switch, best residual, stale counter
+    and stop test are Python scalars instead of masks. Failures raise as
+    in _solve_e2, with point 0.
+    """
+    tol = config.tolerance
+    newton, best, stale = False, np.inf, 0
+    for it in range(1, config.max_iters + 1):
+        f, ra, rb = _fixed_point_map(atoms_d, atoms_t, gamma, gb, x)
+        residual = abs(f[0])
+        if not newton:
+            newton = it > config.picard_warmup or residual <= 1e-2 * max(
+                abs(f[0] + x[0]), abs(x[0]))
+        if newton:
+            slope = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
+            step = f / (1.0 - slope) if slope[0] != 1.0 else _DAMPING * f
+        else:
+            step = _DAMPING * f
+        x = x + step
+        if newton:
+            if residual < best:
+                best, stale = residual, 0
+            else:
+                stale += 1
+            if abs(step[0]) <= tol * abs(x[0]):
+                return x, np.array([it])
+            if stale >= _DIVERGENCE_WINDOW:
+                raise ConvergenceFailure(
+                    f"fixed point diverging at gamma={gamma[0]}",
+                    residual=residual, point=0)
+    raise ConvergenceFailure(
+        f"fixed point not converged after {config.max_iters} iterations "
+        f"at gamma={gamma[0]}", residual=residual, point=0)
 
 
 def _eta_given_e2(atoms_d, beta, gamma, e2):
@@ -597,9 +668,10 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512,
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
     that carry different factors. The bound on points keeps a call near a
     minute and its per-point arrays near 16 MiB: past the calibration each
-    point costs about 0.05-0.07 ms of solving (8 192 points take
-    0.4-0.6 s, 512 points 50-100 ms, on a 2-core x86 box), and the complex
-    E2 of 2**20 points takes 16 MiB. The figures use the default 512.
+    point costs about 0.04-0.07 ms of solving (8 192 points take
+    0.3-0.55 s, 512 points 20-55 ms, on a 2-core x86 box shared with
+    other load), and the complex E2 of 2**20 points takes 16 MiB. The
+    figures use the default 512.
     Raises ConvergenceFailure (annotated with the offending lambda) if
     some grid point cannot be solved.
     """

@@ -4,7 +4,7 @@ import pytest
 import respectra.armodel
 from respectra import (ArParams, InputError, NumericalError, ar_gram_matrix,
                        generate_field, sample_autocorr, standardize)
-from respectra.armodel import ar_gram_cholesky
+from respectra.armodel import MAX_SIDE, ar_gram_cholesky
 
 
 def lag1_row_correlation(x):
@@ -57,6 +57,12 @@ class TestGenerateField:
             generate_field(ArParams(rho=0.9, n=8, q=16), seed=1)
         assert "rho=0.9" in str(info.value)
         assert "q=16" in str(info.value) and "n=8" in str(info.value)
+
+    def test_side_length_bound(self):
+        # checked when the parameters are built, before anything is drawn
+        assert ArParams(rho=0.5, n=MAX_SIDE).n == MAX_SIDE
+        with pytest.raises(InputError, match="at most 4096"):
+            ArParams(rho=0.5, n=MAX_SIDE + 1)
 
     def test_eigenvalue_scaling_in_sigma(self):
         p1 = ArParams(rho=0.9, n=64, sigma_s2=1.0)

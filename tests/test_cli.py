@@ -279,6 +279,8 @@ REJECTED_VALUES = (
     # rejected before the grid is allocated (745 GiB for pdf)
     ("pdf", "--points", "100000000000"),
     ("spectrum", "--points", "100000000000"),
+    # rejected before the field's Gram is allocated (7.28 TiB)
+    ("generate", "--n", "1000000000000"),
 )
 
 

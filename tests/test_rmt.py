@@ -213,6 +213,76 @@ class TestEtaTransform:
         assert err.value.residual is not None
 
 
+# unchecked, these reach the solver and end in an UnboundLocalError
+# (max_iters 0), a silent all-zero density (quad_panels 0), a
+# ConvergenceFailure after max_iters (NaN or negative tolerance), or in
+# nothing at all (negative warmup)
+@pytest.mark.parametrize("field,value,match", [
+    ("max_iters", 0, "max_iters must be at least 1"),
+    ("quad_panels", 0, "quad_panels must be at least 1"),
+    ("tolerance", float("nan"), "tolerance must be positive"),
+    ("tolerance", -1e-6, "tolerance must be positive"),
+    ("picard_warmup", -1, "picard_warmup must be nonnegative"),
+])
+def test_solver_config_rejects_out_of_range_field(field, value, match):
+    with pytest.raises(InputError, match=match):
+        EtaSolverConfig(**{field: value})
+
+
+class TestOnePointPath:
+    """A single unbracketed gamma (a chain link, the sqrt probe, a
+    one-point rescue) takes the solver's one-point path; it must answer
+    and fail exactly as the same gamma in row 0 of a batch."""
+
+    @staticmethod
+    def gammas(lam, nu):
+        # formed as _density_points forms them, so the bits agree
+        return -1.0 / (np.array([lam, 2.0 * lam]) + 1j * nu)
+
+    def test_cold_probe_matches_batch_row(self):
+        # the sqrt probe: a cold start at the bottom coarse point, fine nu
+        law = law_genuine(0.97)
+        atoms = _LawAtoms(law, DEFAULT_CONFIG)
+        coarse, _ = coarse_grid(atoms, 1.0)
+        gammas = self.gammas(coarse[0], 1e-3 * coarse[0])
+        one = _solve_e2(atoms, atoms, 1.0, gammas[:1], DEFAULT_CONFIG)
+        row = _solve_e2(atoms, atoms, 1.0, gammas, DEFAULT_CONFIG)
+        assert one[0].tobytes() == row[0][:1].tobytes()
+        assert one[1].tobytes() == row[1][:1].tobytes()
+        # and the conj(E2) re-solve a rescue makes from there
+        again = _solve_e2(atoms, atoms, 1.0, gammas[:1], DEFAULT_CONFIG,
+                          warm=np.conj(one[0]))
+        rows = _solve_e2(atoms, atoms, 1.0, gammas, DEFAULT_CONFIG,
+                         warm=np.conj(row[0]))
+        assert again[0].tobytes() == rows[0][:1].tobytes()
+        assert again[1][0] == rows[1][0]
+
+    @pytest.mark.parametrize("config,lam,nu,match", [
+        (EtaSolverConfig(tolerance=1e-14, max_iters=4, picard_warmup=2),
+         1.0, 1e-4, "not converged after 4 iterations"),
+        # a tolerance below rounding: Newton stalls at the root's rounding
+        # level and the residual stops falling
+        (EtaSolverConfig(tolerance=1e-300), 0.01, 0.01, "diverging"),
+    ], ids=["max_iters", "divergence"])
+    def test_failure_matches_batch_row(self, config, lam, nu, match):
+        law = law_genuine(0.97)
+        atoms = _LawAtoms(law, config)
+        gammas = self.gammas(lam, nu)
+        with pytest.raises(ConvergenceFailure, match=match) as one:
+            _solve_e2(atoms, atoms, 0.5, gammas[:1], config)
+        with pytest.raises(ConvergenceFailure) as row:
+            _solve_e2(atoms, atoms, 0.5, gammas, config)
+        assert str(one.value) == str(row.value)
+        assert one.value.residual == row.value.residual
+        assert one.value.point == row.value.point == 0
+        # the sweep's first link is the same cold start at the top point
+        with pytest.raises(ConvergenceFailure) as pdf:
+            eigen_pdf(law, law, 0.5, grid=[0.5 * lam, lam], nu=nu,
+                      config=config)
+        assert str(pdf.value).startswith(f"inversion failed at lambda={lam:g}")
+        assert pdf.value.residual == one.value.residual
+
+
 class TestStieltjes:
     def test_algebraic_identity(self):
         law = law_genuine(0.9)

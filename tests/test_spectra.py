@@ -10,6 +10,10 @@ from respectra import (ArParams, DetectorConfig, EstimatorConfig,
 
 NAN = float("nan")
 INF = float("inf")
+# the four kernels at the factors 3/2, 2/1, 4/3 and 8/5
+POLYPHASE_SPECS = [ResampleSpec(L=lnum, M=m, kernel=kernel)
+                   for kernel in KERNELS.values()
+                   for lnum, m in ((3, 2), (2, 1), (4, 3), (8, 5))]
 
 
 class TestDGenuine:
@@ -82,11 +86,28 @@ class TestLaws:
                 1.0 / (1.0 - rho * rho), rel=1e-10)
 
     def test_clamp_counter(self):
+        # P(omega) >= 0 by the polyphase identity (TestPolyphaseIdentity),
+        # so no probe angle of these laws is clamped
         assert law_genuine(0.9).negative_clamped == 0
-        for name in KERNELS:
-            law = law_upscaled(0.97, ResampleSpec(L=2, M=1,
-                                                  kernel=KERNELS[name]))
-            assert law.negative_clamped >= 0
+        for spec in POLYPHASE_SPECS:
+            assert law_upscaled(0.97, spec).negative_clamped == 0
+
+
+class TestPolyphaseIdentity:
+    @pytest.mark.parametrize("spec", POLYPHASE_SPECS,
+                             ids=lambda s: f"{s.kernel.name}-{s.L}/{s.M}")
+    def test_cosine_series_is_mean_polyphase_power(self, spec):
+        # kernel_autocorr sums h(x) h(x + n) over the whole 1/L grid, so the
+        # cosine series P(omega) is (1/M) sum_p |H_p(e^{i omega})|^2 with
+        # h_p[j] = h(j + p/L), the p-th polyphase subsequence: P >= 0
+        omega = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+        p_omega = cosine_series(omega, kernel_autocorr(spec))
+        a = int(np.ceil(spec.kernel.half_support))
+        j = np.arange(-a - 1, a + 2)
+        phases = np.exp(-1j * np.outer(omega, j))
+        power = sum(np.abs(phases @ spec.kernel(j + p / spec.L)) ** 2
+                    for p in range(spec.L)) / spec.M
+        assert np.abs(p_omega - power).max() <= 1e-14 * p_omega.max()
 
 
 class TestTraceConsistency:
