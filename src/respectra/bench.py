@@ -273,23 +273,21 @@ def _with_defaults(experiment, params):
 
 
 def run_figure(experiment, out_dir, params=None, base_seed=20240901,
-               realizations=None, full=False):
+               realizations=200):
     """Produce the CSV dataset for one figure id; returns the written path.
 
     This is the one writer of figure datasets. The file is
     ``<id>_<hash>.csv`` in out_dir, the hash taken over the figure's
     default params overridden by ``params`` (for fig7, the Monte Carlo
     figure, with the realization count added), so spelling out a default
-    keeps the name and the bytes. ``full`` restores the reference-scale
-    realization count (1000) for the Monte Carlo figures; the desk default
-    is 200.
+    keeps the name and the bytes. ``realizations`` is the Monte Carlo
+    figures' trial count: the desk default is 200, the reference scale
+    1000.
     """
     if experiment not in _FIGURES:
         raise InputError(
             f"unknown experiment {experiment!r}; choose from {sorted(_FIGURES)}")
     rows, _, header = _FIGURES[experiment]
-    if realizations is None:
-        realizations = 1000 if full else 200
     spec = ExperimentSpec(experiment=experiment,
                           params=_with_defaults(experiment, params or {}),
                           base_seed=base_seed, realizations=realizations)

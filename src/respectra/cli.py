@@ -244,7 +244,7 @@ def _cmd_generate(args):
 
 def _cmd_experiment(args):
     path = run_figure(args.figure, args.out, base_seed=args.seed,
-                      full=args.full)
+                      realizations=1000 if args.full else 200)
     sys.stdout.write(f"{path}\n")
 
 

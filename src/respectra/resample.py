@@ -185,19 +185,6 @@ def kernel_autocorr(spec):
     return np.array([(base * kern(x + n)).sum() / M for n in range(kw)])
 
 
-def exact_autocorr_matrix(spec, in_rows):
-    """Exact (non-Toeplitz) input-domain Gram matrix H^T H.
-
-    H is built for the full output extent floor(in_rows * xi). Averaging M
-    consecutive interior diagonal entries reproduces r_hh[0]; the Toeplitz
-    approximation replaces every polyphase row of this matrix by that
-    average.
-    """
-    out_rows = int(np.floor(in_rows * spec.xi))
-    h = build_polyphase(spec, out_rows, in_rows)
-    return h.T @ h
-
-
 def quantize(y, delta):
     """Uniform mid-tread quantization delta * round(y / delta)."""
     check_range("quantization step", delta, 0, low_open=True)

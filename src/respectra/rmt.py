@@ -18,17 +18,18 @@ F(E2) = g(E2) - E2, whose derivative comes from the same quadrature sums
 as g. The stop rule is on the Newton step relative to |E2|, and the
 stepped iterate is returned, so where Newton converges quadratically (away
 from support edges) the E2 error is far below the tolerance; this matters
-near zero, where |S| ~ zero_mass/|lambda + i nu| amplifies it. For real
-gamma > 0 the iterates stay inside a bracket around the positive root, the
-physical one. The points are rows of (points x atoms) arrays summed along
-the atom axis, so a point's answer does not depend on the other points or
-on BLAS. The solver has two paths over one map and slope
-(_fixed_point_map, _map_slope), picked by the number of points: a single
-point without a bracket (every chain link, the sqrt probe, a one-point
-rescue) keeps its Newton switch, stall counter and stop test in Python
-scalars; a vector of points, or real gamma > 0, keeps them in per-point
-masks. Both do the same arithmetic on one-row arrays, so a point's bits do
-not depend on the path.
+near zero, where |S| ~ zero_mass/|lambda + i nu| amplifies it. The points
+are rows of (points x atoms) arrays summed along the atom axis, so a
+point's answer does not depend on the other points or on BLAS. The solver
+has two paths over one map and slope (_fixed_point_map, _map_slope),
+picked by the number of points. A single gamma (eta_transform's, every
+chain link, the sqrt probe, a one-point rescue) keeps its Newton switch,
+stall counter and stop test in Python scalars; for real gamma > 0, which
+only eta_transform solves, its iterates also stay inside a bracket around
+the positive root, the physical one. A vector of gamma, always complex
+(the density sweep's batches and rescues), keeps them in per-point masks.
+Both do the same arithmetic on one-row arrays, so a point's bits do not
+depend on the path.
 _density_points is the one place that solves at points lambda + i nu,
 forms S and the density and picks the root: a density below minus its
 evaluation-error budget (E2 tolerance times |S|/pi, at least 1e-12) marks
@@ -68,6 +69,7 @@ _QUAD_GRADING = 3.0     # panel edges pi (k/panels)^3, dense near omega = 0
 _DAMPING = 0.5          # Picard step size before the switch to Newton
 _DIVERGENCE_WINDOW = 50  # Newton steps without a smaller residual
 MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
+MAX_PANELS = 2 ** 12    # most quadrature panels (see EtaSolverConfig)
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,13 @@ class EtaSolverConfig:
     where the AR spectrum peaks; the law's symmetry around pi supplies the
     other half interval. The default 16 panels give 256 atoms; their
     densities match a 4 096-atom solve to within 1e-8 of the peak.
-    ``quad_panels`` must be at least 1. A value outside these domains
-    raises InputError.
+    ``quad_panels`` runs from 1 to MAX_PANELS = 2**12. Each law keeps
+    16 x ``quad_panels`` atoms in 8 arrays (real and complex copies) and
+    a batch of 28 points makes complex temporaries of 28 x 16 x
+    ``quad_panels`` entries, so the bound keeps those near 28 MiB and an
+    eigen_pdf call near ten seconds (9.3 s and a 190 MiB peak RSS at
+    2**12 panels, 0.1 s at the default, on a 2-core x86 box). A value
+    outside these domains raises InputError.
     """
 
     tolerance: float = 1e-6
@@ -94,7 +101,7 @@ class EtaSolverConfig:
     def __post_init__(self):
         check_range("tolerance", self.tolerance, 0, low_open=True)
         check_range("max_iters", self.max_iters, 1)
-        check_range("quad_panels", self.quad_panels, 1)
+        check_range("quad_panels", self.quad_panels, 1, MAX_PANELS)
         check_range("picard_warmup", self.picard_warmup, 0)
 
 
@@ -179,37 +186,29 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
     is below 1e-2 (at most ``picard_warmup`` of them), then Newton steps on
     F(x) = g(x) - x, with g'(x) from the same atom sums as g. A point is
     done after its first Newton step no longer than tolerance * |E2|, and
-    its stepped iterate is returned. For real gamma > 0 the positive root
-    is the physical one: F(0) > 0 > F(x) for every x >= E[T], so every
-    iterate is kept inside a bracket with that sign change, shrunk at each
-    evaluation, and a step leaving it is replaced by bisection. Each
-    evaluation of g counts as one iteration of its point.
+    its stepped iterate is returned. Each evaluation of g counts as one
+    iteration of its point.
 
-    Points are the rows of (points x atoms) arrays, summed along the atom
-    axis only, and each has its own Newton switch, stale counter and
-    bracket, so a point's answer does not depend on the other points.
+    A single gamma (eta_transform's, a chain link, the sqrt probe, a
+    one-point rescue) is solved by _solve_one, which also brackets real
+    gamma > 0. A vector of gamma, always complex from the density sweep,
+    is solved here: points are the rows of (points x atoms) arrays, summed
+    along the atom axis only, and each has its own Newton switch and stale
+    counter, so a point's answer does not depend on the other points.
     Converged rows leave the arrays. A failure names the index of its
-    point in ConvergenceFailure.point. A single point without a bracket
-    (a chain link, the sqrt probe, a one-point rescue) is solved by
-    _solve_one, the same arithmetic with scalar bookkeeping.
+    point in ConvergenceFailure.point.
     """
     gamma = np.atleast_1d(gamma) * 1.0
     tol = config.tolerance
-    bracket = (gamma.imag == 0) & (gamma.real > 0)
-    bracketed = np.count_nonzero(bracket)
     if warm is None:        # paper-style initialization E1 = 1
         x = np.add.reduce(
             atoms_t.wv / (1.0 + gamma[:, None] * atoms_t.values), axis=1)
     else:
         x = warm + np.zeros(len(gamma), gamma.dtype)
-    if bracketed:
-        lo, hi = np.zeros(len(x)), np.full(len(x), atoms_t.mean)
-        x = np.where(bracket & ~((lo < x.real) & (x.real < hi)),
-                     0.5 * (lo + hi), x)
     if np.iscomplexobj(x):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
     gb, ggb = gamma * beta, gamma * gamma * beta
-    if len(x) == 1 and not bracketed:
+    if len(x) == 1:
         return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, config)
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
     point, g = np.arange(len(x)), gamma
@@ -220,10 +219,6 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
     for it in range(1, config.max_iters + 1):
         f, ra, rb = _fixed_point_map(atoms_d, atoms_t, g, gb, x)
         residual = np.abs(f)
-        if bracketed:
-            up = f.real > 0
-            lo = np.where(bracket & up, x.real, lo)
-            hi = np.where(bracket & ~up, x.real, hi)
         if not all_newton:
             newton |= (it > config.picard_warmup) \
                 | (residual <= 1e-2 * np.maximum(np.abs(f + x), np.abs(x)))
@@ -234,10 +229,6 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
             usable = slope != 1.0
             np.divide(f, 1.0 - slope, out=step,
                       where=usable if all_newton else newton & usable)
-        if bracketed:
-            moved = (x + step).real
-            step = np.where(bracket & ~((lo < moved) & (moved < hi)),
-                            0.5 * (lo + hi) - x, step)
         x = x + step
         # stale counts a Newton point's steps since its residual last fell
         better = residual < best
@@ -259,8 +250,6 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
             point, x, g, gb, ggb, newton, best, stale, residual = (
                 v[keep] for v in (point, x, g, gb, ggb, newton, best, stale,
                                   residual))
-            if bracketed:
-                bracket, lo, hi = bracket[keep], lo[keep], hi[keep]
         # stale grows by at most one per iteration, so no point can reach
         # the window before this iteration number
         if it >= _DIVERGENCE_WINDOW \
@@ -275,18 +264,30 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
 
 
 def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, config):
-    """_solve_e2 at one unbracketed point: gamma, gamma beta, gamma^2 beta
-    and the start x are arrays of one entry. The map, slope and step are
-    _solve_e2's on a one-row array, so the answer is bit-identical to that
-    row of a batch; only the Newton switch, best residual, stale counter
-    and stop test are Python scalars instead of masks. Failures raise as
-    in _solve_e2, with point 0.
+    """_solve_e2 at one point: gamma, gamma beta, gamma^2 beta and the
+    start x are arrays of one entry. The map, slope and step are
+    _solve_e2's on a one-row array, so an unbracketed point's answer is
+    bit-identical to that row of a batch; the Newton switch, best
+    residual, stale counter and stop test are Python scalars. Failures
+    raise as in _solve_e2, with point 0.
+
+    For real gamma > 0 the positive root is the physical one: F(0) > 0 >
+    F(x) for every x >= E[T], so the start is clamped into (0, E[T]) (a
+    cold start lies inside, but can round to E[T] at gamma near 0), the
+    bracket (lo, hi) shrinks to the sign change at each evaluation, and a
+    step leaving it is replaced by bisection.
     """
     tol = config.tolerance
+    bracketed = gamma[0].imag == 0 and gamma[0].real > 0
+    lo, hi = 0.0, atoms_t.mean
+    if bracketed and not lo < x[0].real < hi:
+        x = np.full_like(x, 0.5 * (lo + hi))
     newton, best, stale = False, np.inf, 0
     for it in range(1, config.max_iters + 1):
         f, ra, rb = _fixed_point_map(atoms_d, atoms_t, gamma, gb, x)
         residual = abs(f[0])
+        if bracketed:
+            lo, hi = (x[0].real, hi) if f[0].real > 0 else (lo, x[0].real)
         if not newton:
             newton = it > config.picard_warmup or residual <= 1e-2 * max(
                 abs(f[0] + x[0]), abs(x[0]))
@@ -295,6 +296,8 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, config):
             step = f / (1.0 - slope) if slope[0] != 1.0 else _DAMPING * f
         else:
             step = _DAMPING * f
+        if bracketed and not lo < (x[0] + step[0]).real < hi:
+            step = 0.5 * (lo + hi) - x
         x = x + step
         if newton:
             if residual < best:
@@ -333,15 +336,6 @@ def eta_transform(law_d, law_t, beta, gamma, config=DEFAULT_CONFIG):
     gamma = np.atleast_1d(gamma)
     e2, _ = _solve_e2(atoms_d, atoms_t, beta, gamma, config)
     return _eta_given_e2(atoms_d, beta, gamma, e2)[0]
-
-
-def stieltjes(z, law_d, law_t, beta, config=DEFAULT_CONFIG):
-    """Stieltjes transform S(z) = -eta(-1/z)/z of the limiting eigenvalue law."""
-    z = complex(z)
-    if z == 0:
-        raise InputError("Stieltjes transform is undefined at z = 0")
-    gamma = -1.0 / z
-    return gamma * eta_transform(law_d, law_t, beta, gamma, config=config)
 
 
 @dataclass(frozen=True)

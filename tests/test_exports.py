@@ -13,7 +13,7 @@ REMOVED = (
     "ToeplitzSpec", "toeplitz_materialize", "ar_u_sequence", "sym_eigenvalues",
     "InvalidMatrix", "InvalidShape", "InvalidSpec", "InvalidConfig",
     "InvalidSize", "InvalidInput", "UnknownExperiment", "ZeroVariance",
-    "TruncatedFile", "InsufficientViews",
+    "TruncatedFile", "InsufficientViews", "stieltjes", "exact_autocorr_matrix",
 )
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from respectra import (InputError, KERNELS, ResampleSpec, ar_gram_matrix,
-                       build_polyphase, exact_autocorr_matrix, get_kernel,
-                       kernel_autocorr, quantize, support_columns, upscale)
+                       build_polyphase, get_kernel, kernel_autocorr, quantize,
+                       support_columns, upscale)
 
 
 def brute_force_gram(spec, in_rows):
@@ -190,28 +190,35 @@ class TestKernelAutocorr:
             assert len(kernel_autocorr(spec)) == KERNELS[name].width
 
 
+def exact_gram(spec, in_rows):
+    """Input-domain Gram matrix H^T H of the polyphase matrix built for the
+    full output extent floor(in_rows * xi)."""
+    h = build_polyphase(spec, int(np.floor(in_rows * spec.xi)), in_rows)
+    return h.T @ h
+
+
 class TestExactAutocorr:
     def test_matches_brute_force(self):
         for name in ("linear", "b-spline"):
             spec = ResampleSpec(L=3, M=2, kernel=KERNELS[name])
-            got = exact_autocorr_matrix(spec, 12)
+            got = exact_gram(spec, 12)
             assert np.allclose(got, brute_force_gram(spec, 12), atol=1e-12)
 
     def test_identity_resampler_gram(self):
         spec = ResampleSpec(L=1, M=1)
-        assert np.allclose(exact_autocorr_matrix(spec, 6), np.eye(6))
+        assert np.allclose(exact_gram(spec, 6), np.eye(6))
 
     def test_xi2_interior_diagonal_is_rhh0(self):
         # M=1: the Gram is already Toeplitz; interior diagonal = r_hh[0]
         spec = ResampleSpec(L=2, M=1)
-        g = exact_autocorr_matrix(spec, 32)
+        g = exact_gram(spec, 32)
         assert np.allclose(np.diag(g)[2:-2], 1.5)
 
     def test_polyphase_averaged_diagonal_is_rhh0(self):
         # M consecutive interior diagonal entries average to r_hh[0]
         for name in ("linear", "catmull-rom", "lanczos3"):
             spec = ResampleSpec(L=3, M=2, kernel=KERNELS[name])
-            g = exact_autocorr_matrix(spec, 48)
+            g = exact_gram(spec, 48)
             r0 = kernel_autocorr(spec)[0]
             d = np.diag(g)
             for j in range(12, 36):

@@ -14,7 +14,7 @@ from respectra import (DEFAULT_CONFIG, ArParams, ConvergenceFailure,
                        EtaSolverConfig, InputError, KERNELS, ResampleSpec,
                        SpectralLaw, afze, eigen_pdf, eta_transform,
                        generate_field, law_genuine, law_upscaled,
-                       quadrature_nodes, stieltjes, support_lower_edge)
+                       quadrature_nodes, support_lower_edge)
 from respectra.rmt import (_default_grid, _density_points, _LawAtoms,
                            _power_law, _solve_e2, _support_reaches_zero)
 
@@ -184,10 +184,11 @@ class TestEtaTransform:
         atoms = _LawAtoms(law, DEFAULT_CONFIG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            e2, _ = _solve_e2(atoms, atoms, 0.5, np.array([1.0, 1e4]),
-                              DEFAULT_CONFIG)
+            # each real gamma alone, the one path real gamma takes
+            e2 = [_solve_e2(atoms, atoms, 0.5, np.array([g]),
+                            DEFAULT_CONFIG)[0] for g in (1.0, 1e4)]
             eta = eta_transform(law, law, 0.5, 1e8)
-        assert e2.dtype == np.float64 and np.isrealobj(eta)
+        assert all(e.dtype == np.float64 for e in e2) and np.isrealobj(eta)
         args = (0.5, afze(0.5, 1.0), np.geomspace(0.05, 2.0, 5), 1e-5,
                 DEFAULT_CONFIG)
         used = _density_points(atoms, atoms, *args)
@@ -208,18 +209,30 @@ class TestEtaTransform:
         law = law_genuine(0.97)
         broken = EtaSolverConfig(tolerance=1e-12, max_iters=3,
                                  picard_warmup=2)
-        with pytest.raises(ConvergenceFailure) as err:
+        with pytest.raises(ConvergenceFailure,
+                           match="not converged after 3 iterations") as err:
             eta_transform(law, law, 1.0, 7.7, config=broken)
         assert err.value.residual is not None
+        # a genuine divergence: MP at beta 0.5 and gamma = -10 puts
+        # z = -1/gamma = 0.1 inside the support [0.086, 2.914], where the
+        # fixed point has no real root; the residual stays far from zero
+        mp = law_genuine(0.0)
+        for tol in (1e-6, 1e-14):
+            with pytest.raises(ConvergenceFailure,
+                               match=r"diverging at gamma=-10\.0") as err:
+                eta_transform(mp, mp, 0.5, -10.0,
+                              config=EtaSolverConfig(tolerance=tol))
+            assert err.value.residual > 1e-3
 
 
 # unchecked, these reach the solver and end in an UnboundLocalError
-# (max_iters 0), a silent all-zero density (quad_panels 0), a
-# ConvergenceFailure after max_iters (NaN or negative tolerance), or in
-# nothing at all (negative warmup)
+# (max_iters 0), a silent all-zero density (quad_panels 0), a MemoryError
+# (quad_panels 10**12), a ConvergenceFailure after max_iters (NaN or
+# negative tolerance), or in nothing at all (negative warmup)
 @pytest.mark.parametrize("field,value,match", [
     ("max_iters", 0, "max_iters must be at least 1"),
     ("quad_panels", 0, "quad_panels must be at least 1"),
+    ("quad_panels", 10 ** 12, "quad_panels must be at least 1 and at most"),
     ("tolerance", float("nan"), "tolerance must be positive"),
     ("tolerance", -1e-6, "tolerance must be positive"),
     ("picard_warmup", -1, "picard_warmup must be nonnegative"),
@@ -230,9 +243,11 @@ def test_solver_config_rejects_out_of_range_field(field, value, match):
 
 
 class TestOnePointPath:
-    """A single unbracketed gamma (a chain link, the sqrt probe, a
-    one-point rescue) takes the solver's one-point path; it must answer
-    and fail exactly as the same gamma in row 0 of a batch."""
+    """A single gamma (eta_transform's, a chain link, the sqrt probe, a
+    one-point rescue) takes the solver's one-point path, bracketed when it
+    is real and positive; a complex one must answer and fail exactly as the
+    same gamma in row 0 of a batch, the path the density sweep's batches
+    take."""
 
     @staticmethod
     def gammas(lam, nu):
@@ -284,25 +299,21 @@ class TestOnePointPath:
 
 
 class TestStieltjes:
-    def test_algebraic_identity(self):
-        law = law_genuine(0.9)
-        gamma = 1.0
-        lhs = gamma * eta_transform(law, law, 0.5, gamma, config=TIGHT)
-        rhs = stieltjes(-1.0 / gamma, law, law, 0.5, config=TIGHT)
-        assert lhs == pytest.approx(rhs.real, rel=1e-9)
+    """S(z) = gamma eta(gamma) at gamma = -1/z."""
 
     def test_mp_density_at_unit_lambda(self):
         # beta=1 MP density at lambda = sigma^2 = 1: sqrt(3)/(2 pi)
         law = law_genuine(0.0)
-        s = stieltjes(1.0 + 1e-4j, law, law, 1.0, config=TIGHT)
+        gamma = -1.0 / (1.0 + 1e-4j)
+        s = gamma * eta_transform(law, law, 1.0, gamma, config=TIGHT)
         assert s.imag / np.pi == pytest.approx(mp_density(1.0, 1.0)[()],
                                                rel=1e-2)
 
     def test_decay_far_from_support(self):
         law = law_genuine(0.5)
-        z = 1.0 + 1e6j
-        s = stieltjes(z, law, law, 1.0)
-        assert abs(s - (-1.0 / z)) < 1e-5
+        gamma = -1.0 / (1.0 + 1e6j)
+        s = gamma * eta_transform(law, law, 1.0, gamma)
+        assert abs(s - gamma) < 1e-5
 
 
 class TestEigenPdf:
