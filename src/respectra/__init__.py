@@ -17,13 +17,13 @@ from .errors import (ConvergenceFailure, InputError, NumericalError,
                      ParseError, RespectraError)
 from .estimate import EstimationResult, EstimatorConfig, estimate
 from .matcore import (ar_gram_matrix, ar_gram_sequence, ar_u_matrix,
-                      gaussian_matrix, rng_from_seed, spawn_seeds)
+                      gaussian_matrix, spawn_seeds)
 from .pgm import ImageGray, central_block, read_pgm
 from .resample import (KERNELS, KernelSpec, ResampleSpec, build_polyphase,
                        get_kernel, kernel_autocorr, quantize, support_columns,
                        upscale)
-from .rmt import (DEFAULT_CONFIG, EigenPdf, EtaSolverConfig, eigen_pdf,
-                  eta_transform, quadrature_nodes, support_lower_edge)
+from .rmt import (EigenPdf, eigen_pdf, eta_transform, quadrature_nodes,
+                  support_lower_edge)
 from .spectra import (MpEdges, SpectralLaw, afze, cosine_series, d_genuine,
                       d_upscaled, gap_lower_bound, law_genuine, law_upscaled,
                       mp_edges, signal_floor_bound)

@@ -25,10 +25,6 @@ class ImageGray:
     maxval: int
     pixels: np.ndarray
 
-    @property
-    def bit_depth(self):
-        return 8 if self.maxval < 256 else 16
-
 
 # Separators (whitespace, and # comments to end of line), then one token:
 # group 1 when it is plain ASCII digits, else group 2, which is empty at

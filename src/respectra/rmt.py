@@ -12,10 +12,12 @@ plus the explicit point-mass branch. The Stieltjes transform follows from
 S(-1/gamma) = gamma eta(gamma), and evaluating it just above the real axis
 recovers the eigenvalue density.
 
-Solver notes: each point is iterated with damped steps until its
-relative residual falls below 1e-2 and then finished by Newton steps on
-F(E2) = g(E2) - E2, whose derivative comes from the same quadrature sums
-as g. The stop rule is on the Newton step relative to |E2|, and the
+Solver notes: the solver's settings are module constants, not
+parameters. Each point is iterated with damped steps until its relative
+residual falls below 1e-2 (at most 60 of them) and then finished by
+Newton steps on F(E2) = g(E2) - E2, whose derivative comes from the same
+quadrature sums as g. A point stops at its first Newton step within the
+fixed tolerance 1e-6 of |E2|, at most 10 000 iterations, and the
 stepped iterate is returned, so where Newton converges quadratically (away
 from support edges) the E2 error is far below the tolerance; this matters
 near zero, where |S| ~ zero_mass/|lambda + i nu| amplifies it. The points
@@ -65,52 +67,25 @@ from .spectra import afze
 _log = logging.getLogger(__name__)
 
 _QUAD_ORDER = 16        # Gauss-Legendre nodes per quadrature panel
+_QUAD_PANELS = 16       # panels on (0, pi): 256 atoms per law
 _QUAD_GRADING = 3.0     # panel edges pi (k/panels)^3, dense near omega = 0
+_TOLERANCE = 1e-6       # last Newton step relative to |E2|
+_MAX_ITERS = 10000      # fixed-point iterations per point
+_PICARD_WARMUP = 60     # most damped steps before the switch to Newton
 _DAMPING = 0.5          # Picard step size before the switch to Newton
 _DIVERGENCE_WINDOW = 50  # Newton steps without a smaller residual
 MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
-MAX_PANELS = 2 ** 12    # most quadrature panels (see EtaSolverConfig)
 
 
-@dataclass(frozen=True)
-class EtaSolverConfig:
-    """Fixed-point solver and quadrature settings.
+def quadrature_nodes():
+    """Graded composite Gauss-Legendre nodes and weights on (0, pi).
 
-    ``tolerance`` (positive) bounds the last Newton step relative to |E2|;
-    ``max_iters`` (at least 1) caps the iterations of each point and
-    ``picard_warmup`` (nonnegative) the damped steps taken before Newton.
-    Quadrature is composite Gauss-Legendre on (0, pi) with ``quad_panels``
-    panels of order 16 whose edges are graded toward 0 as (k/panels)^3,
-    where the AR spectrum peaks; the law's symmetry around pi supplies the
-    other half interval. The default 16 panels give 256 atoms; their
-    densities match a 4 096-atom solve to within 1e-8 of the peak.
-    ``quad_panels`` runs from 1 to MAX_PANELS = 2**12. Each law keeps
-    16 x ``quad_panels`` atoms in 8 arrays (real and complex copies) and
-    a batch of 28 points makes complex temporaries of 28 x 16 x
-    ``quad_panels`` entries, so the bound keeps those near 28 MiB and an
-    eigen_pdf call near ten seconds (9.3 s and a 190 MiB peak RSS at
-    2**12 panels, 0.1 s at the default, on a 2-core x86 box). A value
-    outside these domains raises InputError.
+    16 panels of 16 nodes whose edges are graded toward 0 as
+    pi (k/panels)^3, where the AR spectrum peaks; the law's symmetry around
+    pi supplies the other half interval. Densities on these 256 atoms match
+    a 4 096-atom solve to within 1e-8 of the peak.
     """
-
-    tolerance: float = 1e-6
-    max_iters: int = 10000
-    quad_panels: int = 16
-    picard_warmup: int = 60
-
-    def __post_init__(self):
-        check_range("tolerance", self.tolerance, 0, low_open=True)
-        check_range("max_iters", self.max_iters, 1)
-        check_range("quad_panels", self.quad_panels, 1, MAX_PANELS)
-        check_range("picard_warmup", self.picard_warmup, 0)
-
-
-DEFAULT_CONFIG = EtaSolverConfig()
-
-
-def quadrature_nodes(config=DEFAULT_CONFIG):
-    """Graded composite Gauss-Legendre nodes and weights on (0, pi)."""
-    return _quadrature(config.quad_panels)
+    return _quadrature(_QUAD_PANELS)
 
 
 @functools.cache
@@ -134,8 +109,8 @@ class _LawAtoms:
 
     __slots__ = ("values", "weights", "mass", "mean", "wv", "wv2", "_complex")
 
-    def __init__(self, law, config):
-        nodes, panel_w = quadrature_nodes(config)
+    def __init__(self, law):
+        nodes, panel_w = quadrature_nodes()
         self.values = np.asarray(law.transform(nodes), dtype=float)
         self.weights = 2.0 * law.angular_density * panel_w
         self.mass = law.zero_mass
@@ -178,14 +153,14 @@ def _map_slope(atoms_d, atoms_t, ggb, ra, rb):
         * np.add.reduce(atoms_d.wv2 * ra * ra, axis=1)
 
 
-def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
+def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     """Solve E2 = g(E2) at each point of a vector of gamma; returns arrays
     (e2, iterations) over the points.
 
     Each point takes damped Picard steps until the relative residual of g
-    is below 1e-2 (at most ``picard_warmup`` of them), then Newton steps on
+    is below 1e-2 (at most _PICARD_WARMUP of them), then Newton steps on
     F(x) = g(x) - x, with g'(x) from the same atom sums as g. A point is
-    done after its first Newton step no longer than tolerance * |E2|, and
+    done after its first Newton step no longer than _TOLERANCE * |E2|, and
     its stepped iterate is returned. Each evaluation of g counts as one
     iteration of its point.
 
@@ -199,7 +174,6 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
     point in ConvergenceFailure.point.
     """
     gamma = np.atleast_1d(gamma) * 1.0
-    tol = config.tolerance
     if warm is None:        # paper-style initialization E1 = 1
         x = np.add.reduce(
             atoms_t.wv / (1.0 + gamma[:, None] * atoms_t.values), axis=1)
@@ -209,18 +183,18 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
     gb, ggb = gamma * beta, gamma * gamma * beta
     if len(x) == 1:
-        return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, config)
+        return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x)
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
     point, g = np.arange(len(x)), gamma
     newton, all_newton = np.zeros(len(x), dtype=bool), False
     best, stale = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
     # the loop tests masks with np.count_nonzero, a few times cheaper than
     # .any() on arrays this small
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         f, ra, rb = _fixed_point_map(atoms_d, atoms_t, g, gb, x)
         residual = np.abs(f)
         if not all_newton:
-            newton |= (it > config.picard_warmup) \
+            newton |= (it > _PICARD_WARMUP) \
                 | (residual <= 1e-2 * np.maximum(np.abs(f + x), np.abs(x)))
             all_newton = np.count_nonzero(newton) == len(x)
         step = _DAMPING * f
@@ -235,11 +209,11 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
         if all_newton:
             best = np.where(better, residual, best)
             stale = np.where(better, 0, stale + 1)
-            done = np.abs(step) <= tol * np.abs(x)
+            done = np.abs(step) <= _TOLERANCE * np.abs(x)
         else:
             best = np.where(newton & better, residual, best)
             stale = np.where(better, 0, stale + newton)
-            done = newton & (np.abs(step) <= tol * np.abs(x))
+            done = newton & (np.abs(step) <= _TOLERANCE * np.abs(x))
         finished = np.count_nonzero(done)
         if finished == len(x):
             e2[point], its[point] = x, it
@@ -259,11 +233,11 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, config, warm=None):
                 f"fixed point diverging at gamma={gamma[point[k]]}",
                 residual=residual[k], point=point[k])
     raise ConvergenceFailure(
-        f"fixed point not converged after {config.max_iters} iterations "
+        f"fixed point not converged after {_MAX_ITERS} iterations "
         f"at gamma={gamma[point[0]]}", residual=residual[0], point=point[0])
 
 
-def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, config):
+def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x):
     """_solve_e2 at one point: gamma, gamma beta, gamma^2 beta and the
     start x are arrays of one entry. The map, slope and step are
     _solve_e2's on a one-row array, so an unbracketed point's answer is
@@ -277,19 +251,18 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, config):
     bracket (lo, hi) shrinks to the sign change at each evaluation, and a
     step leaving it is replaced by bisection.
     """
-    tol = config.tolerance
     bracketed = gamma[0].imag == 0 and gamma[0].real > 0
     lo, hi = 0.0, atoms_t.mean
     if bracketed and not lo < x[0].real < hi:
         x = np.full_like(x, 0.5 * (lo + hi))
     newton, best, stale = False, np.inf, 0
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         f, ra, rb = _fixed_point_map(atoms_d, atoms_t, gamma, gb, x)
         residual = abs(f[0])
         if bracketed:
             lo, hi = (x[0].real, hi) if f[0].real > 0 else (lo, x[0].real)
         if not newton:
-            newton = it > config.picard_warmup or residual <= 1e-2 * max(
+            newton = it > _PICARD_WARMUP or residual <= 1e-2 * max(
                 abs(f[0] + x[0]), abs(x[0]))
         if newton:
             slope = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
@@ -304,14 +277,14 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, config):
                 best, stale = residual, 0
             else:
                 stale += 1
-            if abs(step[0]) <= tol * abs(x[0]):
+            if abs(step[0]) <= _TOLERANCE * abs(x[0]):
                 return x, np.array([it])
             if stale >= _DIVERGENCE_WINDOW:
                 raise ConvergenceFailure(
                     f"fixed point diverging at gamma={gamma[0]}",
                     residual=residual, point=0)
     raise ConvergenceFailure(
-        f"fixed point not converged after {config.max_iters} iterations "
+        f"fixed point not converged after {_MAX_ITERS} iterations "
         f"at gamma={gamma[0]}", residual=residual, point=0)
 
 
@@ -322,7 +295,7 @@ def _eta_given_e2(atoms_d, beta, gamma, e2):
         1.0 + (gamma * beta * e2)[:, None] * atoms_d.values), axis=1)
 
 
-def eta_transform(law_d, law_t, beta, gamma, config=DEFAULT_CONFIG):
+def eta_transform(law_d, law_t, beta, gamma):
     """eta(gamma) = E[1/(1 + gamma beta D E2*)] for the laws of D and T.
 
     Accepts real or complex gamma; real nonnegative gamma keeps the whole
@@ -331,10 +304,10 @@ def eta_transform(law_d, law_t, beta, gamma, config=DEFAULT_CONFIG):
     check_range("beta", beta, 0, 1, low_open=True)
     if gamma == 0:
         return 1.0
-    atoms_d = _LawAtoms(law_d, config)
-    atoms_t = _LawAtoms(law_t, config)
+    atoms_d = _LawAtoms(law_d)
+    atoms_t = _LawAtoms(law_t)
     gamma = np.atleast_1d(gamma)
-    e2, _ = _solve_e2(atoms_d, atoms_t, beta, gamma, config)
+    e2, _ = _solve_e2(atoms_d, atoms_t, beta, gamma)
     return _eta_given_e2(atoms_d, beta, gamma, e2)[0]
 
 
@@ -395,8 +368,7 @@ class EigenPdf:
         return float(self.lambda_grid[above[-1]])
 
 
-def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, config,
-                    warm=None):
+def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
     """Densities of the continuous part at the points lam, smoothed by nu.
 
     Solves the fixed point at gamma = -1/(lam + i nu) for all points at
@@ -412,15 +384,14 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, config,
     def solve(lam, start):
         gamma = -1.0 / (lam + 1j * nu)
         try:
-            e2, its = _solve_e2(atoms_d, atoms_t, beta, gamma, config,
-                                warm=start)
+            e2, its = _solve_e2(atoms_d, atoms_t, beta, gamma, warm=start)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"inversion failed at lambda={lam[exc.point]:g}",
                 residual=exc.residual) from exc
         s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
         smear = zero_mass * nu / (np.pi * (lam * lam + nu * nu))
-        budget = np.maximum(1e-12, config.tolerance * np.abs(s) / np.pi)
+        budget = np.maximum(1e-12, _TOLERANCE * np.abs(s) / np.pi)
         return s.imag / np.pi - smear, e2, budget, its
 
     f, e2, budget, its = solve(lam, warm)
@@ -446,7 +417,7 @@ def _power_law(at, x0, x1, e0, e1):
     return e0 * (e1 / e0) ** ((at - x0) / (x1 - x0))
 
 
-def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, config, stop=None):
+def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, stop=None):
     """Densities over an increasing grid, walked from the largest lambda down.
 
     Every 8th point and both ends form a chain solved one link at a time;
@@ -472,7 +443,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, config, stop=None):
     def solve(idx, start):
         nonlocal iters, rescued
         density[idx], e2[idx], budget[idx], its, resc = _density_points(
-            atoms_d, atoms_t, beta, zero_mass, grid[idx], nu, config, start)
+            atoms_d, atoms_t, beta, zero_mass, grid[idx], nu, start)
         iters += int(its.sum())
         rescued += int(resc.sum())
 
@@ -526,7 +497,7 @@ def _support_reaches_zero(atoms_d, atoms_t, beta):
         <= atoms_t.weights[atoms_t.values > 0].sum()
 
 
-def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, config):
+def _default_grid(atoms_d, atoms_t, beta, zero_mass, points):
     """Adaptive log-spaced grid plus a nu override.
 
     A coarse sweep walks down from above the support and stops at the
@@ -551,7 +522,7 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, config):
     def cut_found(dens):
         return not _tail_kept(coarse[-len(dens):], dens, beta, scale)[0]
 
-    dens = _sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c, config,
+    dens = _sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c,
                   stop=cut_found)[0]
     top = coarse[-len(dens):]
     hi = 1.3 * top[int(np.argmax(_tail_kept(top, dens, beta, scale)))]
@@ -559,7 +530,7 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, config):
     nu_override = None
     if _support_reaches_zero(atoms_d, atoms_t, beta):
         f_probe = _density_points(atoms_d, atoms_t, beta, zero_mass,
-                                  coarse[:1], 1e-3 * coarse[0], config)[0][0]
+                                  coarse[:1], 1e-3 * coarse[0])[0][0]
         sqrt_coeff = max(f_probe, 0.0) * np.sqrt(coarse[0])
         if 2.0 * sqrt_coeff * np.sqrt(lo) > 1e-3 * beta:
             lo = max((5e-4 * beta / sqrt_coeff) ** 2, 1e-13 * scale)
@@ -568,7 +539,7 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, config):
     return np.geomspace(lo, hi, points), nu_override
 
 
-def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG):
+def support_lower_edge(law_d, law_t, beta, xi=1.0):
     """Lower edge of the nonzero-eigenvalue support of the limiting law.
 
     Outside the support the fixed point has a real solution, and the edges
@@ -585,8 +556,8 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG):
     not read. Raises ConvergenceFailure if a root is not found.
     """
     check_range("beta", beta, 0, 1, low_open=True)
-    atoms_d = _LawAtoms(law_d, config)
-    atoms_t = _LawAtoms(law_t, config)
+    atoms_d = _LawAtoms(law_d)
+    atoms_t = _LawAtoms(law_t)
     if _support_reaches_zero(atoms_d, atoms_t, beta):
         return 0.0
     pos = atoms_t.values > 0
@@ -622,8 +593,7 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0, config=DEFAULT_CONFIG):
     return float(fold(np.sqrt(lo * hi))[1])
 
 
-def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512,
-              config=DEFAULT_CONFIG):
+def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     """Asymptotic eigenvalue pdf of the renormalized sample autocorrelation.
 
     Parameters
@@ -666,6 +636,15 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512,
     0.3-0.55 s, 512 points 20-55 ms, on a 2-core x86 box shared with
     other load), and the complex E2 of 2**20 points takes 16 MiB. The
     figures use the default 512.
+
+    EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
+    = beta E[D] E[T] within 1 %) were measured to hold for beta from 0.05
+    to 1, over MP and the genuine and upscaled laws of rho 0.9, 0.97 and
+    0.98 (all four kernels at 3/2 and 2/1). Below 0.05 the first moment misses its
+    budget (by 13 % at beta 0.04, 41 % at 0.003), and the continuous part
+    vanishes at beta 1e-5 for MP, 1e-6 for linear 3/2 and 1e-8 for
+    genuine rho 0.97, while the total mass, mostly zero_mass = 1 - beta/xi,
+    still meets its budget.
     Raises ConvergenceFailure (annotated with the offending lambda) if
     some grid point cannot be solved.
     """
@@ -685,18 +664,18 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512,
                              f"{law_d.xi} and {law_t.xi}; pass xi")
         xi = law_d.xi
     zero_mass = afze(beta, xi)  # checks beta
-    atoms_d = _LawAtoms(law_d, config)
-    atoms_t = _LawAtoms(law_t, config)
+    atoms_d = _LawAtoms(law_d)
+    atoms_t = _LawAtoms(law_t)
     nu_override = None
     if grid is None:
         grid, nu_override = _default_grid(atoms_d, atoms_t, beta, zero_mass,
-                                          points, config)
+                                          points)
     if nu is None:
         nu = nu_override if nu_override is not None \
             else 1e-4 * float(np.median(grid))
 
     density, iters, rescued, clamped = _sweep(
-        atoms_d, atoms_t, beta, zero_mass, grid, nu, config)
+        atoms_d, atoms_t, beta, zero_mass, grid, nu)
     return EigenPdf(zero_mass=zero_mass, lambda_grid=grid,
                     density=np.maximum(density, 0.0),
                     beta=beta, xi=xi, nu=nu,

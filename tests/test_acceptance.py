@@ -9,7 +9,7 @@ import numpy as np
 
 
 from respectra import (ArParams, DetectorConfig, EstimatorConfig,
-                       EtaSolverConfig, ExperimentSpec, KERNELS, ResampleSpec,
+                       ExperimentSpec, KERNELS, ResampleSpec,
                        afze, build_polyphase, detect, eigen_pdf, estimate,
                        eta_transform, generate_field, genuine_block,
                        law_genuine, law_upscaled, roc_auc,
@@ -48,31 +48,31 @@ def nonzero_eigs_kxk(block, k, n):
     return ev[ev > 1e-9 * ev.max()]
 
 
-def test_criterion_01_mp_closed_form_oracle():
-    """rho=0, xi=1, sigma^2=1: density matches closed-form MP pointwise
-    within 1% of the density max on the interior 90% of the support;
-    support edges within one grid step."""
+def test_criterion_01_mp_closed_form_oracle(solver_settings):
+    """rho=0, xi=1, sigma^2=1, solver tolerance 1e-9: density matches
+    closed-form MP pointwise within 1% of the density max on the interior
+    90% of the support; support edges within one grid step."""
     law = law_genuine(0.0)
-    cfg = EtaSolverConfig(tolerance=1e-9)
     details = []
-    for beta in (0.25, 0.5, 1.0):
-        pdf = eigen_pdf(law, law, beta, config=cfg)
-        lo = (1 - np.sqrt(beta)) ** 2
-        hi = (1 + np.sqrt(beta)) ** 2
-        span = hi - lo
-        inner = (pdf.lambda_grid > lo + 0.05 * span) \
-            & (pdf.lambda_grid < hi - 0.05 * span)
-        want = mp_density(pdf.lambda_grid[inner], beta)
-        err = np.abs(pdf.density[inner] - want).max()
-        fmax = mp_density(np.linspace(lo + 1e-9, hi, 4001), beta).max()
-        assert err <= 0.01 * fmax, f"beta={beta}: {err} > 1% of {fmax}"
-        log_step = np.diff(np.log(pdf.lambda_grid)).max()
-        if beta < 1.0:
-            edge = support_lower_edge(law, law, beta, config=cfg)
-            assert abs(np.log(edge / lo)) <= log_step
-        assert abs(np.log(pdf.lambda_plus() / hi)) <= log_step
-        details.append(f"beta={beta}: max|err|={err:.2e} (1% cap "
-                       f"{0.01 * fmax:.2e})")
+    with solver_settings(tolerance=1e-9):
+        for beta in (0.25, 0.5, 1.0):
+            pdf = eigen_pdf(law, law, beta)
+            lo = (1 - np.sqrt(beta)) ** 2
+            hi = (1 + np.sqrt(beta)) ** 2
+            span = hi - lo
+            inner = (pdf.lambda_grid > lo + 0.05 * span) \
+                & (pdf.lambda_grid < hi - 0.05 * span)
+            want = mp_density(pdf.lambda_grid[inner], beta)
+            err = np.abs(pdf.density[inner] - want).max()
+            fmax = mp_density(np.linspace(lo + 1e-9, hi, 4001), beta).max()
+            assert err <= 0.01 * fmax, f"beta={beta}: {err} > 1% of {fmax}"
+            log_step = np.diff(np.log(pdf.lambda_grid)).max()
+            if beta < 1.0:
+                edge = support_lower_edge(law, law, beta)
+                assert abs(np.log(edge / lo)) <= log_step
+            assert abs(np.log(pdf.lambda_plus() / hi)) <= log_step
+            details.append(f"beta={beta}: max|err|={err:.2e} (1% cap "
+                           f"{0.01 * fmax:.2e})")
     report(1, "MP closed-form oracle", "; ".join(details))
 
 

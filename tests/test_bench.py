@@ -8,6 +8,7 @@ import pytest
 
 import respectra.armodel
 import respectra.bench
+from respectra.bench import MAX_REALIZATIONS
 from respectra import (KERNELS, ArParams, DetectorConfig, ExperimentSpec,
                        InputError, NumericalError, ResampleSpec,
                        ar_gram_matrix, build_polyphase, detect,
@@ -416,6 +417,25 @@ class TestRunFigure:
         run_figure("fig7", tmp_path, params=self.SMALL["fig7"][0],
                    realizations=4)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("count", [0, -3, 10 ** 12])
+    def test_realization_count_out_of_range(self, tmp_path, monkeypatch,
+                                            count):
+        # unchecked, 0 ends in a numpy reshape ValueError, -3 in an
+        # OverflowError from spawn_seeds, and 10**12 would spawn 2 * 10**12
+        # seeds for 15 PiB of blocks; the check runs before the sweep starts
+        # or the output directory is made
+        calls = []
+        monkeypatch.setattr(respectra.bench, "run_snr_sweep", calls.append)
+        out = tmp_path / "out"
+        with pytest.raises(InputError, match="realizations must be at least "
+                           f"1 and at most {MAX_REALIZATIONS}, got {count}"):
+            run_figure("fig7", out, params={"snr_grid": (1e2,)},
+                       realizations=count)
+        assert calls == [] and not out.exists()
+        spec = ExperimentSpec(experiment="fig7",
+                              realizations=MAX_REALIZATIONS)
+        assert spec.realizations == 2 ** 13
 
     def test_deterministic_bytes(self, tmp_path):
         p1 = run_figure("fig7", tmp_path / "a",

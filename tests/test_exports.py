@@ -14,6 +14,7 @@ REMOVED = (
     "InvalidMatrix", "InvalidShape", "InvalidSpec", "InvalidConfig",
     "InvalidSize", "InvalidInput", "UnknownExperiment", "ZeroVariance",
     "TruncatedFile", "InsufficientViews", "stieltjes", "exact_autocorr_matrix",
+    "EtaSolverConfig", "DEFAULT_CONFIG", "rng_from_seed",
 )
 
 

@@ -17,7 +17,7 @@ class TestReadPgm:
         img = read_pgm(write(tmp_path, "P2 2 2 255 0 128 255 64"))
         assert img.width == img.height == 2
         assert np.array_equal(img.pixels, [[0, 128], [255, 64]])
-        assert img.bit_depth == 8
+        assert img.maxval == 255
 
     def test_comments_skipped(self, tmp_path):
         img = read_pgm(write(
@@ -33,7 +33,7 @@ class TestReadPgm:
         samples = np.array([[256, 513]], dtype=">u2")
         img = read_pgm(write(tmp_path, b"P5 2 1 65535\n" + samples.tobytes()))
         assert np.array_equal(img.pixels, [[256, 513]])
-        assert img.bit_depth == 16
+        assert img.maxval == 65535
 
     def test_rejects_color_ppm(self, tmp_path):
         with pytest.raises(ParseError):

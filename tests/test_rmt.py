@@ -10,15 +10,12 @@ import pytest
 
 import respectra
 
-from respectra import (DEFAULT_CONFIG, ArParams, ConvergenceFailure,
-                       EtaSolverConfig, InputError, KERNELS, ResampleSpec,
-                       SpectralLaw, afze, eigen_pdf, eta_transform,
-                       generate_field, law_genuine, law_upscaled,
-                       quadrature_nodes, support_lower_edge)
+from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
+                       ResampleSpec, SpectralLaw, afze, eigen_pdf,
+                       eta_transform, generate_field, law_genuine,
+                       law_upscaled, quadrature_nodes, support_lower_edge)
 from respectra.rmt import (_default_grid, _density_points, _LawAtoms,
                            _power_law, _solve_e2, _support_reaches_zero)
-
-TIGHT = EtaSolverConfig(tolerance=1e-12)
 
 
 def mp_eta_closed_form(gamma, beta):
@@ -62,8 +59,7 @@ def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
 
     def solve(idx, start):
         dens[idx], e2[idx], _, its[idx] = _density_points(
-            atoms, atoms, beta, zero_mass, grid[idx], nu, DEFAULT_CONFIG,
-            start)[:4]
+            atoms, atoms, beta, zero_mass, grid[idx], nu, start)[:4]
 
     log = np.log(grid)
     chain = np.unique(np.append(np.arange(0, n, 8), n - 1))
@@ -88,7 +84,7 @@ def warm_sqrt_coefficient(atoms, beta, zero_mass, coarse, e2):
     """A of a density A/sqrt(lambda) at the bottom coarse point, from a
     fine-nu solve started from the chain's bottom E2."""
     f = _density_points(atoms, atoms, beta, zero_mass, coarse[:1],
-                        1e-3 * coarse[0], DEFAULT_CONFIG, warm=e2[0])[0][0]
+                        1e-3 * coarse[0], warm=e2[0])[0][0]
     return max(f, 0.0) * np.sqrt(coarse[0])
 
 
@@ -96,7 +92,7 @@ def calibration_oracle(law, beta, xi, points=512):
     """Default grid and nu of eigen_pdf by the full coarse sweep: the tail
     rule over all 144 coarse points and the sqrt probe, warm started from
     the chain, on every law."""
-    atoms = _LawAtoms(law, DEFAULT_CONFIG)
+    atoms = _LawAtoms(law)
     zero_mass = afze(beta, xi)
     coarse, nu = coarse_grid(atoms, beta)
     dens, e2, _ = two_level_sweep(atoms, beta, zero_mass, coarse, nu)
@@ -144,11 +140,12 @@ class TestEtaTransform:
         got = eta_transform(law, law, 1.0, 1e8)
         assert got == pytest.approx(afze(1.0, 2.0), abs=1e-3)
 
-    def test_matches_mp_closed_form(self):
+    def test_matches_mp_closed_form(self, solver_settings):
         law = law_genuine(0.0)
         for beta in (0.25, 0.5, 1.0):
             for gamma in (0.1, 1.0, 10.0):
-                got = eta_transform(law, law, beta, gamma, config=TIGHT)
+                with solver_settings(tolerance=1e-12):
+                    got = eta_transform(law, law, beta, gamma)
                 assert got == pytest.approx(mp_eta_closed_form(gamma, beta),
                                             abs=1e-6)
 
@@ -167,9 +164,9 @@ class TestEtaTransform:
         ups = law_upscaled(0.97, ResampleSpec(L=2, M=1))
         for law, beta, xi in ((gen, 0.5, 1.0), (gen, 1.0, 1.0),
                               (ups, 1.0, 2.0)):
-            atoms = _LawAtoms(law, DEFAULT_CONFIG)
+            atoms = _LawAtoms(law)
             for gamma in (1.0, 1e4, 1e8):
-                e2, _ = _solve_e2(atoms, atoms, beta, gamma, DEFAULT_CONFIG)
+                e2, _ = _solve_e2(atoms, atoms, beta, gamma)
                 eta = eta_transform(law, law, beta, gamma)
                 assert e2 > 0, f"beta={beta} xi={xi} gamma={gamma}: E2={e2}"
                 assert afze(beta, xi) <= eta <= 1.0, \
@@ -181,18 +178,17 @@ class TestEtaTransform:
         # solves multiply by the atoms' complex copies, which are exact
         # casts and do not depend on an earlier real solve on the atoms
         law = law_genuine(0.97)
-        atoms = _LawAtoms(law, DEFAULT_CONFIG)
+        atoms = _LawAtoms(law)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # each real gamma alone, the one path real gamma takes
-            e2 = [_solve_e2(atoms, atoms, 0.5, np.array([g]),
-                            DEFAULT_CONFIG)[0] for g in (1.0, 1e4)]
+            e2 = [_solve_e2(atoms, atoms, 0.5, np.array([g]))[0]
+                  for g in (1.0, 1e4)]
             eta = eta_transform(law, law, 0.5, 1e8)
         assert all(e.dtype == np.float64 for e in e2) and np.isrealobj(eta)
-        args = (0.5, afze(0.5, 1.0), np.geomspace(0.05, 2.0, 5), 1e-5,
-                DEFAULT_CONFIG)
+        args = (0.5, afze(0.5, 1.0), np.geomspace(0.05, 2.0, 5), 1e-5)
         used = _density_points(atoms, atoms, *args)
-        fresh = _LawAtoms(law, DEFAULT_CONFIG)
+        fresh = _LawAtoms(law)
         for got, want in zip(used, _density_points(fresh, fresh, *args)):
             assert got.tobytes() == want.tobytes()
         for name in ("values", "weights", "wv", "wv2"):
@@ -205,41 +201,23 @@ class TestEtaTransform:
         with pytest.raises(InputError, match=r"beta must lie in \(0, 1\]"):
             eta_transform(law, law, 1.5, 1.0)
 
-    def test_divergence_reported(self):
+    def test_divergence_reported(self, solver_settings):
         law = law_genuine(0.97)
-        broken = EtaSolverConfig(tolerance=1e-12, max_iters=3,
-                                 picard_warmup=2)
-        with pytest.raises(ConvergenceFailure,
-                           match="not converged after 3 iterations") as err:
-            eta_transform(law, law, 1.0, 7.7, config=broken)
+        with solver_settings(tolerance=1e-12, max_iters=3, picard_warmup=2), \
+                pytest.raises(ConvergenceFailure,
+                              match="not converged after 3 iterations") as err:
+            eta_transform(law, law, 1.0, 7.7)
         assert err.value.residual is not None
         # a genuine divergence: MP at beta 0.5 and gamma = -10 puts
         # z = -1/gamma = 0.1 inside the support [0.086, 2.914], where the
         # fixed point has no real root; the residual stays far from zero
         mp = law_genuine(0.0)
         for tol in (1e-6, 1e-14):
-            with pytest.raises(ConvergenceFailure,
-                               match=r"diverging at gamma=-10\.0") as err:
-                eta_transform(mp, mp, 0.5, -10.0,
-                              config=EtaSolverConfig(tolerance=tol))
+            with solver_settings(tolerance=tol), \
+                    pytest.raises(ConvergenceFailure,
+                                  match=r"diverging at gamma=-10\.0") as err:
+                eta_transform(mp, mp, 0.5, -10.0)
             assert err.value.residual > 1e-3
-
-
-# unchecked, these reach the solver and end in an UnboundLocalError
-# (max_iters 0), a silent all-zero density (quad_panels 0), a MemoryError
-# (quad_panels 10**12), a ConvergenceFailure after max_iters (NaN or
-# negative tolerance), or in nothing at all (negative warmup)
-@pytest.mark.parametrize("field,value,match", [
-    ("max_iters", 0, "max_iters must be at least 1"),
-    ("quad_panels", 0, "quad_panels must be at least 1"),
-    ("quad_panels", 10 ** 12, "quad_panels must be at least 1 and at most"),
-    ("tolerance", float("nan"), "tolerance must be positive"),
-    ("tolerance", -1e-6, "tolerance must be positive"),
-    ("picard_warmup", -1, "picard_warmup must be nonnegative"),
-])
-def test_solver_config_rejects_out_of_range_field(field, value, match):
-    with pytest.raises(InputError, match=match):
-        EtaSolverConfig(**{field: value})
 
 
 class TestOnePointPath:
@@ -257,43 +235,42 @@ class TestOnePointPath:
     def test_cold_probe_matches_batch_row(self):
         # the sqrt probe: a cold start at the bottom coarse point, fine nu
         law = law_genuine(0.97)
-        atoms = _LawAtoms(law, DEFAULT_CONFIG)
+        atoms = _LawAtoms(law)
         coarse, _ = coarse_grid(atoms, 1.0)
         gammas = self.gammas(coarse[0], 1e-3 * coarse[0])
-        one = _solve_e2(atoms, atoms, 1.0, gammas[:1], DEFAULT_CONFIG)
-        row = _solve_e2(atoms, atoms, 1.0, gammas, DEFAULT_CONFIG)
+        one = _solve_e2(atoms, atoms, 1.0, gammas[:1])
+        row = _solve_e2(atoms, atoms, 1.0, gammas)
         assert one[0].tobytes() == row[0][:1].tobytes()
         assert one[1].tobytes() == row[1][:1].tobytes()
         # and the conj(E2) re-solve a rescue makes from there
-        again = _solve_e2(atoms, atoms, 1.0, gammas[:1], DEFAULT_CONFIG,
-                          warm=np.conj(one[0]))
-        rows = _solve_e2(atoms, atoms, 1.0, gammas, DEFAULT_CONFIG,
-                         warm=np.conj(row[0]))
+        again = _solve_e2(atoms, atoms, 1.0, gammas[:1], warm=np.conj(one[0]))
+        rows = _solve_e2(atoms, atoms, 1.0, gammas, warm=np.conj(row[0]))
         assert again[0].tobytes() == rows[0][:1].tobytes()
         assert again[1][0] == rows[1][0]
 
-    @pytest.mark.parametrize("config,lam,nu,match", [
-        (EtaSolverConfig(tolerance=1e-14, max_iters=4, picard_warmup=2),
+    @pytest.mark.parametrize("settings,lam,nu,match", [
+        ({"tolerance": 1e-14, "max_iters": 4, "picard_warmup": 2},
          1.0, 1e-4, "not converged after 4 iterations"),
         # a tolerance below rounding: Newton stalls at the root's rounding
         # level and the residual stops falling
-        (EtaSolverConfig(tolerance=1e-300), 0.01, 0.01, "diverging"),
+        ({"tolerance": 1e-300}, 0.01, 0.01, "diverging"),
     ], ids=["max_iters", "divergence"])
-    def test_failure_matches_batch_row(self, config, lam, nu, match):
+    def test_failure_matches_batch_row(self, solver_settings, settings, lam,
+                                       nu, match):
         law = law_genuine(0.97)
-        atoms = _LawAtoms(law, config)
         gammas = self.gammas(lam, nu)
-        with pytest.raises(ConvergenceFailure, match=match) as one:
-            _solve_e2(atoms, atoms, 0.5, gammas[:1], config)
-        with pytest.raises(ConvergenceFailure) as row:
-            _solve_e2(atoms, atoms, 0.5, gammas, config)
+        with solver_settings(**settings):
+            atoms = _LawAtoms(law)
+            with pytest.raises(ConvergenceFailure, match=match) as one:
+                _solve_e2(atoms, atoms, 0.5, gammas[:1])
+            with pytest.raises(ConvergenceFailure) as row:
+                _solve_e2(atoms, atoms, 0.5, gammas)
+            # the sweep's first link is the same cold start at the top point
+            with pytest.raises(ConvergenceFailure) as pdf:
+                eigen_pdf(law, law, 0.5, grid=[0.5 * lam, lam], nu=nu)
         assert str(one.value) == str(row.value)
         assert one.value.residual == row.value.residual
         assert one.value.point == row.value.point == 0
-        # the sweep's first link is the same cold start at the top point
-        with pytest.raises(ConvergenceFailure) as pdf:
-            eigen_pdf(law, law, 0.5, grid=[0.5 * lam, lam], nu=nu,
-                      config=config)
         assert str(pdf.value).startswith(f"inversion failed at lambda={lam:g}")
         assert pdf.value.residual == one.value.residual
 
@@ -301,11 +278,12 @@ class TestOnePointPath:
 class TestStieltjes:
     """S(z) = gamma eta(gamma) at gamma = -1/z."""
 
-    def test_mp_density_at_unit_lambda(self):
+    def test_mp_density_at_unit_lambda(self, solver_settings):
         # beta=1 MP density at lambda = sigma^2 = 1: sqrt(3)/(2 pi)
         law = law_genuine(0.0)
         gamma = -1.0 / (1.0 + 1e-4j)
-        s = gamma * eta_transform(law, law, 1.0, gamma, config=TIGHT)
+        with solver_settings(tolerance=1e-12):
+            s = gamma * eta_transform(law, law, 1.0, gamma)
         assert s.imag / np.pi == pytest.approx(mp_density(1.0, 1.0)[()],
                                                rel=1e-2)
 
@@ -358,7 +336,7 @@ class TestEigenPdf:
             edge = support_lower_edge(law, law, 0.125, xi=2.0)
             assert lo <= edge <= hi, f"{name}: {edge}"
 
-    def test_density_matches_tight_solve(self):
+    def test_density_matches_tight_solve(self, solver_settings):
         cases = ((0.97, None, 0.25), (0.97, None, 0.5), (0.97, None, 1.0),
                  (0.97, ("b-spline", 2, 1), 0.5),
                  (0.97, ("linear", 3, 2), 0.5),
@@ -371,8 +349,9 @@ class TestEigenPdf:
                                     kernel=KERNELS[kernel[0]])
                 law, xi = law_upscaled(rho, spec), spec.xi
             pdf = eigen_pdf(law, law, beta, xi=xi)
-            ref = eigen_pdf(law, law, beta, xi=xi, grid=pdf.lambda_grid,
-                            nu=pdf.nu, config=TIGHT)
+            with solver_settings(tolerance=1e-12):
+                ref = eigen_pdf(law, law, beta, xi=xi, grid=pdf.lambda_grid,
+                                nu=pdf.nu)
             err = np.abs(pdf.density - ref.density).max()
             assert err <= 1e-5 * ref.density.max(), f"{law.descriptor}"
 
@@ -396,22 +375,21 @@ class TestEigenPdf:
         # on the other points of its batch; lambda = 0.120091 is the point
         # whose cold start needs the conj(E2) rescue
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
-        atoms = _LawAtoms(law, DEFAULT_CONFIG)
+        atoms = _LawAtoms(law)
         lam = np.append(np.geomspace(0.05, 2.0, 23), 0.120091)
         args = (atoms, atoms, 0.125, afze(0.125, 1.5))
-        batch = _density_points(*args, lam, 7.27324e-7, DEFAULT_CONFIG)
+        batch = _density_points(*args, lam, 7.27324e-7)
         assert batch[4][-1] and not batch[4][:-1].all()
         for k in range(len(lam)):
-            alone = _density_points(*args, lam[k:k + 1], 7.27324e-7,
-                                    DEFAULT_CONFIG)
+            alone = _density_points(*args, lam[k:k + 1], 7.27324e-7)
             for got, want in zip(batch, alone):
                 assert np.array_equal(got[k:k + 1], want), f"lambda={lam[k]}"
-        gen = _LawAtoms(law_genuine(0.97), DEFAULT_CONFIG)
+        gen = _LawAtoms(law_genuine(0.97))
         gammas = np.array([1.0, 1e4, 1e8])
-        e2, its = _solve_e2(gen, gen, 0.5, gammas, DEFAULT_CONFIG)
+        e2, its = _solve_e2(gen, gen, 0.5, gammas)
         for k, gamma in enumerate(gammas):
             assert (e2[k], its[k]) == tuple(
-                v[0] for v in _solve_e2(gen, gen, 0.5, gamma, DEFAULT_CONFIG))
+                v[0] for v in _solve_e2(gen, gen, 0.5, gamma))
 
     def test_given_grid_reproduces_default_call(self):
         # a law with a gap below its support, and a beta = 1 law whose
@@ -432,7 +410,7 @@ class TestEigenPdf:
         # points between the links; 100 points end the walk between batches,
         # and lambda = 0.120091 sits inside the grid's rescue region
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
-        atoms = _LawAtoms(law, DEFAULT_CONFIG)
+        atoms = _LawAtoms(law)
         grid, nu = np.geomspace(0.05, 2.0, 100), 7.27324e-7
         pdf = eigen_pdf(law, law, 0.125, xi=1.5, grid=grid, nu=nu)
         dens, _, its = two_level_sweep(atoms, 0.125, afze(0.125, 1.5), grid,
@@ -462,7 +440,7 @@ class TestEigenPdf:
         for law, xi, beta in cases:
             pdf = eigen_pdf(law, law, beta, xi=xi)
             grid, nu = calibration_oracle(law, beta, xi)
-            atoms = _LawAtoms(law, DEFAULT_CONFIG)
+            atoms = _LawAtoms(law)
             if _support_reaches_zero(atoms, atoms, beta):
                 assert pdf.lambda_grid == pytest.approx(grid, rel=1e-12)
                 assert pdf.nu == pytest.approx(nu, rel=1e-12)
@@ -481,8 +459,8 @@ class TestEigenPdf:
                                    *args, **kw)
 
         monkeypatch.setattr(respectra.rmt, "_density_points", counted)
-        atoms = _LawAtoms(gen, DEFAULT_CONFIG)
-        _default_grid(atoms, atoms, 0.5, afze(0.5, 1.0), 512, DEFAULT_CONFIG)
+        atoms = _LawAtoms(gen)
+        _default_grid(atoms, atoms, 0.5, afze(0.5, 1.0), 512)
         assert 0 < len(solved) <= 64
 
     def test_no_law_with_a_gap_takes_the_sqrt_override(self):
@@ -491,7 +469,7 @@ class TestEigenPdf:
         # override 2 A sqrt(lo) > 1e-3 beta on every such law of the scan
         gaps = 0
         for law, xi, beta in scan_laws():
-            atoms = _LawAtoms(law, DEFAULT_CONFIG)
+            atoms = _LawAtoms(law)
             if _support_reaches_zero(atoms, atoms, beta):
                 continue
             gaps += 1
@@ -504,14 +482,13 @@ class TestEigenPdf:
                 f"{law.descriptor} beta={beta}"
         assert gaps == 135
 
-    def test_density_matches_4096_atom_quadrature(self):
+    def test_density_matches_4096_atom_quadrature(self, solver_settings):
         # the criterion-3 laws (beta = 1 takes the nu override) and MP at
         # beta 0.5, against 4 096 atoms on the same grid and nu: within 1e-8
         # of the peak, or no worse than 1 024 atoms plus 1e-10 of the peak.
         # Near zero the density is Im S/pi minus a smeared point mass of
         # size ~|S| (1e7 for MP), so it is compared to within the rounding
         # of that difference, 8 eps times the smear, on top.
-        fine = EtaSolverConfig(quad_panels=256)
         cases = [(law_genuine(0.0), 1.0, 0.5)]
         for rho in (0.9, 0.97):
             laws = [(law_genuine(rho), 1.0)]
@@ -524,22 +501,23 @@ class TestEigenPdf:
         for law, xi, beta in cases:
             pdf = eigen_pdf(law, law, beta, xi=xi)
             on_grid = dict(xi=xi, grid=pdf.lambda_grid, nu=pdf.nu)
-            ref = eigen_pdf(law, law, beta, config=fine, **on_grid)
+            with solver_settings(quad_panels=256):
+                ref = eigen_pdf(law, law, beta, **on_grid)
+                fine_edge = support_lower_edge(law, law, beta)
             peak = ref.density.max()
             smear = pdf.zero_mass * pdf.nu / (
                 np.pi * (pdf.lambda_grid ** 2 + pdf.nu ** 2))
             diff = np.abs(pdf.density - ref.density)
             err = (diff - 8 * np.finfo(float).eps * smear).max()
             if err > 1e-8 * peak:
-                mid = eigen_pdf(law, law, beta,
-                                config=EtaSolverConfig(quad_panels=64),
-                                **on_grid)
+                with solver_settings(quad_panels=64):
+                    mid = eigen_pdf(law, law, beta, **on_grid)
                 floor = (np.abs(mid.density - ref.density)
                          - 8 * np.finfo(float).eps * smear).max()
                 assert err <= floor + 1e-10 * peak, \
                     f"{law.descriptor} beta={beta}: {err / peak:.2e} of peak"
             assert support_lower_edge(law, law, beta) == pytest.approx(
-                support_lower_edge(law, law, beta, config=fine), rel=1e-12)
+                fine_edge, rel=1e-12)
 
     def test_density_bytes_do_not_depend_on_blas_threads(self):
         # two interpreters whose environments differ only in
@@ -665,13 +643,11 @@ class TestEigenPdf:
         for rho in (0.9, 0.95, 0.98):
             assert edges[(rho, 1.2)] < edges[(rho, 1.5)] < edges[(rho, 2.0)]
 
-    def test_pdf_failure_reports_lambda(self):
+    def test_pdf_failure_reports_lambda(self, solver_settings):
         law = law_genuine(0.97)
-        broken = EtaSolverConfig(tolerance=1e-14, max_iters=4,
-                                 picard_warmup=2)
-        with pytest.raises(ConvergenceFailure) as err:
-            eigen_pdf(law, law, 0.5, grid=np.array([1.0, 2.0]), nu=1e-4,
-                      config=broken)
+        with solver_settings(tolerance=1e-14, max_iters=4, picard_warmup=2), \
+                pytest.raises(ConvergenceFailure) as err:
+            eigen_pdf(law, law, 0.5, grid=np.array([1.0, 2.0]), nu=1e-4)
         assert "lambda" in str(err.value)
 
     def test_monte_carlo_agreement_small_scale(self):
