@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_range
+from .errors import InputError, NumericalError, check_count, check_range
 from .matcore import ar_gram_matrix, gaussian_matrix
 
 MAX_SIDE = 2 ** 12      # largest field side length (see ArParams)
@@ -46,9 +46,9 @@ class ArParams:
     def __post_init__(self):
         check_range("rho", self.rho, 0, 1, high_open=True)
         check_range("sigma_s2", self.sigma_s2, 0, low_open=True)
-        check_range("field side length", self.n, 2, MAX_SIDE)
+        check_count("field side length", self.n, 2, MAX_SIDE)
         if self.q is not None:
-            check_range("AR truncation length", self.q, 1)
+            check_count("AR truncation length", self.q, 1)
 
     @property
     def q_eff(self):

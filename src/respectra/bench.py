@@ -22,7 +22,7 @@ import numpy as np
 from .armodel import (_MEMO_SIDE, _MEMO_SIZE, ArParams, ar_gram_cholesky,
                       generate_field, sample_autocorr, standardize)
 from .detect import DetectorConfig, block_kappas
-from .errors import InputError, check_range
+from .errors import InputError, check_count
 from .matcore import spawn_seeds
 from .resample import (ResampleSpec, build_polyphase, get_kernel,
                        kernel_autocorr, quantize, support_columns)
@@ -52,7 +52,7 @@ class ExperimentSpec:
     realizations: int = 200
 
     def __post_init__(self):
-        check_range("realizations", self.realizations, 1, MAX_REALIZATIONS)
+        check_count("realizations", self.realizations, 1, MAX_REALIZATIONS)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .armodel import standardize
 from .bench import (format_csv, genuine_block, parse_factor, run_figure,
                     upscaled_block)
 from .detect import DetectorConfig, detect
-from .errors import InputError, NumericalError, check_range
+from .errors import InputError, NumericalError, check_count
 from .estimate import EstimatorConfig, estimate
 from .pgm import central_block, read_pgm
 from .resample import ResampleSpec, get_kernel, kernel_autocorr
@@ -225,7 +225,7 @@ def _cmd_pdf(args):
 
 
 def _cmd_spectrum(args):
-    check_range("points", args.points, 1, MAX_POINTS)
+    check_count("points", args.points, 1, MAX_POINTS)
     omega = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
     spec = _spec(args)
     values = (d_genuine(omega, args.rho) if spec is None else

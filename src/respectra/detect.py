@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import InputError, check_range
+from .errors import InputError, check_count, check_range
 from .spectra import mp_edges
 
 
@@ -27,7 +27,7 @@ class DetectorConfig:
     delta: float = 1.0
 
     def __post_init__(self):
-        check_range("K", self.k, 2)
+        check_count("K", self.k, 2)
         check_range("delta", self.delta, 0, low_open=True)
 
     @property

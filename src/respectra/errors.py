@@ -5,10 +5,12 @@ parameters, constant blocks) raise InputError; failures of the numerical
 machinery raise NumericalError. The CLI maps the two branches to exit codes
 2 and 3. The two subclasses carry data: ParseError the byte offset of the
 problem, ConvergenceFailure the last residual and the failing point.
-check_range is the one check of a scalar parameter's domain.
+check_range is the one check of a scalar parameter's domain, check_count
+its form for counts.
 """
 
 import math
+import operator
 
 
 class RespectraError(Exception):
@@ -68,3 +70,15 @@ def check_range(name, value, low, high=math.inf, low_open=False,
         if high < math.inf:
             where += f" and at most {high}"
     raise InputError(f"{name} must {where}, got {value}")
+
+
+def check_count(name, value, low, high=math.inf):
+    """check_range(name, value, low, high) for a count, which must also be
+    an integer: one ``operator.index`` accepts (int, numpy integer), not a
+    float such as 2.5 or even 2.0, which would otherwise end in a TypeError
+    or be truncated further on."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    check_range(name, value, low, high)

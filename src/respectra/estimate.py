@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import _beta, lower_median, view_eigenvalues
-from .errors import NumericalError, check_range
+from .errors import NumericalError, check_count, check_range
 from .spectra import mp_edges
 
 RATIO_ZERO_CUTOFF = 1e-14
@@ -39,9 +39,9 @@ class EstimatorConfig:
     t_mu: float = 2.0
 
     def __post_init__(self):
-        check_range("K", self.k, 3)
+        check_count("K", self.k, 3)
         check_range("delta", self.delta, 0, low_open=True)
-        check_range("k_w", self.k_w, 1)
+        check_count("k_w", self.k_w, 1)
         check_range("xi_max", self.xi_max, 1, low_open=True)
         check_range("t_mu", self.t_mu, 0, low_open=True)
         check_range("floor(K / xi_max)", int(self.k / self.xi_max), 1)

@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import InputError, check_range
+from .errors import InputError, check_count, check_range
 
 
 def _h_linear(t):
@@ -102,8 +102,8 @@ class ResampleSpec:
     delta: float = None
 
     def __post_init__(self):
-        check_range("L", self.L, 0, low_open=True)
-        check_range("M", self.M, 0, low_open=True)
+        check_count("L", self.L, 1)
+        check_count("M", self.M, 1)
         if gcd(self.L, self.M) != 1:
             raise InputError(f"L={self.L} and M={self.M} must be coprime")
         if self.L < self.M:

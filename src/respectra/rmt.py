@@ -30,8 +30,8 @@ stall counter and stop test in Python scalars; for real gamma > 0, which
 only eta_transform solves, its iterates also stay inside a bracket around
 the positive root, the physical one. A vector of gamma, always complex
 (the density sweep's batches and rescues), keeps them in per-point masks.
-Both do the same arithmetic on one-row arrays, so a point's bits do not
-depend on the path.
+Both do the same arithmetic on one-row arrays and take magnitudes as
+libm's hypot (_modulus), so a point's bits do not depend on the path.
 _density_points is the one place that solves at points lambda + i nu,
 forms S and the density and picks the root: a density below minus its
 evaluation-error budget (E2 tolerance times |S|/pi, at least 1e-12) marks
@@ -61,13 +61,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InputError, check_range
+from .errors import ConvergenceFailure, InputError, check_count, check_range
 from .spectra import afze
 
 _log = logging.getLogger(__name__)
 
-_QUAD_ORDER = 16        # Gauss-Legendre nodes per quadrature panel
-_QUAD_PANELS = 16       # panels on (0, pi): 256 atoms per law
+_QUAD_ORDER = 32        # Gauss-Legendre nodes per quadrature panel
+_QUAD_PANELS = 4        # panels on (0, pi): 128 atoms per law
 _QUAD_GRADING = 3.0     # panel edges pi (k/panels)^3, dense near omega = 0
 _TOLERANCE = 1e-6       # last Newton step relative to |E2|
 _MAX_ITERS = 10000      # fixed-point iterations per point
@@ -80,10 +80,14 @@ MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
 def quadrature_nodes():
     """Graded composite Gauss-Legendre nodes and weights on (0, pi).
 
-    16 panels of 16 nodes whose edges are graded toward 0 as
+    4 panels of 32 nodes whose edges are graded toward 0 as
     pi (k/panels)^3, where the AR spectrum peaks; the law's symmetry around
-    pi supplies the other half interval. Densities on these 256 atoms match
-    a 4 096-atom solve to within 1e-8 of the peak.
+    pi supplies the other half interval. Densities on these 128 atoms match
+    a 4 096-atom solve (128 panels) to within 1.5e-9 of the peak, and lower
+    support edges to 1.1e-15 relative, over MP, the genuine and upscaled
+    laws of rho 0.9 and 0.97 at beta 0.25-1 and three of rho 0.99 at beta
+    0.5 (58 laws). 8 panels of 16 nodes reach 5.5e-9, 96-atom rules 2.3e-8
+    or worse.
     """
     return _quadrature(_QUAD_PANELS)
 
@@ -192,10 +196,10 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     # .any() on arrays this small
     for it in range(1, _MAX_ITERS + 1):
         f, ra, rb = _fixed_point_map(atoms_d, atoms_t, g, gb, x)
-        residual = np.abs(f)
+        residual = _modulus(f)
         if not all_newton:
             newton |= (it > _PICARD_WARMUP) \
-                | (residual <= 1e-2 * np.maximum(np.abs(f + x), np.abs(x)))
+                | (residual <= 1e-2 * np.maximum(_modulus(f + x), _modulus(x)))
             all_newton = np.count_nonzero(newton) == len(x)
         step = _DAMPING * f
         if all_newton or np.count_nonzero(newton):
@@ -209,11 +213,11 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
         if all_newton:
             best = np.where(better, residual, best)
             stale = np.where(better, 0, stale + 1)
-            done = np.abs(step) <= _TOLERANCE * np.abs(x)
+            done = _modulus(step) <= _TOLERANCE * _modulus(x)
         else:
             best = np.where(newton & better, residual, best)
             stale = np.where(better, 0, stale + newton)
-            done = newton & (np.abs(step) <= _TOLERANCE * np.abs(x))
+            done = newton & (_modulus(step) <= _TOLERANCE * _modulus(x))
         finished = np.count_nonzero(done)
         if finished == len(x):
             e2[point], its[point] = x, it
@@ -235,6 +239,15 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
         f"at gamma={gamma[point[0]]}", residual=residual[0], point=point[0])
+
+
+def _modulus(z):
+    """|z| elementwise, as the libm hypot that Python's abs applies to one
+    complex scalar. numpy's vectorized complex absolute differs from it in
+    the last ulp on about a third of inputs; measured this way, a batch row
+    and _solve_one take their Newton switch and stop test on the same bits.
+    """
+    return np.hypot(z.real, z.imag)
 
 
 def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x):
@@ -632,26 +645,32 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
     that carry different factors. The bound on points keeps a call near a
     minute and its per-point arrays near 16 MiB: past the calibration each
-    point costs about 0.04-0.07 ms of solving (8 192 points take
-    0.3-0.55 s, 512 points 20-55 ms, on a 2-core x86 box shared with
-    other load), and the complex E2 of 2**20 points takes 16 MiB. The
-    figures use the default 512.
+    point costs about 0.02 ms of solving over the 128 atoms (8 192 points
+    take 0.16-0.19 s, 512 points 17-36 ms, over genuine and upscaled laws
+    of rho 0.97 on a 2-core x86 box shared with other load), and the
+    complex E2 of 2**20 points takes 16 MiB. The figures use the default
+    512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
-    = beta E[D] E[T] within 1 %) were measured to hold for beta from 0.05
-    to 1, over MP and the genuine and upscaled laws of rho 0.9, 0.97 and
-    0.98 (all four kernels at 3/2 and 2/1). Below 0.05 the first moment misses its
-    budget (by 13 % at beta 0.04, 41 % at 0.003), and the continuous part
-    vanishes at beta 1e-5 for MP, 1e-6 for linear 3/2 and 1e-8 for
-    genuine rho 0.97, while the total mass, mostly zero_mass = 1 - beta/xi,
-    still meets its budget.
+    = beta E[D] E[T] within 1 %) were measured over MP and the genuine and
+    upscaled laws of rho 0.9, 0.97 and 0.98 (all four kernels at 3/2 and
+    2/1). They hold at beta 0.05, 0.125, 0.25, 0.5 and 1, but not at every
+    beta between: on a 0.01 step from 0.05 to 1, 12 of 2 688 calls miss
+    the first moment by 1.6-3.2 % (in the far upper tail, where densities
+    near 1e-8 carry a few percent of the moment, neighbouring points read
+    2e-8 and 4e-16), and b-spline laws of rho 0.97 and 0.98 lose 1-3.5 %
+    of the mass at beta 0.8-0.99. Below 0.05 the first moment misses its
+    budget (by 3.4 % at beta 0.04, 6.0 % at 0.003 for genuine rho 0.97),
+    and the continuous part vanishes at beta 1e-5 for MP, 1e-6 for linear
+    3/2 and 1e-8 for genuine rho 0.97, while the total mass, mostly
+    zero_mass = 1 - beta/xi, still meets its budget.
     Raises ConvergenceFailure (annotated with the offending lambda) if
     some grid point cannot be solved.
     """
     if nu is not None:
         check_range("nu", nu, 0, low_open=True)
     if grid is None:
-        check_range("points", points, 2, MAX_POINTS)
+        check_count("points", points, 2, MAX_POINTS)
     else:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 2 or not np.all(np.isfinite(grid)) \

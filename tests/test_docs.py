@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from respectra import quadrature_nodes
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -27,3 +29,13 @@ def test_readme_quick_start_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S)[1]
     exec(compile(code, "README.md (Quick start)", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_states_the_quadrature_rule():
+    # the "Eta solver" bullet names the rule; a change to rmt's
+    # _QUAD_ORDER or _QUAD_PANELS must change that text too
+    readme = (ROOT / "README.md").read_text()
+    bullet = readme.split("- **Eta solver.**", 1)[1]
+    panels, nodes, atoms = map(int, re.search(
+        r"\((\d+) panels x (\d+) nodes, (\d+) atoms,", bullet).groups())
+    assert panels * nodes == atoms == len(quadrature_nodes()[0])

@@ -15,7 +15,8 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
 from respectra.rmt import (_default_grid, _density_points, _LawAtoms,
-                           _power_law, _solve_e2, _support_reaches_zero)
+                           _modulus, _power_law, _solve_e2,
+                           _support_reaches_zero)
 
 
 def mp_eta_closed_form(gamma, beta):
@@ -247,6 +248,17 @@ class TestOnePointPath:
         rows = _solve_e2(atoms, atoms, 1.0, gammas, warm=np.conj(row[0]))
         assert again[0].tobytes() == rows[0][:1].tobytes()
         assert again[1][0] == rows[1][0]
+
+    def test_batch_magnitudes_equal_scalar_abs(self):
+        # the one-point path takes Python's abs of complex scalars, the
+        # batch loop _modulus of arrays; numpy's own complex absolute
+        # rounds differently on some of these inputs, _modulus on none
+        rng = np.random.default_rng(20)
+        z = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)) \
+            * np.exp(rng.uniform(-30.0, 30.0, 20000))
+        scalar = np.array([abs(v) for v in z])
+        assert np.count_nonzero(np.abs(z) != scalar) > 1000
+        assert _modulus(z).tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("settings,lam,nu,match", [
         ({"tolerance": 1e-14, "max_iters": 4, "picard_warmup": 2},
@@ -483,12 +495,14 @@ class TestEigenPdf:
         assert gaps == 135
 
     def test_density_matches_4096_atom_quadrature(self, solver_settings):
-        # the criterion-3 laws (beta = 1 takes the nu override) and MP at
-        # beta 0.5, against 4 096 atoms on the same grid and nu: within 1e-8
-        # of the peak, or no worse than 1 024 atoms plus 1e-10 of the peak.
-        # Near zero the density is Im S/pi minus a smeared point mass of
-        # size ~|S| (1e7 for MP), so it is compared to within the rounding
-        # of that difference, 8 eps times the smear, on top.
+        # the criterion-3 laws (beta = 1 takes the nu override), MP at beta
+        # 0.5, and at rho 0.99, where the spectral peak is sharpest,
+        # genuine, b-spline 2/1 and lanczos3 3/2 at beta 0.5, against 4 096
+        # atoms (128 panels) on the same grid and nu: within 1e-8 of the
+        # peak, or no worse than 1 024 atoms (32 panels) plus 1e-10 of the
+        # peak. Near zero the density is Im S/pi minus a smeared point mass
+        # of size ~|S| (1e7 for MP), so it is compared to within the
+        # rounding of that difference, 8 eps times the smear, on top.
         cases = [(law_genuine(0.0), 1.0, 0.5)]
         for rho in (0.9, 0.97):
             laws = [(law_genuine(rho), 1.0)]
@@ -498,10 +512,16 @@ class TestEigenPdf:
                     laws.append((law_upscaled(rho, spec), spec.xi))
             cases += [(law, xi, beta) for law, xi in laws
                       for beta in (0.25, 0.5, 1.0)]
+        cases.append((law_genuine(0.99), 1.0, 0.5))
+        for name, lnum, m in (("b-spline", 2, 1), ("lanczos3", 3, 2)):
+            spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
+            cases.append((law_upscaled(0.99, spec), spec.xi, 0.5))
+        with solver_settings(quad_panels=128):
+            assert len(quadrature_nodes()[0]) == 4096
         for law, xi, beta in cases:
             pdf = eigen_pdf(law, law, beta, xi=xi)
             on_grid = dict(xi=xi, grid=pdf.lambda_grid, nu=pdf.nu)
-            with solver_settings(quad_panels=256):
+            with solver_settings(quad_panels=128):
                 ref = eigen_pdf(law, law, beta, **on_grid)
                 fine_edge = support_lower_edge(law, law, beta)
             peak = ref.density.max()
@@ -510,7 +530,7 @@ class TestEigenPdf:
             diff = np.abs(pdf.density - ref.density)
             err = (diff - 8 * np.finfo(float).eps * smear).max()
             if err > 1e-8 * peak:
-                with solver_settings(quad_panels=64):
+                with solver_settings(quad_panels=32):
                     mid = eigen_pdf(law, law, beta, **on_grid)
                 floor = (np.abs(mid.density - ref.density)
                          - 8 * np.finfo(float).eps * smear).max()

@@ -3,10 +3,10 @@ import pytest
 
 from respectra import (ArParams, DetectorConfig, EstimatorConfig,
                        InputError, KERNELS, ResampleSpec, afze,
-                       cosine_series, d_genuine, d_upscaled, gap_lower_bound,
-                       gaussian_matrix, kernel_autocorr, law_genuine,
-                       law_upscaled, mp_edges, quadrature_nodes, quantize,
-                       signal_floor_bound)
+                       cosine_series, d_genuine, d_upscaled, eigen_pdf,
+                       gap_lower_bound, gaussian_matrix, kernel_autocorr,
+                       law_genuine, law_upscaled, mp_edges, quadrature_nodes,
+                       quantize, run_figure, signal_floor_bound)
 
 NAN = float("nan")
 INF = float("inf")
@@ -205,3 +205,39 @@ RANGE_CHECKS = (
 def test_nan_fails_range_checks(build, value, match):
     with pytest.raises(InputError, match=match):
         build(value)
+
+
+COUNT_CHECKS = (
+    ("eigen_pdf.points", lambda x: eigen_pdf(
+        law_genuine(0.5), law_genuine(0.5), 0.5, points=x), "points"),
+    ("run_figure.realizations", lambda x: run_figure(
+        "fig7", "unwritten", params={"snr_grid": (1e2,)}, realizations=x),
+     "realizations"),
+    ("DetectorConfig.k", lambda x: DetectorConfig(k=x), "K"),
+    ("EstimatorConfig.k", lambda x: EstimatorConfig(k=x), "K"),
+    ("EstimatorConfig.k_w", lambda x: EstimatorConfig(k_w=x), "k_w"),
+    ("ArParams.n", lambda x: ArParams(rho=0.5, n=x), "field side length"),
+    ("ArParams.q", lambda x: ArParams(rho=0.5, n=8, q=x),
+     "AR truncation length"),
+    ("ResampleSpec.L", lambda x: ResampleSpec(L=x, M=1), "L"),
+    ("ResampleSpec.M", lambda x: ResampleSpec(L=3, M=x), "M"),
+)
+
+
+# a fractional count used to end in a TypeError from numpy or math.gcd, or
+# (k_w, n, q) to be accepted; an integral float is refused the same way
+# (errors.check_count)
+@pytest.mark.parametrize("build,value,name", [
+    (build, value, name) for value in (2.5, 2.0)
+    for _, build, name in COUNT_CHECKS
+], ids=[f"{site}={value}" for value in (2.5, 2.0)
+        for site, _, _ in COUNT_CHECKS])
+def test_non_integer_count_raises_input_error(build, value, name):
+    with pytest.raises(InputError,
+                       match=f"^{name} must be an integer, got {value}$"):
+        build(value)
+
+
+def test_numpy_integer_counts_accepted():
+    assert ArParams(rho=0.5, n=np.int64(8), q=np.int32(3)).n == 8
+    assert DetectorConfig(k=np.int64(9)).k == 9
