@@ -12,44 +12,53 @@ plus the explicit point-mass branch. The Stieltjes transform follows from
 S(-1/gamma) = gamma eta(gamma), and evaluating it just above the real axis
 recovers the eigenvalue density.
 
-Solver notes: the solver's settings are module constants, not
-parameters. Each point is iterated with damped steps until its relative
-residual falls below 1e-2 (at most 60 of them) and then finished by
-Newton steps on F(E2) = g(E2) - E2, whose derivative comes from the same
-quadrature sums as g. A point stops at its first Newton step within the
-fixed tolerance 1e-6 of |E2|, at most 10 000 iterations, and the
-stepped iterate is returned, so where Newton converges quadratically (away
-from support edges) the E2 error is far below the tolerance; this matters
-near zero, where |S| ~ zero_mass/|lambda + i nu| amplifies it. The points
-are rows of (points x atoms) arrays summed along the atom axis, so a
-point's answer does not depend on the other points or on BLAS. The solver
-has two paths over one map and slope (_fixed_point_map, _map_slope),
-picked by the number of points. A single gamma (eta_transform's, every
-chain link, the sqrt probe, a one-point rescue) keeps its Newton switch,
-stall counter and stop test in Python scalars; for real gamma > 0, which
-only eta_transform solves, its iterates also stay inside a bracket around
-the positive root, the physical one. A vector of gamma, always complex
-(the density sweep's batches and rescues), keeps them in per-point masks.
-Both do the same arithmetic on one-row arrays and take magnitudes as
-libm's hypot (_modulus), so a point's bits do not depend on the path.
+Solver notes: the solver's settings are module constants, not parameters.
+Each point is iterated with damped steps until its relative residual falls
+below 1e-2 (at most 60 of them) and then finished by Newton steps on
+F(E2) = g(E2) - E2, whose derivative comes from the same quadrature sums
+as g. A point stops at its first Newton step within the fixed tolerance
+1e-6 of |E2|, returning the stepped iterate, or at its first Newton
+iterate whose residual is within the map's own rounding of |E2|
+((n_D + n_T) eps/2 for two sums over n_D and n_T atoms), returning that
+iterate, after at most 10 000 iterations. Where Newton converges
+quadratically (away from support edges) the E2 error is thus far below the
+tolerance; this matters near zero, where |S| ~ zero_mass/|lambda + i nu|
+amplifies it. The points are rows of (points x atoms) arrays summed along
+the atom axis, so a point's answer does not depend on the other points or
+on BLAS. The solver has two paths over one map and slope
+(_fixed_point_map, _map_slope), picked by the number of points. A single
+gamma (eta_transform's, every chain link, the sqrt probe, a one-point
+rescue) keeps its Newton switch, stall counter and stop test in Python
+scalars; for real gamma > 0, which only eta_transform solves, its iterates
+also stay inside a bracket around the positive root, the physical one. A
+vector of gamma, always complex (the density sweep's batches and rescues),
+keeps them in per-point masks. Both do the same arithmetic on one-row
+arrays and take magnitudes as libm's hypot (_modulus), so a point's bits
+do not depend on the path. Each also returns d log E2 / d log gamma from
+the sums of the last map evaluation (_log_tangent), which costs no atom
+sum of its own.
 _density_points is the one place that solves at points lambda + i nu,
 forms S and the density and picks the root: a density below minus its
 evaluation-error budget (E2 tolerance times |S|/pi, at least 1e-12) marks
 the nonphysical root and the point is re-solved from conj(E2) (logged at
 DEBUG on this module's logger and counted in EigenPdf.rescued_points).
-A density sweep walks its grid from the largest lambda down. Every 8th
-grid point and both ends form a chain, each link warm started from E2
-extrapolated as a power of lambda through the links above it; the chain is
-what keeps the sweep on the physical root. After every 4 links the points
-between them, at most 28, are solved as one batch, each started from the
-chain's E2 interpolated in log lambda (log E2 linear in log lambda). The
-default grid's calibration uses the same walk over a coarse grid and stops
-it at the first batch that reaches below the tail cut, the only part its
-tail-mass rule reads. Where the support reaches zero (P(D != 0)/beta <=
-P(T != 0)) a cold-started fine-nu solve at the bottom of the coarse grid
-probes for an A/sqrt(lambda) divergence, the conj(E2) rescue picking the
-physical root; where the support has a gap there is no divergence and no
-probe.
+A density sweep walks its grid from the largest lambda down. Every 16th
+grid point and both ends form a chain, the chain being what keeps the
+sweep on the physical root. Each link is warm started from the quadratic
+in (log lambda, log E2) through the two links above it with the lower
+one's tangent (numerical continuation's tangent predictor; the second
+link from the top link's E2). After every 2 links the points between
+them, at most 30, are solved as one batch, each started from the cubic
+Hermite interpolant of log E2 between its two links. A predicted start
+that is not finite or lies more than 0.5 in |log| from the power-law
+start (log E2 linear in log lambda through the same links) falls back to
+it. The default grid's calibration uses the same walk over a coarse grid
+and stops it at the first batch that reaches below the tail cut, the only
+part its tail-mass rule reads. Where the support reaches zero
+(P(D != 0)/beta <= P(T != 0)) a cold-started fine-nu solve at the bottom
+of the coarse grid probes for an A/sqrt(lambda) divergence, the conj(E2)
+rescue picking the physical root; where the support has a gap there is
+no divergence and no probe.
 
 support_lower_edge reads no density: it finds the lower support edge as
 the fold of the fixed point's real inverse map, from the same atom sums.
@@ -141,32 +150,53 @@ class _LawAtoms:
 
 def _fixed_point_map(atoms_d, atoms_t, g, gb, x):
     """F(x) = g(x) - x at each point of the vector x, where gb = gamma beta;
-    also returns the reciprocals (ra, rb) of the two atom sums, from which
-    _map_slope forms g'(x). Points are rows of (points x atoms) arrays
-    summed along the atom axis, so each row is computed alone."""
+    also returns the first atom sum e1 = E1 at x and the reciprocals
+    (ra, rb) of the two atom sums, from which _map_slope forms g'(x).
+    Points are rows of (points x atoms) arrays summed along the atom axis,
+    so each row is computed alone."""
     ra = np.reciprocal(1.0 + (gb * x)[:, None] * atoms_d.values)
     e1 = np.add.reduce(atoms_d.wv * ra, axis=1)
     rb = np.reciprocal(1.0 + (g * e1)[:, None] * atoms_t.values)
-    return np.add.reduce(atoms_t.wv * rb, axis=1) - x, ra, rb
+    return np.add.reduce(atoms_t.wv * rb, axis=1) - x, e1, ra, rb
 
 
 def _map_slope(atoms_d, atoms_t, ggb, ra, rb):
-    """g'(x) at each point from the reciprocals of _fixed_point_map, where
-    ggb = gamma^2 beta."""
-    return ggb * np.add.reduce(atoms_t.wv2 * rb * rb, axis=1) \
-        * np.add.reduce(atoms_d.wv2 * ra * ra, axis=1)
+    """g'(x) = gamma^2 beta A B at each point from the reciprocals of
+    _fixed_point_map, where ggb = gamma^2 beta, A = sum(wv2_T rb^2) and
+    B = sum(wv2_D ra^2); also returns A, which _log_tangent reads."""
+    a = np.add.reduce(atoms_t.wv2 * rb * rb, axis=1)
+    return ggb * a * np.add.reduce(atoms_d.wv2 * ra * ra, axis=1), a
+
+
+def _log_tangent(g, x, e1, slope, a):
+    """d log E2 / d log gamma at each point from the sums of the map's
+    evaluation at x. Differentiating E2 = g(E2, gamma) gives dE2/dgamma =
+    -A (e1 - gamma beta E2 B) / (1 - g'), and gamma beta E2 A B is
+    g' E2 / gamma, so the tangent costs no atom sum of its own."""
+    return (slope - g * a * e1 / x) / (1.0 - slope)
 
 
 def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     """Solve E2 = g(E2) at each point of a vector of gamma; returns arrays
-    (e2, iterations) over the points.
+    (e2, iterations, tangent) over the points, the tangent being
+    d log E2 / d log gamma (_log_tangent) from the sums of the last map
+    evaluation.
 
     Each point takes damped Picard steps until the relative residual of g
     is below 1e-2 (at most _PICARD_WARMUP of them), then Newton steps on
     F(x) = g(x) - x, with g'(x) from the same atom sums as g. A point is
-    done after its first Newton step no longer than _TOLERANCE * |E2|, and
-    its stepped iterate is returned. Each evaluation of g counts as one
-    iteration of its point.
+    done after its first Newton step no longer than _TOLERANCE * |E2|,
+    and its stepped iterate is returned, or at its first Newton iterate x
+    whose residual |F(x)| is within the map's own rounding of |x| (below),
+    and x is returned. Each evaluation of g counts as one iteration of its
+    point.
+
+    The map's rounding: g is two sums over the atoms of D and of T, and a
+    sum of n terms may be off by n units of roundoff (eps/2) relative to
+    them, so F(x) cannot be told from zero once |F(x)| <= (n_D + n_T) eps/2
+    |x|, 2.8e-14 |x| at 128 atoms per law. Without this stop a tolerance
+    below rounding would leave a point at its root until the divergence
+    window ran out.
 
     A single gamma (eta_transform's, a chain link, the sqrt probe, a
     one-point rescue) is solved by _solve_one, which also brackets real
@@ -186,48 +216,57 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     if np.iscomplexobj(x):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
     gb, ggb = gamma * beta, gamma * gamma * beta
+    rounding = 0.5 * np.finfo(float).eps \
+        * (atoms_d.values.size + atoms_t.values.size)
     if len(x) == 1:
-        return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x)
+        return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding)
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
+    tangent = np.empty_like(x)
     point, g = np.arange(len(x)), gamma
     newton, all_newton = np.zeros(len(x), dtype=bool), False
     best, stale = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
     # the loop tests masks with np.count_nonzero, a few times cheaper than
     # .any() on arrays this small
     for it in range(1, _MAX_ITERS + 1):
-        f, ra, rb = _fixed_point_map(atoms_d, atoms_t, g, gb, x)
-        residual = _modulus(f)
+        f, e1, ra, rb = _fixed_point_map(atoms_d, atoms_t, g, gb, x)
+        residual, size = _modulus(f), _modulus(x)
         if not all_newton:
             newton |= (it > _PICARD_WARMUP) \
-                | (residual <= 1e-2 * np.maximum(_modulus(f + x), _modulus(x)))
+                | (residual <= 1e-2 * np.maximum(_modulus(f + x), size))
             all_newton = np.count_nonzero(newton) == len(x)
         step = _DAMPING * f
         if all_newton or np.count_nonzero(newton):
-            slope = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
+            slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
             usable = slope != 1.0
             np.divide(f, 1.0 - slope, out=step,
                       where=usable if all_newton else newton & usable)
-        x = x + step
+        new = x + step
         # stale counts a Newton point's steps since its residual last fell
         better = residual < best
+        stepped = _modulus(step) <= _TOLERANCE * _modulus(new)
+        done = stepped | (residual <= rounding * size)
         if all_newton:
             best = np.where(better, residual, best)
             stale = np.where(better, 0, stale + 1)
-            done = _modulus(step) <= _TOLERANCE * _modulus(x)
         else:
             best = np.where(newton & better, residual, best)
             stale = np.where(better, 0, stale + newton)
-            done = newton & (_modulus(step) <= _TOLERANCE * _modulus(x))
+            done &= newton
         finished = np.count_nonzero(done)
         if finished == len(x):
-            e2[point], its[point] = x, it
-            return e2, its
+            e2[point], its[point] = np.where(stepped, new, x), it
+            tangent[point] = _log_tangent(g, x, e1, slope, a)
+            return e2, its, tangent
         if finished:
-            e2[point[done]], its[point[done]] = x[done], it
+            at = point[done]
+            e2[at], its[at] = np.where(stepped, new, x)[done], it
+            tangent[at] = _log_tangent(g, x, e1, slope, a)[done]
             keep = ~done
             point, x, g, gb, ggb, newton, best, stale, residual = (
-                v[keep] for v in (point, x, g, gb, ggb, newton, best, stale,
-                                  residual))
+                v[keep] for v in (point, new, g, gb, ggb, newton, best,
+                                  stale, residual))
+        else:
+            x = new
         # stale grows by at most one per iteration, so no point can reach
         # the window before this iteration number
         if it >= _DIVERGENCE_WINDOW \
@@ -250,13 +289,14 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x):
+def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding):
     """_solve_e2 at one point: gamma, gamma beta, gamma^2 beta and the
-    start x are arrays of one entry. The map, slope and step are
-    _solve_e2's on a one-row array, so an unbracketed point's answer is
-    bit-identical to that row of a batch; the Newton switch, best
-    residual, stale counter and stop test are Python scalars. Failures
-    raise as in _solve_e2, with point 0.
+    start x are arrays of one entry, ``rounding`` the map's relative
+    rounding. The map, slope, step and tangent are _solve_e2's on a
+    one-row array, so an unbracketed point's answer is bit-identical to
+    that row of a batch; the Newton switch, best residual, stale counter
+    and stop test are Python scalars. Failures raise as in _solve_e2, with
+    point 0.
 
     For real gamma > 0 the positive root is the physical one: F(0) > 0 >
     F(x) for every x >= E[T], so the start is clamped into (0, E[T]) (a
@@ -270,7 +310,7 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x):
         x = np.full_like(x, 0.5 * (lo + hi))
     newton, best, stale = False, np.inf, 0
     for it in range(1, _MAX_ITERS + 1):
-        f, ra, rb = _fixed_point_map(atoms_d, atoms_t, gamma, gb, x)
+        f, e1, ra, rb = _fixed_point_map(atoms_d, atoms_t, gamma, gb, x)
         residual = abs(f[0])
         if bracketed:
             lo, hi = (x[0].real, hi) if f[0].real > 0 else (lo, x[0].real)
@@ -278,24 +318,27 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x):
             newton = it > _PICARD_WARMUP or residual <= 1e-2 * max(
                 abs(f[0] + x[0]), abs(x[0]))
         if newton:
-            slope = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
+            slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
             step = f / (1.0 - slope) if slope[0] != 1.0 else _DAMPING * f
         else:
             step = _DAMPING * f
         if bracketed and not lo < (x[0] + step[0]).real < hi:
             step = 0.5 * (lo + hi) - x
-        x = x + step
+        new = x + step
         if newton:
             if residual < best:
                 best, stale = residual, 0
             else:
                 stale += 1
-            if abs(step[0]) <= _TOLERANCE * abs(x[0]):
-                return x, np.array([it])
+            stepped = abs(step[0]) <= _TOLERANCE * abs(new[0])
+            if stepped or residual <= rounding * abs(x[0]):
+                return (new if stepped else x), np.array([it]), \
+                    _log_tangent(gamma, x, e1, slope, a)
             if stale >= _DIVERGENCE_WINDOW:
                 raise ConvergenceFailure(
                     f"fixed point diverging at gamma={gamma[0]}",
                     residual=residual, point=0)
+        x = new
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
         f"at gamma={gamma[0]}", residual=residual, point=0)
@@ -320,7 +363,7 @@ def eta_transform(law_d, law_t, beta, gamma):
     atoms_d = _LawAtoms(law_d)
     atoms_t = _LawAtoms(law_t)
     gamma = np.atleast_1d(gamma)
-    e2, _ = _solve_e2(atoms_d, atoms_t, beta, gamma)
+    e2 = _solve_e2(atoms_d, atoms_t, beta, gamma)[0]
     return _eta_given_e2(atoms_d, beta, gamma, e2)[0]
 
 
@@ -392,12 +435,15 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
     density below minus its budget is taken to mark the nonphysical root,
     so those points are re-solved together from conj(E2), logged in one
     DEBUG line, and keep the larger density. Returns arrays (density, e2,
-    budget, iterations, rescued); the density is not clamped.
+    budget, iterations, rescued, tangent); the density is not clamped, and
+    the tangent d log E2 / d log lambda, lambda gamma times the solver's
+    d log E2 / d log gamma, is that of the solve a point keeps.
     """
     def solve(lam, start):
         gamma = -1.0 / (lam + 1j * nu)
         try:
-            e2, its = _solve_e2(atoms_d, atoms_t, beta, gamma, warm=start)
+            e2, its, tangent = _solve_e2(atoms_d, atoms_t, beta, gamma,
+                                         warm=start)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(
                 f"inversion failed at lambda={lam[exc.point]:g}",
@@ -405,42 +451,80 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
         s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
         smear = zero_mass * nu / (np.pi * (lam * lam + nu * nu))
         budget = np.maximum(1e-12, _TOLERANCE * np.abs(s) / np.pi)
-        return s.imag / np.pi - smear, e2, budget, its
+        return s.imag / np.pi - smear, e2, budget, its, lam * gamma * tangent
 
-    f, e2, budget, its = solve(lam, warm)
+    f, e2, budget, its, tangent = solve(lam, warm)
     rescued = f < -budget
     if np.count_nonzero(rescued):
-        f_b, e2_b, budget_b, its_b = solve(lam[rescued], np.conj(e2[rescued]))
+        f_b, e2_b, budget_b, its_b, tangent_b = solve(lam[rescued],
+                                                      np.conj(e2[rescued]))
         _log.debug("nu=%g: densities %s at lambda=%s, re-solved from "
                    "conj(E2): %s", nu, f[rescued], lam[rescued], f_b)
         its[rescued] += its_b
         win = f_b > f[rescued]
         better = np.flatnonzero(rescued)[win]
-        f[better], e2[better], budget[better] = f_b[win], e2_b[win], budget_b[win]
-    return f, e2, budget, its, rescued
+        f[better], e2[better], budget[better], tangent[better] = (
+            f_b[win], e2_b[win], budget_b[win], tangent_b[win])
+    return f, e2, budget, its, rescued, tangent
 
 
-_CHAIN_STRIDE = 8       # grid points per link of the warm-started chain
-_BATCH_LINKS = 4        # links walked per batched solve: <= 28 points between
+_CHAIN_STRIDE = 16      # grid points per link of the warm-started chain
+_BATCH_LINKS = 2        # links walked per batched solve: <= 30 points between
+_START_GUARD = 0.5      # largest |log(predicted / power-law start)| taken
 
 
-def _power_law(at, x0, x1, e0, e1):
-    """E2 at log lambda ``at`` on the power of lambda through E2 = e0 at log
-    lambda x0 and E2 = e1 at x1 (log E2 linear in log lambda)."""
-    return e0 * (e1 / e0) ** ((at - x0) / (x1 - x0))
+def _predicted(e0, du, power):
+    """The start e0 exp(du) predicted from tangents, or the power-law start
+    e0 exp(power) (log E2 linear in log lambda through the same links)
+    where du is not finite or lies more than _START_GUARD from power, that
+    is where the two starts differ by more than a factor e^0.5 in modulus
+    and phase together: a tangent is far off where E2 turns sharply."""
+    return e0 * np.exp(np.where(np.abs(du - power) <= _START_GUARD, du, power))
+
+
+def _link_start(at, xk, ek, tk, xa, ea):
+    """Start of the chain link at log lambda ``at`` below the link solved
+    at (xk, ek), whose tangent d log E2 / d log lambda is tk: the quadratic
+    in (log lambda, log E2) through that link with that tangent and
+    through the link above it, (xa, ea), guarded by the power law through
+    the two links."""
+    h, d = at - xk, xa - xk
+    chord = np.log(ea / ek) / d
+    return _predicted(ek, (tk + (chord - tk) / d * h) * h, chord * h)
+
+
+def _hermite_start(at, x0, x1, e0, e1, t0, t1):
+    """Starts at log lambda ``at`` between links at x0 < x1: the cubic
+    Hermite interpolant of log E2 in log lambda through (x0, log e0) and
+    (x1, log e1) with tangents t0 and t1, guarded by the power law through
+    the two links."""
+    h = x1 - x0
+    t = (at - x0) / h
+    rise = np.log(e1 / e0)
+    du = t * (1.0 - t) * ((1.0 - t) * t0 - t * t1) * h \
+        + t * t * (3.0 - 2.0 * t) * rise
+    return _predicted(e0, du, t * rise)
 
 
 def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, stop=None):
     """Densities over an increasing grid, walked from the largest lambda down.
 
-    Every 8th point and both ends form a chain solved one link at a time;
-    each link starts from E2 extrapolated as a power of lambda through the
-    two links above it (the first two from a cold start and from the
-    first). The chain is what keeps the sweep on the physical root. After
-    every 4 links below the top, the at most 28 points between them are
-    solved as one batch, each started from the chain's E2 interpolated the
-    same way between the links around it. A point's answer depends only on
-    the grid and nu, not on its batch.
+    Every 16th point and both ends form a chain solved one link at a time.
+    Each solve also yields the tangent d log E2 / d log lambda at its point
+    (_density_points), so each link starts from the quadratic in (log
+    lambda, log E2) through the two links above it with the lower one's
+    tangent (_link_start). The second link starts from the top link's E2:
+    the top lies above the support, and its tangent line, extrapolated
+    across the upper support edge, lands on the root with no density
+    there more often (10 first-moment misses against 4 over a 2 688-call
+    scan of laws and betas). The chain is what keeps the sweep on the physical
+    root. After every 2 links below the top, the at most 30 points
+    between them are solved as one batch, each started from the cubic
+    Hermite interpolant of log E2 between the links around it
+    (_hermite_start). A predicted start that is not finite or lies more
+    than _START_GUARD in |log| from the power-law start (log E2 linear in
+    log lambda through the same two links) falls back to it. A point's
+    answer depends only on the grid and nu, not on its batch.
 
     After each batch ``stop`` (if given) is called with the densities
     solved so far, the top slice of the grid, and the walk ends when it
@@ -450,13 +534,14 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, stop=None):
     """
     n = len(grid)
     density, budget = np.empty(n), np.empty(n)
-    e2 = np.empty(n, dtype=complex)
+    e2, tangent = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     iters = rescued = 0
 
     def solve(idx, start):
         nonlocal iters, rescued
-        density[idx], e2[idx], budget[idx], its, resc = _density_points(
-            atoms_d, atoms_t, beta, zero_mass, grid[idx], nu, start)
+        density[idx], e2[idx], budget[idx], its, resc, tangent[idx] = \
+            _density_points(atoms_d, atoms_t, beta, zero_mass, grid[idx], nu,
+                            start)
         iters += int(its.sum())
         rescued += int(resc.sum())
 
@@ -469,19 +554,20 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, stop=None):
     warm, top, end = None, n - 1, len(rest)
     for i, k in enumerate(down):
         solve(slice(k, k + 1), warm)
-        if 0 < i < len(down) - 1:
-            above = down[i - 1]
-            warm = _power_law(log[down[i + 1]], log[above], log[k],
-                              e2[above], e2[k])
-        else:
+        if i == 0:
             warm = e2[k]
+        elif k > 0:
+            above = down[i - 1]
+            warm = _link_start(log[down[i + 1]], log[k], e2[k], tangent[k],
+                               log[above], e2[above])
         if i == 0 or (i % _BATCH_LINKS and k > 0):
-            continue        # batch after every 4th link and after the last
+            continue        # batch after every 2nd link and after the last
         b = slice(np.searchsorted(rest, k), end)
         if b.start < b.stop:
             lo, up = lower[b], upper[b]
-            solve(rest[b], _power_law(log[rest[b]], log[lo], log[up],
-                                      e2[lo], e2[up]))
+            solve(rest[b], _hermite_start(log[rest[b]], log[lo], log[up],
+                                          e2[lo], e2[up], tangent[lo],
+                                          tangent[up]))
         top, end = k, b.start
         if stop is not None and stop(density[k:]):
             break
@@ -630,9 +716,10 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
         Size of the default grid, from 2 to MAX_POINTS = 2**20.
 
     The sweep walks the grid from the largest lambda down: a chain of
-    every 8th point, each link warm started from the links above it, and
-    after every 4 links the points between them in one batch started from
-    the chain. The default grid is calibrated by the same walk over a
+    every 16th point, each link warm started from E2 predicted with the
+    tangent d log E2 / d log lambda of the link above it, and after every
+    2 links the points between them in one batch started from the cubic
+    Hermite interpolant between their links. The default grid is calibrated by the same walk over a
     coarse grid, stopped once it reaches below the tail cut that sets the
     grid's upper end; a cold-started probe for an A/sqrt(lambda)
     divergence at zero, which sets the lower end and the nu override, runs
@@ -645,21 +732,21 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
     that carry different factors. The bound on points keeps a call near a
     minute and its per-point arrays near 16 MiB: past the calibration each
-    point costs about 0.02 ms of solving over the 128 atoms (8 192 points
-    take 0.16-0.19 s, 512 points 17-36 ms, over genuine and upscaled laws
-    of rho 0.97 on a 2-core x86 box shared with other load), and the
-    complex E2 of 2**20 points takes 16 MiB. The figures use the default
-    512.
+    point costs about 0.015-0.03 ms of solving over the 128 atoms (8 192
+    points take 0.11-0.24 s, 512 points 15-33 ms, over genuine and
+    upscaled laws of rho 0.97 on a 2-core x86 box shared with other load),
+    and the complex E2 of 2**20 points takes 16 MiB. The figures use the
+    default 512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
     = beta E[D] E[T] within 1 %) were measured over MP and the genuine and
     upscaled laws of rho 0.9, 0.97 and 0.98 (all four kernels at 3/2 and
     2/1). They hold at beta 0.05, 0.125, 0.25, 0.5 and 1, but not at every
-    beta between: on a 0.01 step from 0.05 to 1, 12 of 2 688 calls miss
-    the first moment by 1.6-3.2 % (in the far upper tail, where densities
-    near 1e-8 carry a few percent of the moment, neighbouring points read
-    2e-8 and 4e-16), and b-spline laws of rho 0.97 and 0.98 lose 1-3.5 %
-    of the mass at beta 0.8-0.99. Below 0.05 the first moment misses its
+    beta between: on a 0.01 step from 0.05 to 1, 4 of 2 688 calls miss the
+    first moment by 2.6-3.4 % (each at the second chain link, just below
+    the upper support edge, which lands on a root with no density: 3e-16
+    where its neighbours read 2e-8, or 3e-13 against 7e-6), and b-spline
+    laws of rho 0.97 and 0.98 lose 1-3.5 % of the mass at beta 0.8-0.99. Below 0.05 the first moment misses its
     budget (by 3.4 % at beta 0.04, 6.0 % at 0.003 for genuine rho 0.97),
     and the continuous part vanishes at beta 1e-5 for MP, 1e-6 for linear
     3/2 and 1e-8 for genuine rho 0.97, while the total mass, mostly

@@ -1,4 +1,8 @@
+import contextlib
+import csv
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +30,46 @@ def mann_whitney_auc(genuine, upscaled):
     wins = (u[:, None] < g[None, :]).sum()
     ties = (u[:, None] == g[None, :]).sum()
     return (wins + 0.5 * ties) / (len(g) * len(u))
+
+
+def figure_in_subprocess(figure, out_dir, **env):
+    """``figure``'s default dataset written by a fresh interpreter whose
+    environment is this one's plus ``env``; returns its text columns as
+    rows of strings and its numeric columns as a float array."""
+    script = ("import sys, respectra\n"
+              "print(respectra.run_figure(sys.argv[1], sys.argv[2]))\n")
+    src = str(Path(respectra.__file__).resolve().parents[1])
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script, figure, str(out_dir)],
+                         check=True, capture_output=True, text=True,
+                         timeout=300, env=dict(base, **env))
+    with open(run.stdout.strip(), newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    numeric = [j for j, v in enumerate(rows[0])
+               if re.fullmatch(r"[-+0-9.eE]+|nan|inf", v)]
+    text = [[r[j] for j in range(len(r)) if j not in numeric] for r in rows]
+    return text, np.array([[float(r[j]) for j in numeric] for r in rows])
+
+
+def assert_within_1e_13_of_column_max(ref, other):
+    # the reproducibility contract across BLAS threads and SIMD paths:
+    # text columns equal, each numeric entry within 1e-13 of the largest
+    # magnitude in its column
+    assert ref[0] == other[0]
+    assert ref[1].shape == other[1].shape
+    assert np.all(np.abs(ref[1] - other[1])
+                  <= 1e-13 * np.abs(ref[1]).max(axis=0))
+
+
+def simd_extensions():
+    """The SIMD extensions numpy found on this machine beyond its build
+    baseline, as its runtime report (np.show_runtime) lists them."""
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        np.show_runtime()
+    found = re.search(r"'found': \[([^\]]*)\]", report.getvalue())
+    return re.findall(r"'(\w+)'", found[1])
 
 
 class TestRocAuc:
@@ -278,29 +322,32 @@ class TestRunFigure:
         assert float(first[1]) > float(first[2])
 
     def test_fig1b_within_1e_13_across_blas_threads(self, tmp_path):
-        # the reproducibility contract across BLAS thread counts: fig1b's
-        # 512 x 512 products, Cholesky and eigvalsh are threaded, so its
-        # columns may move, by at most 1e-13 of each column's maximum; two
-        # interpreters whose environments differ only in the thread counts
-        script = ("import sys, respectra\n"
-                  "print(respectra.run_figure('fig1b', sys.argv[1]))\n")
-        src = str(Path(respectra.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        # fig1b's 512 x 512 products, Cholesky and eigvalsh are threaded,
+        # so its columns may move; two interpreters whose environments
+        # differ only in the thread counts
         pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
-        cols = []
-        for threads in ("1", "2"):
-            run = subprocess.run(
-                [sys.executable, "-c", script, str(tmp_path / threads)],
-                check=True, capture_output=True, text=True, timeout=300,
-                env=dict(env, **dict.fromkeys(pins, threads)))
-            cols.append(np.loadtxt(run.stdout.strip(), delimiter=",",
-                                   skiprows=1))
-        assert cols[0].shape == (512, 3)
-        assert np.all(np.abs(cols[0] - cols[1])
-                      <= 1e-13 * np.abs(cols[0]).max(axis=0))
+        runs = [figure_in_subprocess("fig1b", tmp_path / threads,
+                                     **dict.fromkeys(pins, threads))
+                for threads in ("1", "2")]
+        assert runs[0][1].shape == (512, 3)
+        assert_within_1e_13_of_column_max(*runs)
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig4"])
+    def test_density_figures_within_1e_13_at_baseline_simd(self, tmp_path,
+                                                           figure):
+        # numpy's SIMD loops sum and divide in other orders than its
+        # baseline loops, so eigen_pdf's densities may move; two
+        # interpreters, one with every extension numpy found disabled
+        found = simd_extensions()
+        if not found:
+            pytest.skip("numpy runs its baseline SIMD loops already")
+        runs = [figure_in_subprocess(figure, tmp_path / name, **env)
+                for name, env in (("found", {}), ("baseline", {
+                    "NPY_DISABLE_CPU_FEATURES": " ".join(found)}))]
+        assert len(runs[0][1]) >= 3 * 512
+        assert_within_1e_13_of_column_max(*runs)
 
     def test_fig2_dataset_normalization(self, tmp_path):
         path = run_figure("fig2", tmp_path,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from respectra import quadrature_nodes
+from respectra import quadrature_nodes, rmt
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -39,3 +39,17 @@ def test_readme_states_the_quadrature_rule():
     panels, nodes, atoms = map(int, re.search(
         r"\((\d+) panels x (\d+) nodes, (\d+) atoms,", bullet).groups())
     assert panels * nodes == atoms == len(quadrature_nodes()[0])
+
+
+def test_readme_states_the_chain_stride():
+    # the "Eta solver" bullet states the density sweep's walk; a change to
+    # rmt's _CHAIN_STRIDE or _BATCH_LINKS must change that text too
+    readme = (ROOT / "README.md").read_text()
+    bullet = " ".join(readme.split("- **Eta solver.**", 1)[1].split())
+    stride, links, most = map(int, re.search(
+        r"a chain of every (\d+)th point \(and both ends\) keeps the sweep "
+        r"on the physical root, and after every (\d+) links the points "
+        r"between them, at most (\d+),", bullet).groups())
+    assert stride == rmt._CHAIN_STRIDE
+    assert links == rmt._BATCH_LINKS
+    assert most == links * (stride - 1)

@@ -14,9 +14,9 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
                        ResampleSpec, SpectralLaw, afze, eigen_pdf,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
-from respectra.rmt import (_default_grid, _density_points, _LawAtoms,
-                           _modulus, _power_law, _solve_e2,
-                           _support_reaches_zero)
+from respectra.rmt import (_CHAIN_STRIDE, _default_grid, _density_points,
+                           _hermite_start, _LawAtoms, _link_start, _modulus,
+                           _solve_e2, _support_reaches_zero)
 
 
 def mp_eta_closed_form(gamma, beta):
@@ -49,33 +49,38 @@ def coarse_grid(atoms, beta):
 
 def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
     """A density sweep over a whole grid as it was before the walk was
-    batched: a chain of every 8th point and both ends from the top down,
-    each link started from E2 extrapolated as a power of lambda through the
-    two links above it, then the other points in chunks of 32 started from
-    the chain's E2 interpolated in log lambda. Returns (densities, E2,
-    iterations); ``chain_only`` leaves the points between the links
-    unsolved."""
+    batched: a chain of every 16th point and both ends from the top down,
+    the second link started from the top link's E2 and each later one
+    from the tangent-predicted E2 below the two links above it, then the
+    other points in chunks of 32 started from the chain's E2 interpolated
+    between the links around them, with the walk's predictors. Returns
+    (densities, E2, iterations); ``chain_only`` leaves the points between
+    the links unsolved."""
     n = len(grid)
     dens, e2, its = np.zeros(n), np.zeros(n, dtype=complex), np.zeros(n, int)
+    tangent = np.zeros(n, dtype=complex)
 
     def solve(idx, start):
-        dens[idx], e2[idx], _, its[idx] = _density_points(
-            atoms, atoms, beta, zero_mass, grid[idx], nu, start)[:4]
+        dens[idx], e2[idx], _, its[idx], _, tangent[idx] = _density_points(
+            atoms, atoms, beta, zero_mass, grid[idx], nu, start)
 
     log = np.log(grid)
-    chain = np.unique(np.append(np.arange(0, n, 8), n - 1))
+    chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), n - 1))
     down, warm = chain[::-1], None
     for i, k in enumerate(down):
         solve(slice(k, k + 1), warm)
-        above = down[i - 1]
-        warm = e2[k] if i in (0, len(down) - 1) else _power_law(
-            log[down[i + 1]], log[above], log[k], e2[above], e2[k])
+        if i == 0:
+            warm = e2[k]
+        elif k > 0:
+            above = down[i - 1]
+            warm = _link_start(log[down[i + 1]], log[k], e2[k], tangent[k],
+                               log[above], e2[above])
     if not chain_only:
         rest = np.setdiff1d(np.arange(n), chain)
         pos = np.searchsorted(chain, rest)
         lower, upper = chain[pos - 1], chain[pos]
-        start = _power_law(log[rest], log[lower], log[upper], e2[lower],
-                           e2[upper])
+        start = _hermite_start(log[rest], log[lower], log[upper], e2[lower],
+                               e2[upper], tangent[lower], tangent[upper])
         for i in range(0, len(rest), 32):
             solve(rest[i:i + 32], start[i:i + 32])
     return dens, e2, its
@@ -167,7 +172,7 @@ class TestEtaTransform:
                               (ups, 1.0, 2.0)):
             atoms = _LawAtoms(law)
             for gamma in (1.0, 1e4, 1e8):
-                e2, _ = _solve_e2(atoms, atoms, beta, gamma)
+                e2 = _solve_e2(atoms, atoms, beta, gamma)[0]
                 eta = eta_transform(law, law, beta, gamma)
                 assert e2 > 0, f"beta={beta} xi={xi} gamma={gamma}: E2={e2}"
                 assert afze(beta, xi) <= eta <= 1.0, \
@@ -260,16 +265,17 @@ class TestOnePointPath:
         assert np.count_nonzero(np.abs(z) != scalar) > 1000
         assert _modulus(z).tobytes() == scalar.tobytes()
 
-    @pytest.mark.parametrize("settings,lam,nu,match", [
-        ({"tolerance": 1e-14, "max_iters": 4, "picard_warmup": 2},
+    @pytest.mark.parametrize("rho,settings,lam,nu,match", [
+        (0.97, {"tolerance": 1e-14, "max_iters": 4, "picard_warmup": 2},
          1.0, 1e-4, "not converged after 4 iterations"),
-        # a tolerance below rounding: Newton stalls at the root's rounding
-        # level and the residual stops falling
-        ({"tolerance": 1e-300}, 0.01, 0.01, "diverging"),
+        # MP at beta 0.5 puts lambda 0.1 inside its support [0.086, 2.914],
+        # where a real gamma has no root; nu = 1e-300 leaves gamma real to
+        # rounding, so Newton wanders and its residual stops falling
+        (0.0, {}, 0.1, 1e-300, "diverging"),
     ], ids=["max_iters", "divergence"])
-    def test_failure_matches_batch_row(self, solver_settings, settings, lam,
-                                       nu, match):
-        law = law_genuine(0.97)
+    def test_failure_matches_batch_row(self, solver_settings, rho, settings,
+                                       lam, nu, match):
+        law = law_genuine(rho)
         gammas = self.gammas(lam, nu)
         with solver_settings(**settings):
             atoms = _LawAtoms(law)
@@ -285,6 +291,66 @@ class TestOnePointPath:
         assert one.value.point == row.value.point == 0
         assert str(pdf.value).startswith(f"inversion failed at lambda={lam:g}")
         assert pdf.value.residual == one.value.residual
+
+
+class TestTangentStarts:
+    """The sweep starts each point from E2 predicted with the tangent
+    d log E2 / d log lambda that each solve returns."""
+
+    @pytest.mark.parametrize("law,xi", [
+        (law_genuine(0.97), 1.0),
+        (law_upscaled(0.97, ResampleSpec(L=3, M=2, kernel=KERNELS["linear"])),
+         1.5),
+        (law_upscaled(0.97, ResampleSpec(L=2, M=1,
+                                         kernel=KERNELS["b-spline"])), 2.0),
+    ], ids=["genuine", "linear-3/2", "b-spline-2/1"])
+    def test_tangent_matches_central_difference(self, solver_settings, law,
+                                                xi):
+        # in the gap below the support, at the peak and above it inside the
+        # support, and in the upper tail: the tangent from the sums of a
+        # default solve against a central difference of E2 solved to 1e-12
+        # at lambda e^(+-1e-4), within 1e-5 relative (measured: 7.8e-7, at
+        # the b-spline peak, where the sums are taken one Newton step short
+        # of the root)
+        beta, h = 0.5, 1e-4
+        pdf = eigen_pdf(law, law, beta, xi=xi)
+        edge = support_lower_edge(law, law, beta)
+        atoms, zero_mass = _LawAtoms(law), afze(beta, xi)
+        peak = pdf.lambda_grid[np.argmax(pdf.density)]
+        for lam in (0.5 * edge, peak, 3.0 * edge, 2.0 * pdf.lambda_plus()):
+            args = (atoms, atoms, beta, zero_mass)
+            _, e2, _, _, rescued, tangent = _density_points(
+                *args, np.array([lam]), pdf.nu)
+            assert not rescued[0]
+            with solver_settings(tolerance=1e-12):
+                up, down = (_density_points(*args, np.array([lam * f]),
+                                            pdf.nu, warm=e2)[1]
+                            for f in (np.exp(h), np.exp(-h)))
+            central = np.log(up / down)[0] / (2.0 * h)
+            assert abs(tangent[0] - central) <= 1e-5 * abs(central), \
+                f"lambda={lam:g}: {tangent[0]} against {central}"
+
+    def test_unusable_prediction_falls_back_to_power_law(self):
+        # a tangent that is not finite, or so large that its start would
+        # overflow exp, gives the power-law start; so does a finite one
+        # whose start differs from it by more than a factor e^0.5
+        e0, e1 = np.complex128(0.5 + 0.2j), np.complex128(0.3 + 0.4j)
+        at = np.array([0.25, 0.5, 0.75])
+        power = e0 * (e1 / e0) ** at
+        below = e0 * (e1 / e0) ** -1.0
+        with np.errstate(all="ignore"):
+            for bad in (np.nan, np.inf, complex(np.inf, np.nan), 1e300,
+                        -1e300j, 20.0):
+                assert _hermite_start(at, 0.0, 1.0, e0, e1, bad, 0.0) \
+                    == pytest.approx(power, rel=1e-14)
+                assert _link_start(-1.0, 0.0, e0, np.complex128(bad), 1.0,
+                                   e1) == pytest.approx(below, rel=1e-14)
+        # tangents consistent with the power law reproduce it
+        chord = np.log(e1 / e0)
+        assert _hermite_start(at, 0.0, 1.0, e0, e1, chord, chord) \
+            == pytest.approx(power, rel=1e-14)
+        assert _link_start(-1.0, 0.0, e0, chord, 1.0, e1) \
+            == pytest.approx(below, rel=1e-14)
 
 
 class TestStieltjes:
@@ -367,6 +433,30 @@ class TestEigenPdf:
             err = np.abs(pdf.density - ref.density).max()
             assert err <= 1e-5 * ref.density.max(), f"{law.descriptor}"
 
+    def test_tolerance_below_rounding_stops_at_the_maps_rounding(
+            self, solver_settings):
+        # with no step small enough, each point stops once its residual is
+        # within the map's rounding; before that stop every one of these 27
+        # calls stalled at its root and was reported as diverging. The
+        # default solve lies within its tolerance of the peak of the
+        # rounding-level one (measured: 5.3e-8, MP at beta 0.25)
+        laws = [(law_genuine(0.0), 1.0), (law_genuine(0.9), 1.0),
+                (law_genuine(0.97), 1.0)]
+        for name, lnum, m in (("linear", 3, 2), ("b-spline", 3, 2),
+                              ("catmull-rom", 2, 1), ("lanczos3", 2, 1),
+                              ("linear", 2, 1), ("b-spline", 2, 1)):
+            spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
+            laws.append((law_upscaled(0.97, spec), spec.xi))
+        for law, xi in laws:
+            for beta in (0.25, 0.5, 1.0):
+                pdf = eigen_pdf(law, law, beta, xi=xi)
+                with solver_settings(tolerance=0.0):
+                    exact = eigen_pdf(law, law, beta, xi=xi,
+                                      grid=pdf.lambda_grid, nu=pdf.nu)
+                assert np.abs(pdf.density - exact.density).max() \
+                    <= 1e-6 * exact.density.max(), \
+                    f"{law.descriptor} beta={beta}"
+
     def test_negative_density_rescued_from_conjugate_root(self, caplog):
         # a cold start at this point lands on the nonphysical root; the
         # rescue must recover what a sweep warm started from above finds
@@ -398,9 +488,9 @@ class TestEigenPdf:
                 assert np.array_equal(got[k:k + 1], want), f"lambda={lam[k]}"
         gen = _LawAtoms(law_genuine(0.97))
         gammas = np.array([1.0, 1e4, 1e8])
-        e2, its = _solve_e2(gen, gen, 0.5, gammas)
+        e2, its, tangent = _solve_e2(gen, gen, 0.5, gammas)
         for k, gamma in enumerate(gammas):
-            assert (e2[k], its[k]) == tuple(
+            assert (e2[k], its[k], tangent[k]) == tuple(
                 v[0] for v in _solve_e2(gen, gen, 0.5, gamma))
 
     def test_given_grid_reproduces_default_call(self):
