@@ -39,29 +39,29 @@ the sums of the last map evaluation (_log_tangent), which costs no atom
 sum of its own.
 _density_points is the one place that solves at points lambda + i nu,
 forms S and the density and picks the root: a density below minus its
-evaluation-error budget (E2 tolerance times |S|/pi, at least 1e-12) marks
+evaluation-error budget (the E2 tolerance, or the map's rounding where
+that is larger, times |S|/pi, at least 1e-12) marks
 the nonphysical root and the point is re-solved from conj(E2) (logged at
 DEBUG on this module's logger and counted in EigenPdf.rescued_points).
 A density sweep walks its grid from the largest lambda down. Every 16th
-grid point and both ends form a chain, the chain being what keeps the
-sweep on the physical root. Each link is warm started from the quadratic
+grid point, the top and the points 1, 2, 4 and 8 below it form a chain,
+the chain being what keeps the sweep on the physical root; it is solved
+first, one link at a time. Each link is warm started from the quadratic
 in (log lambda, log E2) through the two links above it with the lower
 one's tangent (numerical continuation's tangent predictor; the second
-link from the top link's E2). After every 2 links the points between
-them, at most 30, are solved as one batch, each started from the cubic
-Hermite interpolant of log E2 between its two links. A predicted start
-that is not finite or lies more than 0.5 in |log| from the power-law
-start (log E2 linear in log lambda through the same links) falls back to
-it. The default grid's calibration uses the same walk over a coarse grid
-and stops it at the first batch that reaches below the tail cut, the only
-part its tail-mass rule reads. Where the support reaches zero
-(P(D != 0)/beta <= P(T != 0)) a cold-started fine-nu solve at the bottom
-of the coarse grid probes for an A/sqrt(lambda) divergence, the conj(E2)
-rescue picking the physical root; where the support has a gap there is
-no divergence and no probe.
+link from the top link's E2). The points between the links are then
+solved in batches of 64, each started from the cubic Hermite interpolant
+of log E2 between its two links. A predicted start that is not finite or
+lies more than 0.5 in |log| from the power-law start (log E2 linear in
+log lambda through the same links) falls back to it. The default grid
+runs from 1e-8 beta E[D] E[T] to 1.02 times the upper support edge.
+Where the support reaches zero (P(D != 0)/beta <= P(T != 0)) a
+cold-started fine-nu solve at the grid's lower end probes for an
+A/sqrt(lambda) divergence, the conj(E2) rescue picking the physical
+root; where the support has a gap there is no divergence and no probe.
 
-support_lower_edge reads no density: it finds the lower support edge as
-the fold of the fixed point's real inverse map, from the same atom sums.
+Both support edges read no density: they are the folds of the fixed
+point's real inverse map (_fold_edge), from the same atom sums.
 """
 
 import functools
@@ -216,8 +216,7 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     if np.iscomplexobj(x):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
     gb, ggb = gamma * beta, gamma * gamma * beta
-    rounding = 0.5 * np.finfo(float).eps \
-        * (atoms_d.values.size + atoms_t.values.size)
+    rounding = _map_rounding(atoms_d, atoms_t)
     if len(x) == 1:
         return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding)
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
@@ -278,6 +277,12 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
         f"at gamma={gamma[point[0]]}", residual=residual[0], point=point[0])
+
+
+def _map_rounding(atoms_d, atoms_t):
+    """(n_D + n_T) eps/2, the fixed-point map's rounding relative to |E2|."""
+    return 0.5 * np.finfo(float).eps \
+        * (atoms_d.values.size + atoms_t.values.size)
 
 
 def _modulus(z):
@@ -374,9 +379,11 @@ class EigenPdf:
 
     ``density`` is the continuous density of the full empirical spectral
     distribution (its integral tends to beta/xi; zero_mass accounts for the
-    rest). On the self-selected adaptive grid, zero_mass + integral = 1
-    within 1e-2. ``nu`` is the imaginary offset used for the inversion; the
-    known point mass smeared by nu is subtracted exactly before clamping.
+    rest). On the default grid, which ends at 1.02 times the upper support
+    edge, zero_mass + integral = 1 within 1e-2 (eigen_pdf states the betas
+    where this was measured). ``nu`` is the imaginary offset used for the
+    inversion; the known point mass smeared by nu is subtracted exactly
+    before clamping.
     Negative densities are clamped to zero; ``clamped_points`` counts the
     grid points whose density stayed below minus its evaluation-error
     budget, ``rescued_points`` those re-solved from conj(E2) after falling
@@ -429,16 +436,20 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
 
     Solves the fixed point at gamma = -1/(lam + i nu) for all points at
     once, forms S(z) and Im S/pi minus the point mass at zero smeared by
-    nu. A density's evaluation-error budget is max(1e-12, tolerance
-    |S|/pi): an E2 within the relative tolerance moves Im S/pi that much,
-    which near zero (|S| ~ zero_mass/|lambda + i nu|) far exceeds 1e-12. A
-    density below minus its budget is taken to mark the nonphysical root,
-    so those points are re-solved together from conj(E2), logged in one
-    DEBUG line, and keep the larger density. Returns arrays (density, e2,
+    nu. A density's evaluation-error budget is max(1e-12, max(tolerance,
+    rounding) |S|/pi), the rounding being the map's (n_D + n_T) eps/2: an
+    E2 within the relative tolerance, or within the map's rounding where
+    the tolerance lies below it, moves Im S/pi that much, which near zero
+    (|S| ~ zero_mass/|lambda + i nu|) far exceeds 1e-12. A density below
+    minus its budget is taken to mark the nonphysical root, so those
+    points are re-solved together from conj(E2), logged in one DEBUG
+    line, and keep the larger density. Returns arrays (density, e2,
     budget, iterations, rescued, tangent); the density is not clamped, and
     the tangent d log E2 / d log lambda, lambda gamma times the solver's
     d log E2 / d log gamma, is that of the solve a point keeps.
     """
+    rounding = _map_rounding(atoms_d, atoms_t)
+
     def solve(lam, start):
         gamma = -1.0 / (lam + 1j * nu)
         try:
@@ -450,7 +461,8 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
                 residual=exc.residual) from exc
         s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
         smear = zero_mass * nu / (np.pi * (lam * lam + nu * nu))
-        budget = np.maximum(1e-12, _TOLERANCE * np.abs(s) / np.pi)
+        budget = np.maximum(1e-12, max(_TOLERANCE, rounding) * np.abs(s)
+                            / np.pi)
         return s.imag / np.pi - smear, e2, budget, its, lam * gamma * tangent
 
     f, e2, budget, its, tangent = solve(lam, warm)
@@ -469,7 +481,8 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
 
 
 _CHAIN_STRIDE = 16      # grid points per link of the warm-started chain
-_BATCH_LINKS = 2        # links walked per batched solve: <= 30 points between
+_TOP_LINKS = (1, 2, 4, 8)  # points below the top that are links too
+_BATCH_POINTS = 64      # points between the links solved per batch
 _START_GUARD = 0.5      # largest |log(predicted / power-law start)| taken
 
 
@@ -506,31 +519,32 @@ def _hermite_start(at, x0, x1, e0, e1, t0, t1):
     return _predicted(e0, du, t * rise)
 
 
-def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, stop=None):
+def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu):
     """Densities over an increasing grid, walked from the largest lambda down.
 
-    Every 16th point and both ends form a chain solved one link at a time.
-    Each solve also yields the tangent d log E2 / d log lambda at its point
-    (_density_points), so each link starts from the quadratic in (log
-    lambda, log E2) through the two links above it with the lower one's
-    tangent (_link_start). The second link starts from the top link's E2:
-    the top lies above the support, and its tangent line, extrapolated
-    across the upper support edge, lands on the root with no density
-    there more often (10 first-moment misses against 4 over a 2 688-call
-    scan of laws and betas). The chain is what keeps the sweep on the physical
-    root. After every 2 links below the top, the at most 30 points
-    between them are solved as one batch, each started from the cubic
-    Hermite interpolant of log E2 between the links around it
-    (_hermite_start). A predicted start that is not finite or lies more
-    than _START_GUARD in |log| from the power-law start (log E2 linear in
-    log lambda through the same two links) falls back to it. A point's
-    answer depends only on the grid and nu, not on its batch.
+    Every _CHAIN_STRIDE-th point, the top and the points _TOP_LINKS below
+    it (clipped at 0 on small grids) form a chain, solved first, one link
+    at a time from the top down; it is what keeps the sweep on the
+    physical root. Each solve also yields the tangent d log E2 / d log
+    lambda at its point (_density_points), so each link starts from the
+    quadratic in (log lambda, log E2) through the two links above it with
+    the lower one's tangent (_link_start). The second link starts from
+    the top link's E2: the top lies above the support, and its tangent
+    line, extrapolated across the upper support edge, lands on the root
+    with no density there more often. The links 1, 2, 4 and 8 points
+    below the top walk down into the support in short steps, where E2
+    turns sharply (without them, 11 of a 2 688-call scan of laws and betas
+    miss the first-moment budget, with them 4, each at the link just below
+    the top). Then the points between the links are solved in batches of
+    _BATCH_POINTS, each started from the cubic Hermite interpolant of log
+    E2 between the links around it (_hermite_start). A predicted start
+    that is not finite or lies more than _START_GUARD in |log| from the
+    power-law start (log E2 linear in log lambda through the same two
+    links) falls back to it. A point's answer depends only on the grid and
+    nu, not on its batch.
 
-    After each batch ``stop`` (if given) is called with the densities
-    solved so far, the top slice of the grid, and the walk ends when it
-    returns true. Returns (unclamped densities of the solved top slice,
-    iterations, rescues, points of the slice whose density stayed below
-    minus its budget).
+    Returns (unclamped densities, iterations, rescues, points whose
+    density stayed below minus its budget).
     """
     n = len(grid)
     density, budget = np.empty(n), np.empty(n)
@@ -546,12 +560,9 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, stop=None):
         rescued += int(resc.sum())
 
     log = np.log(grid)
-    chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), n - 1))
-    rest = np.setdiff1d(np.arange(n), chain)
-    pos = np.searchsorted(chain, rest)
-    lower, upper = chain[pos - 1], chain[pos]
-    down = chain[::-1]
-    warm, top, end = None, n - 1, len(rest)
+    top = np.maximum(n - 1 - np.array((0,) + _TOP_LINKS), 0)
+    chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
+    down, warm = chain[::-1], None
     for i, k in enumerate(down):
         solve(slice(k, k + 1), warm)
         if i == 0:
@@ -560,32 +571,15 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, stop=None):
             above = down[i - 1]
             warm = _link_start(log[down[i + 1]], log[k], e2[k], tangent[k],
                                log[above], e2[above])
-        if i == 0 or (i % _BATCH_LINKS and k > 0):
-            continue        # batch after every 2nd link and after the last
-        b = slice(np.searchsorted(rest, k), end)
-        if b.start < b.stop:
-            lo, up = lower[b], upper[b]
-            solve(rest[b], _hermite_start(log[rest[b]], log[lo], log[up],
-                                          e2[lo], e2[up], tangent[lo],
-                                          tangent[up]))
-        top, end = k, b.start
-        if stop is not None and stop(density[k:]):
-            break
-    clamped = int(np.count_nonzero(density[top:] < -budget[top:]))
-    return density[top:], iters, rescued, clamped
-
-
-def _tail_kept(grid, dens, beta, scale):
-    """Mask of the points of an increasing grid whose tail, the density
-    above them, holds at most 1e-4 beta of the mass and 1e-3 scale of the
-    first moment; a suffix of the grid, since the tails only grow downward
-    and each depends only on the densities above its point."""
-    dens = np.maximum(dens, 0.0)
-    seg_mass = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
-    seg_mom = 0.5 * (dens[1:] * grid[1:] + dens[:-1] * grid[:-1]) * np.diff(grid)
-    tail_mass = np.concatenate([np.cumsum(seg_mass[::-1])[::-1], [0.0]])
-    tail_mom = np.concatenate([np.cumsum(seg_mom[::-1])[::-1], [0.0]])
-    return (tail_mass <= 1e-4 * beta) & (tail_mom <= 1e-3 * scale)
+    rest = np.setdiff1d(np.arange(n), chain)[::-1]
+    pos = np.searchsorted(chain, rest)
+    lower, upper = chain[pos - 1], chain[pos]
+    start = _hermite_start(log[rest], log[lower], log[upper], e2[lower],
+                           e2[upper], tangent[lower], tangent[upper])
+    for b in range(0, len(rest), _BATCH_POINTS):
+        solve(rest[b:b + _BATCH_POINTS], start[b:b + _BATCH_POINTS])
+    clamped = int(np.count_nonzero(density < -budget))
+    return density, iters, rescued, clamped
 
 
 def _support_reaches_zero(atoms_d, atoms_t, beta):
@@ -597,15 +591,14 @@ def _support_reaches_zero(atoms_d, atoms_t, beta):
 
 
 def _default_grid(atoms_d, atoms_t, beta, zero_mass, points):
-    """Adaptive log-spaced grid plus a nu override.
+    """Log-spaced grid up to 1.02 times the upper support edge, plus a nu
+    override.
 
-    A coarse sweep walks down from above the support and stops at the
-    first batch whose lowest point already carries more tail than the
-    budgets allow, so the upper end keeps enough of the thin right tail
-    that both the truncated mass and the truncated first moment are
-    negligible; the rest of the coarse grid is never solved. Only when the
-    support reaches zero (beta = 1 style laws) does a cold-started fine-nu
-    probe at the lower end measure the coefficient A of a possible
+    The upper edge is the fold of _fold_edge, so the top link lies just
+    above the support and the density there is the smoothed tail of nu
+    alone. The lower end is 1e-8 beta E[D] E[T]. Only when the support
+    reaches zero (beta = 1 style laws) does a cold-started fine-nu probe
+    at the lower end measure the coefficient A of a possible
     A/sqrt(lambda) divergence, the conj(E2) rescue picking the physical
     root; if present, the lower limit is pushed down until the untabulated
     mass 2 A sqrt(lo) is negligible and nu is capped so the Cauchy
@@ -614,23 +607,12 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, points):
     """
     scale = beta * atoms_d.mean * atoms_t.mean
     lo = 1e-8 * scale
-    hi0 = 16.0 * atoms_d.values.max() * atoms_t.values.max()
-    coarse = np.geomspace(lo, max(hi0, lo * 1e6), 144)
-    nu_c = 1e-4 * np.median(coarse)
-
-    def cut_found(dens):
-        return not _tail_kept(coarse[-len(dens):], dens, beta, scale)[0]
-
-    dens = _sweep(atoms_d, atoms_t, beta, zero_mass, coarse, nu_c,
-                  stop=cut_found)[0]
-    top = coarse[-len(dens):]
-    hi = 1.3 * top[int(np.argmax(_tail_kept(top, dens, beta, scale)))]
-
+    hi = 1.02 * _fold_edge(atoms_d, atoms_t, beta, upper=True)
     nu_override = None
     if _support_reaches_zero(atoms_d, atoms_t, beta):
         f_probe = _density_points(atoms_d, atoms_t, beta, zero_mass,
-                                  coarse[:1], 1e-3 * coarse[0])[0][0]
-        sqrt_coeff = max(f_probe, 0.0) * np.sqrt(coarse[0])
+                                  np.array([lo]), 1e-3 * lo)[0][0]
+        sqrt_coeff = max(f_probe, 0.0) * np.sqrt(lo)
         if 2.0 * sqrt_coeff * np.sqrt(lo) > 1e-3 * beta:
             lo = max((5e-4 * beta / sqrt_coeff) ** 2, 1e-13 * scale)
             nu_override = min(1e-4 * np.sqrt(lo * hi),
@@ -638,19 +620,71 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, points):
     return np.geomspace(lo, hi, points), nu_override
 
 
+def _fold_edge(atoms_d, atoms_t, beta, upper):
+    """An edge of the nonzero-eigenvalue support as a fold of the fixed
+    point's real inverse map (Silverstein & Choi 1995).
+
+    Outside the support the fixed point has a real solution. With u =
+    gamma E2 and v = gamma E1 it reads u psi(u) = phi(v) at lambda =
+    -psi(u)/v, where psi(u) = E[D/(1 + beta D u)], phi(v) = E[vT/(1 + vT)].
+    In w = -1/v, phi = E[T/(T - w)] increases on each branch off the atoms
+    of T, so each u has one root w(u) there, and lambda(u) = w(u) psi(u).
+    The lower edge is the maximum of lambda on w < min T, u > 0 (lambda
+    rises through 0 at u psi(u) = P(T != 0), then falls back to 0); the
+    upper edge is the minimum on w > max T, u in (-1/(beta max D), 0)
+    (lambda falls from infinity at u -> 0 and climbs back at the pole of
+    psi). In s = u or s = -u the sign of dlambda/du is bracketed by
+    doubling or halving s and bisected in log s to 1e-9, where lambda is
+    flat to rounding. Raises ConvergenceFailure if a root w is not found.
+    """
+    pos = atoms_t.values > 0
+    t, wt = atoms_t.values[pos], atoms_t.wv[pos]
+    if upper:
+        sign, branch, w = -1.0, (t.max(), np.inf), 2.0 * t.max()
+        hi = 1.0 / (beta * atoms_d.values.max())
+        s = 0.5 * hi
+    else:
+        sign, branch, w = 1.0, (-np.inf, t.min()), 0.0
+        hi, s = np.inf, 1.0 / (beta * atoms_d.mean)
+
+    def fold(u):
+        # Newton for w(u) on the branch, bisecting steps that leave it;
+        # dlambda/du = w' psi + w psi', w' = (u psi)'/phi'(w)
+        nonlocal w
+        a = 1.0 + beta * atoms_d.values * u
+        psi = (atoms_d.wv / a).sum()
+        lo, hi = branch
+        for _ in range(100):
+            q = wt / (t - w)
+            f, slope = q.sum() - u * psi, (q / (t - w)).sum()
+            lo, hi = (lo, w) if f > 0 else (w, hi)
+            # converged once f is within the rounding of w or of the sums
+            if abs(f) <= 8.0 * np.finfo(float).eps * (
+                    abs(w) * slope + abs(u) * psi):
+                return ((atoms_d.wv / (a * a)).sum() * psi
+                        > w * beta * (atoms_d.wv2 / (a * a)).sum() * slope,
+                        w * psi)
+            w = w - f / slope if lo < w - f / slope < hi else 0.5 * (lo + hi)
+        raise ConvergenceFailure(f"no real root at u={u:g}", residual=abs(f))
+
+    lo = 0.0
+    while hi > lo * (1.0 + 1e-9):
+        if fold(sign * s)[0]:
+            lo = s
+        else:
+            hi = s
+        s = 2.0 * s if hi == np.inf else 0.5 * s if lo == 0 \
+            else np.sqrt(lo * hi)
+    return float(fold(sign * np.sqrt(lo * hi))[1])
+
+
 def support_lower_edge(law_d, law_t, beta, xi=1.0):
     """Lower edge of the nonzero-eigenvalue support of the limiting law.
 
-    Outside the support the fixed point has a real solution, and the edges
-    are the folds of its real inverse map (Silverstein & Choi 1995). With
-    u = gamma E2 and v = gamma E1 it reads u psi(u) = phi(v) at lambda =
-    -psi(u)/v, where psi(u) = E[D/(1 + beta D u)], phi(v) = E[vT/(1 + vT)].
-    In w = -1/v < min T, phi = E[T/(T - w)] increases, so each u has one
-    root w(u); lambda(u) = w(u) psi(u) rises through 0 at u0 psi(u0) =
-    P(T != 0), then falls back to 0, and the edge is its maximum. The sign
-    of dlambda/du is bracketed by doubling or halving u and bisected in
-    log u to 1e-9, where lambda is flat to rounding. Atoms of value 0 count
-    with the point mass. Returns 0.0 when the support reaches zero, i.e.
+    The edge is the fold of the fixed point's real inverse map, the
+    maximum of lambda(u) = w(u) psi(u) on u > 0 (_fold_edge), found from
+    the same atom sums as the densities. Atoms of value 0 count with the
+    point mass. Returns 0.0 when the support reaches zero, i.e.
     P(D != 0)/beta <= P(T != 0) (beta = 1 for identical laws). ``xi`` is
     not read. Raises ConvergenceFailure if a root is not found.
     """
@@ -659,37 +693,7 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0):
     atoms_t = _LawAtoms(law_t)
     if _support_reaches_zero(atoms_d, atoms_t, beta):
         return 0.0
-    pos = atoms_t.values > 0
-    t, wt = atoms_t.values[pos], atoms_t.wv[pos]
-    w = 0.0
-
-    def fold(u):
-        # Newton for w(u) on the bracket (-inf, min T), bisecting steps that
-        # leave it; dlambda/du = w' psi + w psi', w' = (u psi)'/phi'(w)
-        nonlocal w
-        a = 1.0 + beta * atoms_d.values * u
-        psi = (atoms_d.wv / a).sum()
-        lo, hi = -np.inf, t.min()
-        for _ in range(100):
-            q = wt / (t - w)
-            f, slope = q.sum() - u * psi, (q / (t - w)).sum()
-            lo, hi = (lo, w) if f > 0 else (w, hi)
-            # converged once f is within the rounding of w or of the sums
-            if abs(f) <= 8.0 * np.finfo(float).eps * (abs(w) * slope + u * psi):
-                return ((atoms_d.wv / (a * a)).sum() * psi
-                        > w * beta * (atoms_d.wv2 / (a * a)).sum() * slope,
-                        w * psi)
-            w = w - f / slope if lo < w - f / slope < hi else 0.5 * (lo + hi)
-        raise ConvergenceFailure(f"no real root at u={u:g}", residual=abs(f))
-
-    lo, hi, u = 0.0, np.inf, 1.0 / (beta * atoms_d.mean)
-    while hi > lo * (1.0 + 1e-9):
-        if fold(u)[0]:
-            lo = u
-        else:
-            hi = u
-        u = 2.0 * u if hi == np.inf else 0.5 * u if lo == 0 else np.sqrt(lo * hi)
-    return float(fold(np.sqrt(lo * hi))[1])
+    return _fold_edge(atoms_d, atoms_t, beta, upper=False)
 
 
 def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
@@ -707,50 +711,54 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
         zero through the zero-eigenvalue fraction. When omitted it is the
         factor both laws carry (``SpectralLaw.xi``).
     grid : array, optional
-        Increasing positive lambda grid. When omitted an adaptive log-spaced
-        grid of ``points`` entries is selected to cover the full support.
+        Increasing positive lambda grid. When omitted a log-spaced grid of
+        ``points`` entries runs from 1e-8 beta E[D] E[T] to 1.02 times the
+        upper support edge.
     nu : float, optional
         Imaginary offset for the Stieltjes inversion; defaults to
         1e-4 times the median grid lambda.
     points : int
         Size of the default grid, from 2 to MAX_POINTS = 2**20.
 
-    The sweep walks the grid from the largest lambda down: a chain of
-    every 16th point, each link warm started from E2 predicted with the
-    tangent d log E2 / d log lambda of the link above it, and after every
-    2 links the points between them in one batch started from the cubic
-    Hermite interpolant between their links. The default grid is calibrated by the same walk over a
-    coarse grid, stopped once it reaches below the tail cut that sets the
-    grid's upper end; a cold-started probe for an A/sqrt(lambda)
-    divergence at zero, which sets the lower end and the nu override, runs
-    only where the support reaches zero. Each point's answer depends only
-    on the grid and nu, so a call with a given grid and nu reproduces the
-    density of the call that chose them.
+    The sweep walks the grid from the largest lambda down: first a chain
+    of every 16th point and of the points 1, 2, 4 and 8 below the top,
+    each link warm started from E2 predicted with the tangent d log E2 /
+    d log lambda of the link above it, then the points between the links
+    in batches of 64, each started from the cubic Hermite interpolant
+    between its links. The default grid's top is 1.02 times the upper
+    support edge, a fold of the fixed point's real inverse map that reads
+    no density; a cold-started probe for an A/sqrt(lambda) divergence at
+    zero, which sets the lower end and the nu override, runs only where
+    the support reaches zero. Each point's answer depends only on the
+    grid and nu, so a call with a given grid and nu reproduces the density
+    of the call that chose them.
 
     Raises InputError for a beta outside (0, 1], a non-finite or
     nonpositive nu, a grid that is not finite, increasing and positive,
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
     that carry different factors. The bound on points keeps a call near a
-    minute and its per-point arrays near 16 MiB: past the calibration each
-    point costs about 0.015-0.03 ms of solving over the 128 atoms (8 192
-    points take 0.11-0.24 s, 512 points 15-33 ms, over genuine and
-    upscaled laws of rho 0.97 on a 2-core x86 box shared with other load),
-    and the complex E2 of 2**20 points takes 16 MiB. The figures use the
-    default 512.
+    minute and its per-point arrays near 16 MiB: each point costs about
+    0.011-0.02 ms of solving over the 128 atoms (whole calls of 8 192
+    points take 0.09-0.17 s, of 512 points 14-22 ms, over genuine and
+    upscaled laws of rho 0.97 at beta 0.5 on a 2-core x86 box shared with
+    other load), and the complex E2 of 2**20 points takes 16 MiB. The
+    figures use the default 512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
     = beta E[D] E[T] within 1 %) were measured over MP and the genuine and
     upscaled laws of rho 0.9, 0.97 and 0.98 (all four kernels at 3/2 and
     2/1). They hold at beta 0.05, 0.125, 0.25, 0.5 and 1, but not at every
     beta between: on a 0.01 step from 0.05 to 1, 4 of 2 688 calls miss the
-    first moment by 2.6-3.4 % (each at the second chain link, just below
-    the upper support edge, which lands on a root with no density: 3e-16
-    where its neighbours read 2e-8, or 3e-13 against 7e-6), and b-spline
-    laws of rho 0.97 and 0.98 lose 1-3.5 % of the mass at beta 0.8-0.99. Below 0.05 the first moment misses its
-    budget (by 3.4 % at beta 0.04, 6.0 % at 0.003 for genuine rho 0.97),
-    and the continuous part vanishes at beta 1e-5 for MP, 1e-6 for linear
-    3/2 and 1e-8 for genuine rho 0.97, while the total mass, mostly
-    zero_mass = 1 - beta/xi, still meets its budget.
+    first moment by 1.1-2.9 % (each at the chain link just below the top,
+    inside the support, which lands on a root with almost no density:
+    4e-16 where a start from the point below it gives 1.3e-8, or 4e-14
+    against 9e-7), and b-spline laws of rho 0.97 and 0.98 lose 1-3.3 % of
+    the mass at beta 0.82-0.99. Below 0.05 the first moment misses its
+    budget (by 4.5 % at beta 0.003 for genuine rho 0.97, 5.4 % at 0.01 for
+    b-spline 2/1), the continuous part vanishes at beta 1e-5 for MP, and
+    it is off by +91 % at 1e-6 for linear 3/2 and +570 % at 1e-8 for
+    genuine rho 0.97, while the total mass, mostly zero_mass = 1 - beta/xi,
+    still meets its budget.
     Raises ConvergenceFailure (annotated with the offending lambda) if
     some grid point cannot be solved.
     """

@@ -43,13 +43,19 @@ def test_readme_states_the_quadrature_rule():
 
 def test_readme_states_the_chain_stride():
     # the "Eta solver" bullet states the density sweep's walk; a change to
-    # rmt's _CHAIN_STRIDE or _BATCH_LINKS must change that text too
+    # rmt's _CHAIN_STRIDE, _TOP_LINKS or _BATCH_POINTS must change that
+    # text too
     readme = (ROOT / "README.md").read_text()
     bullet = " ".join(readme.split("- **Eta solver.**", 1)[1].split())
-    stride, links, most = map(int, re.search(
-        r"a chain of every (\d+)th point \(and both ends\) keeps the sweep "
-        r"on the physical root, and after every (\d+) links the points "
-        r"between them, at most (\d+),", bullet).groups())
+    found = re.search(
+        r"a chain of every (\d+)th point \(and both ends\) and of the points "
+        r"(\d+), (\d+), (\d+) and (\d+) below the top keeps the sweep on the "
+        r"physical root, and once the whole chain is solved the points "
+        r"between its links are solved in batches of (\d+): (\d+) links per "
+        r"512-point grid", bullet)
+    stride, *top, batch, links = map(int, found.groups())
     assert stride == rmt._CHAIN_STRIDE
-    assert links == rmt._BATCH_LINKS
-    assert most == links * (stride - 1)
+    assert tuple(top) == rmt._TOP_LINKS
+    assert batch == rmt._BATCH_POINTS
+    # none of the top links is a multiple of the stride at 512 points
+    assert links == 512 // stride + 1 + len(top)

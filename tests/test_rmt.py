@@ -15,8 +15,8 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
 from respectra.rmt import (_CHAIN_STRIDE, _default_grid, _density_points,
-                           _hermite_start, _LawAtoms, _link_start, _modulus,
-                           _solve_e2, _support_reaches_zero)
+                           _fold_edge, _hermite_start, _LawAtoms, _link_start,
+                           _modulus, _solve_e2, _support_reaches_zero)
 
 
 def mp_eta_closed_form(gamma, beta):
@@ -39,20 +39,13 @@ def mp_density(lam, beta, s2=1.0):
     return out
 
 
-def coarse_grid(atoms, beta):
-    """The calibration's 144-point coarse grid and its nu."""
-    lo = 1e-8 * (beta * atoms.mean * atoms.mean)
-    coarse = np.geomspace(lo, max(16.0 * atoms.values.max() ** 2, lo * 1e6),
-                          144)
-    return coarse, 1e-4 * np.median(coarse)
-
-
 def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
-    """A density sweep over a whole grid as it was before the walk was
-    batched: a chain of every 16th point and both ends from the top down,
-    the second link started from the top link's E2 and each later one
-    from the tangent-predicted E2 below the two links above it, then the
-    other points in chunks of 32 started from the chain's E2 interpolated
+    """A density sweep over a whole grid, written out plainly: a chain of
+    every 16th point, the top and the points 1, 2, 4 and 8 below it
+    (clipped at 0), solved from the top down, the second link started
+    from the top link's E2 and each later one from the tangent-predicted
+    E2 below the two links above it, then the other points in chunks of
+    32 from the bottom up, started from the chain's E2 interpolated
     between the links around them, with the walk's predictors. Returns
     (densities, E2, iterations); ``chain_only`` leaves the points between
     the links unsolved."""
@@ -65,7 +58,8 @@ def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
             atoms, atoms, beta, zero_mass, grid[idx], nu, start)
 
     log = np.log(grid)
-    chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), n - 1))
+    top = np.maximum(n - 1 - np.array([0, 1, 2, 4, 8]), 0)
+    chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
     down, warm = chain[::-1], None
     for i, k in enumerate(down):
         solve(slice(k, k + 1), warm)
@@ -86,36 +80,40 @@ def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
     return dens, e2, its
 
 
-def warm_sqrt_coefficient(atoms, beta, zero_mass, coarse, e2):
-    """A of a density A/sqrt(lambda) at the bottom coarse point, from a
+def warm_sqrt_coefficient(atoms, beta, zero_mass, grid, e2):
+    """A of a density A/sqrt(lambda) at the bottom grid point, from a
     fine-nu solve started from the chain's bottom E2."""
-    f = _density_points(atoms, atoms, beta, zero_mass, coarse[:1],
-                        1e-3 * coarse[0], warm=e2[0])[0][0]
-    return max(f, 0.0) * np.sqrt(coarse[0])
+    f = _density_points(atoms, atoms, beta, zero_mass, grid[:1],
+                        1e-3 * grid[0], warm=e2[0])[0][0]
+    return max(f, 0.0) * np.sqrt(grid[0])
 
 
-def calibration_oracle(law, beta, xi, points=512):
-    """Default grid and nu of eigen_pdf by the full coarse sweep: the tail
-    rule over all 144 coarse points and the sqrt probe, warm started from
-    the chain, on every law."""
+def brute_upper_edge(law, beta):
+    """The minimum of lambda(u) = w(u) psi(u) over u in (-1/(beta max D),
+    0) by brute force: w(u) = max T (1 + e^x) by bisection in x on every
+    point of a scan of u, the scan refined twice around its smallest
+    lambda."""
     atoms = _LawAtoms(law)
-    zero_mass = afze(beta, xi)
-    coarse, nu = coarse_grid(atoms, beta)
-    dens, e2, _ = two_level_sweep(atoms, beta, zero_mass, coarse, nu)
-    scale = beta * atoms.mean * atoms.mean
-    dens, step = np.maximum(dens, 0.0), np.diff(coarse)
-    mass = 0.5 * (dens[1:] + dens[:-1]) * step
-    mom = 0.5 * (dens[1:] * coarse[1:] + dens[:-1] * coarse[:-1]) * step
-    keep = np.append((np.cumsum(mass[::-1])[::-1] <= 1e-4 * beta)
-                     & (np.cumsum(mom[::-1])[::-1] <= 1e-3 * scale), True)
-    lo, hi = coarse[0], 1.3 * coarse[int(np.argmax(keep))]
-    a = warm_sqrt_coefficient(atoms, beta, zero_mass, coarse, e2)
-    if 2.0 * a * np.sqrt(lo) <= 1e-3 * beta:
-        grid = np.geomspace(lo, hi, points)
-        return grid, 1e-4 * float(np.median(grid))
-    lo = max((5e-4 * beta / a) ** 2, 1e-13 * scale)
-    return (np.geomspace(lo, hi, points),
-            min(1e-4 * np.sqrt(lo * hi), (1e-3 * beta / a) ** 2))
+    d, wd = atoms.values, atoms.wv
+    t, wt = atoms.values[atoms.values > 0], atoms.wv[atoms.values > 0]
+    s_max = 1.0 / (beta * d.max())
+
+    def lam(s):
+        psi = (wd / (1.0 - beta * d * s[:, None])).sum(axis=1)
+        lo, hi = np.full(len(s), -36.0), np.full(len(s), 60.0)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            w = t.max() * (1.0 + np.exp(mid))
+            f = (wt / (t - w[:, None])).sum(axis=1) + s * psi
+            lo, hi = np.where(f > 0, lo, mid), np.where(f > 0, mid, hi)
+        return t.max() * (1.0 + np.exp(0.5 * (lo + hi))) * psi
+
+    s = s_max * np.geomspace(1e-9, 1.0, 4001)[:-1]
+    for _ in range(3):
+        vals = lam(s)
+        k = int(np.argmin(vals))
+        s = np.linspace(s[max(k - 1, 0)], s[min(k + 1, len(s) - 1)], 401)
+    return float(vals.min())
 
 
 def scan_laws():
@@ -239,11 +237,12 @@ class TestOnePointPath:
         return -1.0 / (np.array([lam, 2.0 * lam]) + 1j * nu)
 
     def test_cold_probe_matches_batch_row(self):
-        # the sqrt probe: a cold start at the bottom coarse point, fine nu
+        # the sqrt probe: a cold start at the default grid's lower end
+        # 1e-8 beta E[D] E[T], fine nu
         law = law_genuine(0.97)
         atoms = _LawAtoms(law)
-        coarse, _ = coarse_grid(atoms, 1.0)
-        gammas = self.gammas(coarse[0], 1e-3 * coarse[0])
+        lo = 1e-8 * (1.0 * atoms.mean * atoms.mean)
+        gammas = self.gammas(lo, 1e-3 * lo)
         one = _solve_e2(atoms, atoms, 1.0, gammas[:1])
         row = _solve_e2(atoms, atoms, 1.0, gammas)
         assert one[0].tobytes() == row[0][:1].tobytes()
@@ -395,13 +394,19 @@ class TestEigenPdf:
             assert support_lower_edge(law, law, beta) == pytest.approx(
                 lo, rel=1e-12)
 
-    def test_mp_rounding_noise_is_not_rescued_or_clamped(self):
+    def test_mp_rounding_noise_is_not_rescued_or_clamped(self,
+                                                         solver_settings):
         # near zero Im S/pi and the subtracted point mass are both ~1e7, so
-        # densities of -1e-9 there are within the evaluation-error budget
+        # densities of -1e-9 there are within the evaluation-error budget;
+        # at tolerance 0 that budget is the map's rounding times |S|/pi,
+        # not 1e-12, which took 13 points of this grid for the nonphysical
+        # root and clamped 8
         law = law_genuine(0.0)
-        pdf = eigen_pdf(law, law, 0.25)
-        assert pdf.rescued_points == 0
-        assert pdf.clamped_points == 0
+        for settings in ({}, {"tolerance": 0.0}):
+            with solver_settings(**settings):
+                pdf = eigen_pdf(law, law, 0.25)
+            assert pdf.rescued_points == 0, settings
+            assert pdf.clamped_points == 0, settings
 
     def test_support_edge_oracle_brackets(self):
         # brackets from tolerance-1e-13 densities for nu from 1e-6 down to
@@ -509,8 +514,9 @@ class TestEigenPdf:
 
     def test_batched_walk_matches_two_level_sweep(self):
         # densities and iterations do not depend on how the walk batches the
-        # points between the links; 100 points end the walk between batches,
-        # and lambda = 0.120091 sits inside the grid's rescue region
+        # points between the links; the 88 points between the links of 100
+        # fill one batch and part of a second, and lambda = 0.120091 sits
+        # inside the grid's rescue region
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
         atoms = _LawAtoms(law)
         grid, nu = np.geomspace(0.05, 2.0, 100), 7.27324e-7
@@ -520,55 +526,43 @@ class TestEigenPdf:
         assert np.array_equal(pdf.density, np.maximum(dens, 0.0))
         assert pdf.solver_iterations == its.sum()
 
-    def test_calibration_matches_full_coarse_sweep(self, monkeypatch):
-        # the walk stops at the tail cut and only laws whose support reaches
-        # zero are probed, from a cold start: laws with a gap keep the full
-        # sweep's grid and nu bit for bit, the rest (the last three here,
-        # b-spline 2/1 taking the nu override) within rounding of the probe.
-        # The linear 3/2 laws at beta 0.125 cut at coarse points 112 and
-        # 111, at and just past the end of the walk's first batch
+    def test_small_grids_clip_the_chain_at_zero(self):
+        # the links 1, 2, 4 and 8 below the top fall below index 0 on the
+        # smallest grids; default grids of 2, 3, 5 and 17 points and a
+        # 10-point custom grid walk the clipped chain
+        law = law_genuine(0.97)
+        atoms, zero_mass = _LawAtoms(law), afze(0.5, 1.0)
+        pdfs = [eigen_pdf(law, law, 0.5, points=n) for n in (2, 3, 5, 17)]
+        pdfs.append(eigen_pdf(law, law, 0.5, grid=np.geomspace(0.01, 40.0, 10),
+                              nu=1e-3))
+        for pdf in pdfs:
+            dens, _, its = two_level_sweep(atoms, 0.5, zero_mass,
+                                           pdf.lambda_grid, pdf.nu)
+            assert np.array_equal(pdf.density, np.maximum(dens, 0.0)), \
+                len(pdf.lambda_grid)
+            assert pdf.solver_iterations == its.sum()
+
+    @pytest.mark.parametrize("beta", [1e-5, 1e-3, 0.25, 0.5, 1.0])
+    def test_upper_edge_matches_mp(self, beta):
+        atoms = _LawAtoms(law_genuine(0.0))
+        assert _fold_edge(atoms, atoms, beta, upper=True) == pytest.approx(
+            (1 + np.sqrt(beta)) ** 2, rel=1e-12)
+
+    def test_upper_edge_matches_brute_scan_and_tops_the_grid(self):
         spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
-        linear = ResampleSpec(L=3, M=2, kernel=KERNELS["linear"])
-        lanczos = ResampleSpec(L=3, M=2, kernel=KERNELS["lanczos3"])
-        gen = law_genuine(0.97)
-        cases = ((gen, 1.0, 0.25), (gen, 1.0, 0.5),
-                 (law_upscaled(0.97, spline), 2.0, 0.5),
-                 (law_upscaled(0.97, linear), 1.5, 0.5),
-                 (law_upscaled(0.97, linear), 1.5, 0.125),
-                 (law_upscaled(0.98, linear), 1.5, 0.125),
-                 (law_genuine(0.0), 1.0, 0.5),
-                 (law_upscaled(0.97, lanczos), 1.5, 1.0), (gen, 1.0, 1.0),
-                 (law_upscaled(0.9, spline), 2.0, 1.0))
-        for law, xi, beta in cases:
-            pdf = eigen_pdf(law, law, beta, xi=xi)
-            grid, nu = calibration_oracle(law, beta, xi)
+        for law, xi in ((law_genuine(0.97), 1.0),
+                        (law_upscaled(0.97, spline), 2.0)):
             atoms = _LawAtoms(law)
-            if _support_reaches_zero(atoms, atoms, beta):
-                assert pdf.lambda_grid == pytest.approx(grid, rel=1e-12)
-                assert pdf.nu == pytest.approx(nu, rel=1e-12)
-            else:
-                assert np.array_equal(pdf.lambda_grid, grid), law.descriptor
-                assert pdf.nu == nu, law.descriptor
-        assert nu < 1e-4 * np.median(grid)
-
-        # the calibration of genuine rho 0.97 beta 0.5 solves only the top
-        # slice of the 144 coarse points
-        solved = []
-
-        def counted(atoms_d, atoms_t, beta, zero_mass, lam, *args, **kw):
-            solved.extend(lam)
-            return _density_points(atoms_d, atoms_t, beta, zero_mass, lam,
-                                   *args, **kw)
-
-        monkeypatch.setattr(respectra.rmt, "_density_points", counted)
-        atoms = _LawAtoms(gen)
-        _default_grid(atoms, atoms, 0.5, afze(0.5, 1.0), 512)
-        assert 0 < len(solved) <= 64
+            edge = _fold_edge(atoms, atoms, 0.5, upper=True)
+            assert edge == pytest.approx(brute_upper_edge(law, 0.5),
+                                         rel=1e-12), law.descriptor
+            grid = eigen_pdf(law, law, 0.5, xi=xi, points=16).lambda_grid
+            assert grid[-1] == 1.02 * edge
 
     def test_no_law_with_a_gap_takes_the_sqrt_override(self):
-        # the probe the calibration no longer runs where the support has a
-        # gap: warm started from the full chain, it stays far from the
-        # override 2 A sqrt(lo) > 1e-3 beta on every such law of the scan
+        # the probe the default grid does not run where the support has a
+        # gap: warm started from the chain of that grid, it stays far from
+        # the override 2 A sqrt(lo) > 1e-3 beta on every such law of the scan
         gaps = 0
         for law, xi, beta in scan_laws():
             atoms = _LawAtoms(law)
@@ -576,11 +570,12 @@ class TestEigenPdf:
                 continue
             gaps += 1
             zero_mass = afze(beta, xi)
-            coarse, nu = coarse_grid(atoms, beta)
-            e2 = two_level_sweep(atoms, beta, zero_mass, coarse, nu,
-                                 chain_only=True)[1]
-            a = warm_sqrt_coefficient(atoms, beta, zero_mass, coarse, e2)
-            assert 2.0 * a * np.sqrt(coarse[0]) <= 1e-3 * beta, \
+            grid, nu = _default_grid(atoms, atoms, beta, zero_mass, 512)
+            assert nu is None
+            e2 = two_level_sweep(atoms, beta, zero_mass, grid,
+                                 1e-4 * np.median(grid), chain_only=True)[1]
+            a = warm_sqrt_coefficient(atoms, beta, zero_mass, grid, e2)
+            assert 2.0 * a * np.sqrt(grid[0]) <= 1e-3 * beta, \
                 f"{law.descriptor} beta={beta}"
         assert gaps == 135
 
