@@ -46,22 +46,29 @@ DEBUG on this module's logger and counted in EigenPdf.rescued_points).
 A density sweep walks its grid from the largest lambda down. Every 16th
 grid point, the top and the points 1, 2, 4 and 8 below it form a chain,
 the chain being what keeps the sweep on the physical root; it is solved
-first, one link at a time. Each link is warm started from the quadratic
-in (log lambda, log E2) through the two links above it with the lower
-one's tangent (numerical continuation's tangent predictor; the second
-link from the top link's E2). The points between the links are then
-solved in batches of 64, each started from the cubic Hermite interpolant
-of log E2 between its two links. A predicted start that is not finite or
-lies more than 0.5 in |log| from the power-law start (log E2 linear in
-log lambda through the same links) falls back to it. The default grid
-runs from 1e-8 beta E[D] E[T] to 1.02 times the upper support edge.
+first, one link at a time. The points between the links are then solved
+in batches of 64. The top link starts cold; every other start is
+predicted from the solved points around it (numerical continuation's
+tangent predictor). Both ends of the support are folds where E2 has a
+square-root branch point, so a point within a factor 2 of an edge (the
+upper one first) is predicted in s = sqrt(+-(z - lambda_e)), z = lambda +
+i nu, where E2 is analytic: a link from the quadratic in s through the
+fold's own E2 and the E2 and tangent of the link above it, a point
+between links from the cubic Hermite interpolant in s between them.
+Elsewhere a link starts from the quadratic in (log lambda, log E2)
+through the two links above it with the lower one's tangent, a point
+from the cubic Hermite interpolant of log E2 between its links. A
+prediction that is not finite or lies more than 0.5 in |log E2| from the
+chord through the same two points falls back to the chord. The default
+grid runs from 1e-8 beta E[D] E[T] to 1.02 times the upper support edge.
 Where the support reaches zero (P(D != 0)/beta <= P(T != 0)) a
 cold-started fine-nu solve at the grid's lower end probes for an
 A/sqrt(lambda) divergence, the conj(E2) rescue picking the physical
 root; where the support has a gap there is no divergence and no probe.
 
 Both support edges read no density: they are the folds of the fixed
-point's real inverse map (_fold_edge), from the same atom sums.
+point's real inverse map (_fold_edge), from the same atom sums, and each
+gives E2 at the edge as well.
 """
 
 import functools
@@ -84,6 +91,7 @@ _PICARD_WARMUP = 60     # most damped steps before the switch to Newton
 _DAMPING = 0.5          # Picard step size before the switch to Newton
 _DIVERGENCE_WINDOW = 50  # Newton steps without a smaller residual
 MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
+_EPS = np.finfo(float).eps
 
 
 def quadrature_nodes():
@@ -281,8 +289,7 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
 
 def _map_rounding(atoms_d, atoms_t):
     """(n_D + n_T) eps/2, the fixed-point map's rounding relative to |E2|."""
-    return 0.5 * np.finfo(float).eps \
-        * (atoms_d.values.size + atoms_t.values.size)
+    return 0.5 * _EPS * (atoms_d.values.size + atoms_t.values.size)
 
 
 def _modulus(z):
@@ -397,6 +404,7 @@ class EigenPdf:
     beta: float
     xi: float
     nu: float
+    upper_edge: float
     law: str = ""
     clamped_points: int = 0
     solver_iterations: int = 0
@@ -421,14 +429,10 @@ class EigenPdf:
             raise InputError("density integrates to zero; no continuous part")
         return cum / total
 
-    def lambda_plus(self, rel_threshold=1e-6):
-        """Largest grid lambda where the density exceeds rel_threshold times
-        its maximum."""
-        peak = self.density.max()
-        if peak <= 0:
-            raise InputError("density is identically zero on the grid")
-        above = np.nonzero(self.density > rel_threshold * peak)[0]
-        return float(self.lambda_grid[above[-1]])
+    def lambda_plus(self):
+        """The upper edge of the nonzero-eigenvalue support: the fold of
+        the fixed point's real inverse map, not read from the grid."""
+        return self.upper_edge
 
 
 def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
@@ -483,65 +487,77 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
 _CHAIN_STRIDE = 16      # grid points per link of the warm-started chain
 _TOP_LINKS = (1, 2, 4, 8)  # points below the top that are links too
 _BATCH_POINTS = 64      # points between the links solved per batch
-_START_GUARD = 0.5      # largest |log(predicted / power-law start)| taken
+_START_GUARD = 0.5      # largest |log(predicted / chord start)| taken
+_EDGE_WINDOW = 2.0      # points within this factor of an edge start in s
 
 
-def _predicted(e0, du, power):
-    """The start e0 exp(du) predicted from tangents, or the power-law start
-    e0 exp(power) (log E2 linear in log lambda through the same links)
-    where du is not finite or lies more than _START_GUARD from power, that
-    is where the two starts differ by more than a factor e^0.5 in modulus
-    and phase together: a tangent is far off where E2 turns sharply."""
-    return e0 * np.exp(np.where(np.abs(du - power) <= _START_GUARD, du, power))
+def _quadratic(at, x0, v0, t0, x1, v1):
+    """At ``at``: the quadratic through (x0, v0) with slope t0 and through
+    (x1, v1), and the chord through the two points."""
+    h, d = at - x0, x1 - x0
+    chord = (v1 - v0) / d
+    return v0 + (t0 + (chord - t0) / d * h) * h, v0 + chord * h
 
 
-def _link_start(at, xk, ek, tk, xa, ea):
-    """Start of the chain link at log lambda ``at`` below the link solved
-    at (xk, ek), whose tangent d log E2 / d log lambda is tk: the quadratic
-    in (log lambda, log E2) through that link with that tangent and
-    through the link above it, (xa, ea), guarded by the power law through
-    the two links."""
-    h, d = at - xk, xa - xk
-    chord = np.log(ea / ek) / d
-    return _predicted(ek, (tk + (chord - tk) / d * h) * h, chord * h)
-
-
-def _hermite_start(at, x0, x1, e0, e1, t0, t1):
-    """Starts at log lambda ``at`` between links at x0 < x1: the cubic
-    Hermite interpolant of log E2 in log lambda through (x0, log e0) and
-    (x1, log e1) with tangents t0 and t1, guarded by the power law through
-    the two links."""
+def _hermite(at, x0, x1, v0, v1, t0, t1):
+    """At ``at`` between x0 and x1: the cubic Hermite interpolant through
+    (x0, v0) and (x1, v1) with slopes t0 and t1, and the chord."""
     h = x1 - x0
     t = (at - x0) / h
-    rise = np.log(e1 / e0)
-    du = t * (1.0 - t) * ((1.0 - t) * t0 - t * t1) * h \
-        + t * t * (3.0 - 2.0 * t) * rise
-    return _predicted(e0, du, t * rise)
+    rise = v1 - v0
+    return v0 + t * (1.0 - t) * ((1.0 - t) * t0 - t * t1) * h \
+        + t * t * (3.0 - 2.0 * t) * rise, v0 + t * rise
 
 
-def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu):
+def _predicted(value, chord, logs):
+    """The start E2 from a predicted value, or from the chord's where the
+    prediction is not finite or differs from it by more than _START_GUARD
+    in |log E2| (in modulus and phase together): a tangent is far off where
+    E2 turns sharply. The values are log E2 when ``logs`` is true, else E2,
+    whose difference is then taken relative to the chord's."""
+    if logs:
+        return np.exp(np.where(np.abs(value - chord) <= _START_GUARD,
+                               value, chord))
+    return np.where(np.abs(value - chord) <= _START_GUARD * np.abs(chord),
+                    value, chord)
+
+
+def _support_edges(atoms_d, atoms_t, beta):
+    """The folds that end the nonzero-eigenvalue support, upper first, as
+    (lambda_e, E2_e, side): the upper edge (side 1) and, where the support
+    has a gap above zero, the lower edge (side -1)."""
+    edges = [_fold_edge(atoms_d, atoms_t, beta, upper=True) + (1.0,)]
+    if not _support_reaches_zero(atoms_d, atoms_t, beta):
+        edges.append(_fold_edge(atoms_d, atoms_t, beta, upper=False) + (-1.0,))
+    return edges
+
+
+def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
     """Densities over an increasing grid, walked from the largest lambda down.
 
     Every _CHAIN_STRIDE-th point, the top and the points _TOP_LINKS below
     it (clipped at 0 on small grids) form a chain, solved first, one link
     at a time from the top down; it is what keeps the sweep on the
-    physical root. Each solve also yields the tangent d log E2 / d log
-    lambda at its point (_density_points), so each link starts from the
-    quadratic in (log lambda, log E2) through the two links above it with
-    the lower one's tangent (_link_start). The second link starts from
-    the top link's E2: the top lies above the support, and its tangent
-    line, extrapolated across the upper support edge, lands on the root
-    with no density there more often. The links 1, 2, 4 and 8 points
-    below the top walk down into the support in short steps, where E2
-    turns sharply (without them, 11 of a 2 688-call scan of laws and betas
-    miss the first-moment budget, with them 4, each at the link just below
-    the top). Then the points between the links are solved in batches of
-    _BATCH_POINTS, each started from the cubic Hermite interpolant of log
-    E2 between the links around it (_hermite_start). A predicted start
-    that is not finite or lies more than _START_GUARD in |log| from the
-    power-law start (log E2 linear in log lambda through the same two
-    links) falls back to it. A point's answer depends only on the grid and
-    nu, not on its batch.
+    physical root. Then the points between the links are solved in batches
+    of _BATCH_POINTS. A point's answer depends only on the grid, nu and
+    the edges, not on its batch.
+
+    Each solve also yields the tangent d log E2 / d log lambda at its point
+    (_density_points), and every start but the top link's (a cold start)
+    is predicted from the solved points around it, in one of two
+    coordinates. At each support edge (_support_edges) E2 has a square-root
+    branch point, so a point within a factor _EDGE_WINDOW of an edge, the
+    upper one first, is predicted in s = sqrt(side (z - lambda_e)), z =
+    lambda + i nu, where E2 is analytic: a link from the quadratic E2_e +
+    c1 s + c2 s^2 through the edge, the E2 and the tangent dE2/ds of the
+    link above it; a point between links from the cubic Hermite interpolant
+    in s between them. Elsewhere E2 is smooth in (log lambda, log E2): a
+    link starts from the quadratic through the two links above it with the
+    lower one's tangent, a point between links from the cubic Hermite
+    interpolant of log E2 (_quadratic, _hermite). A second link outside the
+    windows has one link above it and starts cold. A prediction that is
+    not finite or far from the chord through the same two points falls
+    back to the chord (_predicted).
 
     Returns (unclamped densities, iterations, rescues, points whose
     density stayed below minus its budget).
@@ -560,22 +576,48 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu):
         rescued += int(resc.sum())
 
     log = np.log(grid)
+    # the edge each point is predicted at, -1 for none
+    frame = np.select([np.abs(log - np.log(edge[0])) <= np.log(_EDGE_WINDOW)
+                       for edge in edges], range(len(edges)), -1)
+
+    def abscissa(idx, f):
+        if f < 0:
+            return log[idx]
+        lam_e, _, side = edges[f]
+        return np.sqrt(side * (grid[idx] + 1j * nu - lam_e))
+
+    def coords(idx, f):
+        # (abscissa, value, slope) of solved points; dE2/ds = 2 side s
+        # dE2/dz, and dE2/dz = E2 tangent / lambda
+        x = abscissa(idx, f)
+        if f < 0:
+            return x, np.log(e2[idx]), tangent[idx]
+        return x, e2[idx], 2.0 * edges[f][2] * x * e2[idx] * tangent[idx] \
+            / grid[idx]
+
     top = np.maximum(n - 1 - np.array((0,) + _TOP_LINKS), 0)
     chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
     down, warm = chain[::-1], None
-    for i, k in enumerate(down):
+    for i, k in enumerate(down[:-1]):
         solve(slice(k, k + 1), warm)
-        if i == 0:
-            warm = e2[k]
-        elif k > 0:
-            above = down[i - 1]
-            warm = _link_start(log[down[i + 1]], log[k], e2[k], tangent[k],
-                               log[above], e2[above])
+        # the quadratic through this link, with its slope, and through
+        # the edge or else the link above
+        at, f = down[i + 1], frame[down[i + 1]]
+        anchor = (0.0, edges[f][1]) if f >= 0 \
+            else coords(down[i - 1], f)[:2] if i > 0 else None
+        warm = None if anchor is None else _predicted(
+            *_quadratic(abscissa(at, f), *coords(k, f), *anchor), f < 0)
+    solve(slice(0, 1), warm)
     rest = np.setdiff1d(np.arange(n), chain)[::-1]
     pos = np.searchsorted(chain, rest)
     lower, upper = chain[pos - 1], chain[pos]
-    start = _hermite_start(log[rest], log[lower], log[upper], e2[lower],
-                           e2[upper], tangent[lower], tangent[upper])
+    start = np.empty(len(rest), dtype=complex)
+    for f in range(-1, len(edges)):
+        m = frame[rest] == f
+        x0, v0, t0 = coords(lower[m], f)
+        x1, v1, t1 = coords(upper[m], f)
+        start[m] = _predicted(*_hermite(abscissa(rest[m], f), x0, x1, v0,
+                                        v1, t0, t1), f < 0)
     for b in range(0, len(rest), _BATCH_POINTS):
         solve(rest[b:b + _BATCH_POINTS], start[b:b + _BATCH_POINTS])
     clamped = int(np.count_nonzero(density < -budget))
@@ -590,14 +632,14 @@ def _support_reaches_zero(atoms_d, atoms_t, beta):
         <= atoms_t.weights[atoms_t.values > 0].sum()
 
 
-def _default_grid(atoms_d, atoms_t, beta, zero_mass, points):
+def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, edges):
     """Log-spaced grid up to 1.02 times the upper support edge, plus a nu
     override.
 
-    The upper edge is the fold of _fold_edge, so the top link lies just
-    above the support and the density there is the smoothed tail of nu
-    alone. The lower end is 1e-8 beta E[D] E[T]. Only when the support
-    reaches zero (beta = 1 style laws) does a cold-started fine-nu probe
+    ``edges`` are _support_edges', so the top link lies just above the
+    support and the density there is the smoothed tail of nu alone. The
+    lower end is 1e-8 beta E[D] E[T]. Only when the support reaches zero
+    (beta = 1 style laws, no lower edge) does a cold-started fine-nu probe
     at the lower end measure the coefficient A of a possible
     A/sqrt(lambda) divergence, the conj(E2) rescue picking the physical
     root; if present, the lower limit is pushed down until the untabulated
@@ -607,9 +649,9 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, points):
     """
     scale = beta * atoms_d.mean * atoms_t.mean
     lo = 1e-8 * scale
-    hi = 1.02 * _fold_edge(atoms_d, atoms_t, beta, upper=True)
+    hi = 1.02 * edges[0][0]
     nu_override = None
-    if _support_reaches_zero(atoms_d, atoms_t, beta):
+    if len(edges) == 1:
         f_probe = _density_points(atoms_d, atoms_t, beta, zero_mass,
                                   np.array([lo]), 1e-3 * lo)[0][0]
         sqrt_coeff = max(f_probe, 0.0) * np.sqrt(lo)
@@ -634,8 +676,14 @@ def _fold_edge(atoms_d, atoms_t, beta, upper):
     upper edge is the minimum on w > max T, u in (-1/(beta max D), 0)
     (lambda falls from infinity at u -> 0 and climbs back at the pole of
     psi). In s = u or s = -u the sign of dlambda/du is bracketed by
-    doubling or halving s and bisected in log s to 1e-9, where lambda is
-    flat to rounding. Raises ConvergenceFailure if a root w is not found.
+    doubling or halving s, and its root is found by Illinois steps (regula
+    falsi on the value of dlambda/du times phi'(w), halving the value kept
+    at an end that two steps in a row left in place) until the bracket is
+    within 1e-9 of s, where lambda is flat to rounding: about 14 map
+    evaluations per fold. Returns (lambda_e, E2_e), where E2_e = -lambda_e
+    u is the real fixed point's double root at gamma = -1/lambda_e, the
+    branch point of E2 there. Raises ConvergenceFailure if a root w is not
+    found.
     """
     pos = atoms_t.values > 0
     t, wt = atoms_t.values[pos], atoms_t.wv[pos]
@@ -649,33 +697,49 @@ def _fold_edge(atoms_d, atoms_t, beta, upper):
 
     def fold(u):
         # Newton for w(u) on the branch, bisecting steps that leave it;
-        # dlambda/du = w' psi + w psi', w' = (u psi)'/phi'(w)
+        # dlambda/du = w' psi + w psi', w' = (u psi)'/phi'(w), returned
+        # times phi'(w) > 0
         nonlocal w
         a = 1.0 + beta * atoms_d.values * u
-        psi = (atoms_d.wv / a).sum()
+        psi = np.add.reduce(atoms_d.wv / a)
         lo, hi = branch
         for _ in range(100):
             q = wt / (t - w)
-            f, slope = q.sum() - u * psi, (q / (t - w)).sum()
+            f, slope = np.add.reduce(q) - u * psi, np.add.reduce(q / (t - w))
             lo, hi = (lo, w) if f > 0 else (w, hi)
             # converged once f is within the rounding of w or of the sums
-            if abs(f) <= 8.0 * np.finfo(float).eps * (
-                    abs(w) * slope + abs(u) * psi):
-                return ((atoms_d.wv / (a * a)).sum() * psi
-                        > w * beta * (atoms_d.wv2 / (a * a)).sum() * slope,
-                        w * psi)
+            if abs(f) <= 8.0 * _EPS * (abs(w) * slope + abs(u) * psi):
+                return (np.add.reduce(atoms_d.wv / (a * a)) * psi
+                        - w * beta * np.add.reduce(atoms_d.wv2 / (a * a))
+                        * slope, w * psi)
             w = w - f / slope if lo < w - f / slope < hi else 0.5 * (lo + hi)
         raise ConvergenceFailure(f"no real root at u={u:g}", residual=abs(f))
 
-    lo = 0.0
-    while hi > lo * (1.0 + 1e-9):
-        if fold(sign * s)[0]:
-            lo = s
+    # bracket: dlambda/du > 0 at lo, < 0 at hi
+    lo, g_lo, g_hi = 0.0, None, None
+    while True:
+        g, lam = fold(sign * s)
+        if g > 0:
+            lo, g_lo = s, g
         else:
-            hi = s
+            hi, g_hi = s, g
+        if g_lo is not None and g_hi is not None:
+            break
         s = 2.0 * s if hi == np.inf else 0.5 * s if lo == 0 \
             else np.sqrt(lo * hi)
-    return float(fold(sign * np.sqrt(lo * hi))[1])
+    # Illinois: regula falsi that halves the value kept at an end which
+    # two steps in a row left in place
+    kept = 0
+    while hi - lo > 1e-9 * hi and g != 0:
+        s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        g, lam = fold(sign * s)
+        if g > 0:
+            lo, g_lo = s, g
+            g_hi, kept = (0.5 * g_hi if kept > 0 else g_hi), 1
+        else:
+            hi, g_hi = s, g
+            g_lo, kept = (0.5 * g_lo if kept < 0 else g_lo), -1
+    return float(lam), float(-lam * sign * s)
 
 
 def support_lower_edge(law_d, law_t, beta, xi=1.0):
@@ -693,7 +757,7 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0):
     atoms_t = _LawAtoms(law_t)
     if _support_reaches_zero(atoms_d, atoms_t, beta):
         return 0.0
-    return _fold_edge(atoms_d, atoms_t, beta, upper=False)
+    return _fold_edge(atoms_d, atoms_t, beta, upper=False)[0]
 
 
 def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
@@ -720,18 +784,20 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     points : int
         Size of the default grid, from 2 to MAX_POINTS = 2**20.
 
-    The sweep walks the grid from the largest lambda down: first a chain
-    of every 16th point and of the points 1, 2, 4 and 8 below the top,
-    each link warm started from E2 predicted with the tangent d log E2 /
-    d log lambda of the link above it, then the points between the links
-    in batches of 64, each started from the cubic Hermite interpolant
-    between its links. The default grid's top is 1.02 times the upper
-    support edge, a fold of the fixed point's real inverse map that reads
-    no density; a cold-started probe for an A/sqrt(lambda) divergence at
-    zero, which sets the lower end and the nu override, runs only where
+    Every call finds both support edges as folds of the fixed point's
+    real inverse map, with E2 there (the lower one only where the support
+    has a gap). The sweep walks the grid from the largest lambda down:
+    first a chain of every 16th point and of the points 1, 2, 4 and 8
+    below the top, then the points between the links in batches of 64.
+    Each start is predicted from E2 and its tangent at the solved points
+    around it; within a factor 2 of an edge it is predicted in s =
+    sqrt(+-(z - lambda_e)), anchored at the edge's E2, because E2 has a
+    square-root branch point there. The default grid's top is 1.02 times
+    the upper edge; a cold-started probe for an A/sqrt(lambda) divergence
+    at zero, which sets the lower end and the nu override, runs only where
     the support reaches zero. Each point's answer depends only on the
-    grid and nu, so a call with a given grid and nu reproduces the density
-    of the call that chose them.
+    grid, nu and the laws, so a call with a given grid and nu reproduces
+    the density of the call that chose them.
 
     Raises InputError for a beta outside (0, 1], a non-finite or
     nonpositive nu, a grid that is not finite, increasing and positive,
@@ -739,7 +805,7 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     that carry different factors. The bound on points keeps a call near a
     minute and its per-point arrays near 16 MiB: each point costs about
     0.011-0.02 ms of solving over the 128 atoms (whole calls of 8 192
-    points take 0.09-0.17 s, of 512 points 14-22 ms, over genuine and
+    points take 0.09-0.17 s, of 512 points 11-22 ms, over genuine and
     upscaled laws of rho 0.97 at beta 0.5 on a 2-core x86 box shared with
     other load), and the complex E2 of 2**20 points takes 16 MiB. The
     figures use the default 512.
@@ -747,13 +813,12 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
     = beta E[D] E[T] within 1 %) were measured over MP and the genuine and
     upscaled laws of rho 0.9, 0.97 and 0.98 (all four kernels at 3/2 and
-    2/1). They hold at beta 0.05, 0.125, 0.25, 0.5 and 1, but not at every
-    beta between: on a 0.01 step from 0.05 to 1, 4 of 2 688 calls miss the
-    first moment by 1.1-2.9 % (each at the chain link just below the top,
-    inside the support, which lands on a root with almost no density:
-    4e-16 where a start from the point below it gives 1.3e-8, or 4e-14
-    against 9e-7), and b-spline laws of rho 0.97 and 0.98 lose 1-3.3 % of
-    the mass at beta 0.82-0.99. Below 0.05 the first moment misses its
+    2/1). On a 0.01 step of beta from 0.05 to 1 (tests/budget_scan.py,
+    2 688 calls) every call meets the first-moment budget with no point
+    re-solved from conj(E2), but b-spline laws of rho 0.97 and 0.98 lose
+    1-3.3 % of the mass at beta 0.82-0.99 (43 calls), where the support's
+    lower edge nears 0 without reaching it. Below 0.05 the first moment
+    misses its
     budget (by 4.5 % at beta 0.003 for genuine rho 0.97, 5.4 % at 0.01 for
     b-spline 2/1), the continuous part vanishes at beta 1e-5 for MP, and
     it is off by +91 % at 1e-6 for linear 3/2 and +570 % at 1e-8 for
@@ -780,19 +845,20 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     zero_mass = afze(beta, xi)  # checks beta
     atoms_d = _LawAtoms(law_d)
     atoms_t = _LawAtoms(law_t)
+    edges = _support_edges(atoms_d, atoms_t, beta)
     nu_override = None
     if grid is None:
         grid, nu_override = _default_grid(atoms_d, atoms_t, beta, zero_mass,
-                                          points)
+                                          points, edges)
     if nu is None:
         nu = nu_override if nu_override is not None \
             else 1e-4 * float(np.median(grid))
 
     density, iters, rescued, clamped = _sweep(
-        atoms_d, atoms_t, beta, zero_mass, grid, nu)
+        atoms_d, atoms_t, beta, zero_mass, grid, nu, edges)
     return EigenPdf(zero_mass=zero_mass, lambda_grid=grid,
                     density=np.maximum(density, 0.0),
-                    beta=beta, xi=xi, nu=nu,
+                    beta=beta, xi=xi, nu=nu, upper_edge=edges[0][0],
                     law=f"D~{law_d.descriptor} T~{law_t.descriptor} beta={beta}",
                     clamped_points=clamped, solver_iterations=iters,
                     rescued_points=rescued)

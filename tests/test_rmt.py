@@ -15,8 +15,9 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
 from respectra.rmt import (_CHAIN_STRIDE, _default_grid, _density_points,
-                           _fold_edge, _hermite_start, _LawAtoms, _link_start,
-                           _modulus, _solve_e2, _support_reaches_zero)
+                           _fixed_point_map, _fold_edge, _hermite, _LawAtoms,
+                           _modulus, _predicted, _quadratic, _solve_e2,
+                           _support_edges, _support_reaches_zero)
 
 
 def mp_eta_closed_form(gamma, beta):
@@ -42,39 +43,74 @@ def mp_density(lam, beta, s2=1.0):
 def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
     """A density sweep over a whole grid, written out plainly: a chain of
     every 16th point, the top and the points 1, 2, 4 and 8 below it
-    (clipped at 0), solved from the top down, the second link started
-    from the top link's E2 and each later one from the tangent-predicted
-    E2 below the two links above it, then the other points in chunks of
-    32 from the bottom up, started from the chain's E2 interpolated
-    between the links around them, with the walk's predictors. Returns
-    (densities, E2, iterations); ``chain_only`` leaves the points between
-    the links unsolved."""
+    (clipped at 0), solved from the top down, then the other points in
+    chunks of 32 from the bottom up. The top link starts cold. A point
+    within a factor 2 of a support edge (the upper one first) is predicted
+    over s = sqrt(side (z - lambda_e)): a link from the quadratic through
+    the edge's E2 and the E2 and slope of the link above it, a point
+    between links from the cubic Hermite interpolant between them. Any
+    other link starts from the quadratic in (log lambda, log E2) through
+    the two links above it with the lower one's tangent (cold if it is the
+    second), any other point from the cubic Hermite interpolant of log E2
+    between its links. Returns (densities, E2, iterations); ``chain_only``
+    leaves the points between the links unsolved."""
     n = len(grid)
     dens, e2, its = np.zeros(n), np.zeros(n, dtype=complex), np.zeros(n, int)
     tangent = np.zeros(n, dtype=complex)
+    edges = _support_edges(atoms, atoms, beta)
 
     def solve(idx, start):
         dens[idx], e2[idx], _, its[idx], _, tangent[idx] = _density_points(
             atoms, atoms, beta, zero_mass, grid[idx], nu, start)
 
-    log = np.log(grid)
+    def edge_of(lam):
+        near = [f for f, edge in enumerate(edges)
+                if abs(np.log(lam) - np.log(edge[0])) <= np.log(2.0)]
+        return near[0] if near else None
+
+    def where(k, f):
+        if f is None:
+            return np.log(grid[k])
+        lam_e, _, side = edges[f]
+        return np.sqrt(side * (grid[k] + 1j * nu - lam_e))
+
+    def solved(k, f):
+        # abscissa, value and slope of solved points k
+        if f is None:
+            return where(k, f), np.log(e2[k]), tangent[k]
+        s = where(k, f)
+        return s, e2[k], 2.0 * edges[f][2] * s * e2[k] * tangent[k] / grid[k]
+
     top = np.maximum(n - 1 - np.array([0, 1, 2, 4, 8]), 0)
     chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
     down, warm = chain[::-1], None
     for i, k in enumerate(down):
         solve(slice(k, k + 1), warm)
-        if i == 0:
-            warm = e2[k]
-        elif k > 0:
-            above = down[i - 1]
-            warm = _link_start(log[down[i + 1]], log[k], e2[k], tangent[k],
-                               log[above], e2[above])
+        if k == 0:
+            break
+        below = down[i + 1]
+        f = edge_of(grid[below])
+        if f is not None:
+            warm = _predicted(*_quadratic(where(below, f), *solved(k, f),
+                                          0.0, edges[f][1]), False)
+        elif i == 0:
+            warm = None
+        else:
+            x1, v1, _ = solved(down[i - 1], None)
+            warm = _predicted(*_quadratic(np.log(grid[below]),
+                                          *solved(k, None), x1, v1), True)
     if not chain_only:
         rest = np.setdiff1d(np.arange(n), chain)
         pos = np.searchsorted(chain, rest)
         lower, upper = chain[pos - 1], chain[pos]
-        start = _hermite_start(log[rest], log[lower], log[upper], e2[lower],
-                               e2[upper], tangent[lower], tangent[upper])
+        start = np.zeros(len(rest), dtype=complex)
+        frames = [edge_of(lam) for lam in grid[rest]]
+        for f in [None] + list(range(len(edges))):
+            m = np.array([g == f for g in frames], dtype=bool)
+            x0, v0, t0 = solved(lower[m], f)
+            x1, v1, t1 = solved(upper[m], f)
+            start[m] = _predicted(*_hermite(where(rest[m], f), x0, x1, v0,
+                                            v1, t0, t1), f is None)
         for i in range(0, len(rest), 32):
             solve(rest[i:i + 32], start[i:i + 32])
     return dens, e2, its
@@ -330,26 +366,119 @@ class TestTangentStarts:
                 f"lambda={lam:g}: {tangent[0]} against {central}"
 
     def test_unusable_prediction_falls_back_to_power_law(self):
-        # a tangent that is not finite, or so large that its start would
-        # overflow exp, gives the power-law start; so does a finite one
-        # whose start differs from it by more than a factor e^0.5
+        # a slope that is not finite, or so large that its start would
+        # overflow exp, gives the chord's start; so does a finite one whose
+        # start differs from it by more than a factor e^0.5; in log E2
+        # (the chord is the power law) and in E2 over s near an edge alike
         e0, e1 = np.complex128(0.5 + 0.2j), np.complex128(0.3 + 0.4j)
         at = np.array([0.25, 0.5, 0.75])
+        v0, v1 = np.log(e0), np.log(e1)
         power = e0 * (e1 / e0) ** at
         below = e0 * (e1 / e0) ** -1.0
+        linear = e0 + (e1 - e0) * at
         with np.errstate(all="ignore"):
             for bad in (np.nan, np.inf, complex(np.inf, np.nan), 1e300,
                         -1e300j, 20.0):
-                assert _hermite_start(at, 0.0, 1.0, e0, e1, bad, 0.0) \
-                    == pytest.approx(power, rel=1e-14)
-                assert _link_start(-1.0, 0.0, e0, np.complex128(bad), 1.0,
-                                   e1) == pytest.approx(below, rel=1e-14)
-        # tangents consistent with the power law reproduce it
-        chord = np.log(e1 / e0)
-        assert _hermite_start(at, 0.0, 1.0, e0, e1, chord, chord) \
-            == pytest.approx(power, rel=1e-14)
-        assert _link_start(-1.0, 0.0, e0, chord, 1.0, e1) \
-            == pytest.approx(below, rel=1e-14)
+                bad = np.complex128(bad)
+                assert _predicted(*_hermite(at, 0.0, 1.0, v0, v1, bad, 0.0),
+                                  True) == pytest.approx(power, rel=1e-14)
+                assert _predicted(*_quadratic(-1.0, 0.0, v0, bad, 1.0, v1),
+                                  True) == pytest.approx(below, rel=1e-14)
+                assert _predicted(*_hermite(at, 0.0, 1.0, e0, e1, bad, 0.0),
+                                  False) == pytest.approx(linear, rel=1e-14)
+                assert _predicted(*_quadratic(-1.0, 0.0, e0, bad, 1.0, e1),
+                                  False) == pytest.approx(2 * e0 - e1,
+                                                          rel=1e-14)
+        # slopes consistent with the chord reproduce it
+        chord = v1 - v0
+        assert _predicted(*_hermite(at, 0.0, 1.0, v0, v1, chord, chord),
+                          True) == pytest.approx(power, rel=1e-14)
+        assert _predicted(*_quadratic(-1.0, 0.0, v0, chord, 1.0, v1),
+                          True) == pytest.approx(below, rel=1e-14)
+        assert _predicted(*_hermite(at, 0.0, 1.0, e0, e1, e1 - e0, e1 - e0),
+                          False) == pytest.approx(linear, rel=1e-14)
+
+    def test_predictors_are_exact_on_their_polynomials(self):
+        # over complex abscissae, as s is near an edge: the quadratic
+        # reproduces a quadratic from a value, a slope and a second value,
+        # the Hermite interpolant a cubic from both ends' values and slopes
+        def p(x):
+            return (0.3 - 0.1j) + (0.2 + 0.4j) * x - 0.05j * x * x \
+                + 0.01 * x ** 3
+
+        def dp(x):
+            return (0.2 + 0.4j) - 0.1j * x + 0.03 * x * x
+
+        x0, x1 = 0.3 + 0.1j, 0.05 + 0.8j
+        at = np.array([0.1 + 0.3j, 0.2 + 0.5j])
+        value, _ = _hermite(at, x0, x1, p(x0), p(x1), dp(x0), dp(x1))
+        assert np.allclose(value, p(at), rtol=1e-14, atol=0.0)
+
+        def q(x):
+            return p(x) - 0.01 * x ** 3
+
+        def dq(x):
+            return dp(x) - 0.03 * x * x
+
+        value, _ = _quadratic(0.0, x0, q(x0), dq(x0), x1, q(x1))
+        assert value == pytest.approx(q(0.0), rel=1e-14)
+
+
+class TestEdgeStarts:
+    """Both ends of the support are folds, where E2 has a square-root
+    branch point; the sweep starts the points near them in s = sqrt(side
+    (z - lambda_e)) from the E2 of the fold."""
+
+    @pytest.mark.parametrize("law", [
+        law_genuine(0.0), law_genuine(0.97),
+        law_upscaled(0.97, ResampleSpec(L=2, M=1,
+                                        kernel=KERNELS["b-spline"])),
+    ], ids=["MP", "genuine", "b-spline-2/1"])
+    def test_edge_e2_solves_the_real_fixed_point(self, law):
+        # at both folds (beta 0.5 leaves a gap on each law) E2_e =
+        # -lambda_e u solves E2 = g(E2) at gamma = -1/lambda_e; at the fold
+        # the root is double, so the residual is taken relative to E2
+        atoms = _LawAtoms(law)
+        edges = _support_edges(atoms, atoms, 0.5)
+        assert [side for _, _, side in edges] == [1.0, -1.0]
+        pdf = eigen_pdf(law, law, 0.5)
+        grid = pdf.lambda_grid
+        e2 = two_level_sweep(atoms, 0.5, pdf.zero_mass, grid, pdf.nu)[1]
+        for lam_e, e2_e, _ in edges:
+            gamma = np.array([-1.0 / lam_e])
+            f = _fixed_point_map(atoms, atoms, gamma, 0.5 * gamma,
+                                 np.array([e2_e]))[0]
+            assert abs(f[0]) <= 1e-12 * abs(e2_e), f"lambda_e={lam_e:g}"
+            # it is the limit of the swept, physical E2, which leaves it
+            # as the square root of the distance (measured: 0.92-1.21
+            # |E2_e| sqrt(|z - lambda_e| / lambda_e) at the grid points
+            # two on each side of the edge)
+            k = np.searchsorted(grid, lam_e)
+            near = np.arange(max(k - 2, 0), min(k + 2, len(grid)))
+            dist = np.abs(grid[near] + 1j * pdf.nu - lam_e) / lam_e
+            assert np.all(np.abs(e2[near] - e2_e)
+                          <= 2.0 * abs(e2_e) * np.sqrt(dist)), lam_e
+
+    @pytest.mark.parametrize("kernel,lnum,m,rho,beta", [
+        ("b-spline", 2, 1, 0.9, 0.6),
+        ("linear", 3, 2, 0.97, 0.34),
+        ("catmull-rom", 3, 2, 0.97, 0.79),
+        ("b-spline", 2, 1, 0.98, 0.07),
+    ])
+    def test_link_below_the_top_keeps_the_first_moment(self, kernel, lnum, m,
+                                                       rho, beta):
+        # these calls of the beta scan (tests/budget_scan.py) put the link
+        # just below the top, inside the support, on the root with no
+        # density when it started from the top link's E2: first-moment
+        # ratios 0.971-0.989 and one rescue each
+        spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[kernel])
+        law = law_upscaled(rho, spec)
+        nodes, weights = quadrature_nodes()
+        mean = law.mean(nodes, weights)
+        pdf = eigen_pdf(law, law, beta)
+        ratio = pdf.first_moment() / (beta * mean * mean)
+        assert abs(ratio - 1.0) <= 1e-2, ratio
+        assert pdf.rescued_points == 0
 
 
 class TestStieltjes:
@@ -381,6 +510,7 @@ class TestEigenPdf:
         assert support_lower_edge(law, law, 0.5) == pytest.approx(
             lo, rel=1e-12)
         assert abs(np.log(pdf.lambda_plus() / hi)) <= 2 * step
+        assert pdf.lambda_plus() == pytest.approx(hi, rel=1e-12)
 
     def test_mp_density_vanishes_below_lower_edge(self):
         # error in E2 is amplified by |S| ~ zero_mass/|lambda + i nu| near
@@ -545,15 +675,15 @@ class TestEigenPdf:
     @pytest.mark.parametrize("beta", [1e-5, 1e-3, 0.25, 0.5, 1.0])
     def test_upper_edge_matches_mp(self, beta):
         atoms = _LawAtoms(law_genuine(0.0))
-        assert _fold_edge(atoms, atoms, beta, upper=True) == pytest.approx(
-            (1 + np.sqrt(beta)) ** 2, rel=1e-12)
+        assert _fold_edge(atoms, atoms, beta, upper=True)[0] \
+            == pytest.approx((1 + np.sqrt(beta)) ** 2, rel=1e-12)
 
     def test_upper_edge_matches_brute_scan_and_tops_the_grid(self):
         spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
         for law, xi in ((law_genuine(0.97), 1.0),
                         (law_upscaled(0.97, spline), 2.0)):
             atoms = _LawAtoms(law)
-            edge = _fold_edge(atoms, atoms, 0.5, upper=True)
+            edge = _fold_edge(atoms, atoms, 0.5, upper=True)[0]
             assert edge == pytest.approx(brute_upper_edge(law, 0.5),
                                          rel=1e-12), law.descriptor
             grid = eigen_pdf(law, law, 0.5, xi=xi, points=16).lambda_grid
@@ -570,7 +700,8 @@ class TestEigenPdf:
                 continue
             gaps += 1
             zero_mass = afze(beta, xi)
-            grid, nu = _default_grid(atoms, atoms, beta, zero_mass, 512)
+            grid, nu = _default_grid(atoms, atoms, beta, zero_mass, 512,
+                                     _support_edges(atoms, atoms, beta))
             assert nu is None
             e2 = two_level_sweep(atoms, beta, zero_mass, grid,
                                  1e-4 * np.median(grid), chain_only=True)[1]
