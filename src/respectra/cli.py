@@ -22,9 +22,9 @@ from .detect import DetectorConfig, detect
 from .errors import InputError, NumericalError, check_count
 from .estimate import EstimatorConfig, estimate
 from .pgm import central_block, read_pgm
-from .resample import ResampleSpec, get_kernel, kernel_autocorr
+from .resample import ResampleSpec, get_kernel
 from .rmt import MAX_POINTS, eigen_pdf
-from .spectra import d_genuine, d_upscaled, law_genuine, law_upscaled
+from .spectra import law_genuine, law_upscaled
 
 DEFAULT_SEED = 12345
 
@@ -159,6 +159,14 @@ def _spec(args):
                         delta=getattr(args, "delta", None))
 
 
+def _law(args):
+    """SpectralLaw of --rho, --xi, --kernel and --phi: genuine for xi = 1,
+    else upscaled."""
+    spec = _spec(args)
+    return (law_genuine(args.rho) if spec is None
+            else law_upscaled(args.rho, spec))
+
+
 def _synthetic_block(args, block_n):
     """Quantized block_n x block_n block of a synthetic field of extent
     --n: genuine for xi = 1, else the upscaled central block."""
@@ -208,9 +216,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_pdf(args):
-    spec = _spec(args)
-    law = (law_genuine(args.rho) if spec is None
-           else law_upscaled(args.rho, spec))
+    law = _law(args)
     pdf = eigen_pdf(law, law, args.beta, nu=args.nu, points=args.points)
     _write(args, lambda: {
         "zero_mass": pdf.zero_mass,
@@ -227,9 +233,7 @@ def _cmd_pdf(args):
 def _cmd_spectrum(args):
     check_count("points", args.points, 1, MAX_POINTS)
     omega = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
-    spec = _spec(args)
-    values = (d_genuine(omega, args.rho) if spec is None else
-              d_upscaled(omega, args.rho, kernel_autocorr(spec)))
+    values = _law(args).transform(omega)
     _write(args, lambda: {"omega": omega.tolist(), "value": values.tolist()},
            ["omega", "value"], lambda: zip(omega.tolist(), values.tolist()))
 
@@ -251,8 +255,10 @@ def _cmd_experiment(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if "seed" in args and args.seed is None:
-            args.seed = _default_seed()
+        if "seed" in args:
+            if args.seed is None:
+                args.seed = _default_seed()
+            check_count("seed", args.seed, 0)
         args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,18 +53,24 @@ def _header_int(data, pos, what, upper):
 
 def _ascii_samples(data, pos, count):
     """The first count P2 sample values from pos on, converted as the
-    regex walks the payload, so no list of tokens is ever built."""
-    tokens = _TOKEN.finditer(data, pos)
-    try:
-        return np.fromiter(map(int, map(itemgetter(1), tokens)),
-                           dtype=np.int64, count=count)
-    except TypeError:  # int(None): the first token that is not digits
-        found, m = next((i, m) for i, m in enumerate(
-            _TOKEN.finditer(data, pos)) if m[1] is None)
-        _reject(m, "integer sample",
-                f"ASCII payload holds {found} samples, need {count}")
-    except OverflowError:
-        raise ParseError("sample value exceeds 64 bits") from None
+    regex walks the payload, so no list of tokens is ever built.
+
+    Each sample takes a separator and a digit, so a payload shorter than
+    2 count bytes is truncated: it goes to the truncation error before
+    np.fromiter allocates count samples up front."""
+    if 2 * count <= len(data) - pos:
+        tokens = _TOKEN.finditer(data, pos)
+        try:
+            return np.fromiter(map(int, map(itemgetter(1), tokens)),
+                               dtype=np.int64, count=count)
+        except TypeError:  # int(None): the first token that is not digits
+            pass
+        except OverflowError:
+            raise ParseError("sample value exceeds 64 bits") from None
+    found, m = next((i, m) for i, m in enumerate(_TOKEN.finditer(data, pos))
+                    if m[1] is None)
+    _reject(m, "integer sample",
+            f"ASCII payload holds {found} samples, need {count}")
 
 
 def read_pgm(path):

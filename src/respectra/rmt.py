@@ -60,11 +60,14 @@ through the two links above it with the lower one's tangent, a point
 from the cubic Hermite interpolant of log E2 between its links. A
 prediction that is not finite or lies more than 0.5 in |log E2| from the
 chord through the same two points falls back to the chord. The default
-grid runs from 1e-8 beta E[D] E[T] to 1.02 times the upper support edge.
-Where the support reaches zero (P(D != 0)/beta <= P(T != 0)) a
-cold-started fine-nu solve at the grid's lower end probes for an
-A/sqrt(lambda) divergence, the conj(E2) rescue picking the physical
-root; where the support has a gap there is no divergence and no probe.
+grid runs from 1e-8 beta E[D] E[T] to 1.02 times the upper support edge,
+and the default nu is 1e-4 times the grid's first point, default or
+given: on the figures' 512-point grids, which span at least 8 decades,
+below 1/300 of the smallest grid step. Where the support reaches zero
+(P(D != 0)/beta <= P(T != 0)) a solve at the grid's lower end, at that
+end's nu and started on the physical root's -i sqrt(lambda) branch,
+probes for an A/sqrt(lambda) divergence, which extends the grid down;
+where the support has a gap there is no divergence and no probe.
 
 Both support edges read no density: they are the folds of the fixed
 point's real inverse map (_fold_edge), from the same atom sums, and each
@@ -389,8 +392,9 @@ class EigenPdf:
     rest). On the default grid, which ends at 1.02 times the upper support
     edge, zero_mass + integral = 1 within 1e-2 (eigen_pdf states the betas
     where this was measured). ``nu`` is the imaginary offset used for the
-    inversion; the known point mass smeared by nu is subtracted exactly
-    before clamping.
+    inversion, by default 1e-4 times the grid's first point; the known
+    point mass smeared by nu, at the floor of a grid with a gap still most
+    of Im S/pi, is subtracted exactly before clamping.
     Negative densities are clamped to zero; ``clamped_points`` counts the
     grid points whose density stayed below minus its evaluation-error
     budget, ``rescued_points`` those re-solved from conj(E2) after falling
@@ -633,33 +637,36 @@ def _support_reaches_zero(atoms_d, atoms_t, beta):
 
 
 def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, edges):
-    """Log-spaced grid up to 1.02 times the upper support edge, plus a nu
-    override.
+    """Log-spaced grid up to 1.02 times the upper support edge.
 
     ``edges`` are _support_edges', so the top link lies just above the
     support and the density there is the smoothed tail of nu alone. The
     lower end is 1e-8 beta E[D] E[T]. Only when the support reaches zero
-    (beta = 1 style laws, no lower edge) does a cold-started fine-nu probe
-    at the lower end measure the coefficient A of a possible
-    A/sqrt(lambda) divergence, the conj(E2) rescue picking the physical
-    root; if present, the lower limit is pushed down until the untabulated
-    mass 2 A sqrt(lo) is negligible and nu is capped so the Cauchy
-    smoothing does not displace the divergence's mass out of the grid.
-    Returns (grid, nu_override-or-None).
+    (beta = 1 style laws, no lower edge) does a probe at the lower end,
+    smoothed by the default nu of that end (1e-4 lo), measure the
+    coefficient A of a possible A/sqrt(lambda) divergence; if present, the
+    lower end is pushed down until the untabulated mass 2 A sqrt(lo) is
+    negligible. The probe starts from the physical root's leading term as
+    z -> 0: where P(D != 0) = beta P(T != 0) (alike laws at beta = 1) the
+    fixed point's leading terms at large gamma balance, and the next ones
+    give E2^2 ~ -P(D != 0) z / beta^3, E2 ~ -i sqrt(P(D != 0) lambda /
+    beta^3) on the physical branch (within 0.3 % of the root on the median
+    and 23 % on the worst of 120 beta = 1 laws: MP, genuine and upscaled
+    of rho 0.5-0.999). A cold start lies near the real axis
+    and can settle on a root with almost no density, which the conj(E2)
+    rescue does not catch (b-spline 3/2, rho 0.97, beta 1: 3.2e-5 against
+    1 619).
     """
     scale = beta * atoms_d.mean * atoms_t.mean
     lo = 1e-8 * scale
-    hi = 1.02 * edges[0][0]
-    nu_override = None
     if len(edges) == 1:
+        start = -1j * np.sqrt((1.0 - atoms_d.mass) * lo / beta ** 3)
         f_probe = _density_points(atoms_d, atoms_t, beta, zero_mass,
-                                  np.array([lo]), 1e-3 * lo)[0][0]
+                                  np.array([lo]), 1e-4 * lo, start)[0][0]
         sqrt_coeff = max(f_probe, 0.0) * np.sqrt(lo)
         if 2.0 * sqrt_coeff * np.sqrt(lo) > 1e-3 * beta:
             lo = max((5e-4 * beta / sqrt_coeff) ** 2, 1e-13 * scale)
-            nu_override = min(1e-4 * np.sqrt(lo * hi),
-                              (1e-3 * beta / sqrt_coeff) ** 2)
-    return np.geomspace(lo, hi, points), nu_override
+    return np.geomspace(lo, 1.02 * edges[0][0], points)
 
 
 def _fold_edge(atoms_d, atoms_t, beta, upper):
@@ -780,7 +787,8 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
         upper support edge.
     nu : float, optional
         Imaginary offset for the Stieltjes inversion; defaults to
-        1e-4 times the median grid lambda.
+        1e-4 times the grid's first (smallest) lambda, for default and
+        given grids alike.
     points : int
         Size of the default grid, from 2 to MAX_POINTS = 2**20.
 
@@ -793,11 +801,11 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     around it; within a factor 2 of an edge it is predicted in s =
     sqrt(+-(z - lambda_e)), anchored at the edge's E2, because E2 has a
     square-root branch point there. The default grid's top is 1.02 times
-    the upper edge; a cold-started probe for an A/sqrt(lambda) divergence
-    at zero, which sets the lower end and the nu override, runs only where
-    the support reaches zero. Each point's answer depends only on the
-    grid, nu and the laws, so a call with a given grid and nu reproduces
-    the density of the call that chose them.
+    the upper edge; a probe for an A/sqrt(lambda) divergence at zero,
+    which can extend the lower end, runs only where the support reaches
+    zero. Each point's answer depends only on the grid, nu and the laws,
+    so a call with a given grid and nu reproduces the density of the call
+    that chose them.
 
     Raises InputError for a beta outside (0, 1], a non-finite or
     nonpositive nu, a grid that is not finite, increasing and positive,
@@ -814,16 +822,15 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     = beta E[D] E[T] within 1 %) were measured over MP and the genuine and
     upscaled laws of rho 0.9, 0.97 and 0.98 (all four kernels at 3/2 and
     2/1). On a 0.01 step of beta from 0.05 to 1 (tests/budget_scan.py,
-    2 688 calls) every call meets the first-moment budget with no point
-    re-solved from conj(E2), but b-spline laws of rho 0.97 and 0.98 lose
-    1-3.3 % of the mass at beta 0.82-0.99 (43 calls), where the support's
-    lower edge nears 0 without reaching it. Below 0.05 the first moment
-    misses its
-    budget (by 4.5 % at beta 0.003 for genuine rho 0.97, 5.4 % at 0.01 for
-    b-spline 2/1), the continuous part vanishes at beta 1e-5 for MP, and
-    it is off by +91 % at 1e-6 for linear 3/2 and +570 % at 1e-8 for
-    genuine rho 0.97, while the total mass, mostly zero_mass = 1 - beta/xi,
-    still meets its budget.
+    2 688 calls) every call meets the first-moment budget (largest error
+    3.3e-3) with no point re-solved from conj(E2), and all but one the
+    mass budget: b-spline 3/2, rho 0.98, beta 0.99 totals 0.9899, its
+    lower edge near 0 without reaching it. Below 0.05 the first moment
+    misses its budget (by 4.5 % at beta 0.003 for genuine rho 0.97, 5.4 %
+    at 0.01 for b-spline 2/1), the continuous part vanishes at beta 1e-5
+    for MP, and it is off by +91 % at 1e-6 for linear 3/2 and +570 % at
+    1e-8 for genuine rho 0.97, while the total mass, mostly zero_mass =
+    1 - beta/xi, still meets its budget.
     Raises ConvergenceFailure (annotated with the offending lambda) if
     some grid point cannot be solved.
     """
@@ -846,13 +853,10 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     atoms_d = _LawAtoms(law_d)
     atoms_t = _LawAtoms(law_t)
     edges = _support_edges(atoms_d, atoms_t, beta)
-    nu_override = None
     if grid is None:
-        grid, nu_override = _default_grid(atoms_d, atoms_t, beta, zero_mass,
-                                          points, edges)
+        grid = _default_grid(atoms_d, atoms_t, beta, zero_mass, points, edges)
     if nu is None:
-        nu = nu_override if nu_override is not None \
-            else 1e-4 * float(np.median(grid))
+        nu = 1e-4 * float(grid[0])
 
     density, iters, rescued, clamped = _sweep(
         atoms_d, atoms_t, beta, zero_mass, grid, nu, edges)

@@ -87,6 +87,16 @@ class TestDetectCommand:
         assert code == 0
         assert json.loads(out)["is_upscaled"] is True
 
+    def test_header_count_beyond_the_payload_exits_2(self, capsys,
+                                                     tmp_path):
+        # the declared 10**10 samples ended in a 74.5 GiB allocation error
+        path = tmp_path / "huge.pgm"
+        path.write_text("P2 100000 100000 255\n0 1 2\n")
+        code, out, err = run(capsys, "detect", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ASCII payload holds 3 samples")
+
     @pytest.mark.parametrize("command", ["detect", "estimate"])
     def test_constant_image_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "flat.pgm"
@@ -328,6 +338,26 @@ class TestSeedEnv:
         monkeypatch.setenv("RMT_SEED", "778")
         b = run(capsys, "generate", "--n", "8")
         assert a != b
+
+    @pytest.mark.parametrize("command", ["generate --n 8",
+                                         "detect --synthetic",
+                                         "experiment fig1b"])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, command):
+        # numpy's seeding rejected it with a ValueError and exit 1
+        out_path = tmp_path / "out"
+        code, out, err = run(capsys, *command.split(), "--seed", "-1",
+                             "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be nonnegative, got -1\n"
+        assert not out_path.exists()
+
+    def test_negative_rmt_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RMT_SEED", "-1")
+        code, out, err = run(capsys, "generate", "--n", "8")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be nonnegative, got -1\n"
 
     def test_malformed_rmt_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("RMT_SEED", "abc")

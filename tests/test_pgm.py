@@ -52,6 +52,15 @@ class TestReadPgm:
         with pytest.raises(InputError, match="holds 3 samples, need 4"):
             read_pgm(write(tmp_path, "P2 2 2 255 0 1 2"))
 
+    @pytest.mark.parametrize("side", [100000, 2 ** 31])
+    def test_header_count_beyond_the_payload_is_truncation(self, tmp_path,
+                                                          side):
+        # np.fromiter would allocate the declared count up front: 74.5 GiB
+        # at side 100 000, and a ValueError at 2**31
+        with pytest.raises(InputError,
+                           match=f"holds 3 samples, need {side * side}$"):
+            read_pgm(write(tmp_path, f"P2 {side} {side} 255\n0 1 2\n"))
+
     def test_trailing_comment_is_not_a_sample(self, tmp_path):
         with pytest.raises(InputError, match="holds 3 samples, need 4"):
             read_pgm(write(tmp_path, "P2 2 2 255 0 1 2 # 7\n"))

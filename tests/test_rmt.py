@@ -14,10 +14,10 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
                        ResampleSpec, SpectralLaw, afze, eigen_pdf,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
-from respectra.rmt import (_CHAIN_STRIDE, _default_grid, _density_points,
-                           _fixed_point_map, _fold_edge, _hermite, _LawAtoms,
-                           _modulus, _predicted, _quadratic, _solve_e2,
-                           _support_edges, _support_reaches_zero)
+from respectra.rmt import (_CHAIN_STRIDE, _density_points, _fixed_point_map,
+                           _fold_edge, _hermite, _LawAtoms, _modulus,
+                           _predicted, _quadratic, _solve_e2, _support_edges,
+                           _support_reaches_zero)
 
 
 def mp_eta_closed_form(gamma, beta):
@@ -40,7 +40,7 @@ def mp_density(lam, beta, s2=1.0):
     return out
 
 
-def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
+def two_level_sweep(atoms, beta, zero_mass, grid, nu):
     """A density sweep over a whole grid, written out plainly: a chain of
     every 16th point, the top and the points 1, 2, 4 and 8 below it
     (clipped at 0), solved from the top down, then the other points in
@@ -52,8 +52,7 @@ def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
     other link starts from the quadratic in (log lambda, log E2) through
     the two links above it with the lower one's tangent (cold if it is the
     second), any other point from the cubic Hermite interpolant of log E2
-    between its links. Returns (densities, E2, iterations); ``chain_only``
-    leaves the points between the links unsolved."""
+    between its links. Returns (densities, E2, iterations)."""
     n = len(grid)
     dens, e2, its = np.zeros(n), np.zeros(n, dtype=complex), np.zeros(n, int)
     tangent = np.zeros(n, dtype=complex)
@@ -99,29 +98,20 @@ def two_level_sweep(atoms, beta, zero_mass, grid, nu, chain_only=False):
             x1, v1, _ = solved(down[i - 1], None)
             warm = _predicted(*_quadratic(np.log(grid[below]),
                                           *solved(k, None), x1, v1), True)
-    if not chain_only:
-        rest = np.setdiff1d(np.arange(n), chain)
-        pos = np.searchsorted(chain, rest)
-        lower, upper = chain[pos - 1], chain[pos]
-        start = np.zeros(len(rest), dtype=complex)
-        frames = [edge_of(lam) for lam in grid[rest]]
-        for f in [None] + list(range(len(edges))):
-            m = np.array([g == f for g in frames], dtype=bool)
-            x0, v0, t0 = solved(lower[m], f)
-            x1, v1, t1 = solved(upper[m], f)
-            start[m] = _predicted(*_hermite(where(rest[m], f), x0, x1, v0,
-                                            v1, t0, t1), f is None)
-        for i in range(0, len(rest), 32):
-            solve(rest[i:i + 32], start[i:i + 32])
+    rest = np.setdiff1d(np.arange(n), chain)
+    pos = np.searchsorted(chain, rest)
+    lower, upper = chain[pos - 1], chain[pos]
+    start = np.zeros(len(rest), dtype=complex)
+    frames = [edge_of(lam) for lam in grid[rest]]
+    for f in [None] + list(range(len(edges))):
+        m = np.array([g == f for g in frames], dtype=bool)
+        x0, v0, t0 = solved(lower[m], f)
+        x1, v1, t1 = solved(upper[m], f)
+        start[m] = _predicted(*_hermite(where(rest[m], f), x0, x1, v0,
+                                        v1, t0, t1), f is None)
+    for i in range(0, len(rest), 32):
+        solve(rest[i:i + 32], start[i:i + 32])
     return dens, e2, its
-
-
-def warm_sqrt_coefficient(atoms, beta, zero_mass, grid, e2):
-    """A of a density A/sqrt(lambda) at the bottom grid point, from a
-    fine-nu solve started from the chain's bottom E2."""
-    f = _density_points(atoms, atoms, beta, zero_mass, grid[:1],
-                        1e-3 * grid[0], warm=e2[0])[0][0]
-    return max(f, 0.0) * np.sqrt(grid[0])
 
 
 def brute_upper_edge(law, beta):
@@ -273,21 +263,24 @@ class TestOnePointPath:
         return -1.0 / (np.array([lam, 2.0 * lam]) + 1j * nu)
 
     def test_cold_probe_matches_batch_row(self):
-        # the sqrt probe: a cold start at the default grid's lower end
-        # 1e-8 beta E[D] E[T], fine nu
+        # the sqrt probe's point, the default grid's lower end 1e-8 beta
+        # E[D] E[T] at nu 1e-4 of it, solved cold (as a top link starts)
+        # and from the probe's start -i sqrt(lambda) (no zero mass, beta 1)
         law = law_genuine(0.97)
         atoms = _LawAtoms(law)
         lo = 1e-8 * (1.0 * atoms.mean * atoms.mean)
-        gammas = self.gammas(lo, 1e-3 * lo)
-        one = _solve_e2(atoms, atoms, 1.0, gammas[:1])
-        row = _solve_e2(atoms, atoms, 1.0, gammas)
-        assert one[0].tobytes() == row[0][:1].tobytes()
-        assert one[1].tobytes() == row[1][:1].tobytes()
-        # and the conj(E2) re-solve a rescue makes from there
-        again = _solve_e2(atoms, atoms, 1.0, gammas[:1], warm=np.conj(one[0]))
-        rows = _solve_e2(atoms, atoms, 1.0, gammas, warm=np.conj(row[0]))
-        assert again[0].tobytes() == rows[0][:1].tobytes()
-        assert again[1][0] == rows[1][0]
+        gammas = self.gammas(lo, 1e-4 * lo)
+        for start in (None, -1j * np.sqrt(lo)):
+            one = _solve_e2(atoms, atoms, 1.0, gammas[:1], warm=start)
+            row = _solve_e2(atoms, atoms, 1.0, gammas, warm=start)
+            assert one[0].tobytes() == row[0][:1].tobytes()
+            assert one[1].tobytes() == row[1][:1].tobytes()
+            # and the conj(E2) re-solve a rescue makes from there
+            again = _solve_e2(atoms, atoms, 1.0, gammas[:1],
+                              warm=np.conj(one[0]))
+            rows = _solve_e2(atoms, atoms, 1.0, gammas, warm=np.conj(row[0]))
+            assert again[0].tobytes() == rows[0][:1].tobytes()
+            assert again[1][0] == rows[1][0]
 
     def test_batch_magnitudes_equal_scalar_abs(self):
         # the one-point path takes Python's abs of complex scalars, the
@@ -630,13 +623,12 @@ class TestEigenPdf:
 
     def test_given_grid_reproduces_default_call(self):
         # a law with a gap below its support, and a beta = 1 law whose
-        # support reaches zero, so its nu is the override
+        # support reaches zero, so the sqrt probe moves its grid floor
         spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
         for law, beta, xi in ((law_genuine(0.97), 0.5, 1.0),
                               (law_upscaled(0.97, spline), 1.0, 2.0)):
             pdf = eigen_pdf(law, law, beta, xi=xi)
-            if beta == 1.0:
-                assert pdf.nu < 1e-4 * np.median(pdf.lambda_grid)
+            assert pdf.nu == 1e-4 * pdf.lambda_grid[0]
             again = eigen_pdf(law, law, beta, xi=xi, grid=pdf.lambda_grid,
                               nu=pdf.nu)
             assert np.array_equal(again.density, pdf.density)
@@ -689,36 +681,70 @@ class TestEigenPdf:
             grid = eigen_pdf(law, law, 0.5, xi=xi, points=16).lambda_grid
             assert grid[-1] == 1.02 * edge
 
-    def test_no_law_with_a_gap_takes_the_sqrt_override(self):
-        # the probe the default grid does not run where the support has a
-        # gap: warm started from the chain of that grid, it stays far from
-        # the override 2 A sqrt(lo) > 1e-3 beta on every such law of the scan
+    def test_no_law_with_a_gap_extends_the_grid_floor(self):
+        # the sqrt probe runs only where the support reaches zero; where it
+        # has a gap the floor stays at 1e-8 beta E[D] E[T], and the density
+        # there, smoothed by the probe's nu, is far from the extension
+        # 2 A sqrt(lo) = 2 f(lo) lo > 1e-3 beta on every such law of the scan
         gaps = 0
         for law, xi, beta in scan_laws():
             atoms = _LawAtoms(law)
             if _support_reaches_zero(atoms, atoms, beta):
                 continue
             gaps += 1
-            zero_mass = afze(beta, xi)
-            grid, nu = _default_grid(atoms, atoms, beta, zero_mass, 512,
-                                     _support_edges(atoms, atoms, beta))
-            assert nu is None
-            e2 = two_level_sweep(atoms, beta, zero_mass, grid,
-                                 1e-4 * np.median(grid), chain_only=True)[1]
-            a = warm_sqrt_coefficient(atoms, beta, zero_mass, grid, e2)
-            assert 2.0 * a * np.sqrt(grid[0]) <= 1e-3 * beta, \
+            pdf = eigen_pdf(law, law, beta, xi=xi)
+            lo = pdf.lambda_grid[0]
+            assert lo == 1e-8 * (beta * atoms.mean * atoms.mean)
+            assert 2.0 * pdf.density[0] * lo <= 1e-3 * beta, \
                 f"{law.descriptor} beta={beta}"
         assert gaps == 135
 
+    def test_sqrt_probe_agrees_with_the_sweep(self):
+        # where the support reaches zero, the probe extends the grid floor
+        # exactly when the swept density at the unextended floor shows the
+        # divergence; a cold start at the same nu missed it for b-spline
+        # 3/2, rho 0.97 (3.2e-5 against 1 619, mass 0.991)
+        reach = 0
+        for law, xi, beta in scan_laws():
+            atoms = _LawAtoms(law)
+            if not _support_reaches_zero(atoms, atoms, beta):
+                continue
+            reach += 1
+            pdf = eigen_pdf(law, law, beta, xi=xi)
+            lo = 1e-8 * (beta * atoms.mean * atoms.mean)
+            grid = np.geomspace(lo, pdf.lambda_grid[-1], 512)
+            f = eigen_pdf(law, law, beta, xi=xi, grid=grid,
+                          nu=1e-4 * lo).density[0]
+            assert (pdf.lambda_grid[0] < lo) == (2.0 * f * lo > 1e-3 * beta), \
+                f"{law.descriptor} beta={beta}"
+        assert reach == 45
+
+    @pytest.mark.parametrize("kernel,rho,beta", [
+        (None, 0.999, 0.25), (None, 0.999, 0.5), (None, 0.9999, 0.25),
+        (("b-spline", 3, 2), 0.98, 0.95), (("b-spline", 2, 1), 0.98, 0.95),
+    ])
+    def test_default_nu_keeps_the_mass_next_to_zero(self, kernel, rho,
+                                                     beta):
+        # the lower edge lies near zero or the support reaches it; nu at
+        # 1e-4 of the grid median smoothed mass off the grid's bottom:
+        # total mass 0.989, 0.940, 0.901, 0.974 and 0.982
+        if kernel is None:
+            law = law_genuine(rho)
+        else:
+            law = law_upscaled(rho, ResampleSpec(L=kernel[1], M=kernel[2],
+                                                 kernel=KERNELS[kernel[0]]))
+        assert eigen_pdf(law, law, beta).total_mass() == pytest.approx(
+            1.0, abs=1e-2)
+
     def test_density_matches_4096_atom_quadrature(self, solver_settings):
-        # the criterion-3 laws (beta = 1 takes the nu override), MP at beta
-        # 0.5, and at rho 0.99, where the spectral peak is sharpest,
-        # genuine, b-spline 2/1 and lanczos3 3/2 at beta 0.5, against 4 096
-        # atoms (128 panels) on the same grid and nu: within 1e-8 of the
-        # peak, or no worse than 1 024 atoms (32 panels) plus 1e-10 of the
-        # peak. Near zero the density is Im S/pi minus a smeared point mass
-        # of size ~|S| (1e7 for MP), so it is compared to within the
-        # rounding of that difference, 8 eps times the smear, on top.
+        # the criterion-3 laws, MP at beta 0.5, and at rho 0.99, where the
+        # spectral peak is sharpest, genuine, b-spline 2/1 and lanczos3 3/2
+        # at beta 0.5, against 4 096 atoms (128 panels) on the same grid
+        # and nu: within 1e-8 of the peak, or no worse than 1 024 atoms
+        # (32 panels) plus 1e-10 of the peak. Near zero the density is
+        # Im S/pi minus a smeared point mass of size ~|S| (1e7 for MP), so
+        # it is compared to within the rounding of that difference, 8 eps
+        # times the smear, on top.
         cases = [(law_genuine(0.0), 1.0, 0.5)]
         for rho in (0.9, 0.97):
             laws = [(law_genuine(rho), 1.0)]
