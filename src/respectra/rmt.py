@@ -13,30 +13,34 @@ S(-1/gamma) = gamma eta(gamma), and evaluating it just above the real axis
 recovers the eigenvalue density.
 
 Solver notes: the solver's settings are module constants, not parameters.
-Each point is iterated with damped steps until its relative residual falls
-below 1e-2 (at most 60 of them) and then finished by Newton steps on
-F(E2) = g(E2) - E2, whose derivative comes from the same quadrature sums
-as g. A point stops at its first Newton step within the fixed tolerance
-1e-6 of |E2|, returning the stepped iterate, or at its first Newton
-iterate whose residual is within the map's own rounding of |E2|
-((n_D + n_T) eps/2 for two sums over n_D and n_T atoms), returning that
-iterate, after at most 10 000 iterations. Where Newton converges
-quadratically (away from support edges) the E2 error is thus far below the
-tolerance; this matters near zero, where |S| ~ zero_mass/|lambda + i nu|
-amplifies it. The points are rows of (points x atoms) arrays summed along
-the atom axis, so a point's answer does not depend on the other points or
-on BLAS. The solver has two paths over one map and slope
-(_fixed_point_map, _map_slope), picked by the number of points. A single
-gamma (eta_transform's, every chain link, the sqrt probe, a one-point
-rescue) keeps its Newton switch, stall counter and stop test in Python
-scalars; for real gamma > 0, which only eta_transform solves, its iterates
-also stay inside a bracket around the positive root, the physical one. A
-vector of gamma, always complex (the density sweep's batches and rescues),
-keeps them in per-point masks. Both do the same arithmetic on one-row
-arrays and take magnitudes as libm's hypot (_modulus), so a point's bits
-do not depend on the path. Each also returns d log E2 / d log gamma from
-the sums of the last map evaluation (_log_tangent), which costs no atom
-sum of its own.
+A point given a start, predicted or conj(E2), takes Newton steps on
+F(E2) = g(E2) - E2 from it, whose derivative comes from the same
+quadrature sums as g. Only a cold start (eta_transform's, a sweep's top
+link or a second link with no edge near) is first iterated with damped
+steps until its relative residual falls below 1e-2 (at most 60 of them).
+A point stops at its first Newton step within the fixed tolerance 1e-6
+of |E2|, returning the stepped iterate, or at its first Newton iterate
+whose residual is within the map's own rounding of |E2| ((n_D + n_T)
+eps/2 for two sums over n_D and n_T atoms), returning that iterate,
+after at most 10 000 iterations.
+Where Newton converges quadratically (away from support edges) the E2
+error is thus far below the tolerance; this matters near zero, where
+|S| ~ zero_mass/|lambda + i nu| amplifies it. The points are rows of
+(points x atoms) arrays summed along the atom axis, so a point's answer
+does not depend on the other points or on BLAS. The solver has two paths
+over one map and slope (_fixed_point_map, _map_slope), picked by the
+number of points. A single gamma (eta_transform's, every chain link, the
+sqrt probe, a one-point rescue) keeps its Newton switch, stall counter
+and stop test in Python scalars; for real gamma > 0, which only
+eta_transform solves, its iterates also stay inside a bracket around the
+positive root, the physical one. A vector of gamma, always complex and
+always given its starts (the density sweep's batches and rescues), takes
+Newton steps only and keeps its stall counters and stop test in
+per-point masks. Both do the same arithmetic on one-row arrays and take
+magnitudes as libm's hypot (_modulus), so a point's bits from a given
+start do not depend on the path. Each also returns d log E2 / d log
+gamma from the sums of the last map evaluation (_log_tangent), which
+costs no atom sum of its own.
 _density_points is the one place that solves at points lambda + i nu,
 forms S and the density and picks the root: a density below minus its
 evaluation-error budget (the E2 tolerance, or the map's rounding where
@@ -60,14 +64,16 @@ through the two links above it with the lower one's tangent, a point
 from the cubic Hermite interpolant of log E2 between its links. A
 prediction that is not finite or lies more than 0.5 in |log E2| from the
 chord through the same two points falls back to the chord. The default
-grid runs from 1e-8 beta E[D] E[T] to 1.02 times the upper support edge,
-and the default nu is 1e-4 times the grid's first point, default or
-given: on the figures' 512-point grids, which span at least 8 decades,
-below 1/300 of the smallest grid step. Where the support reaches zero
-(P(D != 0)/beta <= P(T != 0)) a solve at the grid's lower end, at that
-end's nu and started on the physical root's -i sqrt(lambda) branch,
-probes for an A/sqrt(lambda) divergence, which extends the grid down;
-where the support has a gap there is no divergence and no probe.
+grid runs to 1.02 times the upper support edge, from 0.98 times the lower
+one where the support has a gap above zero, and the default nu is 1e-4
+times the grid's first point, default or given: 1/250 to 1/600 of the
+smallest step on the figures' 512-point grids, but closer to it on a
+narrow support (1/70 for MP at beta 0.5, 1/19 at 0.05, about the step at
+1e-5). Where the support reaches zero (P(D != 0)/beta <= P(T != 0)) the
+grid starts at 1e-8 beta E[D] E[T], and a solve there, at that end's nu
+and started on the physical root's -i sqrt(lambda) branch, probes for an
+A/sqrt(lambda) divergence, which extends the grid down; where the support
+has a gap there is no divergence and no probe.
 
 Both support edges read no density: they are the folds of the fixed
 point's real inverse map (_fold_edge), from the same atom sums, and each
@@ -90,8 +96,8 @@ _QUAD_PANELS = 4        # panels on (0, pi): 128 atoms per law
 _QUAD_GRADING = 3.0     # panel edges pi (k/panels)^3, dense near omega = 0
 _TOLERANCE = 1e-6       # last Newton step relative to |E2|
 _MAX_ITERS = 10000      # fixed-point iterations per point
-_PICARD_WARMUP = 60     # most damped steps before the switch to Newton
-_DAMPING = 0.5          # Picard step size before the switch to Newton
+_PICARD_WARMUP = 60     # most damped steps of a cold start before Newton
+_DAMPING = 0.5          # Picard step size of a cold start's warmup
 _DIVERGENCE_WINDOW = 50  # Newton steps without a smaller residual
 MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
 _EPS = np.finfo(float).eps
@@ -193,11 +199,14 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     d log E2 / d log gamma (_log_tangent) from the sums of the last map
     evaluation.
 
-    Each point takes damped Picard steps until the relative residual of g
-    is below 1e-2 (at most _PICARD_WARMUP of them), then Newton steps on
-    F(x) = g(x) - x, with g'(x) from the same atom sums as g. A point is
-    done after its first Newton step no longer than _TOLERANCE * |E2|,
-    and its stepped iterate is returned, or at its first Newton iterate x
+    ``warm`` gives each point its start E2. Every point takes Newton steps
+    on F(x) = g(x) - x from its start, with g'(x) from the same atom sums
+    as g (predictor-corrector continuation corrects a predicted point with
+    Newton directly). Only a single gamma may omit its start (a cold
+    start: eta_transform, a sweep's top link): it starts from the
+    paper-style E1 = 1 value and takes damped steps first (_solve_one). A
+    point is done after its first Newton step no longer than _TOLERANCE *
+    |E2|, and its stepped iterate is returned, or at its first iterate x
     whose residual |F(x)| is within the map's own rounding of |x| (below),
     and x is returned. Each evaluation of g counts as one iteration of its
     point.
@@ -213,13 +222,17 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     one-point rescue) is solved by _solve_one, which also brackets real
     gamma > 0. A vector of gamma, always complex from the density sweep,
     is solved here: points are the rows of (points x atoms) arrays, summed
-    along the atom axis only, and each has its own Newton switch and stale
-    counter, so a point's answer does not depend on the other points.
-    Converged rows leave the arrays. A failure names the index of its
-    point in ConvergenceFailure.point.
+    along the atom axis only, and each has its own stale counter, so a
+    point's answer does not depend on the other points. Converged rows
+    leave the arrays. A failure names the index of its point in
+    ConvergenceFailure.point. A vector of gamma without starts raises
+    ValueError.
     """
     gamma = np.atleast_1d(gamma) * 1.0
-    if warm is None:        # paper-style initialization E1 = 1
+    if warm is None:
+        if len(gamma) != 1:
+            raise ValueError("a vector of gamma needs its starts")
+        # paper-style initialization E1 = 1
         x = np.add.reduce(
             atoms_t.wv / (1.0 + gamma[:, None] * atoms_t.values), axis=1)
     else:
@@ -229,39 +242,27 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     gb, ggb = gamma * beta, gamma * gamma * beta
     rounding = _map_rounding(atoms_d, atoms_t)
     if len(x) == 1:
-        return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding)
+        return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding,
+                          newton=warm is not None)
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
     tangent = np.empty_like(x)
     point, g = np.arange(len(x)), gamma
-    newton, all_newton = np.zeros(len(x), dtype=bool), False
     best, stale = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
     # the loop tests masks with np.count_nonzero, a few times cheaper than
     # .any() on arrays this small
     for it in range(1, _MAX_ITERS + 1):
         f, e1, ra, rb = _fixed_point_map(atoms_d, atoms_t, g, gb, x)
         residual, size = _modulus(f), _modulus(x)
-        if not all_newton:
-            newton |= (it > _PICARD_WARMUP) \
-                | (residual <= 1e-2 * np.maximum(_modulus(f + x), size))
-            all_newton = np.count_nonzero(newton) == len(x)
+        slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
         step = _DAMPING * f
-        if all_newton or np.count_nonzero(newton):
-            slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
-            usable = slope != 1.0
-            np.divide(f, 1.0 - slope, out=step,
-                      where=usable if all_newton else newton & usable)
+        np.divide(f, 1.0 - slope, out=step, where=slope != 1.0)
         new = x + step
-        # stale counts a Newton point's steps since its residual last fell
+        # stale counts a point's steps since its residual last fell
         better = residual < best
+        best = np.where(better, residual, best)
+        stale = np.where(better, 0, stale + 1)
         stepped = _modulus(step) <= _TOLERANCE * _modulus(new)
         done = stepped | (residual <= rounding * size)
-        if all_newton:
-            best = np.where(better, residual, best)
-            stale = np.where(better, 0, stale + 1)
-        else:
-            best = np.where(newton & better, residual, best)
-            stale = np.where(better, 0, stale + newton)
-            done &= newton
         finished = np.count_nonzero(done)
         if finished == len(x):
             e2[point], its[point] = np.where(stepped, new, x), it
@@ -272,9 +273,9 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
             e2[at], its[at] = np.where(stepped, new, x)[done], it
             tangent[at] = _log_tangent(g, x, e1, slope, a)[done]
             keep = ~done
-            point, x, g, gb, ggb, newton, best, stale, residual = (
-                v[keep] for v in (point, new, g, gb, ggb, newton, best,
-                                  stale, residual))
+            point, x, g, gb, ggb, best, stale, residual = (
+                v[keep] for v in (point, new, g, gb, ggb, best, stale,
+                                  residual))
         else:
             x = new
         # stale grows by at most one per iteration, so no point can reach
@@ -304,14 +305,17 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding):
+def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, newton):
     """_solve_e2 at one point: gamma, gamma beta, gamma^2 beta and the
     start x are arrays of one entry, ``rounding`` the map's relative
-    rounding. The map, slope, step and tangent are _solve_e2's on a
-    one-row array, so an unbracketed point's answer is bit-identical to
-    that row of a batch; the Newton switch, best residual, stale counter
-    and stop test are Python scalars. Failures raise as in _solve_e2, with
-    point 0.
+    rounding. A given start (``newton`` true) takes Newton steps from the
+    first iteration; the map, slope, step and tangent are then _solve_e2's
+    on a one-row array, so an unbracketed point's answer is bit-identical
+    to that row of a batch from the same start. A cold start first takes
+    damped steps of _DAMPING until the relative residual is below 1e-2 (at
+    most _PICARD_WARMUP of them). The Newton switch, best residual, stale
+    counter and stop test are Python scalars. Failures raise as in
+    _solve_e2, with point 0.
 
     For real gamma > 0 the positive root is the physical one: F(0) > 0 >
     F(x) for every x >= E[T], so the start is clamped into (0, E[T]) (a
@@ -323,7 +327,7 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding):
     lo, hi = 0.0, atoms_t.mean
     if bracketed and not lo < x[0].real < hi:
         x = np.full_like(x, 0.5 * (lo + hi))
-    newton, best, stale = False, np.inf, 0
+    best, stale = np.inf, 0
     for it in range(1, _MAX_ITERS + 1):
         f, e1, ra, rb = _fixed_point_map(atoms_d, atoms_t, gamma, gb, x)
         residual = abs(f[0])
@@ -393,8 +397,8 @@ class EigenPdf:
     edge, zero_mass + integral = 1 within 1e-2 (eigen_pdf states the betas
     where this was measured). ``nu`` is the imaginary offset used for the
     inversion, by default 1e-4 times the grid's first point; the known
-    point mass smeared by nu, at the floor of a grid with a gap still most
-    of Im S/pi, is subtracted exactly before clamping.
+    point mass smeared by nu, at the floor of a grid with a gap still 0.8
+    to 4 times the density there, is subtracted exactly before clamping.
     Negative densities are clamped to zero; ``clamped_points`` counts the
     grid points whose density stayed below minus its evaluation-error
     budget, ``rescued_points`` those re-solved from conj(E2) after falling
@@ -640,32 +644,34 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, edges):
     """Log-spaced grid up to 1.02 times the upper support edge.
 
     ``edges`` are _support_edges', so the top link lies just above the
-    support and the density there is the smoothed tail of nu alone. The
-    lower end is 1e-8 beta E[D] E[T]. Only when the support reaches zero
-    (beta = 1 style laws, no lower edge) does a probe at the lower end,
-    smoothed by the default nu of that end (1e-4 lo), measure the
-    coefficient A of a possible A/sqrt(lambda) divergence; if present, the
-    lower end is pushed down until the untabulated mass 2 A sqrt(lo) is
-    negligible. The probe starts from the physical root's leading term as
-    z -> 0: where P(D != 0) = beta P(T != 0) (alike laws at beta = 1) the
-    fixed point's leading terms at large gamma balance, and the next ones
-    give E2^2 ~ -P(D != 0) z / beta^3, E2 ~ -i sqrt(P(D != 0) lambda /
-    beta^3) on the physical branch (within 0.3 % of the root on the median
-    and 23 % on the worst of 120 beta = 1 laws: MP, genuine and upscaled
-    of rho 0.5-0.999). A cold start lies near the real axis
-    and can settle on a root with almost no density, which the conj(E2)
-    rescue does not catch (b-spline 3/2, rho 0.97, beta 1: 3.2e-5 against
-    1 619).
+    support and the density there is the smoothed tail of nu alone. Where
+    the support has a gap above zero the grid starts at 0.98 times the
+    lower fold, so it tabulates the support alone. Where the support
+    reaches zero (beta = 1 style laws, no lower edge) the lower end is
+    1e-8 beta E[D] E[T], and a probe there, smoothed by the default nu of
+    that end (1e-4 lo), measures the coefficient A of a possible
+    A/sqrt(lambda) divergence; if present, the lower end is pushed down
+    until the untabulated mass 2 A sqrt(lo) is negligible. The probe starts
+    from the physical root's leading term as z -> 0: where P(D != 0) =
+    beta P(T != 0) (alike laws at beta = 1) the fixed point's leading terms
+    at large gamma balance, and the next ones give E2^2 ~ -P(D != 0) z /
+    beta^3, E2 ~ -i sqrt(P(D != 0) lambda / beta^3) on the physical branch
+    (within 0.3 % of the root on the median and 23 % on the worst of 120
+    beta = 1 laws: MP, genuine and upscaled of rho 0.5-0.999). A cold start
+    lies near the real axis and can settle on a root with almost no
+    density, which the conj(E2) rescue does not catch (b-spline 3/2, rho
+    0.97, beta 1: 3.2e-5 against 1 619).
     """
+    if len(edges) > 1:
+        return np.geomspace(0.98 * edges[1][0], 1.02 * edges[0][0], points)
     scale = beta * atoms_d.mean * atoms_t.mean
     lo = 1e-8 * scale
-    if len(edges) == 1:
-        start = -1j * np.sqrt((1.0 - atoms_d.mass) * lo / beta ** 3)
-        f_probe = _density_points(atoms_d, atoms_t, beta, zero_mass,
-                                  np.array([lo]), 1e-4 * lo, start)[0][0]
-        sqrt_coeff = max(f_probe, 0.0) * np.sqrt(lo)
-        if 2.0 * sqrt_coeff * np.sqrt(lo) > 1e-3 * beta:
-            lo = max((5e-4 * beta / sqrt_coeff) ** 2, 1e-13 * scale)
+    start = -1j * np.sqrt((1.0 - atoms_d.mass) * lo / beta ** 3)
+    f_probe = _density_points(atoms_d, atoms_t, beta, zero_mass,
+                              np.array([lo]), 1e-4 * lo, start)[0][0]
+    sqrt_coeff = max(f_probe, 0.0) * np.sqrt(lo)
+    if 2.0 * sqrt_coeff * np.sqrt(lo) > 1e-3 * beta:
+        lo = max((5e-4 * beta / sqrt_coeff) ** 2, 1e-13 * scale)
     return np.geomspace(lo, 1.02 * edges[0][0], points)
 
 
@@ -783,8 +789,10 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
         factor both laws carry (``SpectralLaw.xi``).
     grid : array, optional
         Increasing positive lambda grid. When omitted a log-spaced grid of
-        ``points`` entries runs from 1e-8 beta E[D] E[T] to 1.02 times the
-        upper support edge.
+        ``points`` entries runs to 1.02 times the upper support edge, from
+        0.98 times the lower one where the support has a gap above zero
+        and from 1e-8 beta E[D] E[T] (or below, see the probe) where it
+        reaches zero.
     nu : float, optional
         Imaginary offset for the Stieltjes inversion; defaults to
         1e-4 times the grid's first (smallest) lambda, for default and
@@ -800,12 +808,14 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     Each start is predicted from E2 and its tangent at the solved points
     around it; within a factor 2 of an edge it is predicted in s =
     sqrt(+-(z - lambda_e)), anchored at the edge's E2, because E2 has a
-    square-root branch point there. The default grid's top is 1.02 times
-    the upper edge; a probe for an A/sqrt(lambda) divergence at zero,
-    which can extend the lower end, runs only where the support reaches
-    zero. Each point's answer depends only on the grid, nu and the laws,
-    so a call with a given grid and nu reproduces the density of the call
-    that chose them.
+    square-root branch point there. Those starts go straight to Newton;
+    only the top link starts cold, with damped steps first. The default
+    grid's top is 1.02 times the upper edge and its bottom 0.98 times the
+    lower edge where there is one; a probe for an A/sqrt(lambda)
+    divergence at zero, which can extend the lower end, runs only where
+    the support reaches zero. Each point's answer depends only on the
+    grid, nu and the laws, so a call with a given grid and nu reproduces
+    the density of the call that chose them.
 
     Raises InputError for a beta outside (0, 1], a non-finite or
     nonpositive nu, a grid that is not finite, increasing and positive,
@@ -822,15 +832,15 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     = beta E[D] E[T] within 1 %) were measured over MP and the genuine and
     upscaled laws of rho 0.9, 0.97 and 0.98 (all four kernels at 3/2 and
     2/1). On a 0.01 step of beta from 0.05 to 1 (tests/budget_scan.py,
-    2 688 calls) every call meets the first-moment budget (largest error
-    3.3e-3) with no point re-solved from conj(E2), and all but one the
-    mass budget: b-spline 3/2, rho 0.98, beta 0.99 totals 0.9899, its
-    lower edge near 0 without reaching it. Below 0.05 the first moment
-    misses its budget (by 4.5 % at beta 0.003 for genuine rho 0.97, 5.4 %
-    at 0.01 for b-spline 2/1), the continuous part vanishes at beta 1e-5
-    for MP, and it is off by +91 % at 1e-6 for linear 3/2 and +570 % at
-    1e-8 for genuine rho 0.97, while the total mass, mostly zero_mass =
-    1 - beta/xi, still meets its budget.
+    2 688 calls) every call meets both budgets with no point re-solved
+    from conj(E2): the largest errors are 8.1e-4 in mass (b-spline 2/1,
+    rho 0.9, beta 1) and 2.1e-3 in first moment (the same law at beta
+    0.05). Below 0.05 the first moment misses its budget (by 6.1 % at
+    beta 0.003 for genuine rho 0.97, 2.6 % at 0.01 for b-spline 2/1, rho
+    0.97). MP's continuous part stays within 0.4 % of beta down to beta
+    1e-8, but the continuous part is off by +7.3 % at 1e-6 for linear 3/2
+    and -35 % at 1e-8 for genuine rho 0.97, while the total mass, mostly
+    zero_mass = 1 - beta/xi, still meets its budget.
     Raises ConvergenceFailure (annotated with the offending lambda) if
     some grid point cannot be solved.
     """

@@ -59,3 +59,18 @@ def test_readme_states_the_chain_stride():
     assert batch == rmt._BATCH_POINTS
     # none of the top links is a multiple of the stride at 512 points
     assert links == 512 // stride + 1 + len(top)
+
+
+def test_readme_states_the_solver_settings():
+    # the "Eta solver" bullet lists the solver's settings; a change to
+    # rmt's _TOLERANCE, _PICARD_WARMUP or _MAX_ITERS must change that text
+    # too
+    readme = (ROOT / "README.md").read_text()
+    bullet = " ".join(readme.split("- **Eta solver.**", 1)[1].split())
+    tolerance, warmup, iters = re.search(
+        r"These settings \(the quadrature rule, tolerance (\S+), at most "
+        r"(\d+) damped steps of a cold start and ([\d ]+) iterations per "
+        r"point\) are constants of `rmt`", bullet).groups()
+    assert float(tolerance) == rmt._TOLERANCE
+    assert int(warmup) == rmt._PICARD_WARMUP
+    assert int(iters.replace(" ", "")) == rmt._MAX_ITERS

@@ -40,6 +40,15 @@ def mp_density(lam, beta, s2=1.0):
     return out
 
 
+def cold_starts(atoms, gamma):
+    """The paper-style cold value E2 = E[T / (1 + gamma T)] (E1 = 1) at
+    each gamma, which a single gamma starts from when it is given none; a
+    vector of gamma must be given its starts."""
+    gamma = np.atleast_1d(gamma)
+    return np.add.reduce(
+        atoms.wv / (1.0 + gamma[:, None] * atoms.values), axis=1)
+
+
 def two_level_sweep(atoms, beta, zero_mass, grid, nu):
     """A density sweep over a whole grid, written out plainly: a chain of
     every 16th point, the top and the points 1, 2, 4 and 8 below it
@@ -216,7 +225,9 @@ class TestEtaTransform:
                   for g in (1.0, 1e4)]
             eta = eta_transform(law, law, 0.5, 1e8)
         assert all(e.dtype == np.float64 for e in e2) and np.isrealobj(eta)
-        args = (0.5, afze(0.5, 1.0), np.geomspace(0.05, 2.0, 5), 1e-5)
+        lam, nu = np.geomspace(0.05, 2.0, 5), 1e-5
+        start = cold_starts(atoms, -1.0 / (lam + 1j * nu))
+        args = (0.5, afze(0.5, 1.0), lam, nu, start)
         used = _density_points(atoms, atoms, *args)
         fresh = _LawAtoms(law)
         for got, want in zip(used, _density_points(fresh, fresh, *args)):
@@ -264,14 +275,16 @@ class TestOnePointPath:
 
     def test_cold_probe_matches_batch_row(self):
         # the sqrt probe's point, the default grid's lower end 1e-8 beta
-        # E[D] E[T] at nu 1e-4 of it, solved cold (as a top link starts)
+        # E[D] E[T] at nu 1e-4 of it, solved from the paper-style cold
+        # value (given as a start, so both paths take Newton steps from it)
         # and from the probe's start -i sqrt(lambda) (no zero mass, beta 1)
         law = law_genuine(0.97)
         atoms = _LawAtoms(law)
         lo = 1e-8 * (1.0 * atoms.mean * atoms.mean)
         gammas = self.gammas(lo, 1e-4 * lo)
-        for start in (None, -1j * np.sqrt(lo)):
-            one = _solve_e2(atoms, atoms, 1.0, gammas[:1], warm=start)
+        for start in (cold_starts(atoms, gammas),
+                      np.full(2, -1j * np.sqrt(lo))):
+            one = _solve_e2(atoms, atoms, 1.0, gammas[:1], warm=start[:1])
             row = _solve_e2(atoms, atoms, 1.0, gammas, warm=start)
             assert one[0].tobytes() == row[0][:1].tobytes()
             assert one[1].tobytes() == row[1][:1].tobytes()
@@ -303,22 +316,33 @@ class TestOnePointPath:
     ], ids=["max_iters", "divergence"])
     def test_failure_matches_batch_row(self, solver_settings, rho, settings,
                                        lam, nu, match):
+        # a batch row and a one-point solve from the same given start fail
+        # alike; the sweep's first link is the one-point cold start
         law = law_genuine(rho)
         gammas = self.gammas(lam, nu)
         with solver_settings(**settings):
             atoms = _LawAtoms(law)
+            start = cold_starts(atoms, gammas)
             with pytest.raises(ConvergenceFailure, match=match) as one:
-                _solve_e2(atoms, atoms, 0.5, gammas[:1])
+                _solve_e2(atoms, atoms, 0.5, gammas[:1], warm=start[:1])
             with pytest.raises(ConvergenceFailure) as row:
-                _solve_e2(atoms, atoms, 0.5, gammas)
-            # the sweep's first link is the same cold start at the top point
+                _solve_e2(atoms, atoms, 0.5, gammas, warm=start)
+            with pytest.raises(ConvergenceFailure, match=match) as cold:
+                _solve_e2(atoms, atoms, 0.5, gammas[:1])
             with pytest.raises(ConvergenceFailure) as pdf:
                 eigen_pdf(law, law, 0.5, grid=[0.5 * lam, lam], nu=nu)
         assert str(one.value) == str(row.value)
         assert one.value.residual == row.value.residual
         assert one.value.point == row.value.point == 0
         assert str(pdf.value).startswith(f"inversion failed at lambda={lam:g}")
-        assert pdf.value.residual == one.value.residual
+        assert pdf.value.residual == cold.value.residual
+
+    def test_vector_without_starts_raises(self):
+        # only a single gamma has a cold start; the sweep gives every
+        # batch its predicted starts
+        atoms = _LawAtoms(law_genuine(0.97))
+        with pytest.raises(ValueError, match="needs its starts"):
+            _solve_e2(atoms, atoms, 0.5, self.gammas(1.0, 1e-4))
 
 
 class TestTangentStarts:
@@ -505,12 +529,22 @@ class TestEigenPdf:
         assert abs(np.log(pdf.lambda_plus() / hi)) <= 2 * step
         assert pdf.lambda_plus() == pytest.approx(hi, rel=1e-12)
 
+    @staticmethod
+    def grid_from_near_zero(law, beta):
+        # 512 points from 1e-8 beta E[D] E[T] to the default top: the
+        # default grid of a law with a gap starts at its lower fold and
+        # has no point near zero
+        atoms = _LawAtoms(law)
+        top = 1.02 * _support_edges(atoms, atoms, beta)[0][0]
+        return np.geomspace(1e-8 * beta * atoms.mean * atoms.mean, top, 512)
+
     def test_mp_density_vanishes_below_lower_edge(self):
         # error in E2 is amplified by |S| ~ zero_mass/|lambda + i nu| near
         # zero; it must not show up as density outside the support
         law = law_genuine(0.0)
         for beta in (0.5, 0.25):
-            pdf = eigen_pdf(law, law, beta)
+            pdf = eigen_pdf(law, law, beta,
+                            grid=self.grid_from_near_zero(law, beta))
             lo = (1 - np.sqrt(beta)) ** 2
             below = pdf.lambda_grid < 0.9 * lo
             assert pdf.density[below].max() <= 1e-6 * pdf.density.max()
@@ -525,9 +559,10 @@ class TestEigenPdf:
         # not 1e-12, which took 13 points of this grid for the nonphysical
         # root and clamped 8
         law = law_genuine(0.0)
+        grid = self.grid_from_near_zero(law, 0.25)
         for settings in ({}, {"tolerance": 0.0}):
             with solver_settings(**settings):
-                pdf = eigen_pdf(law, law, 0.25)
+                pdf = eigen_pdf(law, law, 0.25, grid=grid)
             assert pdf.rescued_points == 0, settings
             assert pdf.clamped_points == 0, settings
 
@@ -603,23 +638,26 @@ class TestEigenPdf:
     def test_points_solved_together_match_points_solved_alone(self):
         # a point's density, E2, budget, iterations and rescue do not depend
         # on the other points of its batch; lambda = 0.120091 is the point
-        # whose cold start needs the conj(E2) rescue
+        # whose paper-style cold start needs the conj(E2) rescue
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
         atoms = _LawAtoms(law)
-        lam = np.append(np.geomspace(0.05, 2.0, 23), 0.120091)
+        lam, nu = np.append(np.geomspace(0.05, 2.0, 23), 0.120091), 7.27324e-7
+        start = cold_starts(atoms, -1.0 / (lam + 1j * nu))
         args = (atoms, atoms, 0.125, afze(0.125, 1.5))
-        batch = _density_points(*args, lam, 7.27324e-7)
+        batch = _density_points(*args, lam, nu, start)
         assert batch[4][-1] and not batch[4][:-1].all()
         for k in range(len(lam)):
-            alone = _density_points(*args, lam[k:k + 1], 7.27324e-7)
+            alone = _density_points(*args, lam[k:k + 1], nu, start[k:k + 1])
             for got, want in zip(batch, alone):
                 assert np.array_equal(got[k:k + 1], want), f"lambda={lam[k]}"
         gen = _LawAtoms(law_genuine(0.97))
         gammas = np.array([1.0, 1e4, 1e8])
-        e2, its, tangent = _solve_e2(gen, gen, 0.5, gammas)
+        start = cold_starts(gen, gammas)
+        e2, its, tangent = _solve_e2(gen, gen, 0.5, gammas, warm=start)
         for k, gamma in enumerate(gammas):
             assert (e2[k], its[k], tangent[k]) == tuple(
-                v[0] for v in _solve_e2(gen, gen, 0.5, gamma))
+                v[0] for v in _solve_e2(gen, gen, 0.5, gamma,
+                                        warm=start[k]))
 
     def test_given_grid_reproduces_default_call(self):
         # a law with a gap below its support, and a beta = 1 law whose
@@ -683,8 +721,8 @@ class TestEigenPdf:
 
     def test_no_law_with_a_gap_extends_the_grid_floor(self):
         # the sqrt probe runs only where the support reaches zero; where it
-        # has a gap the floor stays at 1e-8 beta E[D] E[T], and the density
-        # there, smoothed by the probe's nu, is far from the extension
+        # has a gap the floor is 0.98 times the lower fold, and the density
+        # there, smoothed by the default nu, is far from the extension
         # 2 A sqrt(lo) = 2 f(lo) lo > 1e-3 beta on every such law of the scan
         gaps = 0
         for law, xi, beta in scan_laws():
@@ -694,7 +732,7 @@ class TestEigenPdf:
             gaps += 1
             pdf = eigen_pdf(law, law, beta, xi=xi)
             lo = pdf.lambda_grid[0]
-            assert lo == 1e-8 * (beta * atoms.mean * atoms.mean)
+            assert lo == 0.98 * support_lower_edge(law, law, beta)
             assert 2.0 * pdf.density[0] * lo <= 1e-3 * beta, \
                 f"{law.descriptor} beta={beta}"
         assert gaps == 135
@@ -722,12 +760,16 @@ class TestEigenPdf:
     @pytest.mark.parametrize("kernel,rho,beta", [
         (None, 0.999, 0.25), (None, 0.999, 0.5), (None, 0.9999, 0.25),
         (("b-spline", 3, 2), 0.98, 0.95), (("b-spline", 2, 1), 0.98, 0.95),
+        (None, 0.9999, 0.5), (("b-spline", 3, 2), 0.98, 0.99),
     ])
     def test_default_nu_keeps_the_mass_next_to_zero(self, kernel, rho,
                                                      beta):
         # the lower edge lies near zero or the support reaches it; nu at
         # 1e-4 of the grid median smoothed mass off the grid's bottom:
-        # total mass 0.989, 0.940, 0.901, 0.974 and 0.982
+        # total mass 0.989, 0.940, 0.901, 0.974 and 0.982. A floor at
+        # 1e-8 beta E[D] E[T] left the bottom of the last two supports
+        # untabulated, above the lower edge 0.0228 (0.878) and far below
+        # it at 6.2e-6 against 1.5e-7 (0.9899)
         if kernel is None:
             law = law_genuine(rho)
         else:
@@ -735,6 +777,14 @@ class TestEigenPdf:
                                                  kernel=KERNELS[kernel[0]]))
         assert eigen_pdf(law, law, beta).total_mass() == pytest.approx(
             1.0, abs=1e-2)
+
+    @pytest.mark.parametrize("beta", [1e-3, 1e-5])
+    def test_mp_continuous_mass_at_small_beta(self, beta):
+        # the support shrinks around 1 as beta drops; a floor at 1e-8 beta
+        # left its bottom off the grid: -8.8 % at beta 1e-3, -100 % at 1e-5
+        law = law_genuine(0.0)
+        pdf = eigen_pdf(law, law, beta)
+        assert pdf.continuous_mass() == pytest.approx(beta, rel=1e-2)
 
     def test_density_matches_4096_atom_quadrature(self, solver_settings):
         # the criterion-3 laws, MP at beta 0.5, and at rho 0.99, where the
