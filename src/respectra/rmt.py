@@ -22,25 +22,26 @@ A point stops at its first Newton step within the fixed tolerance 1e-6
 of |E2|, returning the stepped iterate, or at its first Newton iterate
 whose residual is within the map's own rounding of |E2| ((n_D + n_T)
 eps/2 for two sums over n_D and n_T atoms), returning that iterate,
-after at most 10 000 iterations.
+after at most 10 000 iterations. A chain link's loose walk (below) stops
+at its first Newton step within the warmup's 1e-2 instead.
 Where Newton converges quadratically (away from support edges) the E2
 error is thus far below the tolerance; this matters near zero, where
 |S| ~ zero_mass/|lambda + i nu| amplifies it. The points are rows of
 (points x atoms) arrays summed along the atom axis, so a point's answer
 does not depend on the other points or on BLAS. The solver has two paths
 over one map and slope (_fixed_point_map, _map_slope), picked by the
-number of points. A single gamma (eta_transform's, every chain link, the
-sqrt probe, a one-point rescue) keeps its Newton switch, stall counter
-and stop test in Python scalars; for real gamma > 0, which only
-eta_transform solves, its iterates also stay inside a bracket around the
-positive root, the physical one. A vector of gamma, always complex and
-always given its starts (the density sweep's batches and rescues), takes
-Newton steps only and keeps its stall counters and stop test in
-per-point masks. Both do the same arithmetic on one-row arrays and take
-magnitudes as libm's hypot (_modulus), so a point's bits from a given
-start do not depend on the path. Each also returns d log E2 / d log
-gamma from the sums of the last map evaluation (_log_tangent), which
-costs no atom sum of its own.
+number of points. A single gamma (eta_transform's, a sweep's top link and
+each link's loose walk, the sqrt probe, a one-point rescue) keeps its
+Newton switch, stall counter and stop test in Python scalars; for real
+gamma > 0, which only eta_transform solves, its iterates also stay inside
+a bracket around the positive root, the physical one. A vector of gamma,
+always complex and always given its starts (the density sweep's batches
+and rescues), takes Newton steps only and keeps its stall counters and
+stop test in per-point masks. Both do the same arithmetic on one-row
+arrays and take magnitudes as libm's hypot (_modulus), so a point's bits
+from a given start do not depend on the path. Each also returns d log E2
+/ d log gamma from the sums of the last map evaluation (_log_tangent),
+which costs no atom sum of its own.
 _density_points is the one place that solves at points lambda + i nu,
 forms S and the density and picks the root: a density below minus its
 evaluation-error budget (the E2 tolerance, or the map's rounding where
@@ -49,19 +50,27 @@ the nonphysical root and the point is re-solved from conj(E2) (logged at
 DEBUG on this module's logger and counted in EigenPdf.rescued_points).
 A density sweep walks its grid from the largest lambda down. Every 16th
 grid point, the top and the points 1, 2, 4 and 8 below it form a chain,
-the chain being what keeps the sweep on the physical root; it is solved
-first, one link at a time. The points between the links are then solved
-in batches of 64. The top link starts cold; every other start is
-predicted from the solved points around it (numerical continuation's
-tangent predictor). Both ends of the support are folds where E2 has a
-square-root branch point, so a point within a factor 2 of an edge (the
-upper one first) is predicted in s = sqrt(+-(z - lambda_e)), z = lambda +
-i nu, where E2 is analytic: a link from the quadratic in s through the
-fold's own E2 and the E2 and tangent of the link above it, a point
-between links from the cubic Hermite interpolant in s between them.
-Elsewhere a link starts from the quadratic in (log lambda, log E2)
-through the two links above it with the lower one's tangent, a point
-from the cubic Hermite interpolant of log E2 between its links. A
+which keeps the sweep on the physical root. The sweep has four stages.
+The top link starts cold and is solved in full, its conj(E2) rescue
+putting the walk on the physical root. Every other link is walked
+one at a time from the top down, only until its Newton step is within
+1e-2 of |E2|, which keeps it in the physical root's basin; it keeps its
+E2 and tangent for the next link's start and forms no density. Those
+links are then corrected to the tolerance in batches of 64 from their
+loose E2, like every batch point. Last the points at stride 4 between
+the links, then the remaining points, are solved in batches of 64. Every
+start but the top link's is predicted from the points solved around it
+(numerical continuation's tangent predictor). Both ends of the support
+are folds where E2 has a square-root branch point, so a point within a
+factor 2 of an edge (the upper one first) is predicted in s = sqrt(+-(z -
+lambda_e)), z = lambda + i nu, where E2 is analytic: a link from the
+quadratic in s through the fold's own E2 and the E2 and tangent of the
+link above it, any other point from the cubic Hermite interpolant in s
+between the solved points on both sides (the corrected links for the
+stride-4 points, those and the links for the rest). Elsewhere a link
+starts from the quadratic in (log lambda, log E2) through the two links
+above it with the lower one's tangent, any other point from the cubic
+Hermite interpolant of log E2 between the solved points on both sides. A
 prediction that is not finite or lies more than 0.5 in |log E2| from the
 chord through the same two points falls back to the chord. The default
 grid runs to 1.02 times the upper support edge, from 0.98 times the lower
@@ -97,6 +106,8 @@ _QUAD_GRADING = 3.0     # panel edges pi (k/panels)^3, dense near omega = 0
 _TOLERANCE = 1e-6       # last Newton step relative to |E2|
 _MAX_ITERS = 10000      # fixed-point iterations per point
 _PICARD_WARMUP = 60     # most damped steps of a cold start before Newton
+_LOOSE = 1e-2           # relative residual ending a cold start's warmup, and
+                        # relative Newton step ending a chain link's walk
 _DAMPING = 0.5          # Picard step size of a cold start's warmup
 _DIVERGENCE_WINDOW = 50  # Newton steps without a smaller residual
 MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
@@ -193,7 +204,7 @@ def _log_tangent(g, x, e1, slope, a):
     return (slope - g * a * e1 / x) / (1.0 - slope)
 
 
-def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
+def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     """Solve E2 = g(E2) at each point of a vector of gamma; returns arrays
     (e2, iterations, tangent) over the points, the tangent being
     d log E2 / d log gamma (_log_tangent) from the sums of the last map
@@ -208,8 +219,10 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     point is done after its first Newton step no longer than _TOLERANCE *
     |E2|, and its stepped iterate is returned, or at its first iterate x
     whose residual |F(x)| is within the map's own rounding of |x| (below),
-    and x is returned. Each evaluation of g counts as one iteration of its
-    point.
+    and x is returned. ``loose`` puts _LOOSE in place of _TOLERANCE: a
+    chain link's walk needs E2 only close enough to stay in the physical
+    root's basin, and is corrected to _TOLERANCE later (_sweep). Each
+    evaluation of g counts as one iteration of its point.
 
     The map's rounding: g is two sums over the atoms of D and of T, and a
     sum of n terms may be off by n units of roundoff (eps/2) relative to
@@ -218,8 +231,9 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     below rounding would leave a point at its root until the divergence
     window ran out.
 
-    A single gamma (eta_transform's, a chain link, the sqrt probe, a
-    one-point rescue) is solved by _solve_one, which also brackets real
+    A single gamma (eta_transform's, a sweep's top link, a chain link's
+    loose walk, the sqrt probe, a one-point rescue) is solved by
+    _solve_one, which also brackets real
     gamma > 0. A vector of gamma, always complex from the density sweep,
     is solved here: points are the rows of (points x atoms) arrays, summed
     along the atom axis only, and each has its own stale counter, so a
@@ -241,9 +255,10 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
     gb, ggb = gamma * beta, gamma * gamma * beta
     rounding = _map_rounding(atoms_d, atoms_t)
+    tolerance = _LOOSE if loose else _TOLERANCE
     if len(x) == 1:
         return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding,
-                          newton=warm is not None)
+                          tolerance, newton=warm is not None)
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
     tangent = np.empty_like(x)
     point, g = np.arange(len(x)), gamma
@@ -261,7 +276,7 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
         better = residual < best
         best = np.where(better, residual, best)
         stale = np.where(better, 0, stale + 1)
-        stepped = _modulus(step) <= _TOLERANCE * _modulus(new)
+        stepped = _modulus(step) <= tolerance * _modulus(new)
         done = stepped | (residual <= rounding * size)
         finished = np.count_nonzero(done)
         if finished == len(x):
@@ -305,16 +320,19 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, newton):
+def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, tolerance,
+               newton):
     """_solve_e2 at one point: gamma, gamma beta, gamma^2 beta and the
     start x are arrays of one entry, ``rounding`` the map's relative
-    rounding. A given start (``newton`` true) takes Newton steps from the
-    first iteration; the map, slope, step and tangent are then _solve_e2's
-    on a one-row array, so an unbracketed point's answer is bit-identical
-    to that row of a batch from the same start. A cold start first takes
-    damped steps of _DAMPING until the relative residual is below 1e-2 (at
-    most _PICARD_WARMUP of them). The Newton switch, best residual, stale
-    counter and stop test are Python scalars. Failures raise as in
+    rounding and ``tolerance`` the largest relative Newton step that ends
+    the solve (_TOLERANCE, or _LOOSE for a chain link's walk). A given
+    start (``newton`` true) takes Newton steps from the first iteration;
+    the map, slope, step and tangent are then _solve_e2's on a one-row
+    array, so an unbracketed point's answer is bit-identical to that row
+    of a batch from the same start and tolerance. A cold start first takes
+    damped steps of _DAMPING until the relative residual is below _LOOSE
+    (at most _PICARD_WARMUP of them). The Newton switch, best residual,
+    stale counter and stop test are Python scalars. Failures raise as in
     _solve_e2, with point 0.
 
     For real gamma > 0 the positive root is the physical one: F(0) > 0 >
@@ -334,7 +352,7 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, newton):
         if bracketed:
             lo, hi = (x[0].real, hi) if f[0].real > 0 else (lo, x[0].real)
         if not newton:
-            newton = it > _PICARD_WARMUP or residual <= 1e-2 * max(
+            newton = it > _PICARD_WARMUP or residual <= _LOOSE * max(
                 abs(f[0] + x[0]), abs(x[0]))
         if newton:
             slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
@@ -349,7 +367,7 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, newton):
                 best, stale = residual, 0
             else:
                 stale += 1
-            stepped = abs(step[0]) <= _TOLERANCE * abs(new[0])
+            stepped = abs(step[0]) <= tolerance * abs(new[0])
             if stepped or residual <= rounding * abs(x[0]):
                 return (new if stepped else x), np.array([it]), \
                     _log_tangent(gamma, x, e1, slope, a)
@@ -443,6 +461,22 @@ class EigenPdf:
         return self.upper_edge
 
 
+def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm, loose=False):
+    """_solve_e2 at gamma = -1/(lam + i nu) for the points lam; returns
+    (gamma, e2, iterations, tangent), the tangent d log E2 / d log lambda
+    being lambda gamma times the solver's d log E2 / d log gamma. A
+    failure raises ConvergenceFailure naming the lambda of its point."""
+    gamma = -1.0 / (lam + 1j * nu)
+    try:
+        e2, its, tangent = _solve_e2(atoms_d, atoms_t, beta, gamma,
+                                     warm=warm, loose=loose)
+    except ConvergenceFailure as exc:
+        raise ConvergenceFailure(
+            f"inversion failed at lambda={lam[exc.point]:g}",
+            residual=exc.residual) from exc
+    return gamma, e2, its, lam * gamma * tangent
+
+
 def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
     """Densities of the continuous part at the points lam, smoothed by nu.
 
@@ -463,19 +497,13 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
     rounding = _map_rounding(atoms_d, atoms_t)
 
     def solve(lam, start):
-        gamma = -1.0 / (lam + 1j * nu)
-        try:
-            e2, its, tangent = _solve_e2(atoms_d, atoms_t, beta, gamma,
-                                         warm=start)
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(
-                f"inversion failed at lambda={lam[exc.point]:g}",
-                residual=exc.residual) from exc
+        gamma, e2, its, tangent = _solve_at(atoms_d, atoms_t, beta, lam, nu,
+                                            start)
         s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
         smear = zero_mass * nu / (np.pi * (lam * lam + nu * nu))
         budget = np.maximum(1e-12, max(_TOLERANCE, rounding) * np.abs(s)
                             / np.pi)
-        return s.imag / np.pi - smear, e2, budget, its, lam * gamma * tangent
+        return s.imag / np.pi - smear, e2, budget, its, tangent
 
     f, e2, budget, its, tangent = solve(lam, warm)
     rescued = f < -budget
@@ -494,7 +522,8 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
 
 _CHAIN_STRIDE = 16      # grid points per link of the warm-started chain
 _TOP_LINKS = (1, 2, 4, 8)  # points below the top that are links too
-_BATCH_POINTS = 64      # points between the links solved per batch
+_FILL_STRIDES = (4, 1)  # the points between links, by two passes
+_BATCH_POINTS = 64      # points solved per batch after the chain's walk
 _START_GUARD = 0.5      # largest |log(predicted / chord start)| taken
 _EDGE_WINDOW = 2.0      # points within this factor of an edge start in s
 
@@ -544,27 +573,42 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
     """Densities over an increasing grid, walked from the largest lambda down.
 
     Every _CHAIN_STRIDE-th point, the top and the points _TOP_LINKS below
-    it (clipped at 0 on small grids) form a chain, solved first, one link
-    at a time from the top down; it is what keeps the sweep on the
-    physical root. Then the points between the links are solved in batches
-    of _BATCH_POINTS. A point's answer depends only on the grid, nu and
-    the edges, not on its batch.
+    it (clipped at 0 on small grids) form a chain, which keeps the sweep on
+    the physical root (Allgower & Georg's predictor-corrector walk: each
+    link need only land in the corrector's basin). The sweep has four
+    stages:
+
+    1. the top link starts cold and is solved in full (_density_points);
+       its conj(E2) rescue is what puts the walk on the physical root;
+    2. every other link, one at a time from the top down, is walked on the
+       one-point path only until its Newton step is within _LOOSE of |E2|
+       (_solve_at); it keeps only E2 and its tangent, for the next link's
+       start, and forms no eta, density, budget or rescue check;
+    3. those links are corrected to _TOLERANCE, started from their loose
+       E2, through _density_points like every batch point;
+    4. the other points at the strides _FILL_STRIDES, the stride-4 points
+       between the corrected links and then the rest between the solved
+       points on both sides, are started by interpolation and solved.
+
+    Stages 3 and 4 solve in batches of _BATCH_POINTS, from the top. A
+    point's answer depends only on the grid, nu and the edges, not on its
+    batch.
 
     Each solve also yields the tangent d log E2 / d log lambda at its point
-    (_density_points), and every start but the top link's (a cold start)
-    is predicted from the solved points around it, in one of two
-    coordinates. At each support edge (_support_edges) E2 has a square-root
-    branch point, so a point within a factor _EDGE_WINDOW of an edge, the
-    upper one first, is predicted in s = sqrt(side (z - lambda_e)), z =
-    lambda + i nu, where E2 is analytic: a link from the quadratic E2_e +
-    c1 s + c2 s^2 through the edge, the E2 and the tangent dE2/ds of the
-    link above it; a point between links from the cubic Hermite interpolant
-    in s between them. Elsewhere E2 is smooth in (log lambda, log E2): a
-    link starts from the quadratic through the two links above it with the
-    lower one's tangent, a point between links from the cubic Hermite
-    interpolant of log E2 (_quadratic, _hermite). A second link outside the
-    windows has one link above it and starts cold. A prediction that is
-    not finite or far from the chord through the same two points falls
+    (_solve_at), and every start but the top link's is predicted from the
+    solved points around it, in one of two coordinates. At each support
+    edge (_support_edges) E2 has a square-root branch point, so a point
+    within a factor _EDGE_WINDOW of an edge, the upper one first, is
+    predicted in s = sqrt(side (z - lambda_e)), z = lambda + i nu, where E2
+    is analytic: a link from the quadratic E2_e + c1 s + c2 s^2 through the
+    edge, the E2 and the tangent dE2/ds of the link above it; any other
+    point from the cubic Hermite interpolant in s between the solved points
+    on both sides. Elsewhere E2 is smooth in (log lambda, log E2): a link
+    starts from the quadratic through the two links above it with the
+    lower one's tangent, any other point from the cubic Hermite
+    interpolant of log E2 (_quadratic, _hermite). A second link outside
+    the windows has one link above it and starts cold. A prediction that
+    is not finite or far from the chord through the same two points falls
     back to the chord (_predicted).
 
     Returns (unclamped densities, iterations, rescues, points whose
@@ -576,12 +620,16 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
     iters = rescued = 0
 
     def solve(idx, start):
+        # in batches of _BATCH_POINTS, from the start of idx
         nonlocal iters, rescued
-        density[idx], e2[idx], budget[idx], its, resc, tangent[idx] = \
-            _density_points(atoms_d, atoms_t, beta, zero_mass, grid[idx], nu,
-                            start)
-        iters += int(its.sum())
-        rescued += int(resc.sum())
+        for b in range(0, len(idx), _BATCH_POINTS):
+            at = idx[b:b + _BATCH_POINTS]
+            density[at], e2[at], budget[at], its, resc, tangent[at] = \
+                _density_points(atoms_d, atoms_t, beta, zero_mass, grid[at],
+                                nu, None if start is None
+                                else start[b:b + _BATCH_POINTS])
+            iters += int(its.sum())
+            rescued += int(resc.sum())
 
     log = np.log(grid)
     # the edge each point is predicted at, -1 for none
@@ -605,29 +653,35 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
 
     top = np.maximum(n - 1 - np.array((0,) + _TOP_LINKS), 0)
     chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
-    down, warm = chain[::-1], None
-    for i, k in enumerate(down[:-1]):
-        solve(slice(k, k + 1), warm)
-        # the quadratic through this link, with its slope, and through
-        # the edge or else the link above
-        at, f = down[i + 1], frame[down[i + 1]]
+    down = chain[::-1]
+    solve(down[:1], None)
+    for i, k in enumerate(down[1:], 1):
+        # the quadratic through the link above, with its slope, and through
+        # the edge or else the link above that
+        f = frame[k]
         anchor = (0.0, edges[f][1]) if f >= 0 \
-            else coords(down[i - 1], f)[:2] if i > 0 else None
+            else coords(down[i - 2], f)[:2] if i > 1 else None
         warm = None if anchor is None else _predicted(
-            *_quadratic(abscissa(at, f), *coords(k, f), *anchor), f < 0)
-    solve(slice(0, 1), warm)
-    rest = np.setdiff1d(np.arange(n), chain)[::-1]
-    pos = np.searchsorted(chain, rest)
-    lower, upper = chain[pos - 1], chain[pos]
-    start = np.empty(len(rest), dtype=complex)
-    for f in range(-1, len(edges)):
-        m = frame[rest] == f
-        x0, v0, t0 = coords(lower[m], f)
-        x1, v1, t1 = coords(upper[m], f)
-        start[m] = _predicted(*_hermite(abscissa(rest[m], f), x0, x1, v0,
-                                        v1, t0, t1), f < 0)
-    for b in range(0, len(rest), _BATCH_POINTS):
-        solve(rest[b:b + _BATCH_POINTS], start[b:b + _BATCH_POINTS])
+            *_quadratic(abscissa(k, f), *coords(down[i - 1], f), *anchor),
+            f < 0)
+        _, e2[k:k + 1], its, tangent[k:k + 1] = _solve_at(
+            atoms_d, atoms_t, beta, grid[k:k + 1], nu, warm, loose=True)
+        iters += int(its[0])
+    solve(down[1:], e2[down[1:]])
+    known = chain
+    for stride in _FILL_STRIDES:
+        rest = np.setdiff1d(np.arange(0, n, stride), known)[::-1]
+        pos = np.searchsorted(known, rest)
+        lower, upper = known[pos - 1], known[pos]
+        start = np.empty(len(rest), dtype=complex)
+        for f in range(-1, len(edges)):
+            m = frame[rest] == f
+            x0, v0, t0 = coords(lower[m], f)
+            x1, v1, t1 = coords(upper[m], f)
+            start[m] = _predicted(*_hermite(abscissa(rest[m], f), x0, x1, v0,
+                                            v1, t0, t1), f < 0)
+        solve(rest, start)
+        known = np.union1d(known, rest)
     clamped = int(np.count_nonzero(density < -budget))
     return density, iters, rescued, clamped
 
@@ -802,11 +856,14 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
 
     Every call finds both support edges as folds of the fixed point's
     real inverse map, with E2 there (the lower one only where the support
-    has a gap). The sweep walks the grid from the largest lambda down:
-    first a chain of every 16th point and of the points 1, 2, 4 and 8
-    below the top, then the points between the links in batches of 64.
-    Each start is predicted from E2 and its tangent at the solved points
-    around it; within a factor 2 of an edge it is predicted in s =
+    has a gap). The sweep walks the grid from the largest lambda down
+    along a chain of every 16th point and of the points 1, 2, 4 and 8
+    below the top: the top link is solved in full, every other link only
+    until its Newton step is within 1e-2 of |E2|, and then those links
+    are corrected to the tolerance in batches of 64. Last the points at
+    stride 4 between the links, then the rest, are solved in batches of
+    64. Each start is predicted from E2 and its tangent at the solved
+    points around it; within a factor 2 of an edge it is predicted in s =
     sqrt(+-(z - lambda_e)), anchored at the edge's E2, because E2 has a
     square-root branch point there. Those starts go straight to Newton;
     only the top link starts cold, with damped steps first. The default
@@ -822,10 +879,11 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
     that carry different factors. The bound on points keeps a call near a
     minute and its per-point arrays near 16 MiB: each point costs about
-    0.011-0.02 ms of solving over the 128 atoms (whole calls of 8 192
-    points take 0.09-0.17 s, of 512 points 11-22 ms, over genuine and
-    upscaled laws of rho 0.97 at beta 0.5 on a 2-core x86 box shared with
-    other load), and the complex E2 of 2**20 points takes 16 MiB. The
+    0.012-0.02 ms of solving over the 128 atoms (whole calls of 8 192
+    points take 0.094-0.097 s, of 512 points 10-10.4 ms, best of 3 and of
+    5 over genuine and five upscaled laws of rho 0.97 at beta 0.5 on a
+    2-core x86 box whose speed swings by up to 30 % with other load), and
+    the complex E2 of 2**20 points takes 16 MiB. The
     figures use the default 512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
@@ -835,12 +893,12 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     2 688 calls) every call meets both budgets with no point re-solved
     from conj(E2): the largest errors are 8.1e-4 in mass (b-spline 2/1,
     rho 0.9, beta 1) and 2.1e-3 in first moment (the same law at beta
-    0.05). Below 0.05 the first moment misses its budget (by 6.1 % at
-    beta 0.003 for genuine rho 0.97, 2.6 % at 0.01 for b-spline 2/1, rho
-    0.97). MP's continuous part stays within 0.4 % of beta down to beta
-    1e-8, but the continuous part is off by +7.3 % at 1e-6 for linear 3/2
-    and -35 % at 1e-8 for genuine rho 0.97, while the total mass, mostly
-    zero_mass = 1 - beta/xi, still meets its budget.
+    0.05). Below 0.05 the first moment can miss its budget (by 4.6 % at
+    beta 0.003 for genuine rho 0.97; b-spline 2/1, rho 0.97 is 0.94 % low
+    at 0.01, inside it). MP's continuous part stays within 0.4 % of beta
+    down to beta 1e-8, but the continuous part is off by +7.3 % at 1e-6
+    for linear 3/2 and -35 % at 1e-8 for genuine rho 0.97, while the total
+    mass, mostly zero_mass = 1 - beta/xi, still meets its budget.
     Raises ConvergenceFailure (annotated with the offending lambda) if
     some grid point cannot be solved.
     """

@@ -43,22 +43,29 @@ def test_readme_states_the_quadrature_rule():
 
 def test_readme_states_the_chain_stride():
     # the "Eta solver" bullet states the density sweep's walk; a change to
-    # rmt's _CHAIN_STRIDE, _TOP_LINKS or _BATCH_POINTS must change that
-    # text too
+    # rmt's _CHAIN_STRIDE, _TOP_LINKS, _LOOSE, _BATCH_POINTS or
+    # _FILL_STRIDES must change that text too
     readme = (ROOT / "README.md").read_text()
     bullet = " ".join(readme.split("- **Eta solver.**", 1)[1].split())
     found = re.search(
         r"a chain of every (\d+)th point \(and both ends\) and of the points "
         r"(\d+), (\d+), (\d+) and (\d+) below the top keeps the sweep on the "
-        r"physical root, and once the whole chain is solved the points "
-        r"between its links are solved in batches of (\d+): (\d+) links per "
-        r"512-point grid", bullet)
-    stride, *top, batch, links = map(int, found.groups())
-    assert stride == rmt._CHAIN_STRIDE
-    assert tuple(top) == rmt._TOP_LINKS
-    assert batch == rmt._BATCH_POINTS
+        r"physical root: (\d+) links per 512-point grid\. The walk has four "
+        r"stages\. The top link is solved in full from a cold start, .*? "
+        r"Every other link, one at a time from the top down, is walked only "
+        r"until its Newton step is within (\S+) of `\|E2\|` .*? The links "
+        r"are then corrected to the tolerance in batches of (\d+), started "
+        r"from their loose E2, .*? Last the points at stride (\d+) between "
+        r"the links, then the remaining points, are solved in batches of "
+        r"(\d+),", bullet)
+    stride, *top, links, loose, batch, fill, again = found.groups()
+    assert int(stride) == rmt._CHAIN_STRIDE
+    assert tuple(map(int, top)) == rmt._TOP_LINKS
+    assert float(loose) == rmt._LOOSE
+    assert int(batch) == int(again) == rmt._BATCH_POINTS
+    assert (int(fill), 1) == rmt._FILL_STRIDES
     # none of the top links is a multiple of the stride at 512 points
-    assert links == 512 // stride + 1 + len(top)
+    assert int(links) == 512 // int(stride) + 1 + len(top)
 
 
 def test_readme_states_the_solver_settings():

@@ -49,27 +49,36 @@ def cold_starts(atoms, gamma):
         atoms.wv / (1.0 + gamma[:, None] * atoms.values), axis=1)
 
 
-def two_level_sweep(atoms, beta, zero_mass, grid, nu):
-    """A density sweep over a whole grid, written out plainly: a chain of
-    every 16th point, the top and the points 1, 2, 4 and 8 below it
-    (clipped at 0), solved from the top down, then the other points in
-    chunks of 32 from the bottom up. The top link starts cold. A point
-    within a factor 2 of a support edge (the upper one first) is predicted
-    over s = sqrt(side (z - lambda_e)): a link from the quadratic through
-    the edge's E2 and the E2 and slope of the link above it, a point
-    between links from the cubic Hermite interpolant between them. Any
-    other link starts from the quadratic in (log lambda, log E2) through
-    the two links above it with the lower one's tangent (cold if it is the
-    second), any other point from the cubic Hermite interpolant of log E2
-    between its links. Returns (densities, E2, iterations)."""
+def staged_sweep(atoms, beta, zero_mass, grid, nu):
+    """A density sweep over a whole grid, written out plainly in four
+    stages. The chain is every 16th point, the top and the points 1, 2, 4
+    and 8 below it (clipped at 0). (1) The top link is solved in full from
+    a cold start. (2) The other links are walked from the top down, each
+    only until its Newton step is within 1e-2 of |E2|. (3) Those links are
+    corrected to the full tolerance from their loose E2. (4) The other
+    points at stride 4 start from the cubic Hermite interpolant between
+    the corrected links around them, and then the rest from that between
+    the solved points around them. Stages 3 and 4 solve in chunks of 32
+    from the bottom up. A point within a factor 2 of a support edge (the
+    upper one first) is predicted over s = sqrt(side (z - lambda_e)): a
+    link from the quadratic through the edge's E2 and the E2 and slope of
+    the link above it, another point by the interpolant in s. Any other
+    link starts from the quadratic in (log lambda, log E2) through the two
+    links above it with the lower one's tangent (cold if it is the
+    second), any other point from the interpolant of log E2. Returns
+    (densities, E2, iterations)."""
     n = len(grid)
     dens, e2, its = np.zeros(n), np.zeros(n, dtype=complex), np.zeros(n, int)
     tangent = np.zeros(n, dtype=complex)
     edges = _support_edges(atoms, atoms, beta)
 
     def solve(idx, start):
-        dens[idx], e2[idx], _, its[idx], _, tangent[idx] = _density_points(
-            atoms, atoms, beta, zero_mass, grid[idx], nu, start)
+        for i in range(0, len(idx), 32):
+            at = idx[i:i + 32]
+            dens[at], e2[at], _, got, _, tangent[at] = _density_points(
+                atoms, atoms, beta, zero_mass, grid[at], nu,
+                None if start is None else start[i:i + 32])
+            its[at] += got
 
     def edge_of(lam):
         near = [f for f, edge in enumerate(edges)
@@ -91,35 +100,40 @@ def two_level_sweep(atoms, beta, zero_mass, grid, nu):
 
     top = np.maximum(n - 1 - np.array([0, 1, 2, 4, 8]), 0)
     chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
-    down, warm = chain[::-1], None
-    for i, k in enumerate(down):
-        solve(slice(k, k + 1), warm)
-        if k == 0:
-            break
-        below = down[i + 1]
-        f = edge_of(grid[below])
+    down = chain[::-1]
+    solve(down[:1], None)
+    for i in range(1, len(down)):
+        k, f = down[i], edge_of(grid[down[i]])
         if f is not None:
-            warm = _predicted(*_quadratic(where(below, f), *solved(k, f),
+            warm = _predicted(*_quadratic(where(k, f), *solved(down[i - 1], f),
                                           0.0, edges[f][1]), False)
-        elif i == 0:
+        elif i == 1:
             warm = None
         else:
-            x1, v1, _ = solved(down[i - 1], None)
-            warm = _predicted(*_quadratic(np.log(grid[below]),
-                                          *solved(k, None), x1, v1), True)
-    rest = np.setdiff1d(np.arange(n), chain)
-    pos = np.searchsorted(chain, rest)
-    lower, upper = chain[pos - 1], chain[pos]
-    start = np.zeros(len(rest), dtype=complex)
-    frames = [edge_of(lam) for lam in grid[rest]]
-    for f in [None] + list(range(len(edges))):
-        m = np.array([g == f for g in frames], dtype=bool)
-        x0, v0, t0 = solved(lower[m], f)
-        x1, v1, t1 = solved(upper[m], f)
-        start[m] = _predicted(*_hermite(where(rest[m], f), x0, x1, v0,
-                                        v1, t0, t1), f is None)
-    for i in range(0, len(rest), 32):
-        solve(rest[i:i + 32], start[i:i + 32])
+            x1, v1, _ = solved(down[i - 2], None)
+            warm = _predicted(*_quadratic(np.log(grid[k]),
+                                          *solved(down[i - 1], None), x1, v1),
+                              True)
+        gamma = -1.0 / (grid[k:k + 1] + 1j * nu)
+        got, its[k:k + 1], t = _solve_e2(atoms, atoms, beta, gamma,
+                                         warm=warm, loose=True)
+        e2[k], tangent[k] = got[0], (grid[k] * gamma * t)[0]
+    solve(chain[:-1], e2[chain[:-1]])
+    known = chain
+    for stride in (4, 1):
+        rest = np.setdiff1d(np.arange(0, n, stride), known)
+        pos = np.searchsorted(known, rest)
+        lower, upper = known[pos - 1], known[pos]
+        start = np.zeros(len(rest), dtype=complex)
+        frames = [edge_of(lam) for lam in grid[rest]]
+        for f in [None] + list(range(len(edges))):
+            m = np.array([g == f for g in frames], dtype=bool)
+            x0, v0, t0 = solved(lower[m], f)
+            x1, v1, t1 = solved(upper[m], f)
+            start[m] = _predicted(*_hermite(where(rest[m], f), x0, x1, v0,
+                                            v1, t0, t1), f is None)
+        solve(rest, start)
+        known = np.union1d(known, rest)
     return dens, e2, its
 
 
@@ -460,7 +474,7 @@ class TestEdgeStarts:
         assert [side for _, _, side in edges] == [1.0, -1.0]
         pdf = eigen_pdf(law, law, 0.5)
         grid = pdf.lambda_grid
-        e2 = two_level_sweep(atoms, 0.5, pdf.zero_mass, grid, pdf.nu)[1]
+        e2 = staged_sweep(atoms, 0.5, pdf.zero_mass, grid, pdf.nu)[1]
         for lam_e, e2_e, _ in edges:
             gamma = np.array([-1.0 / lam_e])
             f = _fixed_point_map(atoms, atoms, gamma, 0.5 * gamma,
@@ -673,15 +687,15 @@ class TestEigenPdf:
             assert again.solver_iterations == pdf.solver_iterations
 
     def test_batched_walk_matches_two_level_sweep(self):
-        # densities and iterations do not depend on how the walk batches the
-        # points between the links; the 88 points between the links of 100
-        # fill one batch and part of a second, and lambda = 0.120091 sits
-        # inside the grid's rescue region
+        # densities and iterations do not depend on how the walk batches
+        # its points; of 100, the 70 left after the 12 links and the 18
+        # stride-4 points fill one batch and part of a second, and lambda =
+        # 0.120091 sits inside the grid's rescue region
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
         atoms = _LawAtoms(law)
         grid, nu = np.geomspace(0.05, 2.0, 100), 7.27324e-7
         pdf = eigen_pdf(law, law, 0.125, xi=1.5, grid=grid, nu=nu)
-        dens, _, its = two_level_sweep(atoms, 0.125, afze(0.125, 1.5), grid,
+        dens, _, its = staged_sweep(atoms, 0.125, afze(0.125, 1.5), grid,
                                        nu)
         assert np.array_equal(pdf.density, np.maximum(dens, 0.0))
         assert pdf.solver_iterations == its.sum()
@@ -696,7 +710,7 @@ class TestEigenPdf:
         pdfs.append(eigen_pdf(law, law, 0.5, grid=np.geomspace(0.01, 40.0, 10),
                               nu=1e-3))
         for pdf in pdfs:
-            dens, _, its = two_level_sweep(atoms, 0.5, zero_mass,
+            dens, _, its = staged_sweep(atoms, 0.5, zero_mass,
                                            pdf.lambda_grid, pdf.nu)
             assert np.array_equal(pdf.density, np.maximum(dens, 0.0)), \
                 len(pdf.lambda_grid)
@@ -961,6 +975,46 @@ class TestEigenPdf:
                 pytest.raises(ConvergenceFailure) as err:
             eigen_pdf(law, law, 0.5, grid=np.array([1.0, 2.0]), nu=1e-4)
         assert "lambda" in str(err.value)
+
+    def test_loose_link_failure_reports_lambda(self, monkeypatch):
+        # MP at beta 0.5: lambda 1 lies inside the support [0.086, 2.914],
+        # where nu = 1e-300 leaves gamma real to rounding and the fixed point
+        # has no real root, so the second link, with no edge near and
+        # started cold, diverges in the chain's loose walk; the top link, 5,
+        # lies above the support. Only the top link reaches _density_points
+        # before the failure, which reads as a failure there would
+        law = law_genuine(0.0)
+        atoms = _LawAtoms(law)
+        with pytest.raises(ConvergenceFailure) as there:
+            _density_points(atoms, atoms, 0.5, afze(0.5, 1.0),
+                            np.array([1.0]), 1e-300)
+        solved = []
+
+        def spy(*args):
+            solved.append(args[4].tolist())
+            return _density_points(*args)
+
+        monkeypatch.setattr(respectra.rmt, "_density_points", spy)
+        with pytest.raises(ConvergenceFailure) as err:
+            eigen_pdf(law, law, 0.5, grid=[1.0, 5.0], nu=1e-300)
+        assert solved == [[5.0]]
+        assert str(err.value).startswith("inversion failed at lambda=1 ")
+        assert str(err.value) == str(there.value)
+        assert "diverging" in str(err.value.__cause__)
+
+    def test_density_workload_solver_iterations(self):
+        # the six laws of the benchmark's density workload at their default
+        # calls take 4 098 iterations; solving every chain link to the full
+        # tolerance on the walk itself takes 5 292
+        calls = [(law_genuine(0.97), 1.0, beta) for beta in (0.25, 0.5, 1.0)]
+        for name, lnum, m, beta in (("b-spline", 2, 1, 0.5),
+                                    ("linear", 3, 2, 0.5),
+                                    ("lanczos3", 3, 2, 1.0)):
+            spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
+            calls.append((law_upscaled(0.97, spec), spec.xi, beta))
+        pdfs = [eigen_pdf(law, law, beta, xi=xi) for law, xi, beta in calls]
+        assert sum(pdf.solver_iterations for pdf in pdfs) <= 4200
+        assert sum(pdf.rescued_points for pdf in pdfs) == 0
 
     def test_monte_carlo_agreement_small_scale(self):
         # empirical nonzero eigenvalues vs analytic conditional CDF, N=256
