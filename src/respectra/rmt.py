@@ -13,76 +13,80 @@ S(-1/gamma) = gamma eta(gamma), and evaluating it just above the real axis
 recovers the eigenvalue density.
 
 Solver notes: the solver's settings are module constants, not parameters.
-A point given a start, predicted or conj(E2), takes Newton steps on
-F(E2) = g(E2) - E2 from it, whose derivative comes from the same
-quadrature sums as g. Only a cold start (eta_transform's, a sweep's top
-link or a second link with no edge near) is first iterated with damped
-steps until its relative residual falls below 1e-2 (at most 60 of them).
-A point stops at its first Newton step within the fixed tolerance 1e-6
-of |E2|, returning the stepped iterate, or at its first Newton iterate
-whose residual is within the map's own rounding of |E2| ((n_D + n_T)
-eps/2 for two sums over n_D and n_T atoms), returning that iterate,
-after at most 10 000 iterations. A chain link's loose walk (below) stops
-at its first Newton step within the warmup's 1e-2 instead.
-Where Newton converges quadratically (away from support edges) the E2
-error is thus far below the tolerance; this matters near zero, where
-|S| ~ zero_mass/|lambda + i nu| amplifies it. The points are rows of
-(points x atoms) arrays summed along the atom axis, so a point's answer
-does not depend on the other points or on BLAS. The solver has two paths
-over one map and slope (_fixed_point_map, _map_slope), picked by the
-number of points. A single gamma (eta_transform's, a sweep's top link and
-each link's loose walk, the sqrt probe, a one-point rescue) keeps its
-Newton switch, stall counter and stop test in Python scalars; for real
-gamma > 0, which only eta_transform solves, its iterates also stay inside
-a bracket around the positive root, the physical one. A vector of gamma,
-always complex and always given its starts (the density sweep's batches
-and rescues), takes Newton steps only and keeps its stall counters and
-stop test in per-point masks. Both do the same arithmetic on one-row
-arrays and take magnitudes as libm's hypot (_modulus), so a point's bits
-from a given start do not depend on the path. Each also returns d log E2
-/ d log gamma from the sums of the last map evaluation (_log_tangent),
-which costs no atom sum of its own.
-_density_points is the one place that solves at points lambda + i nu,
-forms S and the density and picks the root: a density below minus its
-evaluation-error budget (the E2 tolerance, or the map's rounding where
-that is larger, times |S|/pi, at least 1e-12) marks
-the nonphysical root and the point is re-solved from conj(E2) (logged at
-DEBUG on this module's logger and counted in EigenPdf.rescued_points).
-A density sweep walks its grid from the largest lambda down. Every 16th
-grid point, the top and the points 1, 2, 4 and 8 below it form a chain,
-which keeps the sweep on the physical root. The sweep has four stages.
-The top link starts cold and is solved in full, its conj(E2) rescue
-putting the walk on the physical root. Every other link is walked
-one at a time from the top down, only until its Newton step is within
-1e-2 of |E2|, which keeps it in the physical root's basin; it keeps its
-E2 and tangent for the next link's start and forms no density. Those
-links are then corrected to the tolerance in batches of 64 from their
-loose E2, like every batch point. Last the points at stride 4 between
-the links, then the remaining points, are solved in batches of 64. Every
-start but the top link's is predicted from the points solved around it
-(numerical continuation's tangent predictor). Both ends of the support
-are folds where E2 has a square-root branch point, so a point within a
-factor 2 of an edge (the upper one first) is predicted in s = sqrt(+-(z -
-lambda_e)), z = lambda + i nu, where E2 is analytic: a link from the
-quadratic in s through the fold's own E2 and the E2 and tangent of the
-link above it, any other point from the cubic Hermite interpolant in s
-between the solved points on both sides (the corrected links for the
-stride-4 points, those and the links for the rest). Elsewhere a link
-starts from the quadratic in (log lambda, log E2) through the two links
-above it with the lower one's tangent, any other point from the cubic
-Hermite interpolant of log E2 between the solved points on both sides. A
-prediction that is not finite or lies more than 0.5 in |log E2| from the
-chord through the same two points falls back to the chord. The default
-grid runs to 1.02 times the upper support edge, from 0.98 times the lower
-one where the support has a gap above zero, and the default nu is 1e-4
-times the grid's first point, default or given: 1/250 to 1/600 of the
-smallest step on the figures' 512-point grids, but closer to it on a
-narrow support (1/70 for MP at beta 0.5, 1/19 at 0.05, about the step at
-1e-5). Where the support reaches zero (P(D != 0)/beta <= P(T != 0)) the
-grid starts at 1e-8 beta E[D] E[T], and a solve there, at that end's nu
-and started on the physical root's -i sqrt(lambda) branch, probes for an
-A/sqrt(lambda) divergence, which extends the grid down; where the support
-has a gap there is no divergence and no probe.
+Every point takes Newton steps on F(E2) = g(E2) - E2 from its start,
+whose derivative comes from the same quadrature sums as g. A start is
+predicted (the sqrt probe's from the physical root's leading term),
+conj(E2) (a rescue), or cold: the paper-style E1 = 1 value, which only
+eta_transform's solves (real gamma >= 0) and a density sweep's top link
+(and a second link with no edge near) take, all outside the support. A
+point stops at its first Newton step within the fixed tolerance 1e-6 of
+|E2|, returning the stepped iterate, or at its first Newton iterate whose
+residual is within the map's own rounding of |E2| ((n_D + n_T) eps/2 for
+two sums over n_D and n_T atoms), returning that iterate, after at most
+10 000 iterations. A chain link's loose walk (below) stops at its first
+Newton step within 1e-2 instead. Where Newton converges quadratically
+(away from support edges) the E2 error is thus far below the tolerance;
+this matters near zero, where |S| ~ zero_mass/|lambda + i nu| amplifies
+it. The points are rows of (points x atoms) arrays summed along the atom
+axis, so a point's answer does not depend on the other points or on BLAS.
+The solver has two paths over one map and slope (_fixed_point_map,
+_map_slope), picked by the number of points. A single gamma
+(eta_transform's, each chain link's loose walk, the sqrt probe, a
+one-point rescue) keeps its stall counter and stop test in Python
+scalars; for real gamma > 0, which only eta_transform solves, its
+iterates also stay inside a bracket around the positive root, the
+physical one. A vector of gamma, always complex and always given its
+starts (the density sweep's batches and rescues), keeps its stall
+counters and stop test in per-point masks. Both do the same arithmetic on
+one-row arrays and take magnitudes as libm's hypot (_modulus), so a
+point's bits from a given start do not depend on the path. Each also
+returns d log E2 / d log gamma from the sums of the last map evaluation
+(_log_tangent), which costs no atom sum of its own. _density_points is
+the one place that solves at points lambda + i nu, forms S and the
+density and picks the root: a density below minus its evaluation-error
+budget (the E2 tolerance, or the map's rounding where that is larger,
+times |S|/pi, at least 1e-12) marks the nonphysical root and the point is
+re-solved from conj(E2) (logged at DEBUG on this module's logger and
+counted in EigenPdf.rescued_points). A density sweep always walks the
+512-point default grid, with the points of the requested grid merged in,
+from the largest lambda down to the requested grid's first point, and
+reads the densities back at the requested points: every walk enters the
+support from above it, the physical root being the one that continues
+from outside the support. Every 16th point of the walk, the top and the
+points 1, 2, 4 and 8 below it form a chain, which keeps the sweep on the
+physical root. The sweep has three stages. Every link, one at a time from
+the top down, is walked only until its Newton step is within 1e-2 of
+|E2|, which keeps it in the physical root's basin; it keeps its E2 and
+tangent for the next link's start and forms no density. The top link,
+above the support, starts cold. The links are then corrected to the
+tolerance in batches of 64 from their loose E2, like every batch point,
+with the conj(E2) rescue. Last the points at stride 4 between the links,
+then the remaining points, are solved in batches of 64. Every start but
+the top link's is predicted from the points solved around it (numerical
+continuation's tangent predictor). Both ends of the support are folds
+where E2 has a square-root branch point, so a point within a factor 2 of
+an edge (the upper one first) is predicted in s = sqrt(+-(z - lambda_e)),
+z = lambda + i nu, where E2 is analytic: a link from the quadratic in s
+through the fold's own E2 and the E2 and tangent of the link above it,
+any other point from the cubic Hermite interpolant in s between the
+solved points on both sides (the corrected links for the stride-4 points,
+those and the links for the rest). Elsewhere a link starts from the
+quadratic in (log lambda, log E2) through the two links above it with the
+lower one's tangent, any other point from the cubic Hermite interpolant
+of log E2 between the solved points on both sides. A prediction that is
+not finite or lies more than 0.5 in |log E2| from the chord through the
+same two points falls back to the chord. The default grid runs to 1.02
+times the upper support edge, from 0.98 times the lower one where the
+support has a gap above zero; one of other than 512 points spans the same
+ends. The default nu is 1e-4 times the grid's first point, default or
+given: 1/250 to 1/600 of the smallest step on the figures' 512-point
+grids, but closer to it on a narrow support (1/70 for MP at beta 0.5,
+1/19 at 0.05, about the step at 1e-5). Where the support reaches zero
+(P(D != 0)/beta <= P(T != 0)) the grid starts at 1e-8 beta E[D] E[T], and
+a solve there, at that end's nu and started on the physical root's -i
+sqrt(lambda) branch, probes for an A/sqrt(lambda) divergence, which
+extends the grid down; where the support has a gap there is no divergence
+and no probe.
 
 Both support edges read no density: they are the folds of the fixed
 point's real inverse map (_fold_edge), from the same atom sums, and each
@@ -105,12 +109,11 @@ _QUAD_PANELS = 4        # panels on (0, pi): 128 atoms per law
 _QUAD_GRADING = 3.0     # panel edges pi (k/panels)^3, dense near omega = 0
 _TOLERANCE = 1e-6       # last Newton step relative to |E2|
 _MAX_ITERS = 10000      # fixed-point iterations per point
-_PICARD_WARMUP = 60     # most damped steps of a cold start before Newton
-_LOOSE = 1e-2           # relative residual ending a cold start's warmup, and
-                        # relative Newton step ending a chain link's walk
-_DAMPING = 0.5          # Picard step size of a cold start's warmup
+_LOOSE = 1e-2           # relative Newton step ending a chain link's walk
+_DAMPING = 0.5          # step, times F, where the map's slope is 1
 _DIVERGENCE_WINDOW = 50  # Newton steps without a smaller residual
 MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
+_WALK_POINTS = 512      # the default grid every density sweep walks
 _EPS = np.finfo(float).eps
 
 
@@ -214,8 +217,11 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     on F(x) = g(x) - x from its start, with g'(x) from the same atom sums
     as g (predictor-corrector continuation corrects a predicted point with
     Newton directly). Only a single gamma may omit its start (a cold
-    start: eta_transform, a sweep's top link): it starts from the
-    paper-style E1 = 1 value and takes damped steps first (_solve_one). A
+    start: eta_transform's real gamma, a sweep's top link, both outside
+    the support): it starts from the paper-style E1 = 1 value. A cold
+    complex start inside the support has no root selector and can settle
+    on the nonphysical root; the sweep's walk from above the support and
+    the conj(E2) rescue select the physical one. A
     point is done after its first Newton step no longer than _TOLERANCE *
     |E2|, and its stepped iterate is returned, or at its first iterate x
     whose residual |F(x)| is within the map's own rounding of |x| (below),
@@ -231,10 +237,10 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     below rounding would leave a point at its root until the divergence
     window ran out.
 
-    A single gamma (eta_transform's, a sweep's top link, a chain link's
-    loose walk, the sqrt probe, a one-point rescue) is solved by
-    _solve_one, which also brackets real
-    gamma > 0. A vector of gamma, always complex from the density sweep,
+    A single gamma (eta_transform's, a chain link's loose walk, the sqrt
+    probe, a one-point rescue) is solved by _solve_one, which also
+    brackets real gamma > 0. A vector of gamma, always complex from the
+    density sweep,
     is solved here: points are the rows of (points x atoms) arrays, summed
     along the atom axis only, and each has its own stale counter, so a
     point's answer does not depend on the other points. Converged rows
@@ -258,7 +264,7 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     tolerance = _LOOSE if loose else _TOLERANCE
     if len(x) == 1:
         return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding,
-                          tolerance, newton=warm is not None)
+                          tolerance)
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
     tangent = np.empty_like(x)
     point, g = np.arange(len(x)), gamma
@@ -320,20 +326,16 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, tolerance,
-               newton):
+def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, tolerance):
     """_solve_e2 at one point: gamma, gamma beta, gamma^2 beta and the
     start x are arrays of one entry, ``rounding`` the map's relative
     rounding and ``tolerance`` the largest relative Newton step that ends
-    the solve (_TOLERANCE, or _LOOSE for a chain link's walk). A given
-    start (``newton`` true) takes Newton steps from the first iteration;
-    the map, slope, step and tangent are then _solve_e2's on a one-row
-    array, so an unbracketed point's answer is bit-identical to that row
-    of a batch from the same start and tolerance. A cold start first takes
-    damped steps of _DAMPING until the relative residual is below _LOOSE
-    (at most _PICARD_WARMUP of them). The Newton switch, best residual,
-    stale counter and stop test are Python scalars. Failures raise as in
-    _solve_e2, with point 0.
+    the solve (_TOLERANCE, or _LOOSE for a chain link's walk). It takes
+    Newton steps from the first iteration, and the map, slope, step and
+    tangent are _solve_e2's on a one-row array, so an unbracketed point's
+    answer is bit-identical to that row of a batch from the same start
+    and tolerance. The best residual, stale counter and stop test are
+    Python scalars. Failures raise as in _solve_e2, with point 0.
 
     For real gamma > 0 the positive root is the physical one: F(0) > 0 >
     F(x) for every x >= E[T], so the start is clamped into (0, E[T]) (a
@@ -351,30 +353,23 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, tolerance,
         residual = abs(f[0])
         if bracketed:
             lo, hi = (x[0].real, hi) if f[0].real > 0 else (lo, x[0].real)
-        if not newton:
-            newton = it > _PICARD_WARMUP or residual <= _LOOSE * max(
-                abs(f[0] + x[0]), abs(x[0]))
-        if newton:
-            slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
-            step = f / (1.0 - slope) if slope[0] != 1.0 else _DAMPING * f
-        else:
-            step = _DAMPING * f
+        slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
+        step = f / (1.0 - slope) if slope[0] != 1.0 else _DAMPING * f
         if bracketed and not lo < (x[0] + step[0]).real < hi:
             step = 0.5 * (lo + hi) - x
         new = x + step
-        if newton:
-            if residual < best:
-                best, stale = residual, 0
-            else:
-                stale += 1
-            stepped = abs(step[0]) <= tolerance * abs(new[0])
-            if stepped or residual <= rounding * abs(x[0]):
-                return (new if stepped else x), np.array([it]), \
-                    _log_tangent(gamma, x, e1, slope, a)
-            if stale >= _DIVERGENCE_WINDOW:
-                raise ConvergenceFailure(
-                    f"fixed point diverging at gamma={gamma[0]}",
-                    residual=residual, point=0)
+        if residual < best:
+            best, stale = residual, 0
+        else:
+            stale += 1
+        stepped = abs(step[0]) <= tolerance * abs(new[0])
+        if stepped or residual <= rounding * abs(x[0]):
+            return (new if stepped else x), np.array([it]), \
+                _log_tangent(gamma, x, e1, slope, a)
+        if stale >= _DIVERGENCE_WINDOW:
+            raise ConvergenceFailure(
+                f"fixed point diverging at gamma={gamma[0]}",
+                residual=residual, point=0)
         x = new
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
@@ -389,12 +384,21 @@ def _eta_given_e2(atoms_d, beta, gamma, e2):
 
 
 def eta_transform(law_d, law_t, beta, gamma):
-    """eta(gamma) = E[1/(1 + gamma beta D E2*)] for the laws of D and T.
+    """eta(gamma) = E[1/(1 + gamma beta D E2*)] for the laws of D and T, at
+    real gamma >= 0, the paper's eta-transform. eta(0) = 1 identically.
 
-    Accepts real or complex gamma; real nonnegative gamma keeps the whole
-    computation in real arithmetic. eta(0) = 1 identically.
+    The whole computation stays in real arithmetic, and E2* is the
+    positive root of the fixed point, the physical one, which the solver
+    brackets. Raises InputError for a beta outside (0, 1] and for a gamma
+    that is complex, negative or not finite: the Stieltjes transform
+    S(z) = gamma eta(gamma) at gamma = -1/z inside the support needs a
+    root selector that a lone solve lacks, and eigen_pdf's walk into the
+    support from above it is that selector.
     """
     check_range("beta", beta, 0, 1, low_open=True)
+    if np.iscomplexobj(gamma):
+        raise InputError(f"gamma must be real, got {gamma}")
+    check_range("gamma", gamma, 0)
     if gamma == 0:
         return 1.0
     atoms_d = _LawAtoms(law_d)
@@ -419,9 +423,10 @@ class EigenPdf:
     to 4 times the density there, is subtracted exactly before clamping.
     Negative densities are clamped to zero; ``clamped_points`` counts the
     grid points whose density stayed below minus its evaluation-error
-    budget, ``rescued_points`` those re-solved from conj(E2) after falling
-    below it, and ``solver_iterations`` every fixed-point iteration of the
-    sweep, rescues included.
+    budget, ``rescued_points`` the points of eigen_pdf's walk (the grid and
+    the 512-point default grid above its first point) re-solved from
+    conj(E2) after falling below it, and ``solver_iterations`` every
+    fixed-point iteration of the walk, rescues included.
     """
 
     zero_mass: float
@@ -572,25 +577,26 @@ def _support_edges(atoms_d, atoms_t, beta):
 def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
     """Densities over an increasing grid, walked from the largest lambda down.
 
-    Every _CHAIN_STRIDE-th point, the top and the points _TOP_LINKS below
-    it (clipped at 0 on small grids) form a chain, which keeps the sweep on
+    eigen_pdf gives a grid whose top lies above the support. Every
+    _CHAIN_STRIDE-th point, the top and the points _TOP_LINKS below it
+    (clipped at 0 on small grids) form a chain, which keeps the sweep on
     the physical root (Allgower & Georg's predictor-corrector walk: each
-    link need only land in the corrector's basin). The sweep has four
+    link need only land in the corrector's basin). The sweep has three
     stages:
 
-    1. the top link starts cold and is solved in full (_density_points);
-       its conj(E2) rescue is what puts the walk on the physical root;
-    2. every other link, one at a time from the top down, is walked on the
+    1. every link, one at a time from the top down, is walked on the
        one-point path only until its Newton step is within _LOOSE of |E2|
        (_solve_at); it keeps only E2 and its tangent, for the next link's
-       start, and forms no eta, density, budget or rescue check;
-    3. those links are corrected to _TOLERANCE, started from their loose
-       E2, through _density_points like every batch point;
-    4. the other points at the strides _FILL_STRIDES, the stride-4 points
+       start, and forms no eta, density, budget or rescue check. The top
+       link starts cold;
+    2. the links are corrected to _TOLERANCE, started from their loose
+       E2, through _density_points like every batch point, with its
+       conj(E2) rescue;
+    3. the other points at the strides _FILL_STRIDES, the stride-4 points
        between the corrected links and then the rest between the solved
        points on both sides, are started by interpolation and solved.
 
-    Stages 3 and 4 solve in batches of _BATCH_POINTS, from the top. A
+    Stages 2 and 3 solve in batches of _BATCH_POINTS, from the top. A
     point's answer depends only on the grid, nu and the edges, not on its
     batch.
 
@@ -611,8 +617,8 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
     is not finite or far from the chord through the same two points falls
     back to the chord (_predicted).
 
-    Returns (unclamped densities, iterations, rescues, points whose
-    density stayed below minus its budget).
+    Returns (unclamped densities, iterations, rescues, a mask of the
+    points whose density stayed below minus its budget).
     """
     n = len(grid)
     density, budget = np.empty(n), np.empty(n)
@@ -626,8 +632,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
             at = idx[b:b + _BATCH_POINTS]
             density[at], e2[at], budget[at], its, resc, tangent[at] = \
                 _density_points(atoms_d, atoms_t, beta, zero_mass, grid[at],
-                                nu, None if start is None
-                                else start[b:b + _BATCH_POINTS])
+                                nu, start[b:b + _BATCH_POINTS])
             iters += int(its.sum())
             rescued += int(resc.sum())
 
@@ -654,20 +659,19 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
     top = np.maximum(n - 1 - np.array((0,) + _TOP_LINKS), 0)
     chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
     down = chain[::-1]
-    solve(down[:1], None)
-    for i, k in enumerate(down[1:], 1):
+    for i, k in enumerate(down):
         # the quadratic through the link above, with its slope, and through
-        # the edge or else the link above that
+        # the edge or else the link above that; the top starts cold
         f = frame[k]
         anchor = (0.0, edges[f][1]) if f >= 0 \
             else coords(down[i - 2], f)[:2] if i > 1 else None
-        warm = None if anchor is None else _predicted(
+        warm = None if i == 0 or anchor is None else _predicted(
             *_quadratic(abscissa(k, f), *coords(down[i - 1], f), *anchor),
             f < 0)
         _, e2[k:k + 1], its, tangent[k:k + 1] = _solve_at(
             atoms_d, atoms_t, beta, grid[k:k + 1], nu, warm, loose=True)
         iters += int(its[0])
-    solve(down[1:], e2[down[1:]])
+    solve(down, e2[down])
     known = chain
     for stride in _FILL_STRIDES:
         rest = np.setdiff1d(np.arange(0, n, stride), known)[::-1]
@@ -682,8 +686,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
                                             v1, t0, t1), f < 0)
         solve(rest, start)
         known = np.union1d(known, rest)
-    clamped = int(np.count_nonzero(density < -budget))
-    return density, iters, rescued, clamped
+    return density, iters, rescued, density < -budget
 
 
 def _support_reaches_zero(atoms_d, atoms_t, beta):
@@ -694,8 +697,9 @@ def _support_reaches_zero(atoms_d, atoms_t, beta):
         <= atoms_t.weights[atoms_t.values > 0].sum()
 
 
-def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, edges):
-    """Log-spaced grid up to 1.02 times the upper support edge.
+def _default_grid(atoms_d, atoms_t, beta, zero_mass, edges):
+    """The default grid of _WALK_POINTS points, log-spaced up to 1.02
+    times the upper support edge, which every density sweep walks.
 
     ``edges`` are _support_edges', so the top link lies just above the
     support and the density there is the smoothed tail of nu alone. Where
@@ -717,7 +721,8 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, edges):
     0.97, beta 1: 3.2e-5 against 1 619).
     """
     if len(edges) > 1:
-        return np.geomspace(0.98 * edges[1][0], 1.02 * edges[0][0], points)
+        return np.geomspace(0.98 * edges[1][0], 1.02 * edges[0][0],
+                            _WALK_POINTS)
     scale = beta * atoms_d.mean * atoms_t.mean
     lo = 1e-8 * scale
     start = -1j * np.sqrt((1.0 - atoms_d.mass) * lo / beta ** 3)
@@ -726,7 +731,7 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, points, edges):
     sqrt_coeff = max(f_probe, 0.0) * np.sqrt(lo)
     if 2.0 * sqrt_coeff * np.sqrt(lo) > 1e-3 * beta:
         lo = max((5e-4 * beta / sqrt_coeff) ** 2, 1e-13 * scale)
-    return np.geomspace(lo, 1.02 * edges[0][0], points)
+    return np.geomspace(lo, 1.02 * edges[0][0], _WALK_POINTS)
 
 
 def _fold_edge(atoms_d, atoms_t, beta, upper):
@@ -846,7 +851,7 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
         ``points`` entries runs to 1.02 times the upper support edge, from
         0.98 times the lower one where the support has a gap above zero
         and from 1e-8 beta E[D] E[T] (or below, see the probe) where it
-        reaches zero.
+        reaches zero: the ends of the 512-point default grid.
     nu : float, optional
         Imaginary offset for the Stieltjes inversion; defaults to
         1e-4 times the grid's first (smallest) lambda, for default and
@@ -856,35 +861,41 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
 
     Every call finds both support edges as folds of the fixed point's
     real inverse map, with E2 there (the lower one only where the support
-    has a gap). The sweep walks the grid from the largest lambda down
-    along a chain of every 16th point and of the points 1, 2, 4 and 8
-    below the top: the top link is solved in full, every other link only
-    until its Newton step is within 1e-2 of |E2|, and then those links
-    are corrected to the tolerance in batches of 64. Last the points at
-    stride 4 between the links, then the rest, are solved in batches of
-    64. Each start is predicted from E2 and its tangent at the solved
-    points around it; within a factor 2 of an edge it is predicted in s =
-    sqrt(+-(z - lambda_e)), anchored at the edge's E2, because E2 has a
-    square-root branch point there. Those starts go straight to Newton;
-    only the top link starts cold, with damped steps first. The default
-    grid's top is 1.02 times the upper edge and its bottom 0.98 times the
-    lower edge where there is one; a probe for an A/sqrt(lambda)
-    divergence at zero, which can extend the lower end, runs only where
-    the support reaches zero. Each point's answer depends only on the
-    grid, nu and the laws, so a call with a given grid and nu reproduces
-    the density of the call that chose them.
+    has a gap), and builds the 512-point default grid: its top is 1.02
+    times the upper edge and its bottom 0.98 times the lower edge where
+    there is one; a probe for an A/sqrt(lambda) divergence at zero, which
+    can extend the lower end, runs only where the support reaches zero.
+    The sweep walks that grid, with the requested grid's points merged in,
+    from the largest lambda down to the requested grid's first point, and
+    reads the densities back at the requested points. So every walk
+    enters the support from above it, where the physical root is the one
+    that continues from outside the support, and a 512-point default call
+    sweeps exactly its own grid. The walk follows a chain of every 16th
+    point and of the points 1, 2, 4 and 8 below the top: every link is
+    solved only until its Newton step is within 1e-2 of |E2|, the top one
+    from a cold start, and then the links are corrected to the tolerance
+    in batches of 64. Last the points at stride 4 between the links, then
+    the rest, are solved in batches of 64. Every start but the top link's
+    is predicted from E2 and its tangent at the solved points around it;
+    within a factor 2 of an edge it is predicted in s = sqrt(+-(z -
+    lambda_e)), anchored at the edge's E2, because E2 has a square-root
+    branch point there. Every start goes straight to Newton. Each point's
+    answer depends only on the grid, nu and the laws, so a call with a
+    given grid and nu reproduces the density of the call that chose them.
+    ``solver_iterations`` and ``rescued_points`` count the whole walk,
+    ``clamped_points`` the requested points.
 
     Raises InputError for a beta outside (0, 1], a non-finite or
     nonpositive nu, a grid that is not finite, increasing and positive,
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
     that carry different factors. The bound on points keeps a call near a
     minute and its per-point arrays near 16 MiB: each point costs about
-    0.012-0.02 ms of solving over the 128 atoms (whole calls of 8 192
-    points take 0.094-0.097 s, of 512 points 10-10.4 ms, best of 3 and of
-    5 over genuine and five upscaled laws of rho 0.97 at beta 0.5 on a
-    2-core x86 box whose speed swings by up to 30 % with other load), and
-    the complex E2 of 2**20 points takes 16 MiB. The
-    figures use the default 512.
+    0.008-0.013 ms of solving over the 128 atoms (whole calls of 8 192
+    points, which also walk the 510 inner points of the 512-point grid,
+    take 0.065-0.070 s, of 512 points 6.4-6.6 ms, best of 7 and of 9 over
+    genuine and five upscaled laws of rho 0.97 at beta 0.5 on a 2-core x86
+    box whose speed swings by up to 30 % with other load), and the complex
+    E2 of 2**20 points takes 16 MiB. The figures use the default 512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
     = beta E[D] E[T] within 1 %) were measured over MP and the genuine and
@@ -921,16 +932,19 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     atoms_d = _LawAtoms(law_d)
     atoms_t = _LawAtoms(law_t)
     edges = _support_edges(atoms_d, atoms_t, beta)
+    walk = _default_grid(atoms_d, atoms_t, beta, zero_mass, edges)
     if grid is None:
-        grid = _default_grid(atoms_d, atoms_t, beta, zero_mass, points, edges)
+        grid = np.geomspace(walk[0], walk[-1], points)
     if nu is None:
         nu = 1e-4 * float(grid[0])
 
+    sweep = np.union1d(grid, walk[walk > grid[0]])
     density, iters, rescued, clamped = _sweep(
-        atoms_d, atoms_t, beta, zero_mass, grid, nu, edges)
+        atoms_d, atoms_t, beta, zero_mass, sweep, nu, edges)
+    at = np.searchsorted(sweep, grid)
     return EigenPdf(zero_mass=zero_mass, lambda_grid=grid,
-                    density=np.maximum(density, 0.0),
+                    density=np.maximum(density[at], 0.0),
                     beta=beta, xi=xi, nu=nu, upper_edge=edges[0][0],
                     law=f"D~{law_d.descriptor} T~{law_t.descriptor} beta={beta}",
-                    clamped_points=clamped, solver_iterations=iters,
-                    rescued_points=rescued)
+                    clamped_points=int(np.count_nonzero(clamped[at])),
+                    solver_iterations=iters, rescued_points=rescued)

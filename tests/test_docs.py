@@ -43,41 +43,43 @@ def test_readme_states_the_quadrature_rule():
 
 def test_readme_states_the_chain_stride():
     # the "Eta solver" bullet states the density sweep's walk; a change to
-    # rmt's _CHAIN_STRIDE, _TOP_LINKS, _LOOSE, _BATCH_POINTS or
-    # _FILL_STRIDES must change that text too
+    # rmt's _WALK_POINTS, _CHAIN_STRIDE, _TOP_LINKS, _LOOSE, _BATCH_POINTS
+    # or _FILL_STRIDES must change that text too
     readme = (ROOT / "README.md").read_text()
     bullet = " ".join(readme.split("- **Eta solver.**", 1)[1].split())
     found = re.search(
-        r"a chain of every (\d+)th point \(and both ends\) and of the points "
+        r"`eigen_pdf` always walks the (\d+)-point default grid .*? A chain "
+        r"of every (\d+)th point \(and both ends\) and of the points "
         r"(\d+), (\d+), (\d+) and (\d+) below the top keeps the sweep on the "
-        r"physical root: (\d+) links per 512-point grid\. The walk has four "
-        r"stages\. The top link is solved in full from a cold start, .*? "
-        r"Every other link, one at a time from the top down, is walked only "
-        r"until its Newton step is within (\S+) of `\|E2\|` .*? The links "
-        r"are then corrected to the tolerance in batches of (\d+), started "
-        r"from their loose E2, .*? Last the points at stride (\d+) between "
-        r"the links, then the remaining points, are solved in batches of "
-        r"(\d+),", bullet)
-    stride, *top, links, loose, batch, fill, again = found.groups()
+        r"physical root: (\d+) links per (\d+)-point grid\. The walk has "
+        r"three stages\. Every link, one at a time from the top down, is "
+        r"walked only until its Newton step is within (\S+) of `\|E2\|`.*? "
+        r"The top link, .*? starts cold\. The links are then corrected to "
+        r"the tolerance in batches of (\d+), started from their loose E2, "
+        r".*? Last the points at stride (\d+) between the links, then the "
+        r"remaining points, are solved in batches of (\d+),", bullet)
+    walk, stride, *top, links, grid, loose, batch, fill, again = \
+        found.groups()
+    assert int(walk) == int(grid) == rmt._WALK_POINTS
     assert int(stride) == rmt._CHAIN_STRIDE
     assert tuple(map(int, top)) == rmt._TOP_LINKS
     assert float(loose) == rmt._LOOSE
     assert int(batch) == int(again) == rmt._BATCH_POINTS
     assert (int(fill), 1) == rmt._FILL_STRIDES
     # none of the top links is a multiple of the stride at 512 points
-    assert int(links) == 512 // int(stride) + 1 + len(top)
+    assert int(links) == int(walk) // int(stride) + 1 + len(top)
 
 
 def test_readme_states_the_solver_settings():
     # the "Eta solver" bullet lists the solver's settings; a change to
-    # rmt's _TOLERANCE, _PICARD_WARMUP or _MAX_ITERS must change that text
-    # too
+    # rmt's _TOLERANCE or _MAX_ITERS must change that text too, and no
+    # solve takes damped steps before Newton
     readme = (ROOT / "README.md").read_text()
     bullet = " ".join(readme.split("- **Eta solver.**", 1)[1].split())
-    tolerance, warmup, iters = re.search(
-        r"These settings \(the quadrature rule, tolerance (\S+), at most "
-        r"(\d+) damped steps of a cold start and ([\d ]+) iterations per "
-        r"point\) are constants of `rmt`", bullet).groups()
+    tolerance, iters = re.search(
+        r"These settings \(the quadrature rule, tolerance (\S+) and "
+        r"([\d ]+) iterations per point\) are constants of `rmt`",
+        bullet).groups()
     assert float(tolerance) == rmt._TOLERANCE
-    assert int(warmup) == rmt._PICARD_WARMUP
     assert int(iters.replace(" ", "")) == rmt._MAX_ITERS
+    assert "damped" not in bullet

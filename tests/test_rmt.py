@@ -14,10 +14,10 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
                        ResampleSpec, SpectralLaw, afze, eigen_pdf,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
-from respectra.rmt import (_CHAIN_STRIDE, _density_points, _fixed_point_map,
-                           _fold_edge, _hermite, _LawAtoms, _modulus,
-                           _predicted, _quadratic, _solve_e2, _support_edges,
-                           _support_reaches_zero)
+from respectra.rmt import (_CHAIN_STRIDE, _density_points, _eta_given_e2,
+                           _fixed_point_map, _fold_edge, _hermite, _LawAtoms,
+                           _modulus, _predicted, _quadratic, _solve_e2,
+                           _support_edges, _support_reaches_zero)
 
 
 def mp_eta_closed_form(gamma, beta):
@@ -49,24 +49,29 @@ def cold_starts(atoms, gamma):
         atoms.wv / (1.0 + gamma[:, None] * atoms.values), axis=1)
 
 
-def staged_sweep(atoms, beta, zero_mass, grid, nu):
-    """A density sweep over a whole grid, written out plainly in four
-    stages. The chain is every 16th point, the top and the points 1, 2, 4
-    and 8 below it (clipped at 0). (1) The top link is solved in full from
-    a cold start. (2) The other links are walked from the top down, each
-    only until its Newton step is within 1e-2 of |E2|. (3) Those links are
-    corrected to the full tolerance from their loose E2. (4) The other
-    points at stride 4 start from the cubic Hermite interpolant between
-    the corrected links around them, and then the rest from that between
-    the solved points around them. Stages 3 and 4 solve in chunks of 32
-    from the bottom up. A point within a factor 2 of a support edge (the
-    upper one first) is predicted over s = sqrt(side (z - lambda_e)): a
-    link from the quadratic through the edge's E2 and the E2 and slope of
-    the link above it, another point by the interpolant in s. Any other
-    link starts from the quadratic in (log lambda, log E2) through the two
-    links above it with the lower one's tangent (cold if it is the
-    second), any other point from the interpolant of log E2. Returns
-    (densities, E2, iterations)."""
+def staged_sweep(atoms, beta, zero_mass, grid, nu, walk):
+    """A density sweep, written out plainly in three stages. It walks the
+    grid together with the points of the default grid ``walk`` above the
+    grid's first point, so every walk enters the support from above it. The
+    chain is every 16th point of that walk, the top and the points 1, 2, 4
+    and 8 below it (clipped at 0). (1) The links are walked from the top
+    down, each only until its Newton step is within 1e-2 of |E2|, the top
+    from a cold start. (2) They are corrected to the full tolerance from
+    their loose E2. (3) The other points at stride 4 start from the cubic
+    Hermite interpolant between the corrected links around them, and then
+    the rest from that between the solved points around them. Stages 2 and
+    3 solve in chunks of 32 from the bottom up. A point within a factor 2
+    of a support edge (the upper one first) is predicted over s =
+    sqrt(side (z - lambda_e)): a link below the top from the quadratic
+    through the edge's E2 and the E2 and slope of the link above it,
+    another point by the interpolant in s. Any other link below the top
+    starts from the quadratic in (log lambda, log E2) through the two links
+    above it with the lower one's tangent (cold if it is the second), any
+    other point from the interpolant of log E2. Returns the densities and
+    E2 at the grid's points and the iterations of the walk's points."""
+    sweep = np.union1d(grid, walk[walk > grid[0]])
+    keep = np.searchsorted(sweep, grid)
+    grid = sweep
     n = len(grid)
     dens, e2, its = np.zeros(n), np.zeros(n, dtype=complex), np.zeros(n, int)
     tangent = np.zeros(n, dtype=complex)
@@ -76,8 +81,7 @@ def staged_sweep(atoms, beta, zero_mass, grid, nu):
         for i in range(0, len(idx), 32):
             at = idx[i:i + 32]
             dens[at], e2[at], _, got, _, tangent[at] = _density_points(
-                atoms, atoms, beta, zero_mass, grid[at], nu,
-                None if start is None else start[i:i + 32])
+                atoms, atoms, beta, zero_mass, grid[at], nu, start[i:i + 32])
             its[at] += got
 
     def edge_of(lam):
@@ -101,14 +105,13 @@ def staged_sweep(atoms, beta, zero_mass, grid, nu):
     top = np.maximum(n - 1 - np.array([0, 1, 2, 4, 8]), 0)
     chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
     down = chain[::-1]
-    solve(down[:1], None)
-    for i in range(1, len(down)):
+    for i in range(len(down)):
         k, f = down[i], edge_of(grid[down[i]])
-        if f is not None:
+        if i == 0 or i == 1 and f is None:
+            warm = None
+        elif f is not None:
             warm = _predicted(*_quadratic(where(k, f), *solved(down[i - 1], f),
                                           0.0, edges[f][1]), False)
-        elif i == 1:
-            warm = None
         else:
             x1, v1, _ = solved(down[i - 2], None)
             warm = _predicted(*_quadratic(np.log(grid[k]),
@@ -118,7 +121,7 @@ def staged_sweep(atoms, beta, zero_mass, grid, nu):
         got, its[k:k + 1], t = _solve_e2(atoms, atoms, beta, gamma,
                                          warm=warm, loose=True)
         e2[k], tangent[k] = got[0], (grid[k] * gamma * t)[0]
-    solve(chain[:-1], e2[chain[:-1]])
+    solve(chain, e2[chain])
     known = chain
     for stride in (4, 1):
         rest = np.setdiff1d(np.arange(0, n, stride), known)
@@ -134,7 +137,18 @@ def staged_sweep(atoms, beta, zero_mass, grid, nu):
                                             v1, t0, t1), f is None)
         solve(rest, start)
         known = np.union1d(known, rest)
-    return dens, e2, its
+    return dens[keep], e2[keep], its
+
+
+def walk_e2(law, beta, xi, lam):
+    """E2 of the default call's walk at its grid point nearest each lam: a
+    start on the physical branch there."""
+    pdf = eigen_pdf(law, law, beta, xi=xi)
+    grid = pdf.lambda_grid
+    e2 = staged_sweep(_LawAtoms(law), beta, pdf.zero_mass, grid, pdf.nu,
+                      grid)[1]
+    lam = np.asarray(lam, dtype=float)[:, None]
+    return e2[np.argmin(np.abs(np.log(grid / lam)), axis=1)]
 
 
 def brute_upper_edge(law, beta):
@@ -258,21 +272,33 @@ class TestEtaTransform:
 
     def test_divergence_reported(self, solver_settings):
         law = law_genuine(0.97)
-        with solver_settings(tolerance=1e-12, max_iters=3, picard_warmup=2), \
+        with solver_settings(tolerance=1e-12, max_iters=3), \
                 pytest.raises(ConvergenceFailure,
                               match="not converged after 3 iterations") as err:
             eta_transform(law, law, 1.0, 7.7)
         assert err.value.residual is not None
         # a genuine divergence: MP at beta 0.5 and gamma = -10 puts
         # z = -1/gamma = 0.1 inside the support [0.086, 2.914], where the
-        # fixed point has no real root; the residual stays far from zero
-        mp = law_genuine(0.0)
+        # fixed point has no real root; from a real start the iterates stay
+        # real, and the residual stays far from zero
+        mp = _LawAtoms(law_genuine(0.0))
+        gamma = np.array([-10.0])
         for tol in (1e-6, 1e-14):
             with solver_settings(tolerance=tol), \
                     pytest.raises(ConvergenceFailure,
                                   match=r"diverging at gamma=-10\.0") as err:
-                eta_transform(mp, mp, 0.5, -10.0)
+                _solve_e2(mp, mp, 0.5, gamma, warm=cold_starts(mp, gamma))
             assert err.value.residual > 1e-3
+
+    def test_rejects_complex_and_negative_gamma(self):
+        # the paper's eta-transform is taken at real gamma >= 0; a cold
+        # complex solve has no way to pick the physical root, which
+        # eigen_pdf's walk into the support from above it selects
+        law = law_genuine(0.97)
+        for gamma in (-10.0, -1e-300, 1j, -1.0 / (1.0 + 1e-4j),
+                      np.complex128(2.0), np.nan, np.inf):
+            with pytest.raises(InputError, match="gamma must be"):
+                eta_transform(law, law, 0.5, gamma)
 
 
 class TestOnePointPath:
@@ -321,7 +347,7 @@ class TestOnePointPath:
         assert _modulus(z).tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("rho,settings,lam,nu,match", [
-        (0.97, {"tolerance": 1e-14, "max_iters": 4, "picard_warmup": 2},
+        (0.97, {"tolerance": 1e-14, "max_iters": 4},
          1.0, 1e-4, "not converged after 4 iterations"),
         # MP at beta 0.5 puts lambda 0.1 inside its support [0.086, 2.914],
         # where a real gamma has no root; nu = 1e-300 leaves gamma real to
@@ -331,7 +357,10 @@ class TestOnePointPath:
     def test_failure_matches_batch_row(self, solver_settings, rho, settings,
                                        lam, nu, match):
         # a batch row and a one-point solve from the same given start fail
-        # alike; the sweep's first link is the one-point cold start
+        # alike, and so does a cold start there. The sweep of a grid that
+        # tops at lam starts cold only at the walk's top, 1.02 times the
+        # upper fold, above the support: starved of iterations it fails
+        # there first, as a one-point solve of that point fails
         law = law_genuine(rho)
         gammas = self.gammas(lam, nu)
         with solver_settings(**settings):
@@ -341,15 +370,21 @@ class TestOnePointPath:
                 _solve_e2(atoms, atoms, 0.5, gammas[:1], warm=start[:1])
             with pytest.raises(ConvergenceFailure) as row:
                 _solve_e2(atoms, atoms, 0.5, gammas, warm=start)
-            with pytest.raises(ConvergenceFailure, match=match) as cold:
+            with pytest.raises(ConvergenceFailure, match=match):
                 _solve_e2(atoms, atoms, 0.5, gammas[:1])
-            with pytest.raises(ConvergenceFailure) as pdf:
-                eigen_pdf(law, law, 0.5, grid=[0.5 * lam, lam], nu=nu)
         assert str(one.value) == str(row.value)
         assert one.value.residual == row.value.residual
         assert one.value.point == row.value.point == 0
-        assert str(pdf.value).startswith(f"inversion failed at lambda={lam:g}")
-        assert pdf.value.residual == cold.value.residual
+        top = 1.02 * _support_edges(atoms, atoms, 0.5)[0][0]
+        with solver_settings(**dict(settings, max_iters=2)):
+            with pytest.raises(ConvergenceFailure) as first:
+                _density_points(atoms, atoms, 0.5, afze(0.5, 1.0),
+                                np.array([top]), nu)
+            with pytest.raises(ConvergenceFailure) as pdf:
+                eigen_pdf(law, law, 0.5, grid=[0.5 * lam, lam], nu=nu)
+        assert str(pdf.value).startswith(f"inversion failed at lambda={top:g} ")
+        assert str(pdf.value) == str(first.value)
+        assert pdf.value.residual == first.value.residual
 
     def test_vector_without_starts_raises(self):
         # only a single gamma has a cold start; the sweep gives every
@@ -377,16 +412,18 @@ class TestTangentStarts:
         # default solve against a central difference of E2 solved to 1e-12
         # at lambda e^(+-1e-4), within 1e-5 relative (measured: 7.8e-7, at
         # the b-spline peak, where the sums are taken one Newton step short
-        # of the root)
+        # of the root). Each solve starts from the E2 of the default call's
+        # walk at its nearest grid point, on the physical branch
         beta, h = 0.5, 1e-4
         pdf = eigen_pdf(law, law, beta, xi=xi)
         edge = support_lower_edge(law, law, beta)
         atoms, zero_mass = _LawAtoms(law), afze(beta, xi)
         peak = pdf.lambda_grid[np.argmax(pdf.density)]
-        for lam in (0.5 * edge, peak, 3.0 * edge, 2.0 * pdf.lambda_plus()):
+        lams = (0.5 * edge, peak, 3.0 * edge, 2.0 * pdf.lambda_plus())
+        for lam, start in zip(lams, walk_e2(law, beta, xi, lams)):
             args = (atoms, atoms, beta, zero_mass)
             _, e2, _, _, rescued, tangent = _density_points(
-                *args, np.array([lam]), pdf.nu)
+                *args, np.array([lam]), pdf.nu, start)
             assert not rescued[0]
             with solver_settings(tolerance=1e-12):
                 up, down = (_density_points(*args, np.array([lam * f]),
@@ -474,7 +511,7 @@ class TestEdgeStarts:
         assert [side for _, _, side in edges] == [1.0, -1.0]
         pdf = eigen_pdf(law, law, 0.5)
         grid = pdf.lambda_grid
-        e2 = staged_sweep(atoms, 0.5, pdf.zero_mass, grid, pdf.nu)[1]
+        e2 = staged_sweep(atoms, 0.5, pdf.zero_mass, grid, pdf.nu, grid)[1]
         for lam_e, e2_e, _ in edges:
             gamma = np.array([-1.0 / lam_e])
             f = _fixed_point_map(atoms, atoms, gamma, 0.5 * gamma,
@@ -513,21 +550,29 @@ class TestEdgeStarts:
 
 
 class TestStieltjes:
-    """S(z) = gamma eta(gamma) at gamma = -1/z."""
+    """S(z) = gamma eta(gamma) at gamma = -1/z, solved from a start on the
+    physical branch."""
 
     def test_mp_density_at_unit_lambda(self, solver_settings):
-        # beta=1 MP density at lambda = sigma^2 = 1: sqrt(3)/(2 pi)
+        # beta=1 MP density at lambda = sigma^2 = 1: sqrt(3)/(2 pi); MP at
+        # beta 1 has no zero mass, so the density is Im S/pi
         law = law_genuine(0.0)
-        gamma = -1.0 / (1.0 + 1e-4j)
+        atoms = _LawAtoms(law)
+        start = walk_e2(law, 1.0, 1.0, [1.0])
         with solver_settings(tolerance=1e-12):
-            s = gamma * eta_transform(law, law, 1.0, gamma)
-        assert s.imag / np.pi == pytest.approx(mp_density(1.0, 1.0)[()],
-                                               rel=1e-2)
+            density = _density_points(atoms, atoms, 1.0, 0.0, np.array([1.0]),
+                                      1e-4, start)[0]
+        assert density[0] == pytest.approx(mp_density(1.0, 1.0)[()],
+                                           rel=1e-2)
 
     def test_decay_far_from_support(self):
-        law = law_genuine(0.5)
+        # at |z| = 1e6 the paper-style cold value is the physical root to
+        # O(|gamma|)
+        atoms = _LawAtoms(law_genuine(0.5))
         gamma = -1.0 / (1.0 + 1e6j)
-        s = gamma * eta_transform(law, law, 1.0, gamma)
+        e2 = _solve_e2(atoms, atoms, 1.0, gamma,
+                       warm=cold_starts(atoms, gamma))[0]
+        s = gamma * _eta_given_e2(atoms, 1.0, np.atleast_1d(gamma), e2)[0]
         assert abs(s - gamma) < 1e-5
 
 
@@ -636,17 +681,26 @@ class TestEigenPdf:
 
     def test_negative_density_rescued_from_conjugate_root(self, caplog):
         # a cold start at this point lands on the nonphysical root; the
-        # rescue must recover what a sweep warm started from above finds
+        # rescue must recover what a sweep warm started from above finds.
+        # eigen_pdf starts cold only above the support, so the cold start
+        # is made directly; a given grid that tops at the point is walked
+        # into from above and needs no rescue
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
+        atoms = _LawAtoms(law)
         lam, nu = 0.120091, 7.27324e-7
         with caplog.at_level(logging.DEBUG, logger="respectra.rmt"):
-            pdf = eigen_pdf(law, law, 0.125, xi=1.5, grid=[0.11, lam], nu=nu)
-        assert pdf.rescued_points == 1
-        assert pdf.clamped_points == 0
+            density, _, budget, _, rescued, _ = _density_points(
+                atoms, atoms, 0.125, afze(0.125, 1.5), np.array([lam]), nu)
+        assert rescued[0]
+        assert density[0] >= -budget[0]
         assert any("conj(E2)" in r.getMessage() for r in caplog.records)
         sweep = eigen_pdf(law, law, 0.125, xi=1.5,
                           grid=np.geomspace(lam, 0.5, 200), nu=nu)
         assert sweep.rescued_points == 0
+        assert density[0] == pytest.approx(sweep.density[0], rel=1e-6)
+        pdf = eigen_pdf(law, law, 0.125, xi=1.5, grid=[0.11, lam], nu=nu)
+        assert pdf.rescued_points == 0
+        assert pdf.clamped_points == 0
         assert pdf.density[-1] == pytest.approx(sweep.density[0], rel=1e-6)
 
     def test_points_solved_together_match_points_solved_alone(self):
@@ -675,43 +729,77 @@ class TestEigenPdf:
 
     def test_given_grid_reproduces_default_call(self):
         # a law with a gap below its support, and a beta = 1 law whose
-        # support reaches zero, so the sqrt probe moves its grid floor
+        # support reaches zero, so the sqrt probe moves its grid floor; a
+        # default grid of other than 512 points is walked together with
+        # the 512-point one, and so is its replay
         spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
         for law, beta, xi in ((law_genuine(0.97), 0.5, 1.0),
                               (law_upscaled(0.97, spline), 1.0, 2.0)):
-            pdf = eigen_pdf(law, law, beta, xi=xi)
-            assert pdf.nu == 1e-4 * pdf.lambda_grid[0]
-            again = eigen_pdf(law, law, beta, xi=xi, grid=pdf.lambda_grid,
-                              nu=pdf.nu)
-            assert np.array_equal(again.density, pdf.density)
-            assert again.solver_iterations == pdf.solver_iterations
+            for points in (17, 64, 512):
+                pdf = eigen_pdf(law, law, beta, xi=xi, points=points)
+                assert pdf.nu == 1e-4 * pdf.lambda_grid[0]
+                again = eigen_pdf(law, law, beta, xi=xi,
+                                  grid=pdf.lambda_grid, nu=pdf.nu)
+                assert np.array_equal(again.density, pdf.density), points
+                assert again.solver_iterations == pdf.solver_iterations
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("law", [
+        law_genuine(0.0), law_genuine(0.97),
+        law_upscaled(0.97, ResampleSpec(L=2, M=1,
+                                        kernel=KERNELS["b-spline"])),
+    ], ids=["MP", "genuine", "b-spline-2/1"])
+    def test_part_of_the_default_grid_reproduces_it(self, law, beta):
+        # a given grid is walked into from above the support like the
+        # default one: its slices topped at 5-95 % of it, and its pairs of
+        # neighbouring points there, read the default call's densities
+        # within 1e-6 of the peak. Started cold at its own top inside the
+        # support, such a grid at beta 1 read 7.05e-11 against 64.2
+        # (genuine, point 101) and 8.2e-8 against 366 (b-spline, point 102)
+        pdf = eigen_pdf(law, law, beta)
+        grid, peak = pdf.lambda_grid, pdf.density.max()
+        for top in (26, 102, 179, 256, 332, 409, 485):
+            for part in (slice(0, top + 1), slice(top - 1, top + 1)):
+                got = eigen_pdf(law, law, beta, grid=grid[part], nu=pdf.nu)
+                assert np.abs(got.density - pdf.density[part]).max() \
+                    <= 1e-6 * peak, f"points {part.start}-{top}"
 
     def test_batched_walk_matches_two_level_sweep(self):
         # densities and iterations do not depend on how the walk batches
-        # its points; of 100, the 70 left after the 12 links and the 18
-        # stride-4 points fill one batch and part of a second, and lambda =
-        # 0.120091 sits inside the grid's rescue region
+        # its points: these 100 and the 512 of the default grid, all above
+        # 0.05, give 44 links, 114 stride-4 points and 454 others, solved
+        # in batches of 64 from the top and by the oracle in chunks of 32
+        # from the bottom
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
         atoms = _LawAtoms(law)
         grid, nu = np.geomspace(0.05, 2.0, 100), 7.27324e-7
+        walk = eigen_pdf(law, law, 0.125, xi=1.5).lambda_grid
+        assert len(np.union1d(grid, walk[walk > grid[0]])) == 612
         pdf = eigen_pdf(law, law, 0.125, xi=1.5, grid=grid, nu=nu)
-        dens, _, its = staged_sweep(atoms, 0.125, afze(0.125, 1.5), grid,
-                                       nu)
+        dens, _, its = staged_sweep(atoms, 0.125, afze(0.125, 1.5), grid, nu,
+                                    walk)
         assert np.array_equal(pdf.density, np.maximum(dens, 0.0))
         assert pdf.solver_iterations == its.sum()
 
     def test_small_grids_clip_the_chain_at_zero(self):
         # the links 1, 2, 4 and 8 below the top fall below index 0 on the
-        # smallest grids; default grids of 2, 3, 5 and 17 points and a
-        # 10-point custom grid walk the clipped chain
+        # smallest walks. Default grids of 2, 3, 5 and 17 points and a
+        # 10-point custom grid are walked with the 512-point default grid
+        # and read back at their own points; given grids of 2, 3 and 5
+        # points above that grid's top are walked alone, on the clipped
+        # chain
         law = law_genuine(0.97)
         atoms, zero_mass = _LawAtoms(law), afze(0.5, 1.0)
+        walk = eigen_pdf(law, law, 0.5).lambda_grid
         pdfs = [eigen_pdf(law, law, 0.5, points=n) for n in (2, 3, 5, 17)]
         pdfs.append(eigen_pdf(law, law, 0.5, grid=np.geomspace(0.01, 40.0, 10),
                               nu=1e-3))
+        pdfs += [eigen_pdf(law, law, 0.5,
+                           grid=walk[-1] * np.geomspace(1.1, 4.0, n))
+                 for n in (2, 3, 5)]
         for pdf in pdfs:
             dens, _, its = staged_sweep(atoms, 0.5, zero_mass,
-                                           pdf.lambda_grid, pdf.nu)
+                                        pdf.lambda_grid, pdf.nu, walk)
             assert np.array_equal(pdf.density, np.maximum(dens, 0.0)), \
                 len(pdf.lambda_grid)
             assert pdf.solver_iterations == its.sum()
@@ -970,37 +1058,49 @@ class TestEigenPdf:
             assert edges[(rho, 1.2)] < edges[(rho, 1.5)] < edges[(rho, 2.0)]
 
     def test_pdf_failure_reports_lambda(self, solver_settings):
+        # every start takes Newton steps from its first iteration, and four
+        # solve each point of this walk to 1e-14; at three one fails
         law = law_genuine(0.97)
-        with solver_settings(tolerance=1e-14, max_iters=4, picard_warmup=2), \
+        with solver_settings(tolerance=1e-14, max_iters=3), \
                 pytest.raises(ConvergenceFailure) as err:
             eigen_pdf(law, law, 0.5, grid=np.array([1.0, 2.0]), nu=1e-4)
         assert "lambda" in str(err.value)
 
-    def test_loose_link_failure_reports_lambda(self, monkeypatch):
+    def test_loose_link_failure_reports_lambda(self, solver_settings,
+                                              monkeypatch):
         # MP at beta 0.5: lambda 1 lies inside the support [0.086, 2.914],
         # where nu = 1e-300 leaves gamma real to rounding and the fixed point
-        # has no real root, so the second link, with no edge near and
-        # started cold, diverges in the chain's loose walk; the top link, 5,
-        # lies above the support. Only the top link reaches _density_points
-        # before the failure, which reads as a failure there would
+        # has no real root; a cold start there diverges. The walk enters the
+        # support from its top link, 5, above it, and reads MP's density at
+        # 1 to rounding. Starved of iterations, that top link, the loose
+        # walk's first, fails before any point reaches _density_points, and
+        # the failure reads as a failure there would
         law = law_genuine(0.0)
         atoms = _LawAtoms(law)
-        with pytest.raises(ConvergenceFailure) as there:
+        with pytest.raises(ConvergenceFailure) as cold:
             _density_points(atoms, atoms, 0.5, afze(0.5, 1.0),
                             np.array([1.0]), 1e-300)
+        assert "diverging" in str(cold.value.__cause__)
+        pdf = eigen_pdf(law, law, 0.5, grid=[1.0, 5.0], nu=1e-300)
+        assert pdf.density[0] == pytest.approx(mp_density(1.0, 0.5)[()],
+                                               rel=1e-12)
         solved = []
 
         def spy(*args):
             solved.append(args[4].tolist())
             return _density_points(*args)
 
-        monkeypatch.setattr(respectra.rmt, "_density_points", spy)
-        with pytest.raises(ConvergenceFailure) as err:
-            eigen_pdf(law, law, 0.5, grid=[1.0, 5.0], nu=1e-300)
-        assert solved == [[5.0]]
-        assert str(err.value).startswith("inversion failed at lambda=1 ")
+        with solver_settings(max_iters=1):
+            with pytest.raises(ConvergenceFailure) as there:
+                _density_points(atoms, atoms, 0.5, afze(0.5, 1.0),
+                                np.array([5.0]), 1e-300)
+            monkeypatch.setattr(respectra.rmt, "_density_points", spy)
+            with pytest.raises(ConvergenceFailure) as err:
+                eigen_pdf(law, law, 0.5, grid=[1.0, 5.0], nu=1e-300)
+        assert solved == []
+        assert str(err.value).startswith("inversion failed at lambda=5 ")
         assert str(err.value) == str(there.value)
-        assert "diverging" in str(err.value.__cause__)
+        assert "not converged after 1 iterations" in str(err.value.__cause__)
 
     def test_density_workload_solver_iterations(self):
         # the six laws of the benchmark's density workload at their default
