@@ -150,13 +150,13 @@ def _write(args, payload, header, rows, indent=2):
 
 def _spec(args):
     """ResampleSpec of --xi, --kernel and --phi, quantized by --delta where
-    the command has one; None for xi = 1."""
+    the command has one; None for xi = 1, whose flags are checked all the
+    same (a spec accepts L = M)."""
     lnum, m = parse_factor(args.xi)
-    if lnum == m:
-        return None
-    return ResampleSpec(L=lnum, M=m, phi=args.phi,
+    spec = ResampleSpec(L=lnum, M=m, phi=args.phi,
                         kernel=get_kernel(args.kernel),
                         delta=getattr(args, "delta", None))
+    return None if lnum == m else spec
 
 
 def _law(args):
@@ -181,12 +181,15 @@ def _synthetic_block(args, block_n):
 
 
 def _analysis_block(args):
-    """Block and effective quantization step for detect/estimate."""
+    """Block and effective quantization step for detect/estimate. An
+    image's block is never resampled, but its model flags are checked as
+    a synthetic block's are."""
     if args.synthetic:
         block_n = args.block_size or min(args.n, 32)
         return _synthetic_block(args, block_n), args.delta
     if args.image is None:
         raise InputError("provide a PGM path or --synthetic")
+    _spec(args)
     try:
         img = read_pgm(args.image)
     except OSError as exc:

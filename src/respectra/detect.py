@@ -82,10 +82,12 @@ def lower_median(values):
 
 def _square_blocks(z, k, stack=False):
     """z as a float array once it is one square block, or with ``stack`` a
-    (..., N, N) stack of them, and 1 <= K <= N."""
+    (..., N, N) stack of them, every value finite, and 1 <= K <= N."""
     z = np.asarray(z, dtype=float)
     if (z.ndim < 2 if stack else z.ndim != 2) or z.shape[-1] != z.shape[-2]:
         raise InputError(f"expected a square block, got {z.shape}")
+    if not np.isfinite(z).all():
+        raise InputError("block holds NaN or infinite values")
     n = z.shape[-1]
     if not 1 <= k <= n:
         raise InputError(f"K={k} outside 1..N, block size N={n}")

@@ -186,9 +186,17 @@ def kernel_autocorr(spec):
 
 
 def quantize(y, delta):
-    """Uniform mid-tread quantization delta * round(y / delta)."""
+    """Uniform mid-tread quantization delta * round(y / delta).
+
+    Raises InputError when a result is not finite: y holds NaN or inf, or
+    y / delta overflows (a variance of 1e300 quantized by 1e-300)."""
     check_range("quantization step", delta, 0, low_open=True)
-    return delta * np.round(np.asarray(y, dtype=float) / delta)
+    with np.errstate(over="ignore"):
+        q = delta * np.round(np.asarray(y, dtype=float) / delta)
+    if not np.isfinite(q).all():
+        raise InputError(f"quantizing by step {delta} gives values that "
+                         f"are not finite")
+    return q
 
 
 def upscale(field, spec):

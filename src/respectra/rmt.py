@@ -22,24 +22,25 @@ eta_transform's solves (real gamma >= 0) and a density sweep's top link
 point stops at its first Newton step within the fixed tolerance 1e-6 of
 |E2|, returning the stepped iterate, or at its first Newton iterate whose
 residual is within the map's own rounding of |E2| ((n_D + n_T) eps/2 for
-two sums over n_D and n_T atoms), returning that iterate, after at most
-10 000 iterations. A chain link's loose walk (below) stops at its first
-Newton step within 1e-2 instead. Where Newton converges quadratically
-(away from support edges) the E2 error is thus far below the tolerance;
-this matters near zero, where |S| ~ zero_mass/|lambda + i nu| amplifies
-it. The points are rows of (points x atoms) arrays summed along the atom
-axis, so a point's answer does not depend on the other points or on BLAS.
-The solver has two paths over one map and slope (_fixed_point_map,
-_map_slope), picked by the number of points. A single gamma
-(eta_transform's, each chain link's loose walk, the sqrt probe, a
-one-point rescue) keeps its stall counter and stop test in Python
-scalars; for real gamma > 0, which only eta_transform solves, its
+two sums over n_D and n_T atoms), returning that iterate. A point that
+has not stopped after 100 Newton steps fails (the most any solve of the
+budget scan or of an eta_transform sweep takes is 29). A chain link's
+loose walk (below) stops at its first Newton step within 1e-2 instead.
+Where Newton converges quadratically (away from support edges) the E2
+error is thus far below the tolerance; this matters near zero, where
+|S| ~ zero_mass/|lambda + i nu| amplifies it. The points are rows of
+(points x atoms) arrays summed along the atom axis, so a point's answer
+does not depend on the other points or on BLAS. The solver has two paths
+over one map and slope (_fixed_point_map, _map_slope), picked by the
+number of points. A single gamma (eta_transform's, each chain link's
+loose walk, the sqrt probe, a one-point rescue) keeps its stop test in
+Python scalars; for real gamma > 0, which only eta_transform solves, its
 iterates also stay inside a bracket around the positive root, the
 physical one. A vector of gamma, always complex and always given its
-starts (the density sweep's batches and rescues), keeps its stall
-counters and stop test in per-point masks. Both do the same arithmetic on
-one-row arrays and take magnitudes as libm's hypot (_modulus), so a
-point's bits from a given start do not depend on the path. Each also
+starts (the density sweep's batches and rescues), keeps its stop test in
+per-point masks. Both do the same arithmetic on one-row arrays and take
+magnitudes as libm's hypot (_modulus), so a point's bits from a given
+start do not depend on the path. Each also
 returns d log E2 / d log gamma from the sums of the last map evaluation
 (_log_tangent), which costs no atom sum of its own. _density_points is
 the one place that solves at points lambda + i nu, forms S and the
@@ -108,10 +109,8 @@ _QUAD_ORDER = 32        # Gauss-Legendre nodes per quadrature panel
 _QUAD_PANELS = 4        # panels on (0, pi): 128 atoms per law
 _QUAD_GRADING = 3.0     # panel edges pi (k/panels)^3, dense near omega = 0
 _TOLERANCE = 1e-6       # last Newton step relative to |E2|
-_MAX_ITERS = 10000      # fixed-point iterations per point
+_MAX_ITERS = 100        # Newton steps per point
 _LOOSE = 1e-2           # relative Newton step ending a chain link's walk
-_DAMPING = 0.5          # step, times F, where the map's slope is 1
-_DIVERGENCE_WINDOW = 50  # Newton steps without a smaller residual
 MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
 _WALK_POINTS = 512      # the default grid every density sweep walks
 _EPS = np.finfo(float).eps
@@ -234,15 +233,21 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     sum of n terms may be off by n units of roundoff (eps/2) relative to
     them, so F(x) cannot be told from zero once |F(x)| <= (n_D + n_T) eps/2
     |x|, 2.8e-14 |x| at 128 atoms per law. Without this stop a tolerance
-    below rounding would leave a point at its root until the divergence
-    window ran out.
+    below rounding would leave a point at its root until the iteration
+    cap ran out.
+
+    Every step is the Newton step F(x) / (1 - g'(x)), with no damping and
+    no watch on the residual: a point that has not stopped after
+    _MAX_ITERS (100) steps raises ConvergenceFailure with its last
+    residual. The most any solve of the budget scan or of an
+    eta_transform sweep takes is 29 (test_rmt's TestIterationCap).
 
     A single gamma (eta_transform's, a chain link's loose walk, the sqrt
     probe, a one-point rescue) is solved by _solve_one, which also
     brackets real gamma > 0. A vector of gamma, always complex from the
     density sweep,
     is solved here: points are the rows of (points x atoms) arrays, summed
-    along the atom axis only, and each has its own stale counter, so a
+    along the atom axis only, and each has its own stop test, so a
     point's answer does not depend on the other points. Converged rows
     leave the arrays. A failure names the index of its point in
     ConvergenceFailure.point. A vector of gamma without starts raises
@@ -268,22 +273,16 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
     tangent = np.empty_like(x)
     point, g = np.arange(len(x)), gamma
-    best, stale = np.full(len(x), np.inf), np.zeros(len(x), dtype=int)
     # the loop tests masks with np.count_nonzero, a few times cheaper than
     # .any() on arrays this small
     for it in range(1, _MAX_ITERS + 1):
         f, e1, ra, rb = _fixed_point_map(atoms_d, atoms_t, g, gb, x)
-        residual, size = _modulus(f), _modulus(x)
+        residual = _modulus(f)
         slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
-        step = _DAMPING * f
-        np.divide(f, 1.0 - slope, out=step, where=slope != 1.0)
+        step = f / (1.0 - slope)
         new = x + step
-        # stale counts a point's steps since its residual last fell
-        better = residual < best
-        best = np.where(better, residual, best)
-        stale = np.where(better, 0, stale + 1)
         stepped = _modulus(step) <= tolerance * _modulus(new)
-        done = stepped | (residual <= rounding * size)
+        done = stepped | (residual <= rounding * _modulus(x))
         finished = np.count_nonzero(done)
         if finished == len(x):
             e2[point], its[point] = np.where(stepped, new, x), it
@@ -294,19 +293,10 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
             e2[at], its[at] = np.where(stepped, new, x)[done], it
             tangent[at] = _log_tangent(g, x, e1, slope, a)[done]
             keep = ~done
-            point, x, g, gb, ggb, best, stale, residual = (
-                v[keep] for v in (point, new, g, gb, ggb, best, stale,
-                                  residual))
+            point, x, g, gb, ggb, residual = (
+                v[keep] for v in (point, new, g, gb, ggb, residual))
         else:
             x = new
-        # stale grows by at most one per iteration, so no point can reach
-        # the window before this iteration number
-        if it >= _DIVERGENCE_WINDOW \
-                and np.count_nonzero(stale >= _DIVERGENCE_WINDOW):
-            k = np.argmax(stale)
-            raise ConvergenceFailure(
-                f"fixed point diverging at gamma={gamma[point[k]]}",
-                residual=residual[k], point=point[k])
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
         f"at gamma={gamma[point[0]]}", residual=residual[0], point=point[0])
@@ -334,8 +324,8 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, tolerance):
     Newton steps from the first iteration, and the map, slope, step and
     tangent are _solve_e2's on a one-row array, so an unbracketed point's
     answer is bit-identical to that row of a batch from the same start
-    and tolerance. The best residual, stale counter and stop test are
-    Python scalars. Failures raise as in _solve_e2, with point 0.
+    and tolerance. The stop test takes Python scalars. Failures raise as
+    in _solve_e2, with point 0.
 
     For real gamma > 0 the positive root is the physical one: F(0) > 0 >
     F(x) for every x >= E[T], so the start is clamped into (0, E[T]) (a
@@ -347,29 +337,20 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, tolerance):
     lo, hi = 0.0, atoms_t.mean
     if bracketed and not lo < x[0].real < hi:
         x = np.full_like(x, 0.5 * (lo + hi))
-    best, stale = np.inf, 0
     for it in range(1, _MAX_ITERS + 1):
         f, e1, ra, rb = _fixed_point_map(atoms_d, atoms_t, gamma, gb, x)
         residual = abs(f[0])
         if bracketed:
             lo, hi = (x[0].real, hi) if f[0].real > 0 else (lo, x[0].real)
         slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
-        step = f / (1.0 - slope) if slope[0] != 1.0 else _DAMPING * f
+        step = f / (1.0 - slope)
         if bracketed and not lo < (x[0] + step[0]).real < hi:
             step = 0.5 * (lo + hi) - x
         new = x + step
-        if residual < best:
-            best, stale = residual, 0
-        else:
-            stale += 1
         stepped = abs(step[0]) <= tolerance * abs(new[0])
         if stepped or residual <= rounding * abs(x[0]):
             return (new if stepped else x), np.array([it]), \
                 _log_tangent(gamma, x, e1, slope, a)
-        if stale >= _DIVERGENCE_WINDOW:
-            raise ConvergenceFailure(
-                f"fixed point diverging at gamma={gamma[0]}",
-                residual=residual, point=0)
         x = new
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "

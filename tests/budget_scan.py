@@ -9,9 +9,12 @@ every call that raises or misses a budget, then the counts of raised calls,
 first-moment misses, mass misses, rescued points and solver iterations, and
 the largest total-mass and first-moment errors over all calls, with the
 call where each falls, so a change can quote its margin as well as its
-misses. Last it prints four calls outside the range the budgets are
-stated for (beta below 0.05, rho 0.9999), with their first-moment ratio,
-total mass and rescued points; they are not counted as misses.
+misses, and likewise the most solver iterations any one point took, which
+measures the margin to the solver's cap (``rmt._MAX_ITERS``). Last it
+prints four calls outside the range the budgets are stated for (beta
+below 0.05, rho 0.9999), with their first-moment ratio, total mass,
+rescued points and most iterations per point; they are not counted as
+misses.
 
 Run from the repository root (about a minute on one core):
 
@@ -28,7 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from respectra import (KERNELS, ResampleSpec, eigen_pdf,  # noqa: E402
-                       law_genuine, law_upscaled, quadrature_nodes)
+                       law_genuine, law_upscaled, quadrature_nodes, rmt)
 
 BETAS = [k / 100 for k in range(5, 101)]
 
@@ -54,8 +57,26 @@ def outside():
         yield "genuine rho 0.9999", law_genuine(0.9999), 1.0, beta
 
 
+def count_iterations():
+    """Wrap rmt._solve_e2, through which every solve goes, so that the
+    returned list's one entry holds the most iterations any point has
+    taken since it was last set to 0."""
+    most = [0]
+    solve = rmt._solve_e2
+
+    def spy(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        most[0] = max(most[0], int(result[1].max()))
+        return result
+
+    rmt._solve_e2 = spy
+    return most
+
+
 def main():
     nodes, weights = quadrature_nodes()
+    most = count_iterations()
+    deepest = (0, "")
     calls = raised = moment = mass = rescued = iterations = 0
     worst = {"mass": (0.0, ""), "first moment": (0.0, "")}
     start = time.perf_counter()
@@ -63,6 +84,7 @@ def main():
         mean = law.mean(nodes, weights)
         for beta in BETAS:
             calls += 1
+            most[0] = 0
             try:
                 pdf = eigen_pdf(law, law, beta, xi=xi)
             except Exception as exc:    # counted and named, never hidden
@@ -74,6 +96,8 @@ def main():
             ratio = pdf.first_moment() / (beta * mean * mean)
             total = pdf.total_mass()
             call = f"{label} beta {beta}"
+            if most[0] > deepest[0]:
+                deepest = (most[0], call)
             for name, err in (("mass", abs(total - 1.0)),
                               ("first moment", abs(ratio - 1.0))):
                 if not err <= worst[name][0]:
@@ -91,9 +115,11 @@ def main():
           f"({time.perf_counter() - start:.0f} s)")
     for name, (err, call) in worst.items():
         print(f"largest {name} error {err:.2e} ({call})")
+    print(f"most iterations per point {deepest[0]} ({deepest[1]})")
     print("outside the budgets' stated range, not counted as misses:")
     for label, law, xi, beta in outside():
         mean = law.mean(nodes, weights)
+        most[0] = 0
         try:
             pdf = eigen_pdf(law, law, beta, xi=xi)
         except Exception as exc:    # named, never hidden
@@ -101,7 +127,8 @@ def main():
             continue
         print(f"  {label} beta {beta}: first-moment ratio "
               f"{pdf.first_moment() / (beta * mean * mean):.4f}, total mass "
-              f"{pdf.total_mass():.4f}, {pdf.rescued_points} rescued")
+              f"{pdf.total_mass():.4f}, {pdf.rescued_points} rescued, "
+              f"most iterations per point {most[0]}")
 
 
 if __name__ == "__main__":

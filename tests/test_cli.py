@@ -97,6 +97,25 @@ class TestDetectCommand:
         assert out == ""
         assert err.startswith("error: ASCII payload holds 3 samples")
 
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("detect", "--kernel", "bogus", "unknown kernel 'bogus'"),
+        ("detect", "--phi", "-3", "phase must lie in [0, 1), got -3.0"),
+        ("estimate", "--phi", "-3", "phase must lie in [0, 1), got -3.0"),
+    ])
+    def test_image_model_flags_checked(self, capsys, tmp_path, command, flag,
+                                       value, message):
+        # an image is never resampled, but its model flags are checked as
+        # a synthetic block's are
+        pix = np.random.default_rng(0).integers(0, 256, (40, 40))
+        path = tmp_path / "noise.pgm"
+        path.write_text("P2 40 40 255\n"
+                        + "\n".join(" ".join(map(str, row)) for row in pix))
+        assert run(capsys, command, str(path))[0] == 0
+        code, out, err = run(capsys, command, str(path), flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("command", ["detect", "estimate"])
     def test_constant_image_exits_2(self, capsys, tmp_path, command):
         path = tmp_path / "flat.pgm"
@@ -291,6 +310,19 @@ REJECTED_VALUES = (
     ("spectrum", "--points", "100000000000"),
     # rejected before the field's Gram is allocated (7.28 TiB)
     ("generate", "--n", "1000000000000"),
+    # --kernel and --phi are checked at xi = 1, where they go unused
+    ("pdf", "--kernel", "bogus", "--points", "8"),
+    ("pdf", "--phi", "-3", "--points", "8"),
+    ("spectrum", "--kernel", "bogus"),
+    ("spectrum", "--phi", "1"),
+    ("generate", "--n", "8", "--kernel", "bogus"),
+    ("generate", "--n", "8", "--phi", "-3"),
+    ("detect", "--synthetic", "--kernel", "bogus"),
+    ("detect", "--synthetic", "--phi", "-3"),
+    ("estimate", "--synthetic", "--phi", "-3"),
+    # y / delta overflows: inf printed, or a LinAlgError traceback
+    ("generate", "--n", "4", "--sigma-s2", "1e300", "--delta", "1e-300"),
+    ("detect", "--synthetic", "--sigma-s2", "1e300", "--delta", "1e-300"),
 )
 
 

@@ -105,6 +105,17 @@ class TestViewEigenvalues:
                            match=r"expected a square block|outside 1\.\.N"):
             view_eigenvalues(np.ones(shape), k)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_values_that_are_not_finite(self, bad):
+        # eigvalsh ended in numpy's LinAlgError on such a block
+        cfg = DetectorConfig(k=3, delta=1.0)
+        with pytest.raises(InputError, match="NaN or infinite"):
+            detect(np.full((8, 8), bad), cfg)
+        blocks = np.random.default_rng(1).standard_normal((2, 8, 8))
+        blocks[1, 4, 4] = bad
+        with pytest.raises(InputError, match="NaN or infinite"):
+            block_kappas(blocks, cfg)
+
 
 class TestDecision:
     def test_genuine_blocks_pass(self):

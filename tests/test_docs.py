@@ -72,8 +72,8 @@ def test_readme_states_the_chain_stride():
 
 def test_readme_states_the_solver_settings():
     # the "Eta solver" bullet lists the solver's settings; a change to
-    # rmt's _TOLERANCE or _MAX_ITERS must change that text too, and no
-    # solve takes damped steps before Newton
+    # rmt's _TOLERANCE or _MAX_ITERS must change that text too; no solve
+    # takes damped steps, and the cap is the solver's one failure
     readme = (ROOT / "README.md").read_text()
     bullet = " ".join(readme.split("- **Eta solver.**", 1)[1].split())
     tolerance, iters = re.search(
@@ -81,5 +81,7 @@ def test_readme_states_the_solver_settings():
         r"([\d ]+) iterations per point\) are constants of `rmt`",
         bullet).groups()
     assert float(tolerance) == rmt._TOLERANCE
-    assert int(iters.replace(" ", "")) == rmt._MAX_ITERS
+    assert int(iters.replace(" ", "")) == rmt._MAX_ITERS == 100
     assert "damped" not in bullet
+    assert "divergence window" not in bullet
+    assert "stall counter" not in bullet

@@ -250,6 +250,15 @@ class TestUpscaleQuantize:
         err = quantize(y, 1.0) - y
         assert abs(err.var() - 1 / 12) / (1 / 12) < 0.05
 
+    def test_quantize_rejects_results_that_are_not_finite(self):
+        # y / delta past the float range, or y already NaN or inf
+        y = np.full((4, 4), 1e150)
+        assert np.isfinite(quantize(y, 1.0)).all()
+        for values, delta in ((y, 1e-300), (np.full(3, np.nan), 1.0),
+                              (np.array([0.0, -np.inf]), 1.0)):
+            with pytest.raises(InputError, match="not finite"):
+                quantize(values, delta)
+
     def test_quantize_applied_by_spec(self):
         spec = ResampleSpec(L=2, M=1, delta=2.0)
         y = upscale(np.random.default_rng(1).standard_normal((8, 8)) * 10,

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import budget_scan
 import respectra
 
 from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
@@ -193,6 +194,17 @@ def scan_laws():
                 yield law, xi, beta
 
 
+def density_workload():
+    """(law, xi, beta) of the benchmark's density workload's six calls."""
+    calls = [(law_genuine(0.97), 1.0, beta) for beta in (0.25, 0.5, 1.0)]
+    for name, lnum, m, beta in (("b-spline", 2, 1, 0.5),
+                                ("linear", 3, 2, 0.5),
+                                ("lanczos3", 3, 2, 1.0)):
+        spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
+        calls.append((law_upscaled(0.97, spec), spec.xi, beta))
+    return calls
+
+
 class TestEtaTransform:
     def test_eta_at_zero_is_one(self):
         law = law_genuine(0.97)
@@ -280,13 +292,14 @@ class TestEtaTransform:
         # a genuine divergence: MP at beta 0.5 and gamma = -10 puts
         # z = -1/gamma = 0.1 inside the support [0.086, 2.914], where the
         # fixed point has no real root; from a real start the iterates stay
-        # real, and the residual stays far from zero
+        # real, the residual stays far from zero, and the cap ends it
         mp = _LawAtoms(law_genuine(0.0))
         gamma = np.array([-10.0])
         for tol in (1e-6, 1e-14):
             with solver_settings(tolerance=tol), \
                     pytest.raises(ConvergenceFailure,
-                                  match=r"diverging at gamma=-10\.0") as err:
+                                  match=r"not converged after 100 iterations "
+                                        r"at gamma=-10\.0") as err:
                 _solve_e2(mp, mp, 0.5, gamma, warm=cold_starts(mp, gamma))
             assert err.value.residual > 1e-3
 
@@ -351,8 +364,8 @@ class TestOnePointPath:
          1.0, 1e-4, "not converged after 4 iterations"),
         # MP at beta 0.5 puts lambda 0.1 inside its support [0.086, 2.914],
         # where a real gamma has no root; nu = 1e-300 leaves gamma real to
-        # rounding, so Newton wanders and its residual stops falling
-        (0.0, {}, 0.1, 1e-300, "diverging"),
+        # rounding, so Newton wanders until the cap ends it
+        (0.0, {}, 0.1, 1e-300, "not converged after 100 iterations"),
     ], ids=["max_iters", "divergence"])
     def test_failure_matches_batch_row(self, solver_settings, rho, settings,
                                        lam, nu, match):
@@ -392,6 +405,35 @@ class TestOnePointPath:
         atoms = _LawAtoms(law_genuine(0.97))
         with pytest.raises(ValueError, match="needs its starts"):
             _solve_e2(atoms, atoms, 0.5, self.gammas(1.0, 1e-4))
+
+
+class TestIterationCap:
+    """A point that has not stopped after _MAX_ITERS Newton steps fails;
+    the solves that need the most steps stay far below that."""
+
+    def test_cap_has_a_threefold_margin(self, monkeypatch):
+        # _solve_at and eta_transform both solve through _solve_e2, so its
+        # spy sees every solve. Measured maxima: 3 over the benchmark's
+        # density calls, 27 at b-spline 2/1, beta 0.01 and 21 at genuine
+        # rho 0.97, beta 0.003 (the budget scan's calls below beta 0.05),
+        # 29 at genuine rho 0.9999, beta 1, gamma 1e14.
+        # count_iterations replaces _solve_e2 by its spy; monkeypatch puts
+        # the solver back after the test
+        monkeypatch.setattr(respectra.rmt, "_solve_e2",
+                            respectra.rmt._solve_e2)
+        most = budget_scan.count_iterations()
+        calls = density_workload() + [
+            (law, xi, beta) for _, law, xi, beta in budget_scan.outside()
+            if beta < 0.05]
+        for law, xi, beta in calls:
+            eigen_pdf(law, law, beta, xi=xi)
+        assert len(calls) == 8
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        for law in (law_genuine(0.9999), law_upscaled(0.97, spline)):
+            for beta in (0.003, 0.01, 0.03, 0.1, 0.3, 1.0):
+                for gamma in np.logspace(-8, 14, 45):
+                    eta_transform(law, law, beta, gamma)
+        assert most[0] <= respectra.rmt._MAX_ITERS // 3, most[0]
 
 
 class TestTangentStarts:
@@ -658,8 +700,8 @@ class TestEigenPdf:
     def test_tolerance_below_rounding_stops_at_the_maps_rounding(
             self, solver_settings):
         # with no step small enough, each point stops once its residual is
-        # within the map's rounding; before that stop every one of these 27
-        # calls stalled at its root and was reported as diverging. The
+        # within the map's rounding; without that stop every one of these
+        # 27 calls would sit at its root until the iteration cap. The
         # default solve lies within its tolerance of the peak of the
         # rounding-level one (measured: 5.3e-8, MP at beta 0.25)
         laws = [(law_genuine(0.0), 1.0), (law_genuine(0.9), 1.0),
@@ -1080,7 +1122,8 @@ class TestEigenPdf:
         with pytest.raises(ConvergenceFailure) as cold:
             _density_points(atoms, atoms, 0.5, afze(0.5, 1.0),
                             np.array([1.0]), 1e-300)
-        assert "diverging" in str(cold.value.__cause__)
+        assert "not converged after 100 iterations" \
+            in str(cold.value.__cause__)
         pdf = eigen_pdf(law, law, 0.5, grid=[1.0, 5.0], nu=1e-300)
         assert pdf.density[0] == pytest.approx(mp_density(1.0, 0.5)[()],
                                                rel=1e-12)
@@ -1106,13 +1149,8 @@ class TestEigenPdf:
         # the six laws of the benchmark's density workload at their default
         # calls take 4 098 iterations; solving every chain link to the full
         # tolerance on the walk itself takes 5 292
-        calls = [(law_genuine(0.97), 1.0, beta) for beta in (0.25, 0.5, 1.0)]
-        for name, lnum, m, beta in (("b-spline", 2, 1, 0.5),
-                                    ("linear", 3, 2, 0.5),
-                                    ("lanczos3", 3, 2, 1.0)):
-            spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
-            calls.append((law_upscaled(0.97, spec), spec.xi, beta))
-        pdfs = [eigen_pdf(law, law, beta, xi=xi) for law, xi, beta in calls]
+        pdfs = [eigen_pdf(law, law, beta, xi=xi)
+                for law, xi, beta in density_workload()]
         assert sum(pdf.solver_iterations for pdf in pdfs) <= 4200
         assert sum(pdf.rescued_points for pdf in pdfs) == 0
 
