@@ -41,7 +41,7 @@ edge = support_lower_edge(law, law, BETA)
 fields = [generate_field(ArParams(rho=RHO, n=N), seed=s) for s in range(SEEDS)]
 ks = sup_cdf_distance(pooled_nonzero_eigs(fields), pdf)
 print(f"genuine rho={RHO} beta={BETA}: zero mass {pdf.zero_mass:.2f}, "
-      f"support [{edge:.3g}, {pdf.lambda_plus():.3g}]")
+      f"support [{edge:.3g}, {pdf.upper_edge:.3g}]")
 print(f"  sup distance between empirical and analytic CDFs: {ks:.4f}")
 
 # upscaled by 2 with the b-spline kernel: eigenvalues pile up near zero

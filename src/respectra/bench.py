@@ -24,10 +24,10 @@ from .armodel import (_MEMO_SIDE, _MEMO_SIZE, ArParams, ar_gram_cholesky,
 from .detect import DetectorConfig, block_kappas
 from .errors import InputError, check_count
 from .matcore import spawn_seeds
-from .resample import (ResampleSpec, build_polyphase, get_kernel,
-                       kernel_autocorr, quantize, support_columns)
+from .resample import (ResampleSpec, build_polyphase, get_kernel, quantize,
+                       support_columns)
 from .rmt import eigen_pdf, support_lower_edge
-from .spectra import d_upscaled, law_genuine, law_upscaled
+from .spectra import law_genuine, law_upscaled
 
 KERNEL_NAMES = ("linear", "catmull-rom", "b-spline", "lanczos3")
 MAX_REALIZATIONS = 2 ** 13  # most Monte Carlo trials (see ExperimentSpec)
@@ -218,7 +218,7 @@ def _fig3(spec):
             count = int(round(n / xi))
             idx = np.arange(1, count + 1)
             omega = 2.0 * np.pi * (idx - 1) / (n / xi)
-            approx = np.sort(d_upscaled(omega, rho, kernel_autocorr(rspec)))[::-1]
+            approx = np.sort(law_upscaled(rho, rspec).transform(omega))[::-1]
             rows.extend((name, f"{lnum}/{m}", int(i), lam[i - 1], approx[i - 1])
                         for i in idx)
     return rows

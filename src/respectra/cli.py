@@ -24,7 +24,7 @@ from .estimate import EstimatorConfig, estimate
 from .pgm import central_block, read_pgm
 from .resample import ResampleSpec, get_kernel
 from .rmt import MAX_POINTS, eigen_pdf
-from .spectra import law_genuine, law_upscaled
+from .spectra import SpectralLaw
 
 DEFAULT_SEED = 12345
 
@@ -104,8 +104,6 @@ def build_parser():
                  "csv", synthetic=False)
     p.add_argument("--beta", type=float, default=1.0, help="aspect ratio K/N")
     p.add_argument("--points", type=int, default=512, help="lambda grid size")
-    p.add_argument("--nu", type=float, default=None,
-                   help="imaginary offset for the inversion")
 
     p = _command(sub, "spectrum", "limiting Toeplitz spectrum d(omega)",
                  _cmd_spectrum, "csv", synthetic=False)
@@ -157,14 +155,6 @@ def _spec(args):
                         kernel=get_kernel(args.kernel),
                         delta=getattr(args, "delta", None))
     return None if lnum == m else spec
-
-
-def _law(args):
-    """SpectralLaw of --rho, --xi, --kernel and --phi: genuine for xi = 1,
-    else upscaled."""
-    spec = _spec(args)
-    return (law_genuine(args.rho) if spec is None
-            else law_upscaled(args.rho, spec))
 
 
 def _synthetic_block(args, block_n):
@@ -219,8 +209,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_pdf(args):
-    law = _law(args)
-    pdf = eigen_pdf(law, law, args.beta, nu=args.nu, points=args.points)
+    law = SpectralLaw(args.rho, _spec(args))
+    pdf = eigen_pdf(law, law, args.beta, points=args.points)
     _write(args, lambda: {
         "zero_mass": pdf.zero_mass,
         "lambda": pdf.lambda_grid.tolist(),
@@ -236,7 +226,7 @@ def _cmd_pdf(args):
 def _cmd_spectrum(args):
     check_count("points", args.points, 1, MAX_POINTS)
     omega = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
-    values = _law(args).transform(omega)
+    values = SpectralLaw(args.rho, _spec(args)).transform(omega)
     _write(args, lambda: {"omega": omega.tolist(), "value": values.tolist()},
            ["omega", "value"], lambda: zip(omega.tolist(), values.tolist()))
 

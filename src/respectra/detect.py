@@ -106,15 +106,19 @@ def _beta(k, n):
 
 def _view_spectra(z, k):
     """Descending view spectra of every block of a checked (..., N, N)
-    stack, as ``view_eigenvalues`` forms them: returns (..., V, K)."""
+    stack, as ``view_eigenvalues`` forms them: returns (..., V, K). Raises
+    InputError when a Gram product overflows (values past about 1e154)."""
     n = z.shape[-1]
     lead = z.shape[:-2]
     # the two products interleave row by row, so the pair stride (N) is
     # below the window stride (2N + 1) and eigvalsh lays its output out in
     # view order: the reshape below is a view, not a copy
     pair = np.empty(lead + (n, 2, n))
-    np.matmul(z.swapaxes(-1, -2), z, out=pair[..., 0, :])
-    np.matmul(z, z.swapaxes(-1, -2), out=pair[..., 1, :])
+    with np.errstate(over="ignore"):
+        np.matmul(z.swapaxes(-1, -2), z, out=pair[..., 0, :])
+        np.matmul(z, z.swapaxes(-1, -2), out=pair[..., 1, :])
+    if not np.isfinite(pair).all():
+        raise InputError("the block's Gram products overflow")
     pair /= n
     *s_lead, s_row, s_pair, s_col = pair.strides
     grams = as_strided(pair, shape=lead + (n - k + 1, 2, k, k),

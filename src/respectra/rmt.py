@@ -7,8 +7,11 @@ solves a two-variable fixed point in the expectations
 
 where D and T are drawn from the limiting spectral laws of C C^T and
 A A^T. After convergence eta(gamma) = E[ 1 / (1 + gamma beta D E2*) ].
-Expectations reduce to angular quadrature against the laws' transforms
-plus the explicit point-mass branch. The Stieltjes transform follows from
+The laws are SpectralLaw values (rho and, after upscaling, the
+ResampleSpec); this module reads only what they derive from those: the
+transform, angular density, zero mass, xi and descriptor. Expectations
+reduce to angular quadrature against the laws' transforms plus the
+explicit point-mass branch. The Stieltjes transform follows from
 S(-1/gamma) = gamma eta(gamma), and evaluating it just above the real axis
 recovers the eigenvalue density.
 
@@ -396,8 +399,10 @@ class EigenPdf:
 
     ``density`` is the continuous density of the full empirical spectral
     distribution (its integral tends to beta/xi; zero_mass accounts for the
-    rest). On the default grid, which ends at 1.02 times the upper support
-    edge, zero_mass + integral = 1 within 1e-2 (eigen_pdf states the betas
+    rest). ``upper_edge`` is the upper edge of the nonzero-eigenvalue
+    support: the fold of the fixed point's real inverse map, not read from
+    the grid. On the default grid, which ends at 1.02 times that edge,
+    zero_mass + integral = 1 within 1e-2 (eigen_pdf states the betas
     where this was measured). ``nu`` is the imaginary offset used for the
     inversion, by default 1e-4 times the grid's first point; the known
     point mass smeared by nu, at the floor of a grid with a gap still 0.8
@@ -440,11 +445,6 @@ class EigenPdf:
         if total <= 0:
             raise InputError("density integrates to zero; no continuous part")
         return cum / total
-
-    def lambda_plus(self):
-        """The upper edge of the nonzero-eigenvalue support: the fold of
-        the fixed point's real inverse map, not read from the grid."""
-        return self.upper_edge
 
 
 def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm, loose=False):

@@ -10,12 +10,13 @@ edges for the quantization noise and the signal/noise gap bounds built from
 them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, check_range
-from .resample import kernel_autocorr
+from .resample import ResampleSpec, kernel_autocorr
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,33 +43,72 @@ def d_upscaled(omega, rho, r_hh):
 
     The Toeplitz-averaging approximation can turn slightly negative near
     discontinuities of the true spectrum; a spectrum is nonnegative, so
-    negative values are clamped to zero (law_upscaled counts them).
+    negative values are clamped to zero (SpectralLaw.negative_clamped
+    counts them).
     """
     return np.clip(d_genuine(omega, rho) * cosine_series(omega, r_hh), 0.0, None)
 
 
 @dataclass(frozen=True)
 class SpectralLaw:
-    """Law of a limiting-spectrum random variable.
+    """Law of a limiting-spectrum random variable, as data: the AR
+    coefficient ``rho`` and, for an upscaled law, the ``spec`` that
+    upscaled it (None for a genuine law). Laws compare and hash by these
+    two values (the spec's quantization step included, though no law
+    reads it); everything else is derived from them.
 
-    A draw is 0 with probability ``zero_mass``; otherwise an angle is drawn
-    with the constant density ``angular_density`` on (0, 2 pi) and mapped
-    through ``transform``. The transform is even around pi for every law
-    built here. ``negative_clamped`` counts probe points at which the raw
-    upscaled spectrum was negative before clamping.
+    A draw is 0 with probability ``zero_mass`` = 1 - 1/xi; otherwise an
+    angle is drawn with the constant density ``angular_density`` =
+    1/(2 pi xi) on (0, 2 pi) and mapped through ``transform``, the
+    spectrum d' with the kernel autocorrelation ``r_hh`` (r_hh = [1] and
+    xi = 1 for a genuine law, where d' is d). The transform is even
+    around pi. ``negative_clamped`` counts the 4096 probe angles at which
+    the raw spectrum is negative before clamping; it and ``r_hh`` are
+    computed on first read. Raises InputError for rho outside [0, 1) or
+    a spec with L = M.
     """
 
-    zero_mass: float
-    transform: callable = field(repr=False)
-    angular_density: float
-    xi: float = 1.0
-    descriptor: str = ""
-    negative_clamped: int = 0
+    rho: float
+    spec: ResampleSpec = None
 
     def __post_init__(self):
-        total = self.zero_mass + self.angular_density * TWO_PI
-        if abs(total - 1.0) > 1e-12:
-            raise InputError(f"law masses add to {total}, expected 1")
+        check_range("rho", self.rho, 0, 1, high_open=True)
+        if self.spec is not None and self.spec.L == self.spec.M:
+            raise InputError(f"upscaled law requires xi > 1, got xi={self.xi}")
+
+    @property
+    def xi(self):
+        return 1.0 if self.spec is None else self.spec.xi
+
+    @property
+    def zero_mass(self):
+        return 1.0 - 1.0 / self.xi
+
+    @property
+    def angular_density(self):
+        return 1.0 / (TWO_PI * self.xi)
+
+    @cached_property
+    def r_hh(self):
+        r_hh = np.ones(1) if self.spec is None else kernel_autocorr(self.spec)
+        r_hh.flags.writeable = False  # every read shares it
+        return r_hh
+
+    def transform(self, omega):
+        return d_upscaled(omega, self.rho, self.r_hh)
+
+    @property
+    def descriptor(self):
+        if self.spec is None:
+            return f"genuine(rho={self.rho})"
+        return (f"upscaled(rho={self.rho}, xi={self.spec.L}/{self.spec.M}, "
+                f"kernel={self.spec.kernel.name}, phi={self.spec.phi})")
+
+    @cached_property
+    def negative_clamped(self):
+        probe = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        raw = d_genuine(probe, self.rho) * cosine_series(probe, self.r_hh)
+        return int((raw < 0).sum())
 
     def mean(self, nodes, panel_weights):
         """E[value] using quadrature nodes on (0, pi), symmetry doubled; the
@@ -79,35 +119,13 @@ class SpectralLaw:
 
 def law_genuine(rho):
     """Law of the AR(1) limiting spectrum: d(Omega), Omega uniform, no mass."""
-    check_range("rho", rho, 0, 1, high_open=True)
-    return SpectralLaw(
-        zero_mass=0.0,
-        transform=lambda w: d_genuine(w, rho),
-        angular_density=1.0 / TWO_PI,
-        xi=1.0,
-        descriptor=f"genuine(rho={rho})",
-    )
+    return SpectralLaw(rho)
 
 
 def law_upscaled(rho, spec):
     """Mixed law after upscaling by xi > 1: P(value=0) = 1 - 1/xi, and the
-    continuous branch maps a (2 pi xi)^-1-density angle through d'; clamps
-    are counted on 4096 probe angles; d_genuine checks rho."""
-    xi = spec.xi
-    if spec.L == spec.M:  # ResampleSpec holds L >= M
-        raise InputError(f"upscaled law requires xi > 1, got xi={xi}")
-    r_hh = kernel_autocorr(spec)
-    probe = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    raw = d_genuine(probe, rho) * cosine_series(probe, r_hh)
-    return SpectralLaw(
-        zero_mass=1.0 - 1.0 / xi,
-        transform=lambda w: d_upscaled(w, rho, r_hh),
-        angular_density=1.0 / (TWO_PI * xi),
-        xi=xi,
-        descriptor=f"upscaled(rho={rho}, xi={spec.L}/{spec.M}, "
-                   f"kernel={spec.kernel.name}, phi={spec.phi})",
-        negative_clamped=int((raw < 0).sum()),
-    )
+    continuous branch maps a (2 pi xi)^-1-density angle through d'."""
+    return SpectralLaw(rho, spec)
 
 
 def afze(beta, xi=1.0):

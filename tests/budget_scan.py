@@ -10,11 +10,13 @@ first-moment misses, mass misses, rescued points and solver iterations, and
 the largest total-mass and first-moment errors over all calls, with the
 call where each falls, so a change can quote its margin as well as its
 misses, and likewise the most solver iterations any one point took, which
-measures the margin to the solver's cap (``rmt._MAX_ITERS``). Last it
-prints four calls outside the range the budgets are stated for (beta
-below 0.05, rho 0.9999), with their first-moment ratio, total mass,
-rescued points and most iterations per point; they are not counted as
-misses.
+measures the margin to the solver's cap (``rmt._MAX_ITERS``), and the
+summed ``negative_clamped`` of the 28 laws: the probe angles at which a
+raw spectrum is negative before clamping, expected 0 (a law counts them
+only when the count is read). Last it prints four calls outside the
+range the budgets are stated for (beta below 0.05, rho 0.9999), with
+their first-moment ratio, total mass, rescued points and most iterations
+per point; they are not counted as misses.
 
 Run from the repository root (about a minute on one core):
 
@@ -77,11 +79,12 @@ def main():
     nodes, weights = quadrature_nodes()
     most = count_iterations()
     deepest = (0, "")
-    calls = raised = moment = mass = rescued = iterations = 0
+    calls = raised = moment = mass = rescued = iterations = clamped = 0
     worst = {"mass": (0.0, ""), "first moment": (0.0, "")}
     start = time.perf_counter()
     for label, law, xi in laws():
         mean = law.mean(nodes, weights)
+        clamped += law.negative_clamped
         for beta in BETAS:
             calls += 1
             most[0] = 0
@@ -116,6 +119,7 @@ def main():
     for name, (err, call) in worst.items():
         print(f"largest {name} error {err:.2e} ({call})")
     print(f"most iterations per point {deepest[0]} ({deepest[1]})")
+    print(f"negative_clamped probe angles {clamped} (expected 0)")
     print("outside the budgets' stated range, not counted as misses:")
     for label, law, xi, beta in outside():
         mean = law.mean(nodes, weights)

@@ -70,7 +70,7 @@ def test_criterion_01_mp_closed_form_oracle(solver_settings):
             if beta < 1.0:
                 edge = support_lower_edge(law, law, beta)
                 assert abs(np.log(edge / lo)) <= log_step
-            assert abs(np.log(pdf.lambda_plus() / hi)) <= log_step
+            assert abs(np.log(pdf.upper_edge / hi)) <= log_step
             details.append(f"beta={beta}: max|err|={err:.2e} (1% cap "
                            f"{0.01 * fmax:.2e})")
     report(1, "MP closed-form oracle", "; ".join(details))

@@ -34,6 +34,8 @@ REMOVED_FLAGS = (
     ("pdf", "--seed", "1"), ("spectrum", "--sigma-s2", "1"),
     ("spectrum", "--n", "8"), ("spectrum", "--delta", "1"),
     ("spectrum", "--seed", "1"),
+    # the library keeps eigen_pdf(nu=); the command line takes its default
+    ("pdf", "--nu", "1"),
 )
 
 
@@ -188,8 +190,8 @@ class TestPdfCommand:
             assert payload[key] == getattr(pdf, key)
         assert payload["solver_iterations"] > 0
 
-    @pytest.mark.parametrize("flags", [("--nu", "nan"), ("--nu", "inf"),
-                                       ("--nu", "0"), ("--points", "0"),
+    @pytest.mark.parametrize("flags", [("--beta", "nan"), ("--beta", "inf"),
+                                       ("--beta", "0"), ("--points", "0"),
                                        ("--points", "1")])
     def test_degenerate_inputs_exit_2(self, capsys, flags):
         code, out, err = run(capsys, "pdf", "--rho", "0.9", "--beta", "0.5",
@@ -323,6 +325,9 @@ REJECTED_VALUES = (
     # y / delta overflows: inf printed, or a LinAlgError traceback
     ("generate", "--n", "4", "--sigma-s2", "1e300", "--delta", "1e-300"),
     ("detect", "--synthetic", "--sigma-s2", "1e300", "--delta", "1e-300"),
+    # finite values whose Gram products overflow: a LinAlgError traceback
+    ("detect", "--synthetic", "--sigma-s2", "1e308"),
+    ("estimate", "--synthetic", "--sigma-s2", "1e308"),
 )
 
 

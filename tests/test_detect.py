@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,19 @@ class TestViewEigenvalues:
         blocks[1, 4, 4] = bad
         with pytest.raises(InputError, match="NaN or infinite"):
             block_kappas(blocks, cfg)
+
+    def test_rejects_blocks_whose_grams_overflow(self):
+        # finite values past about 1e154 overflow the Gram products, on
+        # which eigvalsh ended in numpy's LinAlgError; the overflow warning
+        # is silenced, as quantize silences its own
+        z = np.random.default_rng(0).standard_normal((32, 32)) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: detect(z, DetectorConfig()),
+                         lambda: estimate(z, EstimatorConfig()),
+                         lambda: block_kappas(z[None], DetectorConfig())):
+                with pytest.raises(InputError, match="Gram products overflow"):
+                    call()
 
 
 class TestDecision:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import budget_scan
 import respectra
 
 from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
-                       ResampleSpec, SpectralLaw, afze, eigen_pdf,
+                       ResampleSpec, afze, eigen_pdf,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
 from respectra.rmt import (_CHAIN_STRIDE, _density_points, _eta_given_e2,
@@ -461,7 +462,7 @@ class TestTangentStarts:
         edge = support_lower_edge(law, law, beta)
         atoms, zero_mass = _LawAtoms(law), afze(beta, xi)
         peak = pdf.lambda_grid[np.argmax(pdf.density)]
-        lams = (0.5 * edge, peak, 3.0 * edge, 2.0 * pdf.lambda_plus())
+        lams = (0.5 * edge, peak, 3.0 * edge, 2.0 * pdf.upper_edge)
         for lam, start in zip(lams, walk_e2(law, beta, xi, lams)):
             args = (atoms, atoms, beta, zero_mass)
             _, e2, _, _, rescued, tangent = _density_points(
@@ -627,8 +628,8 @@ class TestEigenPdf:
         step = np.diff(np.log(pdf.lambda_grid)).max()
         assert support_lower_edge(law, law, 0.5) == pytest.approx(
             lo, rel=1e-12)
-        assert abs(np.log(pdf.lambda_plus() / hi)) <= 2 * step
-        assert pdf.lambda_plus() == pytest.approx(hi, rel=1e-12)
+        assert abs(np.log(pdf.upper_edge / hi)) <= 2 * step
+        assert pdf.upper_edge == pytest.approx(hi, rel=1e-12)
 
     @staticmethod
     def grid_from_near_zero(law, beta):
@@ -1011,13 +1012,16 @@ class TestEigenPdf:
 
     def test_support_edge_counts_zero_atoms_with_point_mass(self):
         # a law that is 0 on part of the angles has the edge of the law
-        # with that part moved into its point mass
+        # with that part moved into its point mass. Every SpectralLaw is
+        # positive at every angle, so both laws are stand-ins holding the
+        # three fields the atoms read
         nodes, weights = quadrature_nodes()
         p = weights[nodes < 1.0].sum() / np.pi
-        cut = SpectralLaw(zero_mass=0.0, angular_density=0.5 / np.pi,
-                          transform=lambda w: np.where(w < 1.0, 1.0, 0.0))
-        massed = SpectralLaw(zero_mass=1.0 - p, angular_density=0.5 * p / np.pi,
-                             transform=np.ones_like)
+        cut = SimpleNamespace(zero_mass=0.0, angular_density=0.5 / np.pi,
+                              transform=lambda w: np.where(w < 1.0, 1.0, 0.0))
+        massed = SimpleNamespace(zero_mass=1.0 - p,
+                                 angular_density=0.5 * p / np.pi,
+                                 transform=np.ones_like)
         for beta in (0.25, 0.5):
             assert support_lower_edge(cut, cut, beta) == pytest.approx(
                 support_lower_edge(massed, massed, beta), rel=1e-12)

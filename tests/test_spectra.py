@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from respectra import (ArParams, DetectorConfig, EstimatorConfig,
-                       InputError, KERNELS, ResampleSpec, afze,
+                       InputError, KERNELS, ResampleSpec, SpectralLaw, afze,
                        cosine_series, d_genuine, d_upscaled, eigen_pdf,
                        gap_lower_bound, gaussian_matrix, kernel_autocorr,
                        law_genuine, law_upscaled, mp_edges, quadrature_nodes,
@@ -77,6 +77,34 @@ class TestLaws:
     def test_upscaled_rejects_identity(self):
         with pytest.raises(InputError, match="requires xi > 1"):
             law_upscaled(0.97, ResampleSpec(L=1, M=1))
+
+    def test_laws_are_values(self):
+        # a law is rho and its spec: built twice it is equal, hashes
+        # equal, and the constructors build the same value
+        spec = ResampleSpec(L=3, M=2, kernel=KERNELS["b-spline"])
+        assert law_genuine(0.97) == law_genuine(0.97)
+        assert hash(law_genuine(0.97)) == hash(law_genuine(0.97))
+        assert law_upscaled(0.97, spec) == law_upscaled(
+            0.97, ResampleSpec(L=3, M=2, kernel=KERNELS["b-spline"]))
+        assert SpectralLaw(0.97, spec) == law_upscaled(0.97, spec)
+        assert SpectralLaw(0.97) == law_genuine(0.97)
+        assert len({law_genuine(0.97), law_upscaled(0.97, spec),
+                    SpectralLaw(0.97, spec), law_genuine(0.9)}) == 3
+
+    def test_derived_fields_follow_rho_and_spec(self):
+        spec = ResampleSpec(L=3, M=2, kernel=KERNELS["linear"])
+        law = law_upscaled(0.9, spec)
+        assert law.xi == 1.5
+        assert np.array_equal(law.r_hh, kernel_autocorr(spec))
+        w = np.linspace(0.0, 2.0 * np.pi, 9)
+        assert np.array_equal(law.transform(w),
+                              d_upscaled(w, 0.9, kernel_autocorr(spec)))
+        assert law.descriptor == ("upscaled(rho=0.9, xi=3/2, kernel=linear, "
+                                  "phi=0.0)")
+        gen = law_genuine(0.9)
+        assert (gen.xi, gen.descriptor) == (1.0, "genuine(rho=0.9)")
+        assert np.array_equal(gen.r_hh, [1.0])
+        assert np.array_equal(gen.transform(w), d_genuine(w, 0.9))
 
     def test_genuine_mean_closed_form(self):
         nodes, weights = quadrature_nodes()
@@ -192,6 +220,9 @@ RANGE_CHECKS = (
     ("mp_edges.sigma_w2", lambda x: mp_edges(x, 0.5),
      "sigma_w2 must be positive"),
     ("mp_edges.beta", lambda x: mp_edges(1.0, x), "beta must be nonnegative"),
+    ("SpectralLaw.rho", SpectralLaw, r"rho must lie in \[0, 1\)"),
+    ("law_upscaled.rho", lambda x: law_upscaled(x, ResampleSpec(L=2, M=1)),
+     r"rho must lie in \[0, 1\)"),
 )
 
 
