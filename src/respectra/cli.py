@@ -17,7 +17,7 @@ import numpy as np
 
 from .armodel import standardize
 from .bench import (format_csv, genuine_block, parse_factor, run_figure,
-                    upscaled_block)
+                    upscaled_block, write_text)
 from .detect import DetectorConfig, detect
 from .errors import InputError, NumericalError, check_count
 from .estimate import EstimatorConfig, estimate
@@ -62,7 +62,8 @@ def _command(sub, name, helptext, run, fmt, synthetic):
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: RMT_SEED env or 12345)")
     p.add_argument("--xi", default="1",
-                   help="resampling factor, e.g. 2 or 3/2 (1 = genuine)")
+                   help="resampling factor L/M with M <= 64, e.g. 2, 3/2 "
+                        "or 1.5 (1 = genuine)")
     p.add_argument("--kernel", default="linear",
                    help="interpolation kernel "
                         "(linear, catmull-rom, b-spline, lanczos3)")
@@ -140,8 +141,7 @@ def _write(args, payload, header, rows, indent=2):
         sys.stdout.write(text)
         return
     try:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        write_text(args.out, text)
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc}") from exc
 

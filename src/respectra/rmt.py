@@ -33,17 +33,22 @@ Where Newton converges quadratically (away from support edges) the E2
 error is thus far below the tolerance; this matters near zero, where
 |S| ~ zero_mass/|lambda + i nu| amplifies it. The points are rows of
 (points x atoms) arrays summed along the atom axis, so a point's answer
-does not depend on the other points or on BLAS. The solver has two paths
-over one map and slope (_fixed_point_map, _map_slope), picked by the
-number of points. A single gamma (eta_transform's, each chain link's
-loose walk, the sqrt probe, a one-point rescue) keeps its stop test in
-Python scalars; for real gamma > 0, which only eta_transform solves, its
-iterates also stay inside a bracket around the positive root, the
-physical one. A vector of gamma, always complex and always given its
-starts (the density sweep's batches and rescues), keeps its stop test in
-per-point masks. Both do the same arithmetic on one-row arrays and take
-magnitudes as libm's hypot (_modulus), so a point's bits from a given
-start do not depend on the path. Each also
+does not depend on the other points or on BLAS. Every solve enters
+_solve_e2, and the solver has two paths over one map and slope
+(_fixed_point_map, _map_slope). A scalar gamma that is real
+(eta_transform's) or walked loose (each chain link) is solved in Python
+scalars (_solve_one): its start, iterates, stop test and tangent are
+scalars, and numpy does only the four atom sums of each evaluation, so a
+chain link does not pay numpy's per-call cost on one-row arrays. For
+real gamma > 0, which only eta_transform solves, its iterates also stay
+inside a bracket around the positive root, the physical one. Every other
+gamma (the density sweep's batches, the sqrt probe, a rescue) is solved
+as a vector with its stop test in per-point masks, so a point solved to
+the tolerance has the same bits in any batch. Both paths take magnitudes
+as libm's hypot (_modulus); Python's complex multiply and divide round
+differently from numpy's array loops in the last ulp on some inputs, so
+a link's loose E2, which is only a start, can differ in its last bits
+from a batch row's. Each path also
 returns d log E2 / d log gamma from the sums of the last map evaluation
 (_log_tangent), which costs no atom sum of its own. _density_points is
 the one place that solves at points lambda + i nu, forms S and the
@@ -181,24 +186,31 @@ class _LawAtoms:
         return self._complex
 
 
+def _column(v):
+    """A vector of points as a column against the atom axis, a scalar as
+    it is: v times an atom array is then (points x atoms) or (atoms,)."""
+    return v[:, None] if isinstance(v, np.ndarray) else v
+
+
 def _fixed_point_map(atoms_d, atoms_t, g, gb, x):
-    """F(x) = g(x) - x at each point of the vector x, where gb = gamma beta;
-    also returns the first atom sum e1 = E1 at x and the reciprocals
-    (ra, rb) of the two atom sums, from which _map_slope forms g'(x).
-    Points are rows of (points x atoms) arrays summed along the atom axis,
-    so each row is computed alone."""
-    ra = np.reciprocal(1.0 + (gb * x)[:, None] * atoms_d.values)
-    e1 = np.add.reduce(atoms_d.wv * ra, axis=1)
-    rb = np.reciprocal(1.0 + (g * e1)[:, None] * atoms_t.values)
-    return np.add.reduce(atoms_t.wv * rb, axis=1) - x, e1, ra, rb
+    """F(x) = g(x) - x at a scalar x, or at each point of a vector x, where
+    gb = gamma beta; also returns the first atom sum e1 = E1 at x and the
+    reciprocals (ra, rb) of the two atom sums, from which _map_slope forms
+    g'(x). A vector's points are rows of (points x atoms) arrays summed
+    along the atom axis, so each row is computed alone, by the same loops
+    over the atoms as a scalar point."""
+    ra = np.reciprocal(1.0 + _column(gb * x) * atoms_d.values)
+    e1 = np.add.reduce(atoms_d.wv * ra, axis=-1)
+    rb = np.reciprocal(1.0 + _column(g * e1) * atoms_t.values)
+    return np.add.reduce(atoms_t.wv * rb, axis=-1) - x, e1, ra, rb
 
 
 def _map_slope(atoms_d, atoms_t, ggb, ra, rb):
     """g'(x) = gamma^2 beta A B at each point from the reciprocals of
     _fixed_point_map, where ggb = gamma^2 beta, A = sum(wv2_T rb^2) and
     B = sum(wv2_D ra^2); also returns A, which _log_tangent reads."""
-    a = np.add.reduce(atoms_t.wv2 * rb * rb, axis=1)
-    return ggb * a * np.add.reduce(atoms_d.wv2 * ra * ra, axis=1), a
+    a = np.add.reduce(atoms_t.wv2 * rb * rb, axis=-1)
+    return ggb * a * np.add.reduce(atoms_d.wv2 * ra * ra, axis=-1), a
 
 
 def _log_tangent(g, x, e1, slope, a):
@@ -210,10 +222,9 @@ def _log_tangent(g, x, e1, slope, a):
 
 
 def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
-    """Solve E2 = g(E2) at each point of a vector of gamma; returns arrays
-    (e2, iterations, tangent) over the points, the tangent being
-    d log E2 / d log gamma (_log_tangent) from the sums of the last map
-    evaluation.
+    """Solve E2 = g(E2) at a gamma or at each point of a vector of gamma;
+    returns (e2, iterations, tangent), the tangent being d log E2 / d log
+    gamma (_log_tangent) from the sums of the last map evaluation.
 
     ``warm`` gives each point its start E2. Every point takes Newton steps
     on F(x) = g(x) - x from its start, with g'(x) from the same atom sums
@@ -245,34 +256,34 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     residual. The most any solve of the budget scan or of an
     eta_transform sweep takes is 29 (test_rmt's TestIterationCap).
 
-    A single gamma (eta_transform's, a chain link's loose walk, the sqrt
-    probe, a one-point rescue) is solved by _solve_one, which also
-    brackets real gamma > 0. A vector of gamma, always complex from the
-    density sweep,
-    is solved here: points are the rows of (points x atoms) arrays, summed
-    along the atom axis only, and each has its own stop test, so a
-    point's answer does not depend on the other points. Converged rows
-    leave the arrays. A failure names the index of its point in
-    ConvergenceFailure.point. A vector of gamma without starts raises
-    ValueError.
+    Every solve enters here, and the form of gamma picks the path. A
+    scalar gamma that is real (eta_transform's) or solved loose (a chain
+    link's walk) is solved by _solve_one in Python scalars, which returns
+    scalars and brackets real gamma > 0. Any other gamma, a vector or a
+    complex scalar at the full tolerance (the density sweep's batches,
+    the sqrt probe, a rescue), is solved here as a vector (a scalar as one
+    point) and gives arrays over its points: points are the rows of
+    (points x atoms) arrays, summed along the atom axis only, and each has
+    its own stop test, so a point's answer does not depend on the other
+    points. Converged rows leave the arrays. A failure names the index of
+    its point in ConvergenceFailure.point. A vector of more than one gamma
+    without starts raises ValueError.
     """
+    tolerance = _LOOSE if loose else _TOLERANCE
+    if not isinstance(gamma, np.ndarray) and (
+            loose or not isinstance(gamma, complex)):
+        return _solve_one(atoms_d, atoms_t, beta, gamma, warm, tolerance)
     gamma = np.atleast_1d(gamma) * 1.0
     if warm is None:
         if len(gamma) != 1:
             raise ValueError("a vector of gamma needs its starts")
-        # paper-style initialization E1 = 1
-        x = np.add.reduce(
-            atoms_t.wv / (1.0 + gamma[:, None] * atoms_t.values), axis=1)
+        x = _cold_start(atoms_t, gamma)
     else:
         x = warm + np.zeros(len(gamma), gamma.dtype)
     if np.iscomplexobj(x):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
     gb, ggb = gamma * beta, gamma * gamma * beta
     rounding = _map_rounding(atoms_d, atoms_t)
-    tolerance = _LOOSE if loose else _TOLERANCE
-    if len(x) == 1:
-        return _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding,
-                          tolerance)
     e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
     tangent = np.empty_like(x)
     point, g = np.arange(len(x)), gamma
@@ -305,6 +316,13 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
         f"at gamma={gamma[point[0]]}", residual=residual[0], point=point[0])
 
 
+def _cold_start(atoms_t, gamma):
+    """The paper-style start E2 = E[T / (1 + gamma T)] (E1 = 1) at a gamma
+    or at each point of a vector of gamma."""
+    return np.add.reduce(
+        atoms_t.wv / (1.0 + _column(gamma) * atoms_t.values), axis=-1)
+
+
 def _map_rounding(atoms_d, atoms_t):
     """(n_D + n_T) eps/2, the fixed-point map's rounding relative to |E2|."""
     return 0.5 * _EPS * (atoms_d.values.size + atoms_t.values.size)
@@ -314,21 +332,26 @@ def _modulus(z):
     """|z| elementwise, as the libm hypot that Python's abs applies to one
     complex scalar. numpy's vectorized complex absolute differs from it in
     the last ulp on about a third of inputs; measured this way, a batch row
-    and _solve_one take their Newton switch and stop test on the same bits.
+    and _solve_one stop by the same rule.
     """
     return np.hypot(z.real, z.imag)
 
 
-def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, tolerance):
-    """_solve_e2 at one point: gamma, gamma beta, gamma^2 beta and the
-    start x are arrays of one entry, ``rounding`` the map's relative
-    rounding and ``tolerance`` the largest relative Newton step that ends
-    the solve (_TOLERANCE, or _LOOSE for a chain link's walk). It takes
-    Newton steps from the first iteration, and the map, slope, step and
-    tangent are _solve_e2's on a one-row array, so an unbracketed point's
-    answer is bit-identical to that row of a batch from the same start
-    and tolerance. The stop test takes Python scalars. Failures raise as
-    in _solve_e2, with point 0.
+def _solve_one(atoms_d, atoms_t, beta, gamma, x, tolerance):
+    """_solve_e2 at one scalar gamma from the scalar start x (None for a
+    cold start), ``tolerance`` being the largest relative Newton step that
+    ends the solve (_TOLERANCE, or _LOOSE for a chain link's walk). The
+    start, iterates, stop test and tangent are scalars, and numpy does only
+    the four atom sums of each evaluation (_fixed_point_map, _map_slope,
+    the batch loop's map and slope on one point): a chain link's walk does
+    not pay numpy's per-call cost on one-row arrays. Returns (e2,
+    iterations, tangent) as scalars. Failures raise as in _solve_e2, with
+    point 0.
+
+    Python's complex multiply and divide round differently from numpy's
+    array loops in the last ulp on some inputs, so a complex point solved
+    here may differ from that row of a batch in its last bits; _solve_e2
+    sends a complex gamma here only for a loose walk, whose E2 is a start.
 
     For real gamma > 0 the positive root is the physical one: F(0) > 0 >
     F(x) for every x >= E[T], so the start is clamped into (0, E[T]) (a
@@ -336,35 +359,41 @@ def _solve_one(atoms_d, atoms_t, gamma, gb, ggb, x, rounding, tolerance):
     bracket (lo, hi) shrinks to the sign change at each evaluation, and a
     step leaving it is replaced by bisection.
     """
-    bracketed = gamma[0].imag == 0 and gamma[0].real > 0
+    if x is None:
+        x = _cold_start(atoms_t, gamma)
+    if isinstance(x, complex) or isinstance(gamma, complex):
+        atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
+    bracketed = not isinstance(gamma, complex) and gamma > 0
     lo, hi = 0.0, atoms_t.mean
-    if bracketed and not lo < x[0].real < hi:
-        x = np.full_like(x, 0.5 * (lo + hi))
+    if bracketed and not lo < x.real < hi:
+        x = 0.5 * (lo + hi)
+    gb, ggb = gamma * beta, gamma * gamma * beta
+    rounding = _map_rounding(atoms_d, atoms_t)
     for it in range(1, _MAX_ITERS + 1):
         f, e1, ra, rb = _fixed_point_map(atoms_d, atoms_t, gamma, gb, x)
-        residual = abs(f[0])
+        residual = abs(f)
         if bracketed:
-            lo, hi = (x[0].real, hi) if f[0].real > 0 else (lo, x[0].real)
+            lo, hi = (x.real, hi) if f.real > 0 else (lo, x.real)
         slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
         step = f / (1.0 - slope)
-        if bracketed and not lo < (x[0] + step[0]).real < hi:
+        if bracketed and not lo < (x + step).real < hi:
             step = 0.5 * (lo + hi) - x
         new = x + step
-        stepped = abs(step[0]) <= tolerance * abs(new[0])
-        if stepped or residual <= rounding * abs(x[0]):
-            return (new if stepped else x), np.array([it]), \
+        stepped = abs(step) <= tolerance * abs(new)
+        if stepped or residual <= rounding * abs(x):
+            return (new if stepped else x), it, \
                 _log_tangent(gamma, x, e1, slope, a)
         x = new
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
-        f"at gamma={gamma[0]}", residual=residual, point=0)
+        f"at gamma={gamma}", residual=residual, point=0)
 
 
 def _eta_given_e2(atoms_d, beta, gamma, e2):
     if np.iscomplexobj(e2):
         atoms_d = atoms_d.as_complex()
     return atoms_d.mass + np.add.reduce(atoms_d.weights / (
-        1.0 + (gamma * beta * e2)[:, None] * atoms_d.values), axis=1)
+        1.0 + _column(gamma * beta * e2) * atoms_d.values), axis=-1)
 
 
 def eta_transform(law_d, law_t, beta, gamma):
@@ -387,9 +416,8 @@ def eta_transform(law_d, law_t, beta, gamma):
         return 1.0
     atoms_d = _LawAtoms(law_d)
     atoms_t = _LawAtoms(law_t)
-    gamma = np.atleast_1d(gamma)
-    e2 = _solve_e2(atoms_d, atoms_t, beta, gamma)[0]
-    return _eta_given_e2(atoms_d, beta, gamma, e2)[0]
+    e2 = _solve_e2(atoms_d, atoms_t, beta, float(gamma))[0]
+    return _eta_given_e2(atoms_d, beta, float(gamma), e2)
 
 
 @dataclass(frozen=True)
@@ -448,18 +476,19 @@ class EigenPdf:
 
 
 def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm, loose=False):
-    """_solve_e2 at gamma = -1/(lam + i nu) for the points lam; returns
-    (gamma, e2, iterations, tangent), the tangent d log E2 / d log lambda
-    being lambda gamma times the solver's d log E2 / d log gamma. A
-    failure raises ConvergenceFailure naming the lambda of its point."""
+    """_solve_e2 at gamma = -1/(lam + i nu) for a point lam or the points
+    of a vector lam; returns (gamma, e2, iterations, tangent), the tangent
+    d log E2 / d log lambda being lambda gamma times the solver's d log E2
+    / d log gamma. A failure raises ConvergenceFailure naming the lambda of
+    its point."""
     gamma = -1.0 / (lam + 1j * nu)
     try:
         e2, its, tangent = _solve_e2(atoms_d, atoms_t, beta, gamma,
                                      warm=warm, loose=loose)
     except ConvergenceFailure as exc:
-        raise ConvergenceFailure(
-            f"inversion failed at lambda={lam[exc.point]:g}",
-            residual=exc.residual) from exc
+        at = lam[exc.point] if np.ndim(lam) else lam
+        raise ConvergenceFailure(f"inversion failed at lambda={at:g}",
+                                 residual=exc.residual) from exc
     return gamma, e2, its, lam * gamma * tangent
 
 
@@ -537,12 +566,12 @@ def _predicted(value, chord, logs):
     prediction is not finite or differs from it by more than _START_GUARD
     in |log E2| (in modulus and phase together): a tangent is far off where
     E2 turns sharply. The values are log E2 when ``logs`` is true, else E2,
-    whose difference is then taken relative to the chord's."""
-    if logs:
-        return np.exp(np.where(np.abs(value - chord) <= _START_GUARD,
-                               value, chord))
-    return np.where(np.abs(value - chord) <= _START_GUARD * np.abs(chord),
-                    value, chord)
+    whose difference is then taken relative to the chord's. The values are
+    scalars (a chain link's start) or arrays of the same shape."""
+    near = abs(value - chord) <= _START_GUARD * (1.0 if logs else abs(chord))
+    start = np.where(near, value, chord) if np.ndim(near) \
+        else value if near else chord
+    return np.exp(start) if logs else start
 
 
 def _support_edges(atoms_d, atoms_t, beta):
@@ -565,9 +594,10 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
     link need only land in the corrector's basin). The sweep has three
     stages:
 
-    1. every link, one at a time from the top down, is walked on the
-       one-point path only until its Newton step is within _LOOSE of |E2|
-       (_solve_at); it keeps only E2 and its tangent, for the next link's
+    1. every link, one at a time from the top down, is walked as one
+       scalar gamma (_solve_at on a scalar lambda, solved in Python
+       scalars by _solve_one) only until its Newton step is within _LOOSE
+       of |E2|; it keeps only E2 and its tangent, for the next link's
        start, and forms no eta, density, budget or rescue check. The top
        link starts cold;
     2. the links are corrected to _TOLERANCE, started from their loose
@@ -617,7 +647,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
             iters += int(its.sum())
             rescued += int(resc.sum())
 
-    log = np.log(grid)
+    log, z = np.log(grid), grid + 1j * nu
     # the edge each point is predicted at, -1 for none
     frame = np.select([np.abs(log - np.log(edge[0])) <= np.log(_EDGE_WINDOW)
                        for edge in edges], range(len(edges)), -1)
@@ -626,7 +656,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
         if f < 0:
             return log[idx]
         lam_e, _, side = edges[f]
-        return np.sqrt(side * (grid[idx] + 1j * nu - lam_e))
+        return np.sqrt(side * (z[idx] - lam_e))
 
     def coords(idx, f):
         # (abscissa, value, slope) of solved points; dE2/ds = 2 side s
@@ -640,18 +670,19 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
     top = np.maximum(n - 1 - np.array((0,) + _TOP_LINKS), 0)
     chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
     down = chain[::-1]
-    for i, k in enumerate(down):
+    links = down.tolist()
+    for i, k in enumerate(links):
         # the quadratic through the link above, with its slope, and through
         # the edge or else the link above that; the top starts cold
         f = frame[k]
         anchor = (0.0, edges[f][1]) if f >= 0 \
-            else coords(down[i - 2], f)[:2] if i > 1 else None
+            else coords(links[i - 2], f)[:2] if i > 1 else None
         warm = None if i == 0 or anchor is None else _predicted(
-            *_quadratic(abscissa(k, f), *coords(down[i - 1], f), *anchor),
+            *_quadratic(abscissa(k, f), *coords(links[i - 1], f), *anchor),
             f < 0)
-        _, e2[k:k + 1], its, tangent[k:k + 1] = _solve_at(
-            atoms_d, atoms_t, beta, grid[k:k + 1], nu, warm, loose=True)
-        iters += int(its[0])
+        _, e2[k], its, tangent[k] = _solve_at(
+            atoms_d, atoms_t, beta, grid.item(k), nu, warm, loose=True)
+        iters += its
     solve(down, e2[down])
     known = chain
     for stride in _FILL_STRIDES:
@@ -869,14 +900,16 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     Raises InputError for a beta outside (0, 1], a non-finite or
     nonpositive nu, a grid that is not finite, increasing and positive,
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
-    that carry different factors. The bound on points keeps a call near a
-    minute and its per-point arrays near 16 MiB: each point costs about
-    0.008-0.013 ms of solving over the 128 atoms (whole calls of 8 192
+    that carry different factors. The bound on points keeps a call to a few
+    seconds and its per-point arrays near 16 MiB: each point costs about
+    0.003-0.006 ms of solving over the 128 atoms (whole calls of 8 192
     points, which also walk the 510 inner points of the 512-point grid,
-    take 0.065-0.070 s, of 512 points 6.4-6.6 ms, best of 7 and of 9 over
-    genuine and five upscaled laws of rho 0.97 at beta 0.5 on a 2-core x86
-    box whose speed swings by up to 30 % with other load), and the complex
-    E2 of 2**20 points takes 16 MiB. The figures use the default 512.
+    take 26-28 ms, of 512 points 2.8-2.9 ms, best of 7 and of 9 over
+    genuine and five upscaled laws of rho 0.97 at beta 0.5, linear 3/2,
+    catmull-rom 2/1, b-spline 2/1 and 3/2 and lanczos3 3/2, on a 2-core
+    x86 box whose speed swings by up to 30 % with other load; 2**20
+    points take 3.7 s for the genuine law), and the complex E2 of 2**20
+    points takes 16 MiB. The figures use the default 512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
     = beta E[D] E[T] within 1 %) were measured over MP and the genuine and

@@ -30,6 +30,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from respectra import (KERNELS, ResampleSpec, eigen_pdf,  # noqa: E402
@@ -62,13 +64,14 @@ def outside():
 def count_iterations():
     """Wrap rmt._solve_e2, through which every solve goes, so that the
     returned list's one entry holds the most iterations any point has
-    taken since it was last set to 0."""
+    taken since it was last set to 0. A solve returns its iterations as
+    an array over its points, or as one int from the scalar path."""
     most = [0]
     solve = rmt._solve_e2
 
     def spy(*args, **kwargs):
         result = solve(*args, **kwargs)
-        most[0] = max(most[0], int(result[1].max()))
+        most[0] = max(most[0], int(np.max(result[1])))
         return result
 
     rmt._solve_e2 = spy

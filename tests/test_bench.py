@@ -12,7 +12,7 @@ import pytest
 
 import respectra.armodel
 import respectra.bench
-from respectra.bench import MAX_REALIZATIONS
+from respectra.bench import MAX_REALIZATIONS, write_text
 from respectra import (KERNELS, ArParams, DetectorConfig, ExperimentSpec,
                        InputError, NumericalError, ResampleSpec,
                        ar_gram_matrix, build_polyphase, detect,
@@ -128,6 +128,10 @@ class TestParseFactor:
         assert parse_factor("3/2") == (3, 2)
         assert parse_factor("2") == (2, 1)
         assert parse_factor("1.5") == (3, 2)
+        # a decimal or a fraction equal to L/M with M <= 64 is that L/M
+        assert parse_factor("1.25") == (5, 4)
+        assert parse_factor("6/4") == (3, 2)
+        assert parse_factor("2.0") == (2, 1)
         # the other factors in use, and the bound of 64 itself
         for lnum, m in ((1, 1), (4, 3), (6, 5), (8, 5), (9, 5), (64, 1),
                         (4095, 64)):
@@ -136,6 +140,18 @@ class TestParseFactor:
     def test_rejects_downscale(self):
         with pytest.raises(InputError, match="factor must be >= 1"):
             parse_factor("0.5")
+
+    @pytest.mark.parametrize("text,nearest", [
+        ("1001/1000", "1/1"), ("101/100", "65/64"), ("1.333", "4/3"),
+        ("4097/65", "2080/33"), ("1.0000001", "1/1")])
+    def test_rejects_factor_that_is_not_l_over_m(self, text, nearest):
+        # a factor is analyzed as given or not at all: rounded to a
+        # denominator of at most 64, 1001/1000 read as 1 (a genuine law)
+        # and 101/100 as 65/64
+        with pytest.raises(InputError, match=(
+                f"exactly L/M with M at most 64, got {re.escape(text)}; "
+                f"the nearest is {nearest}$")):
+            parse_factor(text)
 
     @pytest.mark.parametrize("text", ["1e20", "65", "4097/64"])
     def test_rejects_factor_above_64(self, text):
@@ -483,6 +499,40 @@ class TestRunFigure:
         spec = ExperimentSpec(experiment="fig7",
                               realizations=MAX_REALIZATIONS)
         assert spec.realizations == 2 ** 13
+
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        # the name hashes the params, not the seed, so a second run into
+        # the same directory rewrites the file; its bytes are then those of
+        # a fresh run with the new seed, whichever of the two is longer
+        small = {"n": 96}
+        fresh = [run_figure("fig1b", tmp_path / str(seed), params=small,
+                            base_seed=seed).read_bytes() for seed in (3, 4)]
+        assert len(fresh[0]) != len(fresh[1])
+        for first, second in ((3, 4), (4, 3)):
+            out = tmp_path / f"again_{first}"
+            p1 = run_figure("fig1b", out, params=small, base_seed=first)
+            p2 = run_figure("fig1b", out, params=small, base_seed=second)
+            assert p1 == p2
+            assert p2.read_bytes() == fresh[(3, 4).index(second)]
+            assert [p.name for p in out.iterdir()] == [p2.name]
+
+    def test_write_text_replaces_files_and_writes_through_links(
+            self, tmp_path):
+        # a regular file is replaced; a symlink keeps pointing at its
+        # target, which takes the text, and a hard-linked file is
+        # rewritten in place, so its other name reads the text too
+        path = tmp_path / "a.csv"
+        write_text(path, "old,longer\n")
+        write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        link = tmp_path / "link.csv"
+        link.symlink_to(path)
+        write_text(link, "via link\n")
+        assert link.is_symlink() and path.read_text() == "via link\n"
+        other = tmp_path / "other.csv"
+        os.link(path, other)
+        write_text(path, "both\n")
+        assert other.read_text() == path.read_text() == "both\n"
 
     def test_deterministic_bytes(self, tmp_path):
         p1 = run_figure("fig7", tmp_path / "a",

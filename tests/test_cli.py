@@ -301,6 +301,10 @@ REJECTED_VALUES = (
     ("spectrum", "--rho", "1"),
     ("spectrum", "--rho", "nan"),
     ("spectrum", "--xi", "1e20"),
+    # not L/M with M <= 64: once read as 1 (a genuine law) and as 65/64
+    ("pdf", "--xi", "1001/1000", "--kernel", "b-spline", "--points", "8"),
+    ("pdf", "--xi", "101/100", "--points", "8"),
+    ("spectrum", "--xi", "1.333"),
     ("detect", "--synthetic", "--n", "32", "--k", "32"),
     ("estimate", "--synthetic", "--n", "32", "--k", "32"),
     ("generate", "--sigma-s2", "inf", "--n", "8"),

@@ -57,12 +57,13 @@ def staged_sweep(atoms, beta, zero_mass, grid, nu, walk):
     grid's first point, so every walk enters the support from above it. The
     chain is every 16th point of that walk, the top and the points 1, 2, 4
     and 8 below it (clipped at 0). (1) The links are walked from the top
-    down, each only until its Newton step is within 1e-2 of |E2|, the top
-    from a cold start. (2) They are corrected to the full tolerance from
-    their loose E2. (3) The other points at stride 4 start from the cubic
-    Hermite interpolant between the corrected links around them, and then
-    the rest from that between the solved points around them. Stages 2 and
-    3 solve in chunks of 32 from the bottom up. A point within a factor 2
+    down, each as one scalar gamma and only until its Newton step is
+    within 1e-2 of |E2|, the top from a cold start. (2) They are corrected
+    to the full tolerance from their loose E2. (3) The other points at
+    stride 4 start from the cubic Hermite interpolant between the corrected
+    links around them, and then the rest from that between the solved
+    points around them. Stages 2 and 3 solve in chunks of 32 from the
+    bottom up. A point within a factor 2
     of a support edge (the upper one first) is predicted over s =
     sqrt(side (z - lambda_e)): a link below the top from the quadratic
     through the edge's E2 and the E2 and slope of the link above it,
@@ -119,10 +120,11 @@ def staged_sweep(atoms, beta, zero_mass, grid, nu, walk):
             warm = _predicted(*_quadratic(np.log(grid[k]),
                                           *solved(down[i - 1], None), x1, v1),
                               True)
-        gamma = -1.0 / (grid[k:k + 1] + 1j * nu)
-        got, its[k:k + 1], t = _solve_e2(atoms, atoms, beta, gamma,
-                                         warm=warm, loose=True)
-        e2[k], tangent[k] = got[0], (grid[k] * gamma * t)[0]
+        lam = float(grid[k])
+        gamma = -1.0 / (lam + 1j * nu)
+        e2[k], its[k], t = _solve_e2(atoms, atoms, beta, gamma, warm=warm,
+                                     loose=True)
+        tangent[k] = lam * gamma * t
     solve(chain, e2[chain])
     known = chain
     for stride in (4, 1):
@@ -316,11 +318,12 @@ class TestEtaTransform:
 
 
 class TestOnePointPath:
-    """A single gamma (eta_transform's, a chain link, the sqrt probe, a
-    one-point rescue) takes the solver's one-point path, bracketed when it
-    is real and positive; a complex one must answer and fail exactly as the
-    same gamma in row 0 of a batch, the path the density sweep's batches
-    take."""
+    """A scalar gamma that is real (eta_transform's) or walked loose (a
+    chain link) takes the solver's scalar path, bracketed when it is real
+    and positive. Any other single gamma (the sqrt probe, a one-point
+    rescue, a complex scalar at the full tolerance) is solved as row 0 of
+    a batch, the path the density sweep's batches take, and must answer
+    and fail exactly as that row."""
 
     @staticmethod
     def gammas(lam, nu):
@@ -350,7 +353,7 @@ class TestOnePointPath:
             assert again[1][0] == rows[1][0]
 
     def test_batch_magnitudes_equal_scalar_abs(self):
-        # the one-point path takes Python's abs of complex scalars, the
+        # the scalar path takes Python's abs of complex scalars, the
         # batch loop _modulus of arrays; numpy's own complex absolute
         # rounds differently on some of these inputs, _modulus on none
         rng = np.random.default_rng(20)
@@ -374,7 +377,8 @@ class TestOnePointPath:
         # alike, and so does a cold start there. The sweep of a grid that
         # tops at lam starts cold only at the walk's top, 1.02 times the
         # upper fold, above the support: starved of iterations it fails
-        # there first, as a one-point solve of that point fails
+        # there first, in its loose walk, with the residual of a loose
+        # scalar solve of that point and the message of a cold solve there
         law = law_genuine(rho)
         gammas = self.gammas(lam, nu)
         with solver_settings(**settings):
@@ -394,11 +398,48 @@ class TestOnePointPath:
             with pytest.raises(ConvergenceFailure) as first:
                 _density_points(atoms, atoms, 0.5, afze(0.5, 1.0),
                                 np.array([top]), nu)
+            with pytest.raises(ConvergenceFailure) as link:
+                _solve_e2(atoms, atoms, 0.5, -1.0 / (top + 1j * nu),
+                          loose=True)
             with pytest.raises(ConvergenceFailure) as pdf:
                 eigen_pdf(law, law, 0.5, grid=[0.5 * lam, lam], nu=nu)
         assert str(pdf.value).startswith(f"inversion failed at lambda={top:g} ")
         assert str(pdf.value) == str(first.value)
-        assert pdf.value.residual == first.value.residual
+        assert pdf.value.residual == link.value.residual
+
+    def test_every_solve_enters_solve_e2(self, monkeypatch):
+        # the chain walk solves each link as one scalar gamma, loose, in
+        # Python scalars; that path and the batches both enter _solve_e2,
+        # whose spy then counts every iteration of a call. Each link's E2
+        # corrected at the full tolerance from a complex scalar gamma has
+        # the bits of row 0 of a batch
+        law = law_genuine(0.97)
+        atoms = _LawAtoms(law)
+        solves = []
+        solve = respectra.rmt._solve_e2
+
+        def spy(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            solves.append((args[3], kwargs, result))
+            return result
+
+        monkeypatch.setattr(respectra.rmt, "_solve_e2", spy)
+        pdf = eigen_pdf(law, law, 0.5)
+        monkeypatch.undo()
+        links = [(gamma, result) for gamma, kwargs, result in solves
+                 if kwargs["loose"]]
+        assert len(links) == 37
+        assert all(isinstance(gamma, complex) and isinstance(result[1], int)
+                   for gamma, result in links)
+        assert sum(int(np.sum(result[1])) for _, _, result in solves) \
+            == pdf.solver_iterations == 666
+        for (gamma, (e2, _, _)), (other, (near, _, _)) in zip(links,
+                                                             links[1:]):
+            one = _solve_e2(atoms, atoms, 0.5, gamma, warm=e2)
+            rows = _solve_e2(atoms, atoms, 0.5, np.array([gamma, other]),
+                             warm=np.array([e2, near]))
+            for got, row in zip(one, rows):
+                assert got.tobytes() == row[:1].tobytes()
 
     def test_vector_without_starts_raises(self):
         # only a single gamma has a cold start; the sweep gives every
@@ -766,9 +807,8 @@ class TestEigenPdf:
         start = cold_starts(gen, gammas)
         e2, its, tangent = _solve_e2(gen, gen, 0.5, gammas, warm=start)
         for k, gamma in enumerate(gammas):
-            assert (e2[k], its[k], tangent[k]) == tuple(
-                v[0] for v in _solve_e2(gen, gen, 0.5, gamma,
-                                        warm=start[k]))
+            assert (e2[k], its[k], tangent[k]) == _solve_e2(
+                gen, gen, 0.5, gamma, warm=start[k])
 
     def test_given_grid_reproduces_default_call(self):
         # a law with a gap below its support, and a beta = 1 law whose
