@@ -61,7 +61,9 @@ counted in EigenPdf.rescued_points). A density sweep always walks the
 from the largest lambda down to the requested grid's first point, and
 reads the densities back at the requested points: every walk enters the
 support from above it, the physical root being the one that continues
-from outside the support. Every 16th point of the walk, the top and the
+from outside the support. A grid that reaches the default grid's top in
+steps no longer than its own (a default grid of 512 or more points) is
+walked alone. Every 16th point of the walk, the top and the
 points 1, 2, 4 and 8 below it form a chain, which keeps the sweep on the
 physical root. The sweep has three stages. Every link, one at a time from
 the top down, is walked only until its Newton step is within 1e-2 of
@@ -98,12 +100,17 @@ extends the grid down; where the support has a gap there is no divergence
 and no probe.
 
 Both support edges read no density: they are the folds of the fixed
-point's real inverse map (_fold_edge), from the same atom sums, and each
-gives E2 at the edge as well.
+point's real inverse map (_fold_edge), found by Newton steps from the same
+atom sums, and each gives E2 at the edge as well.
+
+What depends only on a law or on a sweep's length is built once: a law's
+atoms per quadrature rule (_law_atoms, shared by equal laws), the order
+of a sweep per number of points (_walk_plan).
 """
 
 import functools
 import logging
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +126,7 @@ _QUAD_GRADING = 3.0     # panel edges pi (k/panels)^3, dense near omega = 0
 _TOLERANCE = 1e-6       # last Newton step relative to |E2|
 _MAX_ITERS = 100        # Newton steps per point
 _LOOSE = 1e-2           # relative Newton step ending a chain link's walk
+_FOLD_STEP = 1e-6       # relative Newton step ending a fold's search
 MAX_POINTS = 2 ** 20    # largest default grid of eigen_pdf (see there)
 _WALK_POINTS = 512      # the default grid every density sweep walks
 _EPS = np.finfo(float).eps
@@ -136,13 +144,18 @@ def quadrature_nodes():
     0.5 (58 laws). 8 panels of 16 nodes reach 5.5e-9, 96-atom rules 2.3e-8
     or worse.
     """
-    return _quadrature(_QUAD_PANELS)
+    return _quadrature(*_rule())
+
+
+def _rule():
+    """The quadrature rule in force: (order, panels, grading)."""
+    return _QUAD_ORDER, _QUAD_PANELS, _QUAD_GRADING
 
 
 @functools.cache
-def _quadrature(panels):
-    x, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-    edges = np.pi * (np.arange(panels + 1) / panels) ** _QUAD_GRADING
+def _quadrature(order, panels, grading):
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.pi * (np.arange(panels + 1) / panels) ** grading
     a, b = edges[:-1, None], edges[1:, None]
     nodes = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
     weights = (0.5 * (b - a) * w).ravel()
@@ -156,9 +169,14 @@ class _LawAtoms:
     sum(weights) + mass = 1 and E[g] = mass * g(0) + sum(weights * g(values)).
     ``wv`` and ``wv2`` are the weights times the values and their squares,
     the numerators of the fixed-point map and of its derivative.
+    ``positive`` holds the values and wv of the atoms of nonzero value,
+    ``nonzero`` their probability P(value != 0) and ``harmonic`` the
+    harmonic mean of their values (the folds read these). The arrays are
+    read-only: _law_atoms shares one object among all callers of a law.
     """
 
-    __slots__ = ("values", "weights", "mass", "mean", "wv", "wv2", "_complex")
+    __slots__ = ("values", "weights", "mass", "mean", "wv", "wv2", "positive",
+                 "nonzero", "harmonic", "_complex")
 
     def __init__(self, law):
         nodes, panel_w = quadrature_nodes()
@@ -168,7 +186,13 @@ class _LawAtoms:
         self.wv = self.weights * self.values
         self.wv2 = self.wv * self.values
         self.mean = float(self.wv.sum())
+        pos = self.values > 0
+        self.positive = self.values[pos], self.wv[pos]
+        self.nonzero = float(self.weights[pos].sum())
+        self.harmonic = self.nonzero / float(
+            (self.positive[1] / self.positive[0] ** 2).sum())
         self._complex = None
+        _freeze(self.values, self.weights, self.wv, self.wv2, *self.positive)
 
     def as_complex(self):
         """These atoms with values, weights, wv and wv2 cast to complex.
@@ -182,8 +206,34 @@ class _LawAtoms:
             twin.mass, twin.mean, twin._complex = self.mass, self.mean, None
             for name in ("values", "weights", "wv", "wv2"):
                 setattr(twin, name, getattr(self, name).astype(complex))
+            _freeze(twin.values, twin.weights, twin.wv, twin.wv2)
             self._complex = twin
         return self._complex
+
+
+def _freeze(*arrays):
+    """Mark the arrays read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+_ATOMS_KEPT = 16        # laws whose atoms _law_atoms keeps
+
+
+def _law_atoms(law):
+    """The atoms of ``law`` under the quadrature rule in force, built once
+    per law and rule: equal laws, such as a call's D and T, share one
+    read-only _LawAtoms, kept for the last _ATOMS_KEPT (law, rule) pairs.
+    A law that does not hash (a stand-in holding the three fields the
+    atoms read) gets atoms of its own."""
+    if not isinstance(law, Hashable):
+        return _LawAtoms(law)
+    return _atoms_of(law, _rule())
+
+
+@functools.lru_cache(maxsize=_ATOMS_KEPT)
+def _atoms_of(law, rule):
+    return _LawAtoms(law)
 
 
 def _column(v):
@@ -414,8 +464,8 @@ def eta_transform(law_d, law_t, beta, gamma):
     check_range("gamma", gamma, 0)
     if gamma == 0:
         return 1.0
-    atoms_d = _LawAtoms(law_d)
-    atoms_t = _LawAtoms(law_t)
+    atoms_d = _law_atoms(law_d)
+    atoms_t = _law_atoms(law_t)
     e2 = _solve_e2(atoms_d, atoms_t, beta, float(gamma))[0]
     return _eta_given_e2(atoms_d, beta, float(gamma), e2)
 
@@ -437,8 +487,9 @@ class EigenPdf:
     to 4 times the density there, is subtracted exactly before clamping.
     Negative densities are clamped to zero; ``clamped_points`` counts the
     grid points whose density stayed below minus its evaluation-error
-    budget, ``rescued_points`` the points of eigen_pdf's walk (the grid and
-    the 512-point default grid above its first point) re-solved from
+    budget, ``rescued_points`` the points of eigen_pdf's walk (the grid and,
+    unless it is swept alone, the 512-point default grid above its first
+    point) re-solved from
     conj(E2) after falling below it, and ``solver_iterations`` every
     fixed-point iteration of the walk, rescues included.
     """
@@ -667,10 +718,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
         return x, e2[idx], 2.0 * edges[f][2] * x * e2[idx] * tangent[idx] \
             / grid[idx]
 
-    top = np.maximum(n - 1 - np.array((0,) + _TOP_LINKS), 0)
-    chain = np.unique(np.append(np.arange(0, n, _CHAIN_STRIDE), top))
-    down = chain[::-1]
-    links = down.tolist()
+    links, down, fills = _walk_plan(n)
     for i, k in enumerate(links):
         # the quadratic through the link above, with its slope, and through
         # the edge or else the link above that; the top starts cold
@@ -684,11 +732,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
             atoms_d, atoms_t, beta, grid.item(k), nu, warm, loose=True)
         iters += its
     solve(down, e2[down])
-    known = chain
-    for stride in _FILL_STRIDES:
-        rest = np.setdiff1d(np.arange(0, n, stride), known)[::-1]
-        pos = np.searchsorted(known, rest)
-        lower, upper = known[pos - 1], known[pos]
+    for rest, lower, upper in fills:
         start = np.empty(len(rest), dtype=complex)
         for f in range(-1, len(edges)):
             m = frame[rest] == f
@@ -697,16 +741,45 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
             start[m] = _predicted(*_hermite(abscissa(rest[m], f), x0, x1, v0,
                                             v1, t0, t1), f < 0)
         solve(rest, start)
-        known = np.union1d(known, rest)
     return density, iters, rescued, density < -budget
+
+
+_PLAN_POINTS = 2 ** 14  # longest sweep whose walk plan is kept
+
+
+def _walk_plan(n):
+    """The order of a sweep of n points, which depends on n alone: (links,
+    down, fills), the chain's links from the top down as Python ints and
+    as an array, and per stride of _FILL_STRIDES the points it solves, from
+    the top down, with the solved points just below and above each. Kept
+    for the last few lengths up to _PLAN_POINTS, read-only; a longer
+    sweep's plan is built for its call alone."""
+    key = n, _CHAIN_STRIDE, _TOP_LINKS, _FILL_STRIDES
+    return _kept_plan(*key) if n <= _PLAN_POINTS else _plan(*key)
+
+
+def _plan(n, chain_stride, top_links, fill_strides):
+    top = np.maximum(n - 1 - np.array((0,) + top_links), 0)
+    chain = np.unique(np.append(np.arange(0, n, chain_stride), top))
+    known, fills = chain, []
+    for stride in fill_strides:
+        rest = np.setdiff1d(np.arange(0, n, stride), known)[::-1]
+        pos = np.searchsorted(known, rest)
+        fills.append((rest, known[pos - 1], known[pos]))
+        known = np.union1d(known, rest)
+    down = chain[::-1]
+    _freeze(down, *(idx for fill in fills for idx in fill))
+    return tuple(down.tolist()), down, tuple(fills)
+
+
+_kept_plan = functools.lru_cache(maxsize=4)(_plan)
 
 
 def _support_reaches_zero(atoms_d, atoms_t, beta):
     """P(D != 0)/beta <= P(T != 0): the nonzero-eigenvalue support has no
     gap above zero (beta = 1 for identical laws). Atoms of value 0 count
     with the point mass."""
-    return atoms_d.weights[atoms_d.values > 0].sum() / beta \
-        <= atoms_t.weights[atoms_t.values > 0].sum()
+    return atoms_d.nonzero / beta <= atoms_t.nonzero
 
 
 def _default_grid(atoms_d, atoms_t, beta, zero_mass, edges):
@@ -746,6 +819,14 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, edges):
     return np.geomspace(lo, 1.02 * edges[0][0], _WALK_POINTS)
 
 
+def _fold_sums(q, r):
+    """(sum(q), sum(q r), sum(q r^2)) over the atoms. Every atom sum of a
+    fold is taken here (_fold_edge: one call per evaluation of lambda(u),
+    over D; _fold_root: one per Newton step of w(u), over T)."""
+    qr = q * r
+    return np.add.reduce(q), np.add.reduce(qr), np.add.reduce(qr * r)
+
+
 def _fold_edge(atoms_d, atoms_t, beta, upper):
     """An edge of the nonzero-eigenvalue support as a fold of the fixed
     point's real inverse map (Silverstein & Choi 1995).
@@ -754,76 +835,103 @@ def _fold_edge(atoms_d, atoms_t, beta, upper):
     gamma E2 and v = gamma E1 it reads u psi(u) = phi(v) at lambda =
     -psi(u)/v, where psi(u) = E[D/(1 + beta D u)], phi(v) = E[vT/(1 + vT)].
     In w = -1/v, phi = E[T/(T - w)] increases on each branch off the atoms
-    of T, so each u has one root w(u) there, and lambda(u) = w(u) psi(u).
-    The lower edge is the maximum of lambda on w < min T, u > 0 (lambda
-    rises through 0 at u psi(u) = P(T != 0), then falls back to 0); the
-    upper edge is the minimum on w > max T, u in (-1/(beta max D), 0)
-    (lambda falls from infinity at u -> 0 and climbs back at the pole of
-    psi). In s = u or s = -u the sign of dlambda/du is bracketed by
-    doubling or halving s, and its root is found by Illinois steps (regula
-    falsi on the value of dlambda/du times phi'(w), halving the value kept
-    at an end that two steps in a row left in place) until the bracket is
-    within 1e-9 of s, where lambda is flat to rounding: about 14 map
-    evaluations per fold. Returns (lambda_e, E2_e), where E2_e = -lambda_e
-    u is the real fixed point's double root at gamma = -1/lambda_e, the
-    branch point of E2 there. Raises ConvergenceFailure if a root w is not
-    found.
+    of T, so each u has one root w(u) there (_fold_root), and lambda(u) =
+    w(u) psi(u). The lower edge is the maximum of lambda on w < min T, u >
+    0 (lambda rises through 0 at u psi(u) = P(T != 0), then falls back to
+    0); the upper edge is the minimum on w > max T, u in (-1/(beta max D),
+    0) (lambda falls from infinity at u -> 0 and climbs back at the pole
+    of psi).
+
+    In s = u or s = -u the root of dlambda/du = w' psi + w psi' is found by
+    Newton steps in 1/s, whose derivative d2lambda/du2 = w'' psi + 2 w'
+    psi' + w psi'' takes psi'' and phi''(w), two more sums over the same
+    atoms (w' = (u psi)'/phi'(w), w'' = ((u psi)'' - phi''(w) w'^2) /
+    phi'(w)). The upper edge starts at half the pole, the lower one at half
+    the lower fold of Marchenko-Pastur, u = 1/(m r (1 - r)), for D's
+    harmonic mean m and r = sqrt(beta P(T != 0)/P(D != 0)). Each
+    evaluation narrows a bracket on the sign of dlambda/du (> 0 below the
+    root), and a step leaving it doubles or halves s while one end is
+    open, else takes the bracket's geometric mean. The steps stop at the
+    first within _FOLD_STEP (1e-6) of s, which is taken: Newton's next
+    error is then of order 1e-12 in s, and lambda is flat there. Each w(u)
+    starts from the last root moved to the new u along w' and w''. Over
+    the density benchmark's 12 folds this takes about 5 evaluations and 18
+    Newton steps of w per fold (a bracketed regula falsi took 14 and 65).
+    Returns (lambda_e, E2_e): lambda_e is lambda at the last evaluation
+    plus half the first-order change of its last step (lambda to second
+    order), and E2_e = -lambda_e u at u after that step is the real fixed
+    point's double root at gamma = -1/lambda_e, the branch point of E2
+    there. Raises ConvergenceFailure if a root w is not found, or the fold
+    after 100 evaluations.
     """
-    pos = atoms_t.values > 0
-    t, wt = atoms_t.values[pos], atoms_t.wv[pos]
+    d, wd = atoms_d.values, atoms_d.wv
+    t, wt = atoms_t.positive
     if upper:
         sign, branch, w = -1.0, (t.max(), np.inf), 2.0 * t.max()
-        hi = 1.0 / (beta * atoms_d.values.max())
+        lo, hi = 0.0, 1.0 / (beta * d.max())
         s = 0.5 * hi
     else:
         sign, branch, w = 1.0, (-np.inf, t.min()), 0.0
-        hi, s = np.inf, 1.0 / (beta * atoms_d.mean)
-
-    def fold(u):
-        # Newton for w(u) on the branch, bisecting steps that leave it;
-        # dlambda/du = w' psi + w psi', w' = (u psi)'/phi'(w), returned
-        # times phi'(w) > 0
-        nonlocal w
-        a = 1.0 + beta * atoms_d.values * u
-        psi = np.add.reduce(atoms_d.wv / a)
-        lo, hi = branch
-        for _ in range(100):
-            q = wt / (t - w)
-            f, slope = np.add.reduce(q) - u * psi, np.add.reduce(q / (t - w))
-            lo, hi = (lo, w) if f > 0 else (w, hi)
-            # converged once f is within the rounding of w or of the sums
-            if abs(f) <= 8.0 * _EPS * (abs(w) * slope + abs(u) * psi):
-                return (np.add.reduce(atoms_d.wv / (a * a)) * psi
-                        - w * beta * np.add.reduce(atoms_d.wv2 / (a * a))
-                        * slope, w * psi)
-            w = w - f / slope if lo < w - f / slope < hi else 0.5 * (lo + hi)
-        raise ConvergenceFailure(f"no real root at u={u:g}", residual=abs(f))
-
-    # bracket: dlambda/du > 0 at lo, < 0 at hi
-    lo, g_lo, g_hi = 0.0, None, None
-    while True:
-        g, lam = fold(sign * s)
-        if g > 0:
-            lo, g_lo = s, g
+        r = np.sqrt(beta * atoms_t.nonzero / atoms_d.nonzero)
+        lo, hi = 0.0, np.inf
+        s = 0.5 / (atoms_d.harmonic * r * (1.0 - r))
+    last = None
+    for _ in range(100):
+        u = sign * s
+        a = 1.0 + beta * u * d
+        psi, p2, p3 = _fold_sums(wd / a, d / a)
+        if last is not None:
+            # the last root moved along w' and w''
+            du = u - last[0]
+            guess = w + (last[1] + 0.5 * last[2] * du) * du
+            if branch[0] < guess < branch[1]:
+                w = guess
+        w, phi1, phi2 = _fold_root(t, wt, u, u * psi, w, branch)
+        dpsi, ddpsi = -beta * p2, 2.0 * beta * beta * p3
+        dw = (psi + u * dpsi) / phi1
+        ddw = (2.0 * dpsi + u * ddpsi - phi2 * dw * dw) / phi1
+        slope = dw * psi + w * dpsi
+        lam = w * psi
+        if slope > 0:
+            lo = s
         else:
-            hi, g_hi = s, g
-        if g_lo is not None and g_hi is not None:
-            break
-        s = 2.0 * s if hi == np.inf else 0.5 * s if lo == 0 \
-            else np.sqrt(lo * hi)
-    # Illinois: regula falsi that halves the value kept at an end which
-    # two steps in a row left in place
-    kept = 0
-    while hi - lo > 1e-9 * hi and g != 0:
-        s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        g, lam = fold(sign * s)
-        if g > 0:
-            lo, g_lo = s, g
-            g_hi, kept = (0.5 * g_hi if kept > 0 else g_hi), 1
-        else:
-            hi, g_hi = s, g
-            g_lo, kept = (0.5 * g_lo if kept < 0 else g_lo), -1
-    return float(lam), float(-lam * sign * s)
+            hi = s
+        # Newton in 1/s, which grows by the fraction slope / (2 slope + u
+        # lambda''): s changes by the fraction step
+        den = 3.0 * slope + u * (ddw * psi + 2.0 * dw * dpsi + w * ddpsi)
+        step = -slope / den if den else np.inf
+        new = s * (1.0 + step)
+        if abs(step) <= _FOLD_STEP and lo <= new <= hi:
+            lam += 0.5 * slope * sign * (new - s)
+            return float(lam), float(-lam * sign * new)
+        last = u, dw, ddw
+        s = new if lo < new < hi else 2.0 * s if hi == np.inf \
+            else 0.5 * s if lo == 0 else np.sqrt(lo * hi)
+    raise ConvergenceFailure(f"no fold found after 100 steps, last at "
+                             f"u={u:g}", residual=abs(slope))
+
+
+def _fold_root(t, wt, u, target, w, branch):
+    """The root w of phi(w) = E[T/(T - w)] = target = u psi(u) on the
+    branch (lo, hi) of _fold_edge, from w; returns (w, phi'(w), phi''(w)).
+
+    Newton steps on 1/phi(w) = 1/target, exactly linear in w for a T of one
+    atom and nearly so at both ends of each branch, where phi has a pole or
+    decays as E[T]/|w|; a step leaving the bracket of the sign changes
+    seen is replaced by bisection. At the first w where phi - target is
+    within the rounding of w or of the sums, returns w moved by its Newton
+    step. Raises ConvergenceFailure after 100 steps."""
+    lo, hi = branch
+    for _ in range(100):
+        r = 1.0 / (t - w)
+        phi, phi1, phi2 = _fold_sums(wt * r, r)
+        f = phi - target
+        lo, hi = (lo, w) if f > 0 else (w, hi)
+        new = w - f * phi / (target * phi1)
+        if abs(f) <= 8.0 * _EPS * (abs(w) * phi1 + abs(target)):
+            return new, phi1, 2.0 * phi2
+        w = new if lo < new < hi else 0.5 * (lo + hi)
+    raise ConvergenceFailure(f"no real root at u={u:g}", residual=abs(f))
 
 
 def support_lower_edge(law_d, law_t, beta, xi=1.0):
@@ -831,14 +939,18 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0):
 
     The edge is the fold of the fixed point's real inverse map, the
     maximum of lambda(u) = w(u) psi(u) on u > 0 (_fold_edge), found from
-    the same atom sums as the densities. Atoms of value 0 count with the
-    point mass. Returns 0.0 when the support reaches zero, i.e.
-    P(D != 0)/beta <= P(T != 0) (beta = 1 for identical laws). ``xi`` is
-    not read. Raises ConvergenceFailure if a root is not found.
+    the same atom sums as the densities by Newton steps on dlambda/du,
+    about 5 evaluations of lambda(u) on the benchmark's laws (the atoms of
+    a law are built once, _law_atoms). It matches the Marchenko-Pastur
+    (1 - sqrt beta)^2 within 3e-13 relative for beta from 0.125 to 0.995
+    and within 1e-12 up to 0.999, where the edge is 2.5e-7. Atoms of value
+    0 count with the point mass. Returns 0.0 when the support reaches
+    zero, i.e. P(D != 0)/beta <= P(T != 0) (beta = 1 for identical laws).
+    ``xi`` is not read. Raises ConvergenceFailure if a root is not found.
     """
     check_range("beta", beta, 0, 1, low_open=True)
-    atoms_d = _LawAtoms(law_d)
-    atoms_t = _LawAtoms(law_t)
+    atoms_d = _law_atoms(law_d)
+    atoms_t = _law_atoms(law_t)
     if _support_reaches_zero(atoms_d, atoms_t, beta):
         return 0.0
     return _fold_edge(atoms_d, atoms_t, beta, upper=False)[0]
@@ -881,8 +993,13 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     from the largest lambda down to the requested grid's first point, and
     reads the densities back at the requested points. So every walk
     enters the support from above it, where the physical root is the one
-    that continues from outside the support, and a 512-point default call
-    sweeps exactly its own grid. The walk follows a chain of every 16th
+    that continues from outside the support. A grid that reaches that
+    grid's top in steps no longer than its own (every default grid of 512
+    or more points, which has the same ends) enters it alike and is swept
+    alone, so a 512-point default call sweeps exactly its own grid and a
+    finer one does not pay for the 510 inner points of the 512-point
+    grid. Laws' atoms are built once per law (equal laws share them), the
+    sweep's order once per length. The walk follows a chain of every 16th
     point and of the points 1, 2, 4 and 8 below the top: every link is
     solved only until its Newton step is within 1e-2 of |E2|, the top one
     from a cold start, and then the links are corrected to the tolerance
@@ -903,13 +1020,14 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     that carry different factors. The bound on points keeps a call to a few
     seconds and its per-point arrays near 16 MiB: each point costs about
     0.003-0.006 ms of solving over the 128 atoms (whole calls of 8 192
-    points, which also walk the 510 inner points of the 512-point grid,
-    take 26-28 ms, of 512 points 2.8-2.9 ms, best of 7 and of 9 over
-    genuine and five upscaled laws of rho 0.97 at beta 0.5, linear 3/2,
-    catmull-rom 2/1, b-spline 2/1 and 3/2 and lanczos3 3/2, on a 2-core
-    x86 box whose speed swings by up to 30 % with other load; 2**20
-    points take 3.7 s for the genuine law), and the complex E2 of 2**20
-    points takes 16 MiB. The figures use the default 512.
+    points take 23-25 ms, of 512 points 2.1-2.4 ms, best of 7 and of 9
+    repeated calls over genuine and five upscaled laws of rho 0.97 at
+    beta 0.5, linear 3/2, catmull-rom 2/1, b-spline 2/1 and 3/2 and
+    lanczos3 3/2, on a 2-core x86 box whose speed swings by up to 30 %
+    with other load; some processes read 29-33 ms for 8 192 points, a
+    state of the C allocator that fixed malloc thresholds remove; 2**20
+    points take 3.7-4.0 s for the genuine law), and the complex E2 of
+    2**20 points takes 16 MiB. The figures use the default 512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
     = beta E[D] E[T] within 1 %) were measured over MP and the genuine and
@@ -943,8 +1061,8 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
                              f"{law_d.xi} and {law_t.xi}; pass xi")
         xi = law_d.xi
     zero_mass = afze(beta, xi)  # checks beta
-    atoms_d = _LawAtoms(law_d)
-    atoms_t = _LawAtoms(law_t)
+    atoms_d = _law_atoms(law_d)
+    atoms_t = _law_atoms(law_t)
     edges = _support_edges(atoms_d, atoms_t, beta)
     walk = _default_grid(atoms_d, atoms_t, beta, zero_mass, edges)
     if grid is None:
@@ -952,7 +1070,12 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     if nu is None:
         nu = 1e-4 * float(grid[0])
 
-    sweep = np.union1d(grid, walk[walk > grid[0]])
+    # a grid that reaches the walk's top in steps no longer than the walk's
+    # (a default grid of at least _WALK_POINTS points) is swept alone; any
+    # other has the walk's points above its first merged in
+    alone = grid[-1] >= walk[-1] and \
+        np.diff(np.log(grid)).max() <= np.diff(np.log(walk)).max()
+    sweep = grid if alone else np.union1d(grid, walk[walk > grid[0]])
     density, iters, rescued, clamped = _sweep(
         atoms_d, atoms_t, beta, zero_mass, sweep, nu, edges)
     at = np.searchsorted(sweep, grid)

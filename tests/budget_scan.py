@@ -6,19 +6,22 @@ at 3/2 and 2/1), at beta 0.05 to 1 in steps of 0.01: 28 laws x 96 betas,
 2 688 calls. Each call is held to the budgets the benchmark checks: total
 mass within 1e-2 of 1 and first moment within 1 % of beta E[D] E[T]. Prints
 every call that raises or misses a budget, then the counts of raised calls,
-first-moment misses, mass misses, rescued points and solver iterations, and
-the largest total-mass and first-moment errors over all calls, with the
-call where each falls, so a change can quote its margin as well as its
-misses, and likewise the most solver iterations any one point took, which
-measures the margin to the solver's cap (``rmt._MAX_ITERS``), and the
-summed ``negative_clamped`` of the 28 laws: the probe angles at which a
-raw spectrum is negative before clamping, expected 0 (a law counts them
-only when the count is read). Last it prints four calls outside the
-range the budgets are stated for (beta below 0.05, rho 0.9999), with
-their first-moment ratio, total mass, rescued points and most iterations
-per point; they are not counted as misses.
+first-moment misses, mass misses, rescued points and solver iterations,
+the number of support-edge folds (``rmt._fold_edge``) and their total
+time, and the largest total-mass and first-moment errors over all calls,
+with the call where each falls, so a change can quote its margin as well
+as its misses, and likewise the most solver iterations any one point
+took, which measures the margin to the solver's cap (``rmt._MAX_ITERS``),
+the largest relative gap between MP's ``upper_edge`` and its closed form
+(1 + sqrt beta)^2 over the 96 MP calls (an oracle for the fold at every
+beta step), and the summed ``negative_clamped`` of the 28 laws: the probe
+angles at which a raw spectrum is negative before clamping, expected 0 (a
+law counts them only when the count is read). Last it prints four calls
+outside the range the budgets are stated for (beta below 0.05, rho
+0.9999), with their first-moment ratio, total mass, rescued points and
+most iterations per point; they are not counted as misses.
 
-Run from the repository root (about a minute on one core):
+Run from the repository root (about 10 s on one core):
 
     python tests/budget_scan.py
 
@@ -78,10 +81,30 @@ def count_iterations():
     return most
 
 
+def count_folds():
+    """Wrap rmt._fold_edge, which finds each support edge; the returned
+    list holds the number of folds and their total time in seconds."""
+    folds = [0, 0.0]
+    fold = rmt._fold_edge
+
+    def spy(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fold(*args, **kwargs)
+        finally:
+            folds[0] += 1
+            folds[1] += time.perf_counter() - start
+
+    rmt._fold_edge = spy
+    return folds
+
+
 def main():
     nodes, weights = quadrature_nodes()
     most = count_iterations()
+    folds = count_folds()
     deepest = (0, "")
+    mp_gap = (0.0, "")
     calls = raised = moment = mass = rescued = iterations = clamped = 0
     worst = {"mass": (0.0, ""), "first moment": (0.0, "")}
     start = time.perf_counter()
@@ -102,6 +125,10 @@ def main():
             ratio = pdf.first_moment() / (beta * mean * mean)
             total = pdf.total_mass()
             call = f"{label} beta {beta}"
+            if label == "MP":
+                gap = abs(pdf.upper_edge / (1.0 + np.sqrt(beta)) ** 2 - 1.0)
+                if not gap <= mp_gap[0]:
+                    mp_gap = (gap, call)
             if most[0] > deepest[0]:
                 deepest = (most[0], call)
             for name, err in (("mass", abs(total - 1.0)),
@@ -117,11 +144,13 @@ def main():
                 print(f"mass: {call}: total {total:.4f}")
     print(f"calls {calls}, raised {raised}, first-moment misses {moment}, "
           f"mass misses {mass}, rescued points {rescued}, "
-          f"solver iterations {iterations} "
-          f"({time.perf_counter() - start:.0f} s)")
+          f"solver iterations {iterations}, folds {folds[0]} "
+          f"({folds[1]:.2f} s) ({time.perf_counter() - start:.0f} s)")
     for name, (err, call) in worst.items():
         print(f"largest {name} error {err:.2e} ({call})")
     print(f"most iterations per point {deepest[0]} ({deepest[1]})")
+    print(f"largest MP upper-edge gap to (1 + sqrt beta)^2 {mp_gap[0]:.1e} "
+          f"relative ({mp_gap[1]})")
     print(f"negative_clamped probe angles {clamped} (expected 0)")
     print("outside the budgets' stated range, not counted as misses:")
     for label, law, xi, beta in outside():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import respectra
 from respectra import quadrature_nodes, rmt
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +86,43 @@ def test_readme_states_the_solver_settings():
     assert "damped" not in bullet
     assert "divergence window" not in bullet
     assert "stall counter" not in bullet
+
+
+def test_readme_states_the_fold_method(monkeypatch):
+    # the "Grids" bullet states how the support edges are found; a change
+    # to rmt's _fold_edge, _FOLD_STEP or its evaluation count on the
+    # density benchmark's laws must change that text too
+    readme = (ROOT / "README.md").read_text()
+    bullet = " ".join(readme.split("- **Grids.**", 1)[1]
+                      .split("\n- ", 1)[0].split())
+    step, evaluations = re.search(
+        r"It is found by Newton steps on the derivative `dlambda/du`, taken "
+        r"in `1/u` and kept inside the bracket of its sign changes, until a "
+        r"step is within (\S+) of `u`: about (\d+) evaluations of "
+        r"`lambda\(u\)` on the `density` benchmark's laws", bullet).groups()
+    assert float(step) == rmt._FOLD_STEP
+    assert "Illinois" not in bullet
+    folds, roots = [], []
+    fold, root = rmt._fold_edge, rmt._fold_root
+    monkeypatch.setattr(rmt, "_fold_edge",
+                        lambda *a, **kw: folds.append(1) or fold(*a, **kw))
+    monkeypatch.setattr(rmt, "_fold_root",
+                        lambda *a: roots.append(1) or root(*a))
+
+    def law(rho, kernel=None):
+        if kernel is None:
+            return respectra.law_genuine(rho)
+        name, lnum, m = kernel
+        return respectra.law_upscaled(rho, respectra.ResampleSpec(
+            L=lnum, M=m, kernel=respectra.KERNELS[name]))
+
+    # the benchmark's six eigen_pdf and two support_lower_edge calls
+    for kernel, beta in ((None, 0.25), (None, 0.5), (None, 1.0),
+                         (("b-spline", 2, 1), 0.5), (("linear", 3, 2), 0.5),
+                         (("lanczos3", 3, 2), 1.0)):
+        respectra.eigen_pdf(law(0.97, kernel), law(0.97, kernel), beta)
+    for kernel in (("linear", 3, 2), ("b-spline", 2, 1)):
+        respectra.support_lower_edge(law(0.95, kernel), law(0.95, kernel),
+                                     0.125)
+    assert len(folds) == 12
+    assert round(len(roots) / len(folds)) == int(evaluations)

@@ -16,10 +16,12 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
                        ResampleSpec, afze, eigen_pdf,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
-from respectra.rmt import (_CHAIN_STRIDE, _density_points, _eta_given_e2,
-                           _fixed_point_map, _fold_edge, _hermite, _LawAtoms,
-                           _modulus, _predicted, _quadratic, _solve_e2,
-                           _support_edges, _support_reaches_zero)
+from respectra.rmt import (_CHAIN_STRIDE, MAX_POINTS, _atoms_of,
+                           _density_points, _eta_given_e2, _fixed_point_map,
+                           _fold_edge, _fold_root, _hermite, _kept_plan,
+                           _law_atoms, _LawAtoms, _modulus, _predicted,
+                           _quadratic, _solve_e2, _support_edges,
+                           _support_reaches_zero, _walk_plan)
 
 
 def mp_eta_closed_form(gamma, beta):
@@ -826,6 +828,36 @@ class TestEigenPdf:
                 assert np.array_equal(again.density, pdf.density), points
                 assert again.solver_iterations == pdf.solver_iterations
 
+    def test_dense_default_grid_walks_alone(self):
+        # a default grid of 8 192 points has the 512-point grid's ends and
+        # finer steps, so it is swept without that grid's 510 inner points,
+        # which took 9 260 iterations; replayed as a given grid it is swept
+        # alone as well
+        law = law_genuine(0.97)
+        nodes, weights = quadrature_nodes()
+        mean = law.mean(nodes, weights)
+        pdf = eigen_pdf(law, law, 0.5, points=8192)
+        assert pdf.solver_iterations < 9260
+        assert pdf.total_mass() == pytest.approx(1.0, abs=1e-2)
+        assert pdf.first_moment() == pytest.approx(0.5 * mean * mean,
+                                                   rel=1e-2)
+        assert pdf.rescued_points == pdf.clamped_points == 0
+        again = eigen_pdf(law, law, 0.5, grid=pdf.lambda_grid, nu=pdf.nu)
+        assert np.array_equal(again.density, pdf.density)
+        assert again.solver_iterations == pdf.solver_iterations
+
+    def test_default_512_point_call_is_its_merged_walk(self):
+        # the 512-point default grid is the walk itself: swept alone, it
+        # gives the bits and the 666 iterations of its merge with the walk
+        law = law_genuine(0.97)
+        atoms, zero_mass = _LawAtoms(law), afze(0.5, 1.0)
+        pdf = eigen_pdf(law, law, 0.5)
+        assert pdf.solver_iterations == 666
+        dens, _, its = staged_sweep(atoms, 0.5, zero_mass, pdf.lambda_grid,
+                                    pdf.nu, pdf.lambda_grid)
+        assert np.array_equal(pdf.density, np.maximum(dens, 0.0))
+        assert its.sum() == 666
+
     @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("law", [
         law_genuine(0.0), law_genuine(0.97),
@@ -1213,3 +1245,207 @@ class TestEigenPdf:
         emp = np.arange(1, len(eigs) + 1) / len(eigs)
         ana = np.interp(eigs, pdf.lambda_grid, pdf.cdf_nonzero())
         assert np.abs(emp - ana).max() < 0.08
+
+
+def inline_plan(n):
+    """The sweep's order written out from its definition: the chain is
+    every 16th point, the top and the points 1, 2, 4 and 8 below it
+    (clipped at 0); then every 4th point not yet known and last every
+    other point, each from the top down with the nearest known points
+    below and above it."""
+    top = [max(n - 1 - k, 0) for k in (0, 1, 2, 4, 8)]
+    chain = sorted(set(range(0, n, 16)) | set(top))
+    known, fills = set(chain), []
+    for stride in (4, 1):
+        rest = sorted(set(range(0, n, stride)) - known, reverse=True)
+        ordered = sorted(known)
+        pos = np.searchsorted(ordered, rest)
+        fills.append((rest, [ordered[p - 1] for p in pos],
+                      [ordered[p] for p in pos]))
+        known |= set(rest)
+    return chain[::-1], fills
+
+
+class TestFixedCost:
+    """What depends only on the law or on the sweep's length is built once:
+    a law's atoms per quadrature rule, and the walk plan per length."""
+
+    def test_atoms_follow_the_quadrature_rule(self, solver_settings):
+        # a memo keyed on the law alone would hand the 4 096-atom solves
+        # the 128 atoms already built, and compare them with themselves
+        law = law_genuine(0.97)
+        assert _law_atoms(law).values.size == 128
+        with solver_settings(quad_panels=128):
+            assert _law_atoms(law).values.size == 4096
+            assert _law_atoms(law_genuine(0.97)).wv.size == 4096
+        assert _law_atoms(law).values.size == 128
+
+    def test_equal_laws_share_read_only_atoms(self):
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        one, other = law_upscaled(0.97, spline), law_upscaled(0.97, spline)
+        assert one is not other and one == other
+        atoms = _law_atoms(one)
+        assert _law_atoms(other) is atoms
+        twin = atoms.as_complex()
+        for arrays in (atoms.values, atoms.weights, atoms.wv, atoms.wv2,
+                       *atoms.positive, twin.values, twin.weights, twin.wv,
+                       twin.wv2):
+            with pytest.raises(ValueError, match="read-only"):
+                arrays[0] = 1.0
+
+    def test_shared_atoms_give_the_bits_of_a_fresh_call(self):
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        one, other = law_upscaled(0.97, spline), law_upscaled(0.97, spline)
+        shared = [eigen_pdf(one, other, 0.5) for _ in range(2)]
+        _atoms_of.cache_clear()
+        fresh = eigen_pdf(law_upscaled(0.97, spline),
+                          law_upscaled(0.97, spline), 0.5)
+        for pdf in shared:
+            assert np.array_equal(pdf.lambda_grid, fresh.lambda_grid)
+            assert np.array_equal(pdf.density, fresh.density)
+            assert pdf.upper_edge == fresh.upper_edge
+            assert pdf.solver_iterations == fresh.solver_iterations
+        assert support_lower_edge(one, other, 0.5) \
+            == _fold_edge(_LawAtoms(one), _LawAtoms(other), 0.5, False)[0]
+
+    @pytest.mark.parametrize("n", [2, 17, 512, 8192])
+    def test_kept_walk_plan_matches_its_definition(self, n):
+        links, down, fills = _walk_plan(n)
+        assert _walk_plan(n)[1] is down
+        chain, plain = inline_plan(n)
+        assert list(links) == chain and down.tolist() == chain
+        assert len(fills) == len(plain)
+        for kept, written in zip(fills, plain):
+            for got, want in zip(kept, written):
+                assert got.tolist() == want
+                assert not got.flags.writeable
+
+    def test_no_plan_is_kept_for_the_largest_sweep(self, monkeypatch):
+        # a sweep of MAX_POINTS points builds its plan for its call alone
+        built = []
+        monkeypatch.setattr(respectra.rmt, "_plan",
+                            lambda *key: built.append(key) or key)
+        _kept_plan.cache_clear()
+        assert _walk_plan(MAX_POINTS)[0] == MAX_POINTS
+        assert built and _kept_plan.cache_info().currsize == 0
+        _walk_plan(512)
+        assert _kept_plan.cache_info().currsize == 1
+
+
+# the upper and lower support edges of fig5's 40 laws at beta 0.125, from
+# the bracketed regula falsi (Illinois) folds this module used before its
+# Newton folds
+FIG5_EDGES = {
+    ("linear", 0.9, 3, 2): (1023.8936290236426, 0.11970404291762772),
+    ("linear", 0.92, 3, 2): (1987.8723742970506, 0.11744942788284085),
+    ("linear", 0.94, 3, 2): (4684.322477719439, 0.11477681861264462),
+    ("linear", 0.96, 3, 2): (15718.097079529858, 0.11165630783592413),
+    ("linear", 0.98, 3, 2): (125027.5163354562, 0.10808806053435183),
+    ("linear", 0.95, 6, 5): (6449.955818677249, 0.07833856269525102),
+    ("linear", 0.95, 7, 5): (7524.244943314866, 0.09014185642893348),
+    ("linear", 0.95, 8, 5): (8598.615242092315, 0.1020910513648865),
+    ("linear", 0.95, 9, 5): (9673.039657040299, 0.11413716877691626),
+    ("linear", 0.95, 2, 1): (10780.231166312202, 0.18614124852311095),
+    ("catmull-rom", 0.9, 3, 2): (1037.6471291541527, 0.16442637926030887),
+    ("catmull-rom", 0.92, 3, 2): (2009.1025416130237, 0.16131609689323084),
+    ("catmull-rom", 0.94, 3, 2): (4721.616501286446, 0.15764085132657207),
+    ("catmull-rom", 0.96, 3, 2): (15801.027766687797, 0.1533555039017731),
+    ("catmull-rom", 0.98, 3, 2): (125355.4235944821, 0.1484565487927628),
+    ("catmull-rom", 0.95, 6, 5): (6499.316410106066, 0.12395012639331858),
+    ("catmull-rom", 0.95, 7, 5): (7582.530393091008, 0.14459294500388822),
+    ("catmull-rom", 0.95, 8, 5): (8665.746052728571, 0.1652406372374859),
+    ("catmull-rom", 0.95, 9, 5): (9748.962547290643, 0.1858907312132201),
+    ("catmull-rom", 0.95, 2, 1): (10833.9350322083, 0.2122764273688305),
+    ("b-spline", 0.9, 3, 2): (1002.3522603395913, 0.01650957249690247),
+    ("b-spline", 0.92, 3, 2): (1954.6741102721485, 0.016291566354941993),
+    ("b-spline", 0.94, 3, 2): (4626.101352458856, 0.01599568320513047),
+    ("b-spline", 0.96, 3, 2): (15588.851739413542, 0.015614935680713359),
+    ("b-spline", 0.98, 3, 2): (124517.37666222738, 0.01514798075553492),
+    ("b-spline", 0.95, 6, 5): (6390.136332717429, 0.012606853151755583),
+    ("b-spline", 0.95, 7, 5): (7455.1584526406505, 0.01470661881757842),
+    ("b-spline", 0.95, 8, 5): (8520.180758895596, 0.01680681825762362),
+    ("b-spline", 0.95, 9, 5): (9585.203157938236, 0.018907230736040125),
+    ("b-spline", 0.95, 2, 1): (10650.420708361025, 0.021535021987412833),
+    ("lanczos3", 0.9, 3, 2): (1031.3160028741609, 0.18907017468879564),
+    ("lanczos3", 0.92, 3, 2): (1994.5055855409926, 0.18557063235698174),
+    ("lanczos3", 0.94, 3, 2): (4681.946929775768, 0.18141074175705998),
+    ("lanczos3", 0.96, 3, 2): (15650.742703743155, 0.1765319266492018),
+    ("lanczos3", 0.98, 3, 2): (124027.35933116692, 0.17092528940371043),
+    ("lanczos3", 0.95, 6, 5): (6440.856767553484, 0.14325250206344844),
+    ("lanczos3", 0.95, 7, 5): (7514.319689122172, 0.16712794849484064),
+    ("lanczos3", 0.95, 8, 5): (8587.786659124884, 0.19100338390791216),
+    ("lanczos3", 0.95, 9, 5): (9661.255659272289, 0.21487881458831315),
+    ("lanczos3", 0.95, 2, 1): (10738.714165668693, 0.23870270179006448),
+}
+
+
+class TestFolds:
+    """Both support edges are folds found by Newton steps on dlambda/du,
+    each evaluation solving w(u) by Newton from the last root moved along
+    its tangent."""
+
+    def test_density_workload_folds_take_half_the_sums(self, monkeypatch):
+        # the benchmark's six eigen_pdf and two support_lower_edge calls
+        # make 12 folds. Their bracketed regula falsi took 170 evaluations
+        # of lambda(u) and 775 Newton steps of w(u), one atom sum call each
+        sums, roots = [], []
+        fold_sums, fold_root = respectra.rmt._fold_sums, _fold_root
+        monkeypatch.setattr(respectra.rmt, "_fold_sums",
+                            lambda *a: sums.append(1) or fold_sums(*a))
+        monkeypatch.setattr(respectra.rmt, "_fold_root",
+                            lambda *a: roots.append(1) or fold_root(*a))
+        folds = []
+        edge = respectra.rmt._fold_edge
+        monkeypatch.setattr(respectra.rmt, "_fold_edge",
+                            lambda *a, **kw: folds.append(1) or edge(*a, **kw))
+        for law, xi, beta in density_workload():
+            eigen_pdf(law, law, beta, xi=xi)
+        for name, lnum, m in (("linear", 3, 2), ("b-spline", 2, 1)):
+            spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
+            law = law_upscaled(0.95, spec)
+            support_lower_edge(law, law, 0.125)
+        evaluations = len(roots)
+        assert len(folds) == 12
+        assert evaluations <= 170 // 2
+        assert len(sums) - evaluations <= 775 // 2
+
+    def test_edges_match_the_regula_falsi_folds_on_fig5(self):
+        for (name, rho, lnum, m), (upper, lower) in FIG5_EDGES.items():
+            spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
+            atoms = _law_atoms(law_upscaled(rho, spec))
+            edges = _support_edges(atoms, atoms, 0.125)
+            assert [side for _, _, side in edges] == [1.0, -1.0]
+            assert edges[0][0] == pytest.approx(upper, rel=1e-14), name
+            assert edges[1][0] == pytest.approx(lower, rel=1e-14), name
+
+    def test_mp_edges_match_the_closed_form(self):
+        # relative to the edge; the lower one, (1 - sqrt beta)^2 = 2.5e-7
+        # at beta 0.999, is the difference of w(u) and psi terms near 1
+        atoms = _law_atoms(law_genuine(0.0))
+        for beta in np.linspace(0.125, 0.999, 47):
+            r = np.sqrt(beta)
+            upper, lower = _support_edges(atoms, atoms, beta)
+            assert upper[0] == pytest.approx((1 + r) ** 2, rel=3e-13), beta
+            assert lower[0] == pytest.approx(
+                (1 - r) ** 2, rel=3e-13 if beta <= 0.995 else 1e-12), beta
+            # E2 at the edge, -lambda_e u: (1 + r)/r above, -(1 - r)/r below
+            assert upper[1] == pytest.approx((1 + r) / r, rel=1e-10)
+            assert lower[1] == pytest.approx(-(1 - r) / r, rel=1e-10)
+
+    def test_unfound_root_raises(self, monkeypatch):
+        # phi(w) = E[T/(T - w)] is negative above max T, so a positive
+        # target has no root there; and a fold whose sums are not numbers
+        # finds no root either
+        law = law_genuine(0.97)
+        t, wt = _law_atoms(law).positive
+        with np.errstate(all="ignore"):
+            with pytest.raises(ConvergenceFailure,
+                               match="no real root at u=-1"):
+                _fold_root(t, wt, -1.0, 1.0, 2.0 * t.max(),
+                           (t.max(), np.inf))
+            monkeypatch.setattr(respectra.rmt, "_fold_sums",
+                                lambda q, r: (np.nan,) * 3)
+            with pytest.raises(ConvergenceFailure, match="no real root"):
+                support_lower_edge(law, law, 0.5)
+            with pytest.raises(ConvergenceFailure, match="no real root"):
+                eigen_pdf(law, law, 0.5)
