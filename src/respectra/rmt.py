@@ -6,7 +6,8 @@ solves a two-variable fixed point in the expectations
     E1 = E[ D / (1 + gamma beta D E2) ],   E2 = E[ T / (1 + gamma T E1) ],
 
 where D and T are drawn from the limiting spectral laws of C C^T and
-A A^T. After convergence eta(gamma) = E[ 1 / (1 + gamma beta D E2*) ].
+A A^T. After convergence eta(gamma) = E[ 1 / (1 + gamma beta D E2*) ],
+which the fixed point gives as 1 - gamma beta E1 E2* exactly.
 The laws are SpectralLaw values (rho and, after upscaling, the
 ResampleSpec); this module reads only what they derive from those: the
 transform, angular density, zero mass, xi and descriptor. Expectations
@@ -17,7 +18,16 @@ recovers the eigenvalue density.
 
 Solver notes: the solver's settings are module constants, not parameters.
 Every point takes Newton steps on F(E2) = g(E2) - E2 from its start,
-whose derivative comes from the same quadrature sums as g. A start is
+whose derivative comes from the same quadrature sums as g. Each law's
+side of the map is summed over its atoms of nonzero value in h = 1/(c +
+1/v): sum(w h) for the map and sum((w h) h) for its slope, so an
+evaluation is one broadcast add, one reciprocal, two products and two
+sums per side over the (points x atoms) arrays. eta comes from the same
+evaluation, with no pass of its own: over the atoms, exactly,
+eta = mass + sum(w) - gamma beta E2 E1, and E1 at the returned E2 is E1
+at the last iterate moved along its first two derivatives (one more
+product and sum, sum(w h^3)); a first-order move is off by up to 1.3e-10
+of the peak at a grid floor. A start is
 predicted (the sqrt probe's from the physical root's leading term),
 conj(E2) (a rescue), or cold: the paper-style E1 = 1 value, which only
 eta_transform's solves (real gamma >= 0) and a density sweep's top link
@@ -35,11 +45,12 @@ error is thus far below the tolerance; this matters near zero, where
 (points x atoms) arrays summed along the atom axis, so a point's answer
 does not depend on the other points or on BLAS. Every solve enters
 _solve_e2, and the solver has two paths over one map and slope
-(_fixed_point_map, _map_slope). A scalar gamma that is real
+(_fixed_point_map). A scalar gamma that is real
 (eta_transform's) or walked loose (each chain link) is solved in Python
 scalars (_solve_one): its start, iterates, stop test and tangent are
-scalars, and numpy does only the four atom sums of each evaluation, so a
-chain link does not pay numpy's per-call cost on one-row arrays. For
+scalars, and numpy does only the atom operations of each evaluation, so
+a chain link does not pay numpy's per-call cost on one-row arrays, and a
+loose walk forms no eta. For
 real gamma > 0, which only eta_transform solves, its iterates also stay
 inside a bracket around the positive root, the physical one. Every other
 gamma (the density sweep's batches, the sqrt probe, a rescue) is solved
@@ -48,9 +59,12 @@ the tolerance has the same bits in any batch. Both paths take magnitudes
 as libm's hypot (_modulus); Python's complex multiply and divide round
 differently from numpy's array loops in the last ulp on some inputs, so
 a link's loose E2, which is only a start, can differ in its last bits
-from a batch row's. Each path also
-returns d log E2 / d log gamma from the sums of the last map evaluation
-(_log_tangent), which costs no atom sum of its own. _density_points is
+from a batch row's. Complex solves add and multiply complex copies of
+the atoms' 1/v and w, cast once per law, and a batch frees each
+evaluation's (points x atoms) arrays before the next is formed. Each
+path also returns d log E2 / d log gamma from the sums of the last map
+evaluation (_log_tangent), which costs no atom sum of its own.
+_density_points is
 the one place that solves at points lambda + i nu, forms S and the
 density and picks the root: a density below minus its evaluation-error
 budget (the E2 tolerance, or the map's rounding where that is larger,
@@ -108,6 +122,7 @@ atoms per quadrature rule (_law_atoms, shared by equal laws), the order
 of a sweep per number of points (_walk_plan).
 """
 
+import copy
 import functools
 import logging
 from collections.abc import Hashable
@@ -166,47 +181,51 @@ class _LawAtoms:
     """A law reduced to quadrature atoms: values, weights and zero mass.
 
     Weights fold in the angular density and the symmetric doubling, so
-    sum(weights) + mass = 1 and E[g] = mass * g(0) + sum(weights * g(values)).
-    ``wv`` and ``wv2`` are the weights times the values and their squares,
-    the numerators of the fixed-point map and of its derivative.
-    ``positive`` holds the values and wv of the atoms of nonzero value,
-    ``nonzero`` their probability P(value != 0) and ``harmonic`` the
-    harmonic mean of their values (the folds read these). The arrays are
-    read-only: _law_atoms shares one object among all callers of a law.
+    sum(weights) + mass = 1 and E[g] = mass * g(0) + sum(weights * g(values));
+    ``total`` is mass + sum(weights) as summed, eta's value at gamma = 0.
+    ``wv`` is the weights times the values. The fixed-point map reads the
+    atoms of nonzero value only: ``inv`` holds their reciprocal values and
+    ``wpos`` their weights, so E[V/(1 + c V)] = sum(wpos h) with h = 1/(c
+    + inv), and atoms of value 0 drop out. ``positive`` holds the values
+    and wv of those atoms, ``nonzero`` their probability P(value != 0) and
+    ``harmonic`` the harmonic mean of their values (the folds read these).
+    The arrays are read-only: _law_atoms shares one object among all
+    callers of a law.
     """
 
-    __slots__ = ("values", "weights", "mass", "mean", "wv", "wv2", "positive",
-                 "nonzero", "harmonic", "_complex")
+    __slots__ = ("values", "weights", "mass", "mean", "total", "wv", "inv",
+                 "wpos", "positive", "nonzero", "harmonic", "_complex")
 
     def __init__(self, law):
         nodes, panel_w = quadrature_nodes()
         self.values = np.asarray(law.transform(nodes), dtype=float)
         self.weights = 2.0 * law.angular_density * panel_w
         self.mass = law.zero_mass
+        self.total = self.mass + float(self.weights.sum())
         self.wv = self.weights * self.values
-        self.wv2 = self.wv * self.values
         self.mean = float(self.wv.sum())
         pos = self.values > 0
         self.positive = self.values[pos], self.wv[pos]
-        self.nonzero = float(self.weights[pos].sum())
+        self.inv, self.wpos = 1.0 / self.positive[0], self.weights[pos]
+        self.nonzero = float(self.wpos.sum())
         self.harmonic = self.nonzero / float(
             (self.positive[1] / self.positive[0] ** 2).sum())
         self._complex = None
-        _freeze(self.values, self.weights, self.wv, self.wv2, *self.positive)
+        _freeze(self.values, self.weights, self.wv, self.inv, self.wpos,
+                *self.positive)
 
     def as_complex(self):
-        """These atoms with values, weights, wv and wv2 cast to complex.
+        """These atoms with inv and wpos cast to complex.
 
         numpy has no real x complex loop: it casts the real operand to
-        (w, 0.0) on every call. Complex solves multiply by these copies,
-        cast once per law, and get the same bits.
+        (w, 0.0) on every call. Complex solves add and multiply these
+        copies, cast once per law, and get the same bits.
         """
         if self._complex is None:
-            twin = object.__new__(_LawAtoms)
-            twin.mass, twin.mean, twin._complex = self.mass, self.mean, None
-            for name in ("values", "weights", "wv", "wv2"):
-                setattr(twin, name, getattr(self, name).astype(complex))
-            _freeze(twin.values, twin.weights, twin.wv, twin.wv2)
+            twin = copy.copy(self)
+            twin.inv, twin.wpos = (self.inv.astype(complex),
+                                   self.wpos.astype(complex))
+            _freeze(twin.inv, twin.wpos)
             self._complex = twin
         return self._complex
 
@@ -242,25 +261,42 @@ def _column(v):
     return v[:, None] if isinstance(v, np.ndarray) else v
 
 
-def _fixed_point_map(atoms_d, atoms_t, g, gb, x):
+def _side(atoms, c):
+    """A law's side of the map at a scalar c or at each point of a vector
+    c: sum(w h) = E[V/(1 + c V)] with h = 1/(c + 1/v) over the atoms of
+    nonzero value, and the arrays (w h, h)."""
+    h = _column(c) + atoms.inv
+    np.reciprocal(h, out=h)
+    wh = atoms.wpos * h
+    return np.add.reduce(wh, axis=-1), wh, h
+
+
+def _fixed_point_map(atoms_d, atoms_t, g, gb, ggb, x):
     """F(x) = g(x) - x at a scalar x, or at each point of a vector x, where
-    gb = gamma beta; also returns the first atom sum e1 = E1 at x and the
-    reciprocals (ra, rb) of the two atom sums, from which _map_slope forms
-    g'(x). A vector's points are rows of (points x atoms) arrays summed
-    along the atom axis, so each row is computed alone, by the same loops
-    over the atoms as a scalar point."""
-    ra = np.reciprocal(1.0 + _column(gb * x) * atoms_d.values)
-    e1 = np.add.reduce(atoms_d.wv * ra, axis=-1)
-    rb = np.reciprocal(1.0 + _column(g * e1) * atoms_t.values)
-    return np.add.reduce(atoms_t.wv * rb, axis=-1) - x, e1, ra, rb
+    gb = gamma beta and ggb = gamma^2 beta, with its slope g'(x) = ggb A B
+    from the same arrays (_side): A = sum(w_T h_T^2), B = sum(w_D h_D^2).
+    Returns (F, E1 at x, g'(x), A, (B, w_D h_D^2, h_D)); _log_tangent reads
+    A, _eta the last three. A vector's points are rows of (points x atoms)
+    arrays summed along the atom axis, so each row is computed alone, by
+    the same loops over the atoms as a scalar point."""
+    e1, whd, hd = _side(atoms_d, gb * x)
+    gx, wht, ht = _side(atoms_t, g * e1)
+    wht *= ht
+    whd *= hd
+    a, b = np.add.reduce(wht, axis=-1), np.add.reduce(whd, axis=-1)
+    return gx - x, e1, ggb * a * b, a, (b, whd, hd)
 
 
-def _map_slope(atoms_d, atoms_t, ggb, ra, rb):
-    """g'(x) = gamma^2 beta A B at each point from the reciprocals of
-    _fixed_point_map, where ggb = gamma^2 beta, A = sum(wv2_T rb^2) and
-    B = sum(wv2_D ra^2); also returns A, which _log_tangent reads."""
-    a = np.add.reduce(atoms_t.wv2 * rb * rb, axis=-1)
-    return ggb * a * np.add.reduce(atoms_d.wv2 * ra * ra, axis=-1), a
+def _eta(atoms_d, gb, e2, e1, step, b, whh, h):
+    """eta = E[1/(1 + c D)] at the returned E2, c = gamma beta E2, from
+    the sums of the map's evaluation at x = E2 - step (the last three
+    values of _fixed_point_map): over the atoms eta = mass + sum(w) - c E1
+    exactly, and E1 at E2 is E1 - gb step B + (gb step)^2 C + O(step^3),
+    with B = sum(w h^2) and C = sum(w h^3), since dh/dx = -gb h^2. The
+    second-order term matters: without it the grid floor of b-spline 2/1,
+    rho 0.97, beta 1 moves by 1.3e-10 of the peak. whh becomes w h^3."""
+    c = np.add.reduce(np.multiply(whh, h, out=whh), axis=-1)
+    return atoms_d.total - gb * e2 * (e1 + gb * step * (gb * step * c - b))
 
 
 def _log_tangent(g, x, e1, slope, a):
@@ -273,8 +309,10 @@ def _log_tangent(g, x, e1, slope, a):
 
 def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     """Solve E2 = g(E2) at a gamma or at each point of a vector of gamma;
-    returns (e2, iterations, tangent), the tangent being d log E2 / d log
-    gamma (_log_tangent) from the sums of the last map evaluation.
+    returns (e2, iterations, tangent, eta), the tangent being d log E2 /
+    d log gamma (_log_tangent) and eta = E[1/(1 + gamma beta D E2)] at the
+    returned E2 (_eta), both from the sums of the last map evaluation. A
+    loose solve returns eta None: its E2 is only a start.
 
     ``warm`` gives each point its start E2. Every point takes Newton steps
     on F(x) = g(x) - x from its start, with g'(x) from the same atom sums
@@ -319,58 +357,53 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     its point in ConvergenceFailure.point. A vector of more than one gamma
     without starts raises ValueError.
     """
-    tolerance = _LOOSE if loose else _TOLERANCE
     if not isinstance(gamma, np.ndarray) and (
             loose or not isinstance(gamma, complex)):
-        return _solve_one(atoms_d, atoms_t, beta, gamma, warm, tolerance)
+        return _solve_one(atoms_d, atoms_t, beta, gamma, warm, loose)
+    tolerance = _LOOSE if loose else _TOLERANCE
     gamma = np.atleast_1d(gamma) * 1.0
     if warm is None:
         if len(gamma) != 1:
             raise ValueError("a vector of gamma needs its starts")
-        x = _cold_start(atoms_t, gamma)
+        x = _side(atoms_t, gamma)[0]  # E[T/(1 + gamma T)]: E1 = 1
     else:
         x = warm + np.zeros(len(gamma), gamma.dtype)
     if np.iscomplexobj(x):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
     gb, ggb = gamma * beta, gamma * gamma * beta
     rounding = _map_rounding(atoms_d, atoms_t)
-    e2, its = np.empty_like(x), np.zeros(len(x), dtype=int)
-    tangent = np.empty_like(x)
-    point, g = np.arange(len(x)), gamma
+    e2, tangent, eta = np.empty((3, len(x)), x.dtype)
+    point, g, its = np.arange(len(x)), gamma, np.zeros(len(x), dtype=int)
     # the loop tests masks with np.count_nonzero, a few times cheaper than
     # .any() on arrays this small
     for it in range(1, _MAX_ITERS + 1):
-        f, e1, ra, rb = _fixed_point_map(atoms_d, atoms_t, g, gb, x)
+        f, e1, slope, a, terms = _fixed_point_map(atoms_d, atoms_t, g, gb,
+                                                  ggb, x)
         residual = _modulus(f)
-        slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
         step = f / (1.0 - slope)
         new = x + step
         stepped = _modulus(step) <= tolerance * _modulus(new)
         done = stepped | (residual <= rounding * _modulus(x))
         finished = np.count_nonzero(done)
-        if finished == len(x):
-            e2[point], its[point] = np.where(stepped, new, x), it
-            tangent[point] = _log_tangent(g, x, e1, slope, a)
-            return e2, its, tangent
         if finished:
-            at = point[done]
-            e2[at], its[at] = np.where(stepped, new, x)[done], it
-            tangent[at] = _log_tangent(g, x, e1, slope, a)[done]
+            # eta of every row (two more atom operations), kept where done
+            got, rows = np.where(stepped, new, x), point[done]
+            e2[rows], its[rows] = got[done], it
+            tangent[rows] = _log_tangent(g, x, e1, slope, a)[done]
+            eta[rows] = _eta(atoms_d, gb, got, e1,
+                             np.where(stepped, step, 0.0), *terms)[done]
+            if finished == len(x):
+                return e2, its, tangent, eta
             keep = ~done
             point, x, g, gb, ggb, residual = (
                 v[keep] for v in (point, new, g, gb, ggb, residual))
         else:
             x = new
+        # the next evaluation allocates its own arrays; these go first
+        terms = None
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
         f"at gamma={gamma[point[0]]}", residual=residual[0], point=point[0])
-
-
-def _cold_start(atoms_t, gamma):
-    """The paper-style start E2 = E[T / (1 + gamma T)] (E1 = 1) at a gamma
-    or at each point of a vector of gamma."""
-    return np.add.reduce(
-        atoms_t.wv / (1.0 + _column(gamma) * atoms_t.values), axis=-1)
 
 
 def _map_rounding(atoms_d, atoms_t):
@@ -387,16 +420,15 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _solve_one(atoms_d, atoms_t, beta, gamma, x, tolerance):
+def _solve_one(atoms_d, atoms_t, beta, gamma, x, loose):
     """_solve_e2 at one scalar gamma from the scalar start x (None for a
-    cold start), ``tolerance`` being the largest relative Newton step that
-    ends the solve (_TOLERANCE, or _LOOSE for a chain link's walk). The
-    start, iterates, stop test and tangent are scalars, and numpy does only
-    the four atom sums of each evaluation (_fixed_point_map, _map_slope,
-    the batch loop's map and slope on one point): a chain link's walk does
-    not pay numpy's per-call cost on one-row arrays. Returns (e2,
-    iterations, tangent) as scalars. Failures raise as in _solve_e2, with
-    point 0.
+    cold start), to _LOOSE if ``loose`` (a chain link's walk) and else to
+    _TOLERANCE. The start, iterates, stop test and tangent are scalars,
+    and numpy does only the atom operations of each evaluation
+    (_fixed_point_map, the batch loop's map and slope on one point): a
+    chain link's walk does not pay numpy's per-call cost on one-row arrays.
+    Returns (e2, iterations, tangent, eta) as scalars, eta None if
+    ``loose``. Failures raise as in _solve_e2, with point 0.
 
     Python's complex multiply and divide round differently from numpy's
     array loops in the last ulp on some inputs, so a complex point solved
@@ -410,7 +442,7 @@ def _solve_one(atoms_d, atoms_t, beta, gamma, x, tolerance):
     step leaving it is replaced by bisection.
     """
     if x is None:
-        x = _cold_start(atoms_t, gamma)
+        x = _side(atoms_t, gamma)[0]  # E[T/(1 + gamma T)]: E1 = 1
     if isinstance(x, complex) or isinstance(gamma, complex):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
     bracketed = not isinstance(gamma, complex) and gamma > 0
@@ -419,31 +451,26 @@ def _solve_one(atoms_d, atoms_t, beta, gamma, x, tolerance):
         x = 0.5 * (lo + hi)
     gb, ggb = gamma * beta, gamma * gamma * beta
     rounding = _map_rounding(atoms_d, atoms_t)
+    tolerance = _LOOSE if loose else _TOLERANCE
     for it in range(1, _MAX_ITERS + 1):
-        f, e1, ra, rb = _fixed_point_map(atoms_d, atoms_t, gamma, gb, x)
+        f, e1, slope, a, terms = _fixed_point_map(atoms_d, atoms_t, gamma,
+                                                  gb, ggb, x)
         residual = abs(f)
         if bracketed:
             lo, hi = (x.real, hi) if f.real > 0 else (lo, x.real)
-        slope, a = _map_slope(atoms_d, atoms_t, ggb, ra, rb)
         step = f / (1.0 - slope)
         if bracketed and not lo < (x + step).real < hi:
             step = 0.5 * (lo + hi) - x
         new = x + step
         stepped = abs(step) <= tolerance * abs(new)
         if stepped or residual <= rounding * abs(x):
-            return (new if stepped else x), it, \
-                _log_tangent(gamma, x, e1, slope, a)
+            new, step = (new, step) if stepped else (x, 0.0)
+            return new, it, _log_tangent(gamma, x, e1, slope, a), \
+                None if loose else _eta(atoms_d, gb, new, e1, step, *terms)
         x = new
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
         f"at gamma={gamma}", residual=residual, point=0)
-
-
-def _eta_given_e2(atoms_d, beta, gamma, e2):
-    if np.iscomplexobj(e2):
-        atoms_d = atoms_d.as_complex()
-    return atoms_d.mass + np.add.reduce(atoms_d.weights / (
-        1.0 + _column(gamma * beta * e2) * atoms_d.values), axis=-1)
 
 
 def eta_transform(law_d, law_t, beta, gamma):
@@ -452,7 +479,13 @@ def eta_transform(law_d, law_t, beta, gamma):
 
     The whole computation stays in real arithmetic, and E2* is the
     positive root of the fixed point, the physical one, which the solver
-    brackets. Raises InputError for a beta outside (0, 1] and for a gamma
+    brackets. eta comes with E2* from the solver's own sums, as mass +
+    sum(w) - gamma beta E2* E1 (_eta): within 3.1e-16 absolute of a direct
+    sum over D at the same E2* for gamma from 1e-4 to 1e14 (MP, genuine rho
+    0.97 and 0.9999, b-spline 2/1 rho 0.97, beta 0.25 and 1). The
+    difference loses relative precision only where eta is near 0: 1.3e-9
+    relative at eta 1e-7 (MP, beta 1, gamma 1e14). Raises InputError for a
+    beta outside (0, 1] and for a gamma
     that is complex, negative or not finite: the Stieltjes transform
     S(z) = gamma eta(gamma) at gamma = -1/z inside the support needs a
     root selector that a lone solve lacks, and eigen_pdf's walk into the
@@ -464,10 +497,8 @@ def eta_transform(law_d, law_t, beta, gamma):
     check_range("gamma", gamma, 0)
     if gamma == 0:
         return 1.0
-    atoms_d = _law_atoms(law_d)
-    atoms_t = _law_atoms(law_t)
-    e2 = _solve_e2(atoms_d, atoms_t, beta, float(gamma))[0]
-    return _eta_given_e2(atoms_d, beta, float(gamma), e2)
+    return _solve_e2(_law_atoms(law_d), _law_atoms(law_t), beta,
+                     float(gamma))[3]
 
 
 @dataclass(frozen=True)
@@ -534,13 +565,13 @@ def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm, loose=False):
     its point."""
     gamma = -1.0 / (lam + 1j * nu)
     try:
-        e2, its, tangent = _solve_e2(atoms_d, atoms_t, beta, gamma,
-                                     warm=warm, loose=loose)
+        e2, its, tangent, eta = _solve_e2(atoms_d, atoms_t, beta, gamma,
+                                          warm=warm, loose=loose)
     except ConvergenceFailure as exc:
         at = lam[exc.point] if np.ndim(lam) else lam
         raise ConvergenceFailure(f"inversion failed at lambda={at:g}",
                                  residual=exc.residual) from exc
-    return gamma, e2, its, lam * gamma * tangent
+    return gamma, e2, its, lam * gamma * tangent, eta
 
 
 def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
@@ -563,9 +594,9 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
     rounding = _map_rounding(atoms_d, atoms_t)
 
     def solve(lam, start):
-        gamma, e2, its, tangent = _solve_at(atoms_d, atoms_t, beta, lam, nu,
-                                            start)
-        s = gamma * _eta_given_e2(atoms_d, beta, gamma, e2)
+        gamma, e2, its, tangent, eta = _solve_at(atoms_d, atoms_t, beta, lam,
+                                                 nu, start)
+        s = gamma * eta
         smear = zero_mass * nu / (np.pi * (lam * lam + nu * nu))
         budget = np.maximum(1e-12, max(_TOLERANCE, rounding) * np.abs(s)
                             / np.pi)
@@ -728,7 +759,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
         warm = None if i == 0 or anchor is None else _predicted(
             *_quadratic(abscissa(k, f), *coords(links[i - 1], f), *anchor),
             f < 0)
-        _, e2[k], its, tangent[k] = _solve_at(
+        _, e2[k], its, tangent[k], _ = _solve_at(
             atoms_d, atoms_t, beta, grid.item(k), nu, warm, loose=True)
         iters += its
     solve(down, e2[down])
@@ -846,9 +877,13 @@ def _fold_edge(atoms_d, atoms_t, beta, upper):
     Newton steps in 1/s, whose derivative d2lambda/du2 = w'' psi + 2 w'
     psi' + w psi'' takes psi'' and phi''(w), two more sums over the same
     atoms (w' = (u psi)'/phi'(w), w'' = ((u psi)'' - phi''(w) w'^2) /
-    phi'(w)). The upper edge starts at half the pole, the lower one at half
-    the lower fold of Marchenko-Pastur, u = 1/(m r (1 - r)), for D's
-    harmonic mean m and r = sqrt(beta P(T != 0)/P(D != 0)). Each
+    phi'(w)). The upper edge starts at the smaller of half the pole and the
+    upper fold of Marchenko-Pastur, u = -1/(m r (1 + r)) for r = sqrt(beta)
+    and m = E[D^3]/E[D^2], a mean that follows the peak of a peaked D, so
+    the start follows the fold toward u = 0 as beta falls (MP takes one
+    evaluation at every beta). The lower edge starts at half the lower
+    fold of Marchenko-Pastur, u = 1/(m r (1 - r)), for D's harmonic mean m
+    and r = sqrt(beta P(T != 0)/P(D != 0)). Each
     evaluation narrows a bracket on the sign of dlambda/du (> 0 below the
     root), and a step leaving it doubles or halves s while one end is
     open, else takes the bracket's geometric mean. The steps stop at the
@@ -869,7 +904,8 @@ def _fold_edge(atoms_d, atoms_t, beta, upper):
     if upper:
         sign, branch, w = -1.0, (t.max(), np.inf), 2.0 * t.max()
         lo, hi = 0.0, 1.0 / (beta * d.max())
-        s = 0.5 * hi
+        m, r = float((wd * d * d).sum() / (wd * d).sum()), np.sqrt(beta)
+        s = min(0.5 * hi, 1.0 / (m * r * (1.0 + r)))
     else:
         sign, branch, w = 1.0, (-np.inf, t.min()), 0.0
         r = np.sqrt(beta * atoms_t.nonzero / atoms_d.nonzero)
@@ -949,8 +985,7 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0):
     ``xi`` is not read. Raises ConvergenceFailure if a root is not found.
     """
     check_range("beta", beta, 0, 1, low_open=True)
-    atoms_d = _law_atoms(law_d)
-    atoms_t = _law_atoms(law_t)
+    atoms_d, atoms_t = _law_atoms(law_d), _law_atoms(law_t)
     if _support_reaches_zero(atoms_d, atoms_t, beta):
         return 0.0
     return _fold_edge(atoms_d, atoms_t, beta, upper=False)[0]
@@ -1019,15 +1054,15 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
     that carry different factors. The bound on points keeps a call to a few
     seconds and its per-point arrays near 16 MiB: each point costs about
-    0.003-0.006 ms of solving over the 128 atoms (whole calls of 8 192
-    points take 23-25 ms, of 512 points 2.1-2.4 ms, best of 7 and of 9
-    repeated calls over genuine and five upscaled laws of rho 0.97 at
-    beta 0.5, linear 3/2, catmull-rom 2/1, b-spline 2/1 and 3/2 and
-    lanczos3 3/2, on a 2-core x86 box whose speed swings by up to 30 %
-    with other load; some processes read 29-33 ms for 8 192 points, a
-    state of the C allocator that fixed malloc thresholds remove; 2**20
-    points take 3.7-4.0 s for the genuine law), and the complex E2 of
-    2**20 points takes 16 MiB. The figures use the default 512.
+    0.005-0.007 ms of solving over the 128 atoms (whole calls of 8 192
+    points take 38-45 ms, of 512 points 3.8-4.4 ms, best of 7 and of 9
+    repeated calls over genuine and five upscaled laws of rho 0.97 at beta
+    0.5, linear 3/2, catmull-rom 2/1, b-spline 2/1 and 3/2 and lanczos3
+    3/2, alike in a fresh process and after three 512-point calls of the
+    same laws, on a 2-core Intel Xeon box with AVX-512 whose speed swings
+    by up to 30 % with other load; 2**20 points take about 7 s for the
+    genuine law), and the complex E2 of 2**20 points takes 16 MiB. The
+    figures use the default 512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
     = beta E[D] E[T] within 1 %) were measured over MP and the genuine and
@@ -1061,8 +1096,7 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
                              f"{law_d.xi} and {law_t.xi}; pass xi")
         xi = law_d.xi
     zero_mass = afze(beta, xi)  # checks beta
-    atoms_d = _law_atoms(law_d)
-    atoms_t = _law_atoms(law_t)
+    atoms_d, atoms_t = _law_atoms(law_d), _law_atoms(law_t)
     edges = _support_edges(atoms_d, atoms_t, beta)
     walk = _default_grid(atoms_d, atoms_t, beta, zero_mass, edges)
     if grid is None:

@@ -7,9 +7,10 @@ at 3/2 and 2/1), at beta 0.05 to 1 in steps of 0.01: 28 laws x 96 betas,
 mass within 1e-2 of 1 and first moment within 1 % of beta E[D] E[T]. Prints
 every call that raises or misses a budget, then the counts of raised calls,
 first-moment misses, mass misses, rescued points and solver iterations,
-the number of support-edge folds (``rmt._fold_edge``) and their total
-time, and the largest total-mass and first-moment errors over all calls,
-with the call where each falls, so a change can quote its margin as well
+the number of support-edge folds (``rmt._fold_edge``), their total time
+and their evaluations of lambda(u) (``rmt._fold_root`` calls), upper and
+lower folds apart, and the largest total-mass and first-moment errors
+over all calls, with the call where each falls, so a change can quote its margin as well
 as its misses, and likewise the most solver iterations any one point
 took, which measures the margin to the solver's cap (``rmt._MAX_ITERS``),
 the largest relative gap between MP's ``upper_edge`` and its closed form
@@ -19,7 +20,10 @@ angles at which a raw spectrum is negative before clamping, expected 0 (a
 law counts them only when the count is read). Last it prints four calls
 outside the range the budgets are stated for (beta below 0.05, rho
 0.9999), with their first-moment ratio, total mass, rescued points and
-most iterations per point; they are not counted as misses.
+most iterations per point; they are not counted as misses. Then one line
+of upper-fold evaluations at beta 1e-3, 1e-5 and 1e-8 (MP, genuine rho
+0.5, 0.97 and 0.9999, b-spline 2/1 rho 0.97), also outside the budgets:
+the upper search starts nearer the fold as beta falls.
 
 Run from the repository root (about 10 s on one core):
 
@@ -82,21 +86,51 @@ def count_iterations():
 
 
 def count_folds():
-    """Wrap rmt._fold_edge, which finds each support edge; the returned
-    list holds the number of folds and their total time in seconds."""
-    folds = [0, 0.0]
-    fold = rmt._fold_edge
+    """Wrap rmt._fold_edge, which finds each support edge, and
+    rmt._fold_root, which each evaluation of lambda(u) calls once; the
+    returned dict holds the number of folds, their total time in seconds
+    and the evaluations of the upper and of the lower folds."""
+    folds = {"folds": 0, "seconds": 0.0, True: 0, False: 0}
+    fold, root = rmt._fold_edge, rmt._fold_root
+    evaluations = [0]
 
-    def spy(*args, **kwargs):
+    def spy(atoms_d, atoms_t, beta, upper):
         start = time.perf_counter()
+        evaluations[0] = 0
         try:
-            return fold(*args, **kwargs)
+            return fold(atoms_d, atoms_t, beta, upper=upper)
         finally:
-            folds[0] += 1
-            folds[1] += time.perf_counter() - start
+            folds["folds"] += 1
+            folds["seconds"] += time.perf_counter() - start
+            folds[upper] += evaluations[0]
 
-    rmt._fold_edge = spy
+    def root_spy(*args):
+        evaluations[0] += 1
+        return root(*args)
+
+    rmt._fold_edge, rmt._fold_root = spy, root_spy
     return folds
+
+
+def small_beta_upper_folds(folds):
+    """Upper folds at beta 1e-3, 1e-5 and 1e-8 of MP, genuine rho 0.5,
+    0.97 and 0.9999 and b-spline 2/1 rho 0.97, solved directly (no
+    density): (folds, evaluations, most evaluations and where)."""
+    spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+    cases = [("MP", law_genuine(0.0))] + [
+        (f"genuine rho {rho}", law_genuine(rho)) for rho in (0.5, 0.97, 0.9999)
+    ] + [("b-spline 2/1 rho 0.97", law_upscaled(0.97, spline))]
+    total, most = 0, (0, "")
+    for label, law in cases:
+        atoms = rmt._law_atoms(law)
+        for beta in (1e-3, 1e-5, 1e-8):
+            before = folds[True]
+            rmt._fold_edge(atoms, atoms, beta, upper=True)
+            count = folds[True] - before
+            total += count
+            if count > most[0]:
+                most = (count, f"{label} beta {beta:g}")
+    return 3 * len(cases), total, most
 
 
 def main():
@@ -144,8 +178,9 @@ def main():
                 print(f"mass: {call}: total {total:.4f}")
     print(f"calls {calls}, raised {raised}, first-moment misses {moment}, "
           f"mass misses {mass}, rescued points {rescued}, "
-          f"solver iterations {iterations}, folds {folds[0]} "
-          f"({folds[1]:.2f} s) ({time.perf_counter() - start:.0f} s)")
+          f"solver iterations {iterations}, folds {folds['folds']} "
+          f"({folds['seconds']:.2f} s; evaluations {folds[True]} upper, "
+          f"{folds[False]} lower) ({time.perf_counter() - start:.0f} s)")
     for name, (err, call) in worst.items():
         print(f"largest {name} error {err:.2e} ({call})")
     print(f"most iterations per point {deepest[0]} ({deepest[1]})")
@@ -165,6 +200,9 @@ def main():
               f"{pdf.first_moment() / (beta * mean * mean):.4f}, total mass "
               f"{pdf.total_mass():.4f}, {pdf.rescued_points} rescued, "
               f"most iterations per point {most[0]}")
+    count, evaluations, (deepest, call) = small_beta_upper_folds(folds)
+    print(f"  upper folds at beta 1e-3 to 1e-8: {count} folds, "
+          f"{evaluations} evaluations, most {deepest} ({call})")
 
 
 if __name__ == "__main__":

@@ -88,6 +88,25 @@ def test_readme_states_the_solver_settings():
     assert "stall counter" not in bullet
 
 
+def test_readme_states_where_eta_comes_from():
+    # the "Eta solver" bullet says eta comes from the map's own sums; a
+    # separate eta pass over the atoms, or slope numerators over all atoms
+    # kept beside the h-form sums, must change that text too
+    readme = (ROOT / "README.md").read_text()
+    bullet = " ".join(readme.split("- **Eta solver.**", 1)[1]
+                      .split("\n- ", 1)[0].split())
+    assert "Eta comes from the map's own sums, with no pass of its own" \
+        in bullet
+    assert "`eta = mass + sum(w) - gamma beta E2 E1`" in bullet
+    assert "`h = 1/(c + 1/v)`" in bullet
+    assert [name for name in vars(rmt) if name.startswith("_eta")] \
+        == ["_eta"]
+    assert [name for name in rmt._LawAtoms.__slots__
+            if name.startswith("wv")] == ["wv"]
+    atoms = rmt._law_atoms(respectra.law_genuine(0.97))
+    assert atoms.as_complex().inv.dtype == complex
+
+
 def test_readme_states_the_fold_method(monkeypatch):
     # the "Grids" bullet states how the support edges are found; a change
     # to rmt's _fold_edge, _FOLD_STEP or its evaluation count on the

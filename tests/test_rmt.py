@@ -17,7 +17,7 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
 from respectra.rmt import (_CHAIN_STRIDE, MAX_POINTS, _atoms_of,
-                           _density_points, _eta_given_e2, _fixed_point_map,
+                           _density_points, _fixed_point_map,
                            _fold_edge, _fold_root, _hermite, _kept_plan,
                            _law_atoms, _LawAtoms, _modulus, _predicted,
                            _quadratic, _solve_e2, _support_edges,
@@ -124,8 +124,8 @@ def staged_sweep(atoms, beta, zero_mass, grid, nu, walk):
                               True)
         lam = float(grid[k])
         gamma = -1.0 / (lam + 1j * nu)
-        e2[k], its[k], t = _solve_e2(atoms, atoms, beta, gamma, warm=warm,
-                                     loose=True)
+        e2[k], its[k], t, _ = _solve_e2(atoms, atoms, beta, gamma,
+                                        warm=warm, loose=True)
         tangent[k] = lam * gamma * t
     solve(chain, e2[chain])
     known = chain
@@ -277,7 +277,7 @@ class TestEtaTransform:
         fresh = _LawAtoms(law)
         for got, want in zip(used, _density_points(fresh, fresh, *args)):
             assert got.tobytes() == want.tobytes()
-        for name in ("values", "weights", "wv", "wv2"):
+        for name in ("inv", "wpos"):
             cast = getattr(atoms, name).astype(complex)
             assert getattr(atoms.as_complex(), name).tobytes() \
                 == cast.tobytes()
@@ -435,8 +435,7 @@ class TestOnePointPath:
                    for gamma, result in links)
         assert sum(int(np.sum(result[1])) for _, _, result in solves) \
             == pdf.solver_iterations == 666
-        for (gamma, (e2, _, _)), (other, (near, _, _)) in zip(links,
-                                                             links[1:]):
+        for (gamma, (e2, *_)), (other, (near, *_)) in zip(links, links[1:]):
             one = _solve_e2(atoms, atoms, 0.5, gamma, warm=e2)
             rows = _solve_e2(atoms, atoms, 0.5, np.array([gamma, other]),
                              warm=np.array([e2, near]))
@@ -601,7 +600,7 @@ class TestEdgeStarts:
         for lam_e, e2_e, _ in edges:
             gamma = np.array([-1.0 / lam_e])
             f = _fixed_point_map(atoms, atoms, gamma, 0.5 * gamma,
-                                 np.array([e2_e]))[0]
+                                 0.5 * gamma * gamma, np.array([e2_e]))[0]
             assert abs(f[0]) <= 1e-12 * abs(e2_e), f"lambda_e={lam_e:g}"
             # it is the limit of the swept, physical E2, which leaves it
             # as the square root of the distance (measured: 0.92-1.21
@@ -656,10 +655,72 @@ class TestStieltjes:
         # O(|gamma|)
         atoms = _LawAtoms(law_genuine(0.5))
         gamma = -1.0 / (1.0 + 1e6j)
-        e2 = _solve_e2(atoms, atoms, 1.0, gamma,
-                       warm=cold_starts(atoms, gamma))[0]
-        s = gamma * _eta_given_e2(atoms, 1.0, np.atleast_1d(gamma), e2)[0]
+        eta = _solve_e2(atoms, atoms, 1.0, gamma,
+                        warm=cold_starts(atoms, gamma))[3]
+        s = gamma * eta[0]
         assert abs(s - gamma) < 1e-5
+
+
+def direct_eta(atoms, beta, gamma, e2):
+    """eta = E[1/(1 + gamma beta D E2)] summed over every atom of D at the
+    given E2, the definition the solver's identity replaces."""
+    gamma, e2 = np.atleast_1d(gamma), np.atleast_1d(e2)
+    return atoms.mass + np.add.reduce(atoms.weights / (
+        1.0 + (gamma * beta * e2)[:, None] * atoms.values), axis=1)
+
+
+class TestEtaIdentity:
+    """The solver returns eta with E2, from the map's own sums: eta = mass
+    + sum(w) - gamma beta E2 E1, with E1 moved to the returned E2 to
+    second order."""
+
+    @pytest.mark.parametrize("rho", [0.9, 0.97])
+    def test_densities_match_a_direct_sum(self, rho, monkeypatch):
+        # every row _density_points returns over the beta = 1 laws (genuine
+        # and four kernels at 3/2 and 2/1), the sqrt probe at the grid floor
+        # included, against the density from a direct sum over D at the E2
+        # it returns. A first-order E1 (no sum(w h^3) term) moves the
+        # probe of b-spline 2/1, rho 0.97 by 1.3e-10 of the peak
+        rows = []
+        solve = respectra.rmt._density_points
+
+        def spy(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
+            out = solve(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm)
+            rows.append((atoms_d, beta, zero_mass, lam, nu, out))
+            return out
+
+        monkeypatch.setattr(respectra.rmt, "_density_points", spy)
+        laws = [(law_genuine(rho), 1.0)]
+        for name in ("linear", "catmull-rom", "b-spline", "lanczos3"):
+            for lnum, m in ((3, 2), (2, 1)):
+                spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
+                laws.append((law_upscaled(rho, spec), spec.xi))
+        for law, xi in laws:
+            rows.clear()
+            peak = eigen_pdf(law, law, 1.0, xi=xi).density.max()
+            assert len(rows) > 1
+            for atoms, beta, zero_mass, lam, nu, out in rows:
+                gamma = -1.0 / (lam + 1j * nu)
+                s = gamma * direct_eta(atoms, beta, gamma, out[1])
+                direct = s.imag / np.pi \
+                    - zero_mass * nu / (np.pi * (lam * lam + nu * nu))
+                err = np.abs(out[0] - direct).max()
+                assert err <= 1e-12 * peak, (law.descriptor, lam.min(), err)
+
+    def test_eta_transform_matches_a_direct_sum(self):
+        # within 1e-15 absolute; relative to eta the identity loses
+        # precision only where eta is near 0 (1.3e-9 at eta 1e-7, MP,
+        # beta 1, gamma 1e14)
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        for law in (law_genuine(0.0), law_genuine(0.97), law_genuine(0.9999),
+                    law_upscaled(0.97, spline)):
+            atoms = _LawAtoms(law)
+            for beta in (0.25, 1.0):
+                for gamma in np.logspace(-4, 14, 37).tolist():
+                    e2 = _solve_e2(atoms, atoms, beta, gamma)[0]
+                    eta = eta_transform(law, law, beta, gamma)
+                    assert abs(eta - direct_eta(atoms, beta, gamma, e2)[0]) \
+                        <= 1e-15, (law.descriptor, beta, gamma)
 
 
 class TestEigenPdf:
@@ -807,9 +868,9 @@ class TestEigenPdf:
         gen = _LawAtoms(law_genuine(0.97))
         gammas = np.array([1.0, 1e4, 1e8])
         start = cold_starts(gen, gammas)
-        e2, its, tangent = _solve_e2(gen, gen, 0.5, gammas, warm=start)
+        e2, its, tangent, eta = _solve_e2(gen, gen, 0.5, gammas, warm=start)
         for k, gamma in enumerate(gammas):
-            assert (e2[k], its[k], tangent[k]) == _solve_e2(
+            assert (e2[k], its[k], tangent[k], eta[k]) == _solve_e2(
                 gen, gen, 0.5, gamma, warm=start[k])
 
     def test_given_grid_reproduces_default_call(self):
@@ -1287,9 +1348,8 @@ class TestFixedCost:
         atoms = _law_atoms(one)
         assert _law_atoms(other) is atoms
         twin = atoms.as_complex()
-        for arrays in (atoms.values, atoms.weights, atoms.wv, atoms.wv2,
-                       *atoms.positive, twin.values, twin.weights, twin.wv,
-                       twin.wv2):
+        for arrays in (atoms.values, atoms.weights, atoms.wv, atoms.inv,
+                       atoms.wpos, *atoms.positive, twin.inv, twin.wpos):
             with pytest.raises(ValueError, match="read-only"):
                 arrays[0] = 1.0
 
@@ -1379,10 +1439,90 @@ FIG5_EDGES = {
 }
 
 
+# per law, (beta, upper edge, lower edge, evaluations of the upper fold,
+# of the lower fold): the edges as found when the upper search started at
+# half the pole whatever beta, the evaluations since it starts from the
+# Marchenko-Pastur upper fold for E[D^3]/E[D^2] (then 28 and 2 for MP at
+# beta 1e-8, 33 and 27 for b-spline 2/1)
+SMALL_BETA_FOLDS = {
+    "MP": [
+        (1e-08, 1.00020001, 0.9998000100000001, 1, 2),
+        (1e-05, 1.0063345553203369, 0.993685444679663, 1, 2),
+        (0.001, 1.0642455532033672, 0.9377544467966323, 1, 2),
+        (0.05, 1.4972135954999581, 0.602786404500042, 1, 2),
+        (0.25, 2.25, 0.25000000000000006, 1, 7),
+        (0.5, 2.9142135623730945, 0.08578643762690495, 1, 6),
+        (0.999, 3.997999749874922, 2.501250781794817e-07, 1, 3),
+    ],
+    "genuine 0.5": [
+        (1e-08, 5.33336621612708, 0.592584797417204, 12, 11),
+        (1e-05, 5.336622101522429, 0.5918329731325825, 9, 8),
+        (0.001, 5.404402297855093, 0.5763895532851134, 7, 7),
+        (0.05, 6.335649758930839, 0.4000234486761125, 5, 4),
+        (0.25, 8.481885906080443, 0.16460366719717323, 5, 4),
+        (0.5, 10.619535899174027, 0.055436456143042365, 5, 5),
+        (0.999, 14.38893235920711, 1.6008005362442816e-07, 6, 3),
+    ],
+    "genuine 0.97": [
+        (1e-08, 18800.603464525186, 4.3595438717142425, 11, 21),
+        (1e-05, 18810.91501835884, 4.320867487997203, 9, 16),
+        (0.001, 19025.295030874422, 3.5855719381310482, 7, 11),
+        (0.05, 21999.589517165154, 0.49258869991385756, 5, 7),
+        (0.25, 29004.771018338524, 0.08490886062522261, 4, 4),
+        (0.5, 36112.7773976484, 0.02419123111399678, 5, 4),
+        (0.999, 48824.550627083845, 6.639738440361346e-08, 6, 3),
+    ],
+    "genuine 0.9999": [
+        (1e-08, 361392781199.0095, 1305.5930210180293, 4, 25),
+        (1e-05, 363013865584.80304, 862.3393570458209, 4, 17),
+        (0.001, 378381679355.7382, 24.04099237869168, 4, 12),
+        (0.05, 496567476950.36664, 0.47763002205095423, 3, 7),
+        (0.25, 712438029264.9169, 0.08007139865758975, 4, 4),
+        (0.5, 910270136244.0889, 0.02279154625609053, 4, 4),
+        (0.999, 1242589141065.5837, 6.254378487530534e-08, 5, 3),
+    ],
+    "b-spline 2/1": [
+        (1e-08, 36961.49733529506, 0.47617622559974215, 11, 27),
+        (1e-05, 36982.223205987146, 0.4741019256753666, 9, 19),
+        (0.001, 37412.875709191205, 0.42327990109214203, 7, 13),
+        (0.05, 43371.377564007555, 0.06558416688008087, 5, 8),
+        (0.25, 57344.3873261356, 0.006634359595423295, 4, 5),
+        (0.5, 71472.65770068979, 0.001134548824589336, 5, 4),
+        (0.999, 96671.28674264817, 2.121561435078142e-09, 6, 3),
+    ],
+}
+
+
 class TestFolds:
     """Both support edges are folds found by Newton steps on dlambda/du,
     each evaluation solving w(u) by Newton from the last root moved along
     its tangent."""
+
+    def test_upper_start_follows_the_fold_as_beta_falls(self, monkeypatch):
+        # the upper search starts at the smaller of half the pole and the
+        # Marchenko-Pastur upper fold for E[D^3]/E[D^2]: the evaluations
+        # of lambda(u) per fold are pinned, and both edges stay within
+        # 1e-14 of those found from half the pole
+        evaluations = []
+        root = _fold_root
+        monkeypatch.setattr(respectra.rmt, "_fold_root",
+                            lambda *a: evaluations.append(1) or root(*a))
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        laws = {"MP": law_genuine(0.0), "genuine 0.5": law_genuine(0.5),
+                "genuine 0.97": law_genuine(0.97),
+                "genuine 0.9999": law_genuine(0.9999),
+                "b-spline 2/1": law_upscaled(0.97, spline)}
+        for name, rows in SMALL_BETA_FOLDS.items():
+            atoms = _law_atoms(laws[name])
+            for beta, upper, lower, n_upper, n_lower in rows:
+                found = []
+                for edge, want in ((True, upper), (False, lower)):
+                    evaluations.clear()
+                    lam = _fold_edge(atoms, atoms, beta, upper=edge)[0]
+                    assert lam == pytest.approx(want, rel=1e-14), \
+                        (name, beta, edge)
+                    found.append(len(evaluations))
+                assert found == [n_upper, n_lower], (name, beta)
 
     def test_density_workload_folds_take_half_the_sums(self, monkeypatch):
         # the benchmark's six eigen_pdf and two support_lower_edge calls
