@@ -60,8 +60,11 @@ as libm's hypot (_modulus); Python's complex multiply and divide round
 differently from numpy's array loops in the last ulp on some inputs, so
 a link's loose E2, which is only a start, can differ in its last bits
 from a batch row's. Complex solves add and multiply complex copies of
-the atoms' 1/v and w, cast once per law, and a batch frees each
-evaluation's (points x atoms) arrays before the next is formed. Each
+the atoms' 1/v and w, cast once per law, and a complex batch writes
+every evaluation into the same four (points x atoms) work arrays, kept
+per thread and grown on demand (_work_arrays): at 128 points each is
+past glibc's 128 KiB mmap threshold, so arrays allocated at each
+evaluation would be faulted in again every time. Each
 path also returns d log E2 / d log gamma from the sums of the last map
 evaluation (_log_tangent), which costs no atom sum of its own.
 _density_points is
@@ -84,9 +87,10 @@ the top down, is walked only until its Newton step is within 1e-2 of
 |E2|, which keeps it in the physical root's basin; it keeps its E2 and
 tangent for the next link's start and forms no density. The top link,
 above the support, starts cold. The links are then corrected to the
-tolerance in batches of 64 from their loose E2, like every batch point,
-with the conj(E2) rescue. Last the points at stride 4 between the links,
-then the remaining points, are solved in batches of 64. Every start but
+tolerance in batches of 128 from their loose E2, like every batch
+point, with the conj(E2) rescue. Last the points at stride 4 between the
+links, then the remaining points, are solved in batches of 128 (a
+512-point sweep in 5 batches). Every start but
 the top link's is predicted from the points solved around it (numerical
 continuation's tangent predictor). Both ends of the support are folds
 where E2 has a square-root branch point, so a point within a factor 2 of
@@ -125,6 +129,7 @@ of a sweep per number of points (_walk_plan).
 import copy
 import functools
 import logging
+import threading
 from collections.abc import Hashable
 from dataclasses import dataclass
 
@@ -261,26 +266,37 @@ def _column(v):
     return v[:, None] if isinstance(v, np.ndarray) else v
 
 
-def _side(atoms, c):
+def _side(atoms, c, h=None, wh=None):
     """A law's side of the map at a scalar c or at each point of a vector
     c: sum(w h) = E[V/(1 + c V)] with h = 1/(c + 1/v) over the atoms of
-    nonzero value, and the arrays (w h, h)."""
-    h = _column(c) + atoms.inv
+    nonzero value, and the arrays (w h, h), written into the arrays h and
+    wh where given (_work_arrays) and else into new ones.
+
+    numpy gives each operand it broadcasts an iterator buffer of up to
+    8 192 elements, 128 KiB for complex, so given arrays are filled with
+    1/v first and c added in place: one such buffer at a time, not two."""
+    if h is None:
+        h = _column(c) + atoms.inv
+    else:
+        np.copyto(h, atoms.inv)
+        h += _column(c)
     np.reciprocal(h, out=h)
-    wh = atoms.wpos * h
+    wh = np.multiply(atoms.wpos, h, out=wh)
     return np.add.reduce(wh, axis=-1), wh, h
 
 
-def _fixed_point_map(atoms_d, atoms_t, g, gb, ggb, x):
+def _fixed_point_map(atoms_d, atoms_t, g, gb, ggb, x, work=(None,) * 4):
     """F(x) = g(x) - x at a scalar x, or at each point of a vector x, where
     gb = gamma beta and ggb = gamma^2 beta, with its slope g'(x) = ggb A B
     from the same arrays (_side): A = sum(w_T h_T^2), B = sum(w_D h_D^2).
     Returns (F, E1 at x, g'(x), A, (B, w_D h_D^2, h_D)); _log_tangent reads
     A, _eta the last three. A vector's points are rows of (points x atoms)
     arrays summed along the atom axis, so each row is computed alone, by
-    the same loops over the atoms as a scalar point."""
-    e1, whd, hd = _side(atoms_d, gb * x)
-    gx, wht, ht = _side(atoms_t, g * e1)
+    the same loops over the atoms as a scalar point. ``work`` holds the
+    arrays (h_D, w_D h_D, h_T, w_T h_T) to write into (_work_arrays), or
+    Nones for new ones."""
+    e1, whd, hd = _side(atoms_d, gb * x, *work[:2])
+    gx, wht, ht = _side(atoms_t, g * e1, *work[2:])
     wht *= ht
     whd *= hd
     a, b = np.add.reduce(wht, axis=-1), np.add.reduce(whd, axis=-1)
@@ -368,8 +384,10 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
         x = _side(atoms_t, gamma)[0]  # E[T/(1 + gamma T)]: E1 = 1
     else:
         x = warm + np.zeros(len(gamma), gamma.dtype)
+    work = (None,) * 4  # a real vector's arrays are new at each evaluation
     if np.iscomplexobj(x):
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
+        work = _work_arrays(len(x), atoms_d, atoms_t)
     gb, ggb = gamma * beta, gamma * gamma * beta
     rounding = _map_rounding(atoms_d, atoms_t)
     e2, tangent, eta = np.empty((3, len(x)), x.dtype)
@@ -378,7 +396,7 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     # .any() on arrays this small
     for it in range(1, _MAX_ITERS + 1):
         f, e1, slope, a, terms = _fixed_point_map(atoms_d, atoms_t, g, gb,
-                                                  ggb, x)
+                                                  ggb, x, work)
         residual = _modulus(f)
         step = f / (1.0 - slope)
         new = x + step
@@ -397,13 +415,36 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
             keep = ~done
             point, x, g, gb, ggb, residual = (
                 v[keep] for v in (point, new, g, gb, ggb, residual))
+            # the rows left are the first rows of the same buffers
+            work = [w if w is None else w[:len(x)] for w in work]
         else:
             x = new
-        # the next evaluation allocates its own arrays; these go first
-        terms = None
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
         f"at gamma={gamma[point[0]]}", residual=residual[0], point=point[0])
+
+
+_WORK = threading.local()  # per thread: the batch loop's work buffers
+
+
+def _work_arrays(rows, atoms_d, atoms_t):
+    """The batch loop's four complex work arrays (h_D, w_D h_D, h_T, w_T
+    h_T), each (rows x atoms of nonzero value), as contiguous views of
+    flat buffers that each thread keeps and grows on demand, so a row is
+    summed as in a new array. A batch of 128 points over 128 atoms makes
+    each array 256 KiB, past glibc's 128 KiB mmap threshold: arrays
+    allocated at every evaluation would be mapped and faulted in again
+    each time. These outlive the solve (1 MiB at that size); each thread
+    has its own, so concurrent solves do not share them."""
+    held = getattr(_WORK, "buffers", None)
+    if held is None:
+        held = _WORK.buffers = [np.empty(0, complex) for _ in range(4)]
+    views = []
+    for i, n in enumerate((atoms_d.inv.size,) * 2 + (atoms_t.inv.size,) * 2):
+        if held[i].size < rows * n:
+            held[i] = np.empty(rows * n, complex)
+        views.append(held[i][:rows * n].reshape(rows, n))
+    return views
 
 
 def _map_rounding(atoms_d, atoms_t):
@@ -620,7 +661,7 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
 _CHAIN_STRIDE = 16      # grid points per link of the warm-started chain
 _TOP_LINKS = (1, 2, 4, 8)  # points below the top that are links too
 _FILL_STRIDES = (4, 1)  # the points between links, by two passes
-_BATCH_POINTS = 64      # points solved per batch after the chain's walk
+_BATCH_POINTS = 128     # points solved per batch after the chain's walk
 _START_GUARD = 0.5      # largest |log(predicted / chord start)| taken
 _EDGE_WINDOW = 2.0      # points within this factor of an edge start in s
 
@@ -1038,8 +1079,8 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     point and of the points 1, 2, 4 and 8 below the top: every link is
     solved only until its Newton step is within 1e-2 of |E2|, the top one
     from a cold start, and then the links are corrected to the tolerance
-    in batches of 64. Last the points at stride 4 between the links, then
-    the rest, are solved in batches of 64. Every start but the top link's
+    in batches of 128. Last the points at stride 4 between the links, then
+    the rest, are solved in batches of 128. Every start but the top link's
     is predicted from E2 and its tangent at the solved points around it;
     within a factor 2 of an edge it is predicted in s = sqrt(+-(z -
     lambda_e)), anchored at the edge's E2, because E2 has a square-root
@@ -1054,14 +1095,15 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
     that carry different factors. The bound on points keeps a call to a few
     seconds and its per-point arrays near 16 MiB: each point costs about
-    0.005-0.007 ms of solving over the 128 atoms (whole calls of 8 192
-    points take 38-45 ms, of 512 points 3.8-4.4 ms, best of 7 and of 9
+    0.004-0.008 ms of solving over the 128 atoms (whole calls of 8 192
+    points take 35-42 ms, of 512 points 3.5-4.1 ms, best of 7 and of 9
     repeated calls over genuine and five upscaled laws of rho 0.97 at beta
     0.5, linear 3/2, catmull-rom 2/1, b-spline 2/1 and 3/2 and lanczos3
     3/2, alike in a fresh process and after three 512-point calls of the
-    same laws, on a 2-core Intel Xeon box with AVX-512 whose speed swings
-    by up to 30 % with other load; 2**20 points take about 7 s for the
-    genuine law), and the complex E2 of 2**20 points takes 16 MiB. The
+    same laws, in the quiet rounds on a 2-core Intel Xeon box with AVX-512
+    whose speed swings by up to 80 % with other load; 2**20 points take
+    about 6.4 s for the genuine law), and the complex E2 of 2**20 points
+    takes 16 MiB. The
     figures use the default 512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment

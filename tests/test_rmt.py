@@ -2,7 +2,10 @@ import logging
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -944,7 +947,7 @@ class TestEigenPdf:
         # densities and iterations do not depend on how the walk batches
         # its points: these 100 and the 512 of the default grid, all above
         # 0.05, give 44 links, 114 stride-4 points and 454 others, solved
-        # in batches of 64 from the top and by the oracle in chunks of 32
+        # in batches of 128 from the top and by the oracle in chunks of 32
         # from the bottom
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
         atoms = _LawAtoms(law)
@@ -1390,6 +1393,63 @@ class TestFixedCost:
         assert built and _kept_plan.cache_info().currsize == 0
         _walk_plan(512)
         assert _kept_plan.cache_info().currsize == 1
+
+
+class TestWorkArrays:
+    """A complex batch writes every map evaluation into four (points x
+    atoms) work arrays that its thread keeps, so the sweep's batches of
+    128 allocate no such array once the arrays have grown."""
+
+    def test_batch_allocates_no_points_by_atoms_array(self):
+        # after a warm-up solve, a 128-point call peaks below one 128 x 128
+        # complex array (256 KiB); arrays allocated at each evaluation
+        # would take four of them
+        atoms = _LawAtoms(law_upscaled(0.9, ResampleSpec(L=3, M=2)))
+        lam, nu = np.geomspace(0.05, 2.0, 128), 7.27324e-7
+        args = (atoms, atoms, 0.125, afze(0.125, 1.5), lam, nu,
+                cold_starts(atoms, -1.0 / (lam + 1j * nu)))
+        warm = _density_points(*args)
+        assert warm[3].max() > 2  # several evaluations of the batch
+        tracemalloc.start()
+        try:
+            again = _density_points(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * atoms.inv.size * 16, f"peak {peak} bytes"
+        for got, want in zip(again, warm):
+            assert got.tobytes() == want.tobytes()
+
+    def test_threads_keep_their_own_arrays(self):
+        # two threads sweeping different laws at once each get the bits of
+        # a serial call; arrays shared between the threads would be
+        # overwritten by the other thread's evaluations
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        laws = (law_genuine(0.97), law_upscaled(0.97, spline))
+        grids = [eigen_pdf(law, law, 0.5).lambda_grid[::3] for law in laws]
+
+        start = threading.Barrier(2, timeout=60)
+
+        def sweeps(k, together=False):
+            if together:
+                start.wait()
+            law = laws[k]
+            return [eigen_pdf(law, law, 0.5),
+                    eigen_pdf(law, law, 0.5, grid=grids[k])]
+
+        serial = [sweeps(k) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                runs = [pool.submit(sweeps, k, True) for k in range(2)]
+                together = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(together, serial):
+            for pdf, ref in zip(got, want):
+                assert pdf.density.tobytes() == ref.density.tobytes()
+                assert pdf.solver_iterations == ref.solver_iterations
 
 
 # the upper and lower support edges of fig5's 40 laws at beta 0.125, from
