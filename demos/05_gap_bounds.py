@@ -21,7 +21,7 @@ for name in KERNELS:
     row = []
     for rho in (0.90, 0.95, 0.98):
         law = law_upscaled(rho, spec)
-        row.append(support_lower_edge(law, law, BETA, xi=spec.xi))
+        row.append(support_lower_edge(law, law, BETA))
     print(f"{name:>12} " + " ".join(f"{v:10.4f}" for v in row))
 
 print(f"\nxi sweep at rho=0.95 (lambda_- shrinks toward xi -> 1):")
@@ -31,7 +31,7 @@ for name in KERNELS:
     for (lnum, m) in ((6, 5), (3, 2), (2, 1)):
         spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS[name])
         law = law_upscaled(0.95, spec)
-        row.append(support_lower_edge(law, law, BETA, xi=spec.xi))
+        row.append(support_lower_edge(law, law, BETA))
     print(f"{name:>12} " + " ".join(f"{v:10.4f}" for v in row))
 
 print(f"\nguaranteed signal/noise eigenvalue ratio at SNR {SNR:g} "
@@ -39,7 +39,7 @@ print(f"\nguaranteed signal/noise eigenvalue ratio at SNR {SNR:g} "
 for name in KERNELS:
     spec = ResampleSpec(L=3, M=2, kernel=KERNELS[name])
     law = law_upscaled(0.95, spec)
-    lam_minus = support_lower_edge(law, law, BETA, xi=spec.xi)
+    lam_minus = support_lower_edge(law, law, BETA)
     bound = gap_lower_bound(SNR, 1.0, BETA, lam_minus)
     print(f"  {name:>12}: ratio >= {bound:8.1f}")
 print(f"noise ceiling (MP upper edge, sigma_w2=1/12, beta={BETA}): "

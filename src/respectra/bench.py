@@ -272,7 +272,7 @@ def _fig5(spec):
         for sweep, rho, (lnum, m) in cases:
             rspec = ResampleSpec(L=lnum, M=m, kernel=get_kernel(name))
             law = law_upscaled(rho, rspec)
-            edge = support_lower_edge(law, law, p["beta"], xi=rspec.xi)
+            edge = support_lower_edge(law, law, p["beta"])
             rows.append((sweep, name, rho, rspec.xi, edge))
     return rows
 

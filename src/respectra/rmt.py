@@ -44,27 +44,27 @@ error is thus far below the tolerance; this matters near zero, where
 |S| ~ zero_mass/|lambda + i nu| amplifies it. The points are rows of
 (points x atoms) arrays summed along the atom axis, so a point's answer
 does not depend on the other points or on BLAS. Every solve enters
-_solve_e2, and the solver has two paths over one map and slope
-(_fixed_point_map). A scalar gamma that is real
-(eta_transform's) or walked loose (each chain link) is solved in Python
-scalars (_solve_one): its start, iterates, stop test and tangent are
-scalars, and numpy does only the atom operations of each evaluation, so
-a chain link does not pay numpy's per-call cost on one-row arrays, and a
-loose walk forms no eta. For
-real gamma > 0, which only eta_transform solves, its iterates also stay
-inside a bracket around the positive root, the physical one. Every other
-gamma (the density sweep's batches, the sqrt probe, a rescue) is solved
-as a vector with its stop test in per-point masks, so a point solved to
-the tolerance has the same bits in any batch. Both paths take magnitudes
-as libm's hypot (_modulus); Python's complex multiply and divide round
-differently from numpy's array loops in the last ulp on some inputs, so
-a link's loose E2, which is only a start, can differ in its last bits
-from a batch row's. Complex solves add and multiply complex copies of
-the atoms' 1/v and w, cast once per law, and a complex batch writes
-every evaluation into the same four (points x atoms) work arrays, kept
-per thread and grown on demand (_work_arrays): at 128 points each is
-past glibc's 128 KiB mmap threshold, so arrays allocated at each
-evaluation would be faulted in again every time. Each
+_solve_e2, and the form of gamma alone picks one of two paths over one
+map and slope (_fixed_point_map) and the tolerance. There are three
+forms: a real scalar (eta_transform's) is solved to the tolerance; a
+complex scalar (a chain link) is walked loose and forms no eta; a
+complex vector with given starts (the density sweep's batches, the sqrt
+probe, a rescue) is solved to the tolerance. A scalar is solved in
+Python scalars (_solve_one): its start, iterates, stop test and tangent
+are scalars, and numpy does only the atom operations of each
+evaluation, so a chain link does not pay numpy's per-call cost on
+one-row arrays. For real gamma > 0 its iterates also stay inside a
+bracket around the positive root, the physical one. A vector keeps its
+stop test in per-point masks, so a point has the same bits in any
+batch. Both paths take magnitudes as libm's hypot (_modulus); Python's
+complex multiply and divide round differently from numpy's array loops
+in the last ulp on some inputs, so a link's loose E2, which is only a
+start, can differ in its last bits from a batch row's. Complex solves
+add and multiply complex copies of the atoms' 1/v and w, cast once per
+law, and a batch writes every evaluation into the same four (points x
+atoms) work arrays, kept per thread and grown on demand (_work_arrays):
+at 128 points each is past glibc's 128 KiB mmap threshold, so arrays
+allocated at each evaluation would be faulted in again every time. Each
 path also returns d log E2 / d log gamma from the sums of the last map
 evaluation (_log_tangent), which costs no atom sum of its own.
 _density_points is
@@ -130,7 +130,6 @@ import copy
 import functools
 import logging
 import threading
-from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,10 +247,7 @@ def _law_atoms(law):
     """The atoms of ``law`` under the quadrature rule in force, built once
     per law and rule: equal laws, such as a call's D and T, share one
     read-only _LawAtoms, kept for the last _ATOMS_KEPT (law, rule) pairs.
-    A law that does not hash (a stand-in holding the three fields the
-    atoms read) gets atoms of its own."""
-    if not isinstance(law, Hashable):
-        return _LawAtoms(law)
+    A law must hash: the key is the law itself."""
     return _atoms_of(law, _rule())
 
 
@@ -323,17 +319,18 @@ def _log_tangent(g, x, e1, slope, a):
     return (slope - g * a * e1 / x) / (1.0 - slope)
 
 
-def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
+def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     """Solve E2 = g(E2) at a gamma or at each point of a vector of gamma;
     returns (e2, iterations, tangent, eta), the tangent being d log E2 /
     d log gamma (_log_tangent) and eta = E[1/(1 + gamma beta D E2)] at the
     returned E2 (_eta), both from the sums of the last map evaluation. A
-    loose solve returns eta None: its E2 is only a start.
+    complex scalar returns eta None: its E2 is only a start.
 
-    ``warm`` gives each point its start E2. Every point takes Newton steps
-    on F(x) = g(x) - x from its start, with g'(x) from the same atom sums
-    as g (predictor-corrector continuation corrects a predicted point with
-    Newton directly). Only a single gamma may omit its start (a cold
+    ``warm`` gives each point its start E2 (a scalar start serves every
+    point of a vector). Every point takes Newton steps on F(x) = g(x) - x
+    from its start, with g'(x) from the same atom sums as g
+    (predictor-corrector continuation corrects a predicted point with
+    Newton directly). Only a scalar gamma may omit its start (a cold
     start: eta_transform's real gamma, a sweep's top link, both outside
     the support): it starts from the paper-style E1 = 1 value. A cold
     complex start inside the support has no root selector and can settle
@@ -342,10 +339,10 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     point is done after its first Newton step no longer than _TOLERANCE *
     |E2|, and its stepped iterate is returned, or at its first iterate x
     whose residual |F(x)| is within the map's own rounding of |x| (below),
-    and x is returned. ``loose`` puts _LOOSE in place of _TOLERANCE: a
-    chain link's walk needs E2 only close enough to stay in the physical
-    root's basin, and is corrected to _TOLERANCE later (_sweep). Each
-    evaluation of g counts as one iteration of its point.
+    and x is returned. A complex scalar stops at _LOOSE in place of
+    _TOLERANCE: a chain link's walk needs E2 only close enough to stay in
+    the physical root's basin, and is corrected to _TOLERANCE later
+    (_sweep). Each evaluation of g counts as one iteration of its point.
 
     The map's rounding: g is two sums over the atoms of D and of T, and a
     sum of n terms may be off by n units of roundoff (eps/2) relative to
@@ -360,34 +357,22 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
     residual. The most any solve of the budget scan or of an
     eta_transform sweep takes is 29 (test_rmt's TestIterationCap).
 
-    Every solve enters here, and the form of gamma picks the path. A
-    scalar gamma that is real (eta_transform's) or solved loose (a chain
-    link's walk) is solved by _solve_one in Python scalars, which returns
-    scalars and brackets real gamma > 0. Any other gamma, a vector or a
-    complex scalar at the full tolerance (the density sweep's batches,
-    the sqrt probe, a rescue), is solved here as a vector (a scalar as one
-    point) and gives arrays over its points: points are the rows of
-    (points x atoms) arrays, summed along the atom axis only, and each has
-    its own stop test, so a point's answer does not depend on the other
-    points. Converged rows leave the arrays. A failure names the index of
-    its point in ConvergenceFailure.point. A vector of more than one gamma
-    without starts raises ValueError.
+    Every solve enters here, and the form of gamma alone picks the path
+    and the tolerance. A scalar gamma, real (eta_transform's) or complex
+    (a chain link's walk), is solved by _solve_one in Python scalars,
+    which returns scalars and brackets real gamma > 0. A complex vector
+    with its starts (the density sweep's batches, the sqrt probe, a
+    rescue) is solved here to _TOLERANCE and gives arrays over its points:
+    points are the rows of (points x atoms) arrays, summed along the atom
+    axis only, and each has its own stop test, so a point's answer does
+    not depend on the other points. Converged rows leave the arrays. A
+    failure names the index of its point in ConvergenceFailure.point.
     """
-    if not isinstance(gamma, np.ndarray) and (
-            loose or not isinstance(gamma, complex)):
-        return _solve_one(atoms_d, atoms_t, beta, gamma, warm, loose)
-    tolerance = _LOOSE if loose else _TOLERANCE
-    gamma = np.atleast_1d(gamma) * 1.0
-    if warm is None:
-        if len(gamma) != 1:
-            raise ValueError("a vector of gamma needs its starts")
-        x = _side(atoms_t, gamma)[0]  # E[T/(1 + gamma T)]: E1 = 1
-    else:
-        x = warm + np.zeros(len(gamma), gamma.dtype)
-    work = (None,) * 4  # a real vector's arrays are new at each evaluation
-    if np.iscomplexobj(x):
-        atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
-        work = _work_arrays(len(x), atoms_d, atoms_t)
+    if not isinstance(gamma, np.ndarray):
+        return _solve_one(atoms_d, atoms_t, beta, gamma, warm)
+    x = warm + np.zeros(len(gamma), complex)
+    atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
+    work = _work_arrays(len(x), atoms_d, atoms_t)
     gb, ggb = gamma * beta, gamma * gamma * beta
     rounding = _map_rounding(atoms_d, atoms_t)
     e2, tangent, eta = np.empty((3, len(x)), x.dtype)
@@ -400,7 +385,7 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
         residual = _modulus(f)
         step = f / (1.0 - slope)
         new = x + step
-        stepped = _modulus(step) <= tolerance * _modulus(new)
+        stepped = _modulus(step) <= _TOLERANCE * _modulus(new)
         done = stepped | (residual <= rounding * _modulus(x))
         finished = np.count_nonzero(done)
         if finished:
@@ -416,7 +401,7 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None, loose=False):
             point, x, g, gb, ggb, residual = (
                 v[keep] for v in (point, new, g, gb, ggb, residual))
             # the rows left are the first rows of the same buffers
-            work = [w if w is None else w[:len(x)] for w in work]
+            work = [w[:len(x)] for w in work]
         else:
             x = new
     raise ConvergenceFailure(
@@ -461,20 +446,20 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _solve_one(atoms_d, atoms_t, beta, gamma, x, loose):
+def _solve_one(atoms_d, atoms_t, beta, gamma, x):
     """_solve_e2 at one scalar gamma from the scalar start x (None for a
-    cold start), to _LOOSE if ``loose`` (a chain link's walk) and else to
-    _TOLERANCE. The start, iterates, stop test and tangent are scalars,
-    and numpy does only the atom operations of each evaluation
-    (_fixed_point_map, the batch loop's map and slope on one point): a
-    chain link's walk does not pay numpy's per-call cost on one-row arrays.
-    Returns (e2, iterations, tangent, eta) as scalars, eta None if
-    ``loose``. Failures raise as in _solve_e2, with point 0.
+    cold start): a complex gamma (a chain link's walk) to _LOOSE, a real
+    one (eta_transform's) to _TOLERANCE. The start, iterates, stop test
+    and tangent are scalars, and numpy does only the atom operations of
+    each evaluation (_fixed_point_map, the batch loop's map and slope on
+    one point): a chain link's walk does not pay numpy's per-call cost on
+    one-row arrays. Returns (e2, iterations, tangent, eta) as scalars, eta
+    None for complex gamma. Failures raise as in _solve_e2, with point 0.
 
     Python's complex multiply and divide round differently from numpy's
     array loops in the last ulp on some inputs, so a complex point solved
-    here may differ from that row of a batch in its last bits; _solve_e2
-    sends a complex gamma here only for a loose walk, whose E2 is a start.
+    here may differ from that row of a batch in its last bits; a complex
+    gamma comes here only for a loose walk, whose E2 is a start.
 
     For real gamma > 0 the positive root is the physical one: F(0) > 0 >
     F(x) for every x >= E[T], so the start is clamped into (0, E[T]) (a
@@ -482,11 +467,12 @@ def _solve_one(atoms_d, atoms_t, beta, gamma, x, loose):
     bracket (lo, hi) shrinks to the sign change at each evaluation, and a
     step leaving it is replaced by bisection.
     """
+    loose = isinstance(gamma, complex)
     if x is None:
         x = _side(atoms_t, gamma)[0]  # E[T/(1 + gamma T)]: E1 = 1
-    if isinstance(x, complex) or isinstance(gamma, complex):
+    if loose:
         atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
-    bracketed = not isinstance(gamma, complex) and gamma > 0
+    bracketed = not loose and gamma > 0
     lo, hi = 0.0, atoms_t.mean
     if bracketed and not lo < x.real < hi:
         x = 0.5 * (lo + hi)
@@ -598,16 +584,17 @@ class EigenPdf:
         return cum / total
 
 
-def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm, loose=False):
-    """_solve_e2 at gamma = -1/(lam + i nu) for a point lam or the points
-    of a vector lam; returns (gamma, e2, iterations, tangent), the tangent
-    d log E2 / d log lambda being lambda gamma times the solver's d log E2
-    / d log gamma. A failure raises ConvergenceFailure naming the lambda of
-    its point."""
+def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm):
+    """_solve_e2 at gamma = -1/(lam + i nu) for a point lam (a chain link,
+    walked loose) or the points of a vector lam (solved to the tolerance)
+    from the start ``warm``; returns (gamma, e2, iterations, tangent, eta),
+    eta None for a point lam, the tangent d log E2 / d log lambda being
+    lambda gamma times the solver's d log E2 / d log gamma. A failure
+    raises ConvergenceFailure naming the lambda of its point."""
     gamma = -1.0 / (lam + 1j * nu)
     try:
         e2, its, tangent, eta = _solve_e2(atoms_d, atoms_t, beta, gamma,
-                                          warm=warm, loose=loose)
+                                          warm)
     except ConvergenceFailure as exc:
         at = lam[exc.point] if np.ndim(lam) else lam
         raise ConvergenceFailure(f"inversion failed at lambda={at:g}",
@@ -615,7 +602,7 @@ def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm, loose=False):
     return gamma, e2, its, lam * gamma * tangent, eta
 
 
-def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm=None):
+def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm):
     """Densities of the continuous part at the points lam, smoothed by nu.
 
     Solves the fixed point at gamma = -1/(lam + i nu) for all points at
@@ -801,7 +788,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
             *_quadratic(abscissa(k, f), *coords(links[i - 1], f), *anchor),
             f < 0)
         _, e2[k], its, tangent[k], _ = _solve_at(
-            atoms_d, atoms_t, beta, grid.item(k), nu, warm, loose=True)
+            atoms_d, atoms_t, beta, grid.item(k), nu, warm)
         iters += its
     solve(down, e2[down])
     for rest, lower, upper in fills:
@@ -1023,7 +1010,12 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0):
     and within 1e-12 up to 0.999, where the edge is 2.5e-7. Atoms of value
     0 count with the point mass. Returns 0.0 when the support reaches
     zero, i.e. P(D != 0)/beta <= P(T != 0) (beta = 1 for identical laws).
-    ``xi`` is not read. Raises ConvergenceFailure if a root is not found.
+    Raises ConvergenceFailure if a root is not found.
+
+    ``xi`` is not read: the laws carry their point masses. It stays only
+    because the density benchmark (``perfbench/workloads.py``) passes it
+    positionally; ROADMAP items 1 and 14 delete it with the next change
+    to the benchmark.
     """
     check_range("beta", beta, 0, 1, low_open=True)
     atoms_d, atoms_t = _law_atoms(law_d), _law_atoms(law_t)

@@ -6,8 +6,8 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +19,8 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
                        ResampleSpec, afze, eigen_pdf,
                        eta_transform, generate_field, law_genuine,
                        law_upscaled, quadrature_nodes, support_lower_edge)
-from respectra.rmt import (_CHAIN_STRIDE, MAX_POINTS, _atoms_of,
-                           _density_points, _fixed_point_map,
+from respectra.rmt import (_CHAIN_STRIDE, MAX_POINTS, _PLAN_POINTS,
+                           _atoms_of, _density_points, _fixed_point_map,
                            _fold_edge, _fold_root, _hermite, _kept_plan,
                            _law_atoms, _LawAtoms, _modulus, _predicted,
                            _quadratic, _solve_e2, _support_edges,
@@ -47,10 +47,19 @@ def mp_density(lam, beta, s2=1.0):
     return out
 
 
+@dataclass(frozen=True)
+class StandIn:
+    """A law reduced to the three fields _LawAtoms reads."""
+
+    zero_mass: float
+    angular_density: float
+    transform: object
+
+
 def cold_starts(atoms, gamma):
     """The paper-style cold value E2 = E[T / (1 + gamma T)] (E1 = 1) at
-    each gamma, which a single gamma starts from when it is given none; a
-    vector of gamma must be given its starts."""
+    each gamma, which a scalar gamma starts from when it is given none; an
+    array of gamma must be given its starts."""
     gamma = np.atleast_1d(gamma)
     return np.add.reduce(
         atoms.wv / (1.0 + gamma[:, None] * atoms.values), axis=1)
@@ -127,8 +136,7 @@ def staged_sweep(atoms, beta, zero_mass, grid, nu, walk):
                               True)
         lam = float(grid[k])
         gamma = -1.0 / (lam + 1j * nu)
-        e2[k], its[k], t, _ = _solve_e2(atoms, atoms, beta, gamma,
-                                        warm=warm, loose=True)
+        e2[k], its[k], t, _ = _solve_e2(atoms, atoms, beta, gamma, warm)
         tangent[k] = lam * gamma * t
     solve(chain, e2[chain])
     known = chain
@@ -268,11 +276,10 @@ class TestEtaTransform:
         atoms = _LawAtoms(law)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # each real gamma alone, the one path real gamma takes
-            e2 = [_solve_e2(atoms, atoms, 0.5, np.array([g]))[0]
-                  for g in (1.0, 1e4)]
+            # real gamma takes the scalar path
+            e2 = [_solve_e2(atoms, atoms, 0.5, g)[0] for g in (1.0, 1e4)]
             eta = eta_transform(law, law, 0.5, 1e8)
-        assert all(e.dtype == np.float64 for e in e2) and np.isrealobj(eta)
+        assert all(isinstance(e, float) for e in e2) and np.isrealobj(eta)
         lam, nu = np.geomspace(0.05, 2.0, 5), 1e-5
         start = cold_starts(atoms, -1.0 / (lam + 1j * nu))
         args = (0.5, afze(0.5, 1.0), lam, nu, start)
@@ -302,13 +309,13 @@ class TestEtaTransform:
         # fixed point has no real root; from a real start the iterates stay
         # real, the residual stays far from zero, and the cap ends it
         mp = _LawAtoms(law_genuine(0.0))
-        gamma = np.array([-10.0])
+        gamma = -10.0
         for tol in (1e-6, 1e-14):
             with solver_settings(tolerance=tol), \
                     pytest.raises(ConvergenceFailure,
                                   match=r"not converged after 100 iterations "
                                         r"at gamma=-10\.0") as err:
-                _solve_e2(mp, mp, 0.5, gamma, warm=cold_starts(mp, gamma))
+                _solve_e2(mp, mp, 0.5, gamma)
             assert err.value.residual > 1e-3
 
     def test_rejects_complex_and_negative_gamma(self):
@@ -323,12 +330,31 @@ class TestEtaTransform:
 
 
 class TestOnePointPath:
-    """A scalar gamma that is real (eta_transform's) or walked loose (a
-    chain link) takes the solver's scalar path, bracketed when it is real
-    and positive. Any other single gamma (the sqrt probe, a one-point
-    rescue, a complex scalar at the full tolerance) is solved as row 0 of
-    a batch, the path the density sweep's batches take, and must answer
-    and fail exactly as that row."""
+    """The form of gamma picks the solver's path and tolerance. A real
+    scalar (eta_transform's) is solved to the tolerance on the scalar
+    path, bracketed when it is positive; a complex scalar (a chain link)
+    is walked loose on the same path. A complex array with given starts
+    is a batch solved to the tolerance, and a one-point array (the sqrt
+    probe, a one-point rescue) must answer and fail exactly as row 0 of a
+    longer batch."""
+
+    @staticmethod
+    def solves_of(monkeypatch, *calls):
+        """(gamma, warm, result) of every _solve_e2 call that the calls,
+        each a function of no arguments, make."""
+        solves = []
+        solve = respectra.rmt._solve_e2
+
+        def spy(atoms_d, atoms_t, beta, gamma, warm=None):
+            solves.append((gamma, warm, solve(atoms_d, atoms_t, beta, gamma,
+                                              warm)))
+            return solves[-1][2]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(respectra.rmt, "_solve_e2", spy)
+            for call in calls:
+                call()
+        return solves
 
     @staticmethod
     def gammas(lam, nu):
@@ -379,11 +405,11 @@ class TestOnePointPath:
     def test_failure_matches_batch_row(self, solver_settings, rho, settings,
                                        lam, nu, match):
         # a batch row and a one-point solve from the same given start fail
-        # alike, and so does a cold start there. The sweep of a grid that
-        # tops at lam starts cold only at the walk's top, 1.02 times the
-        # upper fold, above the support: starved of iterations it fails
-        # there first, in its loose walk, with the residual of a loose
-        # scalar solve of that point and the message of a cold solve there
+        # alike. The sweep of a grid that tops at lam starts cold only at
+        # the walk's top, 1.02 times the upper fold, above the support:
+        # starved of iterations it fails there first, in its loose walk,
+        # with the residual of a loose scalar solve of that point and the
+        # message of a one-point solve there from the cold value
         law = law_genuine(rho)
         gammas = self.gammas(lam, nu)
         with solver_settings(**settings):
@@ -393,64 +419,67 @@ class TestOnePointPath:
                 _solve_e2(atoms, atoms, 0.5, gammas[:1], warm=start[:1])
             with pytest.raises(ConvergenceFailure) as row:
                 _solve_e2(atoms, atoms, 0.5, gammas, warm=start)
-            with pytest.raises(ConvergenceFailure, match=match):
-                _solve_e2(atoms, atoms, 0.5, gammas[:1])
         assert str(one.value) == str(row.value)
         assert one.value.residual == row.value.residual
         assert one.value.point == row.value.point == 0
-        top = 1.02 * _support_edges(atoms, atoms, 0.5)[0][0]
+        top = np.array([1.02 * _support_edges(atoms, atoms, 0.5)[0][0]])
         with solver_settings(**dict(settings, max_iters=2)):
             with pytest.raises(ConvergenceFailure) as first:
-                _density_points(atoms, atoms, 0.5, afze(0.5, 1.0),
-                                np.array([top]), nu)
+                _density_points(atoms, atoms, 0.5, afze(0.5, 1.0), top, nu,
+                                cold_starts(atoms, -1.0 / (top + 1j * nu)))
             with pytest.raises(ConvergenceFailure) as link:
-                _solve_e2(atoms, atoms, 0.5, -1.0 / (top + 1j * nu),
-                          loose=True)
+                _solve_e2(atoms, atoms, 0.5, -1.0 / (top.item() + 1j * nu))
             with pytest.raises(ConvergenceFailure) as pdf:
                 eigen_pdf(law, law, 0.5, grid=[0.5 * lam, lam], nu=nu)
-        assert str(pdf.value).startswith(f"inversion failed at lambda={top:g} ")
+        assert str(pdf.value).startswith(
+            f"inversion failed at lambda={top[0]:g} ")
         assert str(pdf.value) == str(first.value)
         assert pdf.value.residual == link.value.residual
 
     def test_every_solve_enters_solve_e2(self, monkeypatch):
-        # the chain walk solves each link as one scalar gamma, loose, in
-        # Python scalars; that path and the batches both enter _solve_e2,
-        # whose spy then counts every iteration of a call. Each link's E2
-        # corrected at the full tolerance from a complex scalar gamma has
-        # the bits of row 0 of a batch
+        # the chain walk solves each link as one complex scalar gamma,
+        # loose, in Python scalars; that path and the batches both enter
+        # _solve_e2, whose spy then counts every iteration of a call. Each
+        # link's E2 corrected at the full tolerance as a one-point array
+        # has the bits of row 0 of a longer batch
         law = law_genuine(0.97)
         atoms = _LawAtoms(law)
-        solves = []
-        solve = respectra.rmt._solve_e2
-
-        def spy(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            solves.append((args[3], kwargs, result))
-            return result
-
-        monkeypatch.setattr(respectra.rmt, "_solve_e2", spy)
-        pdf = eigen_pdf(law, law, 0.5)
-        monkeypatch.undo()
-        links = [(gamma, result) for gamma, kwargs, result in solves
-                 if kwargs["loose"]]
+        pdfs = []
+        solves = self.solves_of(
+            monkeypatch, lambda: pdfs.append(eigen_pdf(law, law, 0.5)))
+        links = [(gamma, result) for gamma, _, result in solves
+                 if not isinstance(gamma, np.ndarray)]
         assert len(links) == 37
         assert all(isinstance(gamma, complex) and isinstance(result[1], int)
                    for gamma, result in links)
         assert sum(int(np.sum(result[1])) for _, _, result in solves) \
-            == pdf.solver_iterations == 666
+            == pdfs[0].solver_iterations == 666
         for (gamma, (e2, *_)), (other, (near, *_)) in zip(links, links[1:]):
-            one = _solve_e2(atoms, atoms, 0.5, gamma, warm=e2)
+            one = _solve_e2(atoms, atoms, 0.5, np.array([gamma]), warm=e2)
             rows = _solve_e2(atoms, atoms, 0.5, np.array([gamma, other]),
                              warm=np.array([e2, near]))
             for got, row in zip(one, rows):
                 assert got.tobytes() == row[:1].tobytes()
 
-    def test_vector_without_starts_raises(self):
-        # only a single gamma has a cold start; the sweep gives every
-        # batch its predicted starts
-        atoms = _LawAtoms(law_genuine(0.97))
-        with pytest.raises(ValueError, match="needs its starts"):
-            _solve_e2(atoms, atoms, 0.5, self.gammas(1.0, 1e-4))
+    def test_library_solves_take_the_three_forms(self, monkeypatch):
+        # the library gives _solve_e2 only the three forms its paths
+        # serve: a complex array with its starts, a complex scalar (one of
+        # the chain's 37 links, with no eta) and a real scalar (with a
+        # float eta). A default call solves no real gamma, eta_transform
+        # no complex one
+        law = law_genuine(0.97)
+        solves = self.solves_of(monkeypatch,
+                                lambda: eigen_pdf(law, law, 0.5),
+                                lambda: eta_transform(law, law, 0.5, 2.0))
+        arrays = [(g, w) for g, w, _ in solves if isinstance(g, np.ndarray)]
+        links = [r for g, _, r in solves if isinstance(g, complex)]
+        reals = [(g, r) for g, _, r in solves if isinstance(g, float)]
+        assert len(arrays) + len(links) + len(reals) == len(solves)
+        assert arrays and all(np.iscomplexobj(g) and w is not None
+                              for g, w in arrays)
+        assert len(links) == 37 and all(r[3] is None for r in links)
+        assert len(reals) == 1 and all(isinstance(r[3], float)
+                                       for _, r in reals)
 
 
 class TestIterationCap:
@@ -657,11 +686,11 @@ class TestStieltjes:
         # at |z| = 1e6 the paper-style cold value is the physical root to
         # O(|gamma|)
         atoms = _LawAtoms(law_genuine(0.5))
-        gamma = -1.0 / (1.0 + 1e6j)
+        gamma = np.array([-1.0 / (1.0 + 1e6j)])
         eta = _solve_e2(atoms, atoms, 1.0, gamma,
                         warm=cold_starts(atoms, gamma))[3]
-        s = gamma * eta[0]
-        assert abs(s - gamma) < 1e-5
+        s = gamma[0] * eta[0]
+        assert abs(s - gamma[0]) < 1e-5
 
 
 def direct_eta(atoms, beta, gamma, e2):
@@ -783,7 +812,7 @@ class TestEigenPdf:
         for name, lo, hi in cases:
             spec = ResampleSpec(L=2, M=1, kernel=KERNELS[name])
             law = law_upscaled(0.95, spec)
-            edge = support_lower_edge(law, law, 0.125, xi=2.0)
+            edge = support_lower_edge(law, law, 0.125)
             assert lo <= edge <= hi, f"{name}: {edge}"
 
     def test_density_matches_tight_solve(self, solver_settings):
@@ -838,9 +867,11 @@ class TestEigenPdf:
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
         atoms = _LawAtoms(law)
         lam, nu = 0.120091, 7.27324e-7
+        start = cold_starts(atoms, -1.0 / (lam + 1j * nu))
         with caplog.at_level(logging.DEBUG, logger="respectra.rmt"):
             density, _, budget, _, rescued, _ = _density_points(
-                atoms, atoms, 0.125, afze(0.125, 1.5), np.array([lam]), nu)
+                atoms, atoms, 0.125, afze(0.125, 1.5), np.array([lam]), nu,
+                start)
         assert rescued[0]
         assert density[0] >= -budget[0]
         assert any("conj(E2)" in r.getMessage() for r in caplog.records)
@@ -868,13 +899,6 @@ class TestEigenPdf:
             alone = _density_points(*args, lam[k:k + 1], nu, start[k:k + 1])
             for got, want in zip(batch, alone):
                 assert np.array_equal(got[k:k + 1], want), f"lambda={lam[k]}"
-        gen = _LawAtoms(law_genuine(0.97))
-        gammas = np.array([1.0, 1e4, 1e8])
-        start = cold_starts(gen, gammas)
-        e2, its, tangent, eta = _solve_e2(gen, gen, 0.5, gammas, warm=start)
-        for k, gamma in enumerate(gammas):
-            assert (e2[k], its[k], tangent[k], eta[k]) == _solve_e2(
-                gen, gen, 0.5, gamma, warm=start[k])
 
     def test_given_grid_reproduces_default_call(self):
         # a law with a gap below its support, and a beta = 1 law whose
@@ -1142,22 +1166,20 @@ class TestEigenPdf:
 
     def test_support_edge_is_zero_when_support_reaches_zero(self):
         spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
-        for law, xi in ((law_genuine(0.97), 1.0),
-                        (law_upscaled(0.97, spline), 2.0)):
-            assert support_lower_edge(law, law, 1.0, xi=xi) == 0.0
+        for law in (law_genuine(0.97), law_upscaled(0.97, spline)):
+            assert support_lower_edge(law, law, 1.0) == 0.0
 
     def test_support_edge_counts_zero_atoms_with_point_mass(self):
         # a law that is 0 on part of the angles has the edge of the law
         # with that part moved into its point mass. Every SpectralLaw is
         # positive at every angle, so both laws are stand-ins holding the
-        # three fields the atoms read
+        # three fields the atoms read (hashable, as _law_atoms needs)
         nodes, weights = quadrature_nodes()
         p = weights[nodes < 1.0].sum() / np.pi
-        cut = SimpleNamespace(zero_mass=0.0, angular_density=0.5 / np.pi,
-                              transform=lambda w: np.where(w < 1.0, 1.0, 0.0))
-        massed = SimpleNamespace(zero_mass=1.0 - p,
-                                 angular_density=0.5 * p / np.pi,
-                                 transform=np.ones_like)
+        cut = StandIn(zero_mass=0.0, angular_density=0.5 / np.pi,
+                      transform=lambda w: np.where(w < 1.0, 1.0, 0.0))
+        massed = StandIn(zero_mass=1.0 - p, angular_density=0.5 * p / np.pi,
+                         transform=np.ones_like)
         for beta in (0.25, 0.5):
             assert support_lower_edge(cut, cut, beta) == pytest.approx(
                 support_lower_edge(massed, massed, beta), rel=1e-12)
@@ -1259,11 +1281,15 @@ class TestEigenPdf:
         # the failure reads as a failure there would
         law = law_genuine(0.0)
         atoms = _LawAtoms(law)
-        with pytest.raises(ConvergenceFailure) as cold:
-            _density_points(atoms, atoms, 0.5, afze(0.5, 1.0),
-                            np.array([1.0]), 1e-300)
+
+        def cold(lam):
+            return np.array([lam]), 1e-300, cold_starts(
+                atoms, -1.0 / (np.array([lam]) + 1e-300j))
+
+        with pytest.raises(ConvergenceFailure) as cold_failure:
+            _density_points(atoms, atoms, 0.5, afze(0.5, 1.0), *cold(1.0))
         assert "not converged after 100 iterations" \
-            in str(cold.value.__cause__)
+            in str(cold_failure.value.__cause__)
         pdf = eigen_pdf(law, law, 0.5, grid=[1.0, 5.0], nu=1e-300)
         assert pdf.density[0] == pytest.approx(mp_density(1.0, 0.5)[()],
                                                rel=1e-12)
@@ -1276,7 +1302,7 @@ class TestEigenPdf:
         with solver_settings(max_iters=1):
             with pytest.raises(ConvergenceFailure) as there:
                 _density_points(atoms, atoms, 0.5, afze(0.5, 1.0),
-                                np.array([5.0]), 1e-300)
+                                *cold(5.0))
             monkeypatch.setattr(respectra.rmt, "_density_points", spy)
             with pytest.raises(ConvergenceFailure) as err:
                 eigen_pdf(law, law, 0.5, grid=[1.0, 5.0], nu=1e-300)
@@ -1393,6 +1419,21 @@ class TestFixedCost:
         assert built and _kept_plan.cache_info().currsize == 0
         _walk_plan(512)
         assert _kept_plan.cache_info().currsize == 1
+
+    def test_sweep_past_the_kept_plans(self):
+        # a default grid of 2**14 + 1 points sweeps past _PLAN_POINTS: its
+        # plan is built for its call and not kept, a replay on its grid
+        # and nu gives the same bits, and both budgets hold
+        law = law_genuine(0.97)
+        mean = law.mean(*quadrature_nodes())
+        _kept_plan.cache_clear()
+        pdf = eigen_pdf(law, law, 0.5, points=_PLAN_POINTS + 1)
+        again = eigen_pdf(law, law, 0.5, grid=pdf.lambda_grid, nu=pdf.nu)
+        assert _kept_plan.cache_info().currsize == 0
+        assert again.density.tobytes() == pdf.density.tobytes()
+        assert abs(pdf.total_mass() - 1.0) <= 1e-2
+        assert pdf.first_moment() == pytest.approx(0.5 * mean * mean,
+                                                   rel=0.01)
 
 
 class TestWorkArrays:
