@@ -10,24 +10,33 @@ A A^T. After convergence eta(gamma) = E[ 1 / (1 + gamma beta D E2*) ],
 which the fixed point gives as 1 - gamma beta E1 E2* exactly.
 The laws are SpectralLaw values (rho and, after upscaling, the
 ResampleSpec); this module reads only what they derive from those: the
-transform, angular density, zero mass, xi and descriptor. Expectations
-reduce to angular quadrature against the laws' transforms plus the
-explicit point-mass branch. The Stieltjes transform follows from
-S(-1/gamma) = gamma eta(gamma), and evaluating it just above the real axis
-recovers the eigenvalue density.
+transform, angular density, zero mass, xi, r_hh and descriptor. Every
+expectation the solver and the folds take is E[h], E[h^2] or E[h^3] with
+h = V/(1 + c V), eta = E[1/(1 + c V)], or the folds' E[T/(T - w)], and
+each law gives them through one object (_law_atoms), which the solver
+and the folds read alike: closed forms in two square roots for a law
+whose r_hh has one or two terms (genuine and linear upscaled laws,
+_LawForms), and angular quadrature against the law's transform plus the
+explicit point-mass branch for a kernel law (_LawAtoms). The Stieltjes
+transform follows from S(-1/gamma) = gamma eta(gamma), and evaluating it
+just above the real axis recovers the eigenvalue density.
 
 Solver notes: the solver's settings are module constants, not parameters.
 Every point takes Newton steps on F(E2) = g(E2) - E2 from its start,
-whose derivative comes from the same quadrature sums as g. Each law's
-side of the map is summed over its atoms of nonzero value in h = 1/(c +
-1/v): sum(w h) for the map and sum((w h) h) for its slope, so an
-evaluation is one broadcast add, one reciprocal, two products and two
-sums per side over the (points x atoms) arrays. eta comes from the same
-evaluation, with no pass of its own: over the atoms, exactly,
-eta = mass + sum(w) - gamma beta E2 E1, and E1 at the returned E2 is E1
-at the last iterate moved along its first two derivatives (one more
-product and sum, sum(w h^3)); a first-order move is off by up to 1.3e-10
-of the peak at a grid floor. A start is
+whose derivative comes from the same evaluation as g (map_sums: E[h] for
+the map and E[h^2] for its slope, per law side). A kernel law's side is
+summed over its atoms of nonzero value in h = 1/(c + 1/v): sum(w h) and
+sum((w h) h), so an evaluation is one broadcast add, one reciprocal, two
+products and two sums per side over the (points x atoms) arrays, and eta
+comes from the same evaluation, with no pass of its own: over the atoms,
+exactly, eta = mass + sum(w) - gamma beta E2 E1, and E1 at the returned
+E2 is E1 at the last iterate moved along its first two derivatives (one
+more product and sum, sum(w h^3)); a first-order move is off by up to
+1.3e-10 of the peak at a grid floor. A law of closed forms takes each
+side in O(1) per point and eta from its closed form at the returned E2.
+A batch forms the tangent and eta for the rows that finish alone (a
+kernel law's sum(w h^3) over every row, which costs less than copying the
+finished rows out). A start is
 predicted (the sqrt probe's from the physical root's leading term),
 conj(E2) (a rescue), or cold: the paper-style E1 = 1 value, which only
 eta_transform's solves (real gamma >= 0) and a density sweep's top link
@@ -35,15 +44,17 @@ eta_transform's solves (real gamma >= 0) and a density sweep's top link
 point stops at its first Newton step within the fixed tolerance 1e-6 of
 |E2|, returning the stepped iterate, or at its first Newton iterate whose
 residual is within the map's own rounding of |E2| ((n_D + n_T) eps/2 for
-two sums over n_D and n_T atoms), returning that iterate. A point that
+two sums over n_D and n_T atoms; a closed form counts its 8 rounded
+operations), returning that iterate. A point that
 has not stopped after 100 Newton steps fails (the most any solve of the
 budget scan or of an eta_transform sweep takes is 29). A chain link's
 loose walk (below) stops at its first Newton step within 1e-2 instead.
 Where Newton converges quadratically (away from support edges) the E2
 error is thus far below the tolerance; this matters near zero, where
-|S| ~ zero_mass/|lambda + i nu| amplifies it. The points are rows of
-(points x atoms) arrays summed along the atom axis, so a point's answer
-does not depend on the other points or on BLAS. Every solve enters
+|S| ~ zero_mass/|lambda + i nu| amplifies it. A closed form is taken
+point by point and a kernel law's points are rows of (points x atoms)
+arrays summed along the atom axis, so a point's answer does not depend on
+the other points or on BLAS. Every solve enters
 _solve_e2, and the form of gamma alone picks one of two paths over one
 map and slope (_fixed_point_map) and the tolerance. There are three
 forms: a real scalar (eta_transform's) is solved to the tolerance; a
@@ -52,21 +63,23 @@ complex vector with given starts (the density sweep's batches, the sqrt
 probe, a rescue) is solved to the tolerance. A scalar is solved in
 Python scalars (_solve_one): its start, iterates, stop test and tangent
 are scalars, and numpy does only the atom operations of each
-evaluation, so a chain link does not pay numpy's per-call cost on
-one-row arrays. For real gamma > 0 its iterates also stay inside a
-bracket around the positive root, the physical one. A vector keeps its
-stop test in per-point masks, so a point has the same bits in any
-batch. Both paths take magnitudes as libm's hypot (_modulus); Python's
-complex multiply and divide round differently from numpy's array loops
-in the last ulp on some inputs, so a link's loose E2, which is only a
-start, can differ in its last bits from a batch row's. Complex solves
-add and multiply complex copies of the atoms' 1/v and w, cast once per
-law, and a batch writes every evaluation into the same four (points x
-atoms) work arrays, kept per thread and grown on demand (_work_arrays):
-at 128 points each is past glibc's 128 KiB mmap threshold, so arrays
-allocated at each evaluation would be faulted in again every time. Each
+evaluation (a closed form none), so a chain link does not pay numpy's
+per-call cost on one-row arrays. For real gamma > 0 its iterates also
+stay inside a bracket around the positive root, the physical one. A
+vector keeps its stop test in per-point masks, so a point has the same
+bits in any batch. Both paths take magnitudes as libm's hypot
+(_modulus); Python's complex multiply and divide round differently from
+numpy's array loops in the last ulp on some inputs, so a link's loose
+E2, which is only a start, can differ in its last bits from a batch
+row's. Complex solves
+add and multiply complex copies of a kernel law's 1/v and w, cast once
+per law, and its batch writes every evaluation into the same four
+(points x atoms) work arrays, kept per thread and grown on demand
+(_work_arrays): at 128 points each is past glibc's 128 KiB mmap
+threshold, so arrays allocated at each evaluation would be faulted in
+again every time. Each
 path also returns d log E2 / d log gamma from the sums of the last map
-evaluation (_log_tangent), which costs no atom sum of its own.
+evaluation (_log_tangent), which costs no expectation of its own.
 _density_points is
 the one place that solves at points lambda + i nu, forms S and the
 density and picks the root: a density below minus its evaluation-error
@@ -119,16 +132,18 @@ and no probe.
 
 Both support edges read no density: they are the folds of the fixed
 point's real inverse map (_fold_edge), found by Newton steps from the same
-atom sums, and each gives E2 at the edge as well.
+law expectations (fold, phi), and each gives E2 at the edge as well.
 
 What depends only on a law or on a sweep's length is built once: a law's
-atoms per quadrature rule (_law_atoms, shared by equal laws), the order
-of a sweep per number of points (_walk_plan).
+expectation object per quadrature rule (_law_atoms, shared by equal
+laws), the order of a sweep per number of points (_walk_plan).
 """
 
+import cmath
 import copy
 import functools
 import logging
+import math
 import threading
 from dataclasses import dataclass
 
@@ -152,7 +167,9 @@ _EPS = np.finfo(float).eps
 
 
 def quadrature_nodes():
-    """Graded composite Gauss-Legendre nodes and weights on (0, pi).
+    """Graded composite Gauss-Legendre nodes and weights on (0, pi): the
+    rule of kernel laws (catmull-rom, b-spline, lanczos3), whose r_hh has
+    more than two terms; genuine and linear laws take closed forms.
 
     4 panels of 32 nodes whose edges are graded toward 0 as
     pi (k/panels)^3, where the AR spectrum peaks; the law's symmetry around
@@ -160,8 +177,8 @@ def quadrature_nodes():
     a 4 096-atom solve (128 panels) to within 1.5e-9 of the peak, and lower
     support edges to 1.1e-15 relative, over MP, the genuine and upscaled
     laws of rho 0.9 and 0.97 at beta 0.25-1 and three of rho 0.99 at beta
-    0.5 (58 laws). 8 panels of 16 nodes reach 5.5e-9, 96-atom rules 2.3e-8
-    or worse.
+    0.5 (58 laws, measured when every law took these atoms). 8 panels of 16
+    nodes reach 5.5e-9, 96-atom rules 2.3e-8 or worse.
     """
     return _quadrature(*_rule())
 
@@ -182,7 +199,21 @@ def _quadrature(order, panels, grading):
 
 
 class _LawAtoms:
-    """A law reduced to quadrature atoms: values, weights and zero mass.
+    """A kernel law's expectations, as sums over quadrature atoms: values,
+    weights and zero mass.
+
+    This and _LawForms are the two kinds of expectation object _law_atoms
+    builds; the solver and the folds read either through the same methods
+    and fields. Both take h = V/(1 + c V) over the law's nonzero part:
+    ``map_sums(c)`` gives E[h] and E[h^2] for the fixed-point map,
+    ``eta(...)`` E[1/(1 + c V)] at a solve's returned E2, ``fold(c)`` E[h],
+    E[h^2] and E[h^3] for psi, ``phi(w)`` E[T/(T - w)] and the next two
+    such sums for the inner root of a fold. ``mass`` is P(V = 0),
+    ``nonzero`` P(V != 0), ``mean`` E[V], ``low`` and ``peak`` the least
+    and largest nonzero value, ``spread`` E[V^3]/E[V^2], ``harmonic`` the
+    harmonic mean of the nonzero values, ``terms`` the count of summed
+    terms in the map's rounding bound, and ``width`` the atoms of nonzero
+    value, the width of the batch loop's work arrays.
 
     Weights fold in the angular density and the symmetric doubling, so
     sum(weights) + mass = 1 and E[g] = mass * g(0) + sum(weights * g(values));
@@ -191,14 +222,13 @@ class _LawAtoms:
     atoms of nonzero value only: ``inv`` holds their reciprocal values and
     ``wpos`` their weights, so E[V/(1 + c V)] = sum(wpos h) with h = 1/(c
     + inv), and atoms of value 0 drop out. ``positive`` holds the values
-    and wv of those atoms, ``nonzero`` their probability P(value != 0) and
-    ``harmonic`` the harmonic mean of their values (the folds read these).
-    The arrays are read-only: _law_atoms shares one object among all
-    callers of a law.
+    and wv of those atoms. The arrays are read-only: _law_atoms shares one
+    object among all callers of a law.
     """
 
     __slots__ = ("values", "weights", "mass", "mean", "total", "wv", "inv",
-                 "wpos", "positive", "nonzero", "harmonic", "_complex")
+                 "wpos", "positive", "nonzero", "harmonic", "low", "peak",
+                 "spread", "terms", "width", "_complex")
 
     def __init__(self, law):
         nodes, panel_w = quadrature_nodes()
@@ -214,6 +244,10 @@ class _LawAtoms:
         self.nonzero = float(self.wpos.sum())
         self.harmonic = self.nonzero / float(
             (self.positive[1] / self.positive[0] ** 2).sum())
+        self.low, self.peak = self.positive[0].min(), self.values.max()
+        d, wd = self.values, self.wv
+        self.spread = float((wd * d * d).sum() / (wd * d).sum())
+        self.terms, self.width = self.values.size, self.inv.size
         self._complex = None
         _freeze(self.values, self.weights, self.wv, self.inv, self.wpos,
                 *self.positive)
@@ -233,6 +267,187 @@ class _LawAtoms:
             self._complex = twin
         return self._complex
 
+    def map_sums(self, c, h=None, wh=None):
+        """(E[h], E[h^2], terms) at a scalar c or at each point of a vector
+        c, summed over the atoms of nonzero value (_side), written into the
+        work arrays h and wh where given; ``terms`` = (w h^2, h) is what
+        eta reads."""
+        e, wh, h = _side(self, c, h, wh)
+        wh *= h
+        return e, np.add.reduce(wh, axis=-1), (wh, h)
+
+    def eta(self, c, dc, e1, b, terms, rows=Ellipsis):
+        """eta at c from the sums map_sums gave at c - dc, e1 and b, for
+        the given rows of its terms (_eta). The last sum, sum(w h^3), is
+        taken over every row and read at those rows: copying the finished
+        rows out of the work arrays costs more than the rows it skips."""
+        return _eta(self, c, dc, e1, b, *terms, rows)
+
+    def fold(self, c):
+        """(E[h], E[h^2], E[h^3]) at a real c (_fold_sums)."""
+        a = 1.0 + c * self.values
+        return _fold_sums(self.wv / a, self.values / a)
+
+    def phi(self, w):
+        """(phi, phi', phi''/2) at a real w off the values, phi = E[T/(T -
+        w)]: the sums of T/(T - w)^k, k = 1, 2, 3 (_fold_sums)."""
+        t, wt = self.positive
+        r = 1.0 / (t - w)
+        return _fold_sums(wt * r, r)
+
+
+def _root(p, q):
+    """sqrt(p) sqrt(q) with principal roots, for p = A - B and q = A + B:
+    by cmath for a complex scalar, by math for a real one (where p and q
+    have one sign off the cut, and the product is +-sqrt(p q) with the
+    sign of p), and as A sqrt((p/A) (q/A)) for an array, the same root off
+    the cut. The product of the two roots rounds a small real or
+    imaginary part against the large ones; this form keeps it to its own
+    precision. That matters where the fixed point's root is nearly double
+    (beta = 1, lambda near 0): there a rounding anywhere in E2's path moves
+    the returned root, and with the product fig2's densities moved past
+    1e-13 of a column's maximum under numpy's baseline SIMD loops, the
+    reproducibility bound test_bench holds them to."""
+    if isinstance(p, complex):
+        return cmath.sqrt(p) * cmath.sqrt(q)
+    if isinstance(p, float):
+        return math.copysign(math.sqrt(p * q), p)
+    a = 0.5 * (p + q)
+    return a * np.sqrt((p / a) * (q / a))
+
+
+class _LawForms:
+    """A law whose spectrum is d(omega) times r0 + 2 r1 cos(omega) (the
+    genuine law, r1 = 0, and every linear upscaled one), with closed-form
+    expectations in place of atoms: the methods and fields of _LawAtoms,
+    each O(1) per point.
+
+    With Q = 1 + rho^2 - 2 rho cos(omega) and P = r0 + 2 r1 cos(omega), a
+    nonzero value is V = P/Q with probability ``nonzero`` = 1/xi. Every
+    expectation the solver and the folds take is the angular mean of a
+    rational function of cos(omega), which for Q + c P = A - B cos(omega)
+    is a closed form in s = sqrt(A - B) sqrt(A + B) (principal roots; the
+    cut is where Q + c P vanishes) and t = B/(A + s):
+        E[h] = (r0 + 2 r1 t)/(xi s),
+        eta = E[1/(1 + c V)] = mass + (1 + rho^2 - 2 rho t)/(xi s),
+    and E[h^2] = -dE[h]/dc, E[h^3] = (1/2) d^2E[h]/dc^2 from the
+    derivatives of s and t. A - B = (1 - rho)^2 + c (r0 + 2 r1) and A + B
+    = (1 + rho)^2 + c (r0 - 2 r1) are formed directly, so neither cancels
+    where rho is near 1, and eta is formed without cancelling at small or
+    large |c| (eta). The folds' phi(w) = E[T/(T - w)] is the same form
+    with P - w Q in place of Q + c P, and its derivatives are taken in w,
+    which does not cancel where w is near 0.
+
+    The type of c picks the arithmetic: a complex array (a batch) uses
+    numpy, a complex scalar (a chain link) cmath, and a real scalar
+    (eta_transform's gamma > 0, a fold's real c or w off the cut) math,
+    with s = +-sqrt((A - B)(A + B)) taking the sign of A - B: the
+    principal roots' product, real on both sides of the cut.
+    """
+
+    __slots__ = ("mass", "nonzero", "mean", "low", "peak", "spread",
+                 "harmonic", "_p", "_eta_q", "_in_c", "_in_w")
+    terms = 8           # rounded operations in E[h]: its rounding bound
+    width = 0           # no work arrays
+
+    def __init__(self, law):
+        rho = float(law.rho)
+        r0, *rest = law.r_hh
+        r0, r1 = float(r0), float(sum(rest))
+        self.mass, self.nonzero = law.zero_mass, 1.0 / law.xi
+        self._p = r0, r1
+        # eta = mass + ((1 - rho^2)^2 + k c + (1 + rho^2) s)/(xi (A + s) s)
+        self._eta_q = tuple(v / law.xi for v in (
+            ((1.0 - rho * rho) ** 2, (1.0 + rho * rho) * r0 + 4.0 * rho * r1,
+             1.0 + rho * rho)))
+        below, above = (1.0 - rho) ** 2, (1.0 + rho) ** 2
+        # (A - B, A + B) at 0 and their slopes, in c for Q + c P and in w
+        # for P - w Q
+        self._in_c = below, above, r0 + 2.0 * r1, r0 - 2.0 * r1
+        self._in_w = r0 + 2.0 * r1, r0 - 2.0 * r1, -below, -above
+        ends = (r0 + 2.0 * r1) / below, (r0 - 2.0 * r1) / above
+        self.low, self.peak = min(ends), max(ends)
+        self.mean, second, third = self.fold(0.0)
+        self.spread = third / second
+        sigma = math.sqrt((r0 - 2.0 * r1) * (r0 + 2.0 * r1))
+        self.harmonic = sigma / (1.0 + rho * rho
+                                 + 4.0 * rho * r1 / (r0 + sigma))
+
+    def as_complex(self):
+        return self
+
+    def _forms(self, x, ends):
+        """F = (r0 + 2 r1 t)/s and its first two derivatives in x, each
+        over xi, for the (A - B, A + B) = (p0 + dp x, q0 + dq x) of
+        ``ends``: in c they are E[h], -E[h^2] and 2 E[h^3]."""
+        r0, r1 = self._p
+        p0, q0, dp, dq = ends
+        p, q = p0 + dp * x, q0 + dq * x
+        s = _root(p, q)
+        t = (q - p) / (p + q + 2.0 * s)     # B/(A + s)
+        inv = 1.0 / s
+        ds = 0.5 * (dp * q + p * dq) * inv
+        g = r0 + 2.0 * r1 * t
+        # with A' and B' the slopes of A and B: t' = (B' (1 + t^2) - 2 A'
+        # t)/(2 s), s'' = (A'^2 - B'^2 - s'^2)/s, t'' = t' (B' t - A' -
+        # s')/s
+        da, db = 0.5 * (dp + dq), 0.5 * (dq - dp)
+        dt = (0.5 * db * (1.0 + t * t) - da * t) * inv
+        d2s = (da * da - db * db - ds * ds) * inv
+        d2t = dt * (db * t - da - ds) * inv
+        f, df = g * inv, (2.0 * r1 * dt - g * ds * inv) * inv
+        d2f = (2.0 * r1 * (d2t - 2.0 * dt * ds * inv)
+               - g * (d2s - 2.0 * ds * ds * inv) * inv) * inv
+        return self.nonzero * f, self.nonzero * df, self.nonzero * d2f
+
+    def map_sums(self, c, h=None, wh=None):
+        """(E[h], E[h^2], None) at a scalar c or at each point of a vector
+        c; h and wh are not read. E[h^2] = (G s' + 2 r1 N)/(xi s^2), G = r0
+        + 2 r1 t, with s' = (r0 A + 2 r1 B)/s and N = r1 (1 + t^2) + r0 t =
+        -s t' the derivatives of s and t in c; G = r0 and N drops out where
+        r1 = 0."""
+        r0, r1 = self._p
+        p0, q0, dp, dq = self._in_c
+        p, q = p0 + dp * c, q0 + dq * c
+        s = _root(p, q)
+        # s s' = r0 A + 2 r1 B = ((r0 + 2 r1) (A + B) + (r0 - 2 r1) (A - B))/2
+        ss = (0.5 * dp) * q + (0.5 * dq) * p
+        inv = 1.0 / s
+        if not r1:
+            e = (self.nonzero * r0) * inv
+            return e, e * ss * inv * inv, None
+        t = (q - p) / (p + q + 2.0 * s)
+        g = r0 + (2.0 * r1) * t
+        n = r1 * (1.0 + t * t) + r0 * t
+        w = self.nonzero * inv
+        return w * g, w * (g * ss * inv + (2.0 * r1) * n) * inv, None
+
+    def eta(self, c, dc, e1, b, terms, rows=Ellipsis):
+        """eta at c from its closed form alone; the other arguments are not
+        read. (1 + rho^2 - 2 rho t)/s is taken as ((1 - rho^2)^2 + k c +
+        (1 + rho^2) s)/((A + s) s), k = (1 + rho^2) r0 + 4 rho r1 > 0, the
+        same value, whose terms do not cancel at any real c > 0 (the first
+        form loses a factor (1 + rho^2)/(1 - rho^2) at small c, and 1 - c
+        E[h] loses |c| E[h] at large |c|)."""
+        p0, q0, dp, dq = self._in_c
+        p, q = p0 + dp * c, q0 + dq * c
+        s = _root(p, q)
+        top, k, a0 = self._eta_q
+        return self.mass + (top + k * c + a0 * s) / (0.5 * (p + q) + s) / s
+
+    def fold(self, c):
+        """(E[h], E[h^2], E[h^3]) at a real c, or at each point of a real
+        vector c, off the cut."""
+        e, de, d2e = self._forms(c, self._in_c)
+        return e, -de, 0.5 * d2e
+
+    def phi(self, w):
+        """(phi, phi', phi''/2) at a real w off [low, peak], or at each
+        point of a real vector w: phi = E[T/(T - w)] = E[P/(P - w Q)] and
+        its derivatives in w."""
+        f, df, d2f = self._forms(w, self._in_w)
+        return f, df, 0.5 * d2f
+
 
 def _freeze(*arrays):
     """Mark the arrays read-only."""
@@ -244,15 +459,21 @@ _ATOMS_KEPT = 16        # laws whose atoms _law_atoms keeps
 
 
 def _law_atoms(law):
-    """The atoms of ``law`` under the quadrature rule in force, built once
-    per law and rule: equal laws, such as a call's D and T, share one
-    read-only _LawAtoms, kept for the last _ATOMS_KEPT (law, rule) pairs.
-    A law must hash: the key is the law itself."""
+    """The expectation object of ``law``, built once per law and
+    quadrature rule: a _LawForms for a law whose ``r_hh`` has one or two
+    terms r0 > 2 |r1| (genuine and linear, whose spectrum is then positive
+    at every angle), else a _LawAtoms under the quadrature rule in force.
+    Equal laws, such as a call's D and T, share one read-only object, kept
+    for the last _ATOMS_KEPT (law, rule) pairs. A law must hash: the key
+    is the law itself."""
     return _atoms_of(law, _rule())
 
 
 @functools.lru_cache(maxsize=_ATOMS_KEPT)
 def _atoms_of(law, rule):
+    r0, *rest = getattr(law, "r_hh", (0.0,) * 3)  # no r_hh: atoms
+    if len(rest) <= 1 and r0 > 2.0 * abs(sum(rest)):
+        return _LawForms(law)
     return _LawAtoms(law)
 
 
@@ -263,10 +484,10 @@ def _column(v):
 
 
 def _side(atoms, c, h=None, wh=None):
-    """A law's side of the map at a scalar c or at each point of a vector
-    c: sum(w h) = E[V/(1 + c V)] with h = 1/(c + 1/v) over the atoms of
-    nonzero value, and the arrays (w h, h), written into the arrays h and
-    wh where given (_work_arrays) and else into new ones.
+    """A kernel law's side of the map at a scalar c or at each point of a
+    vector c: sum(w h) = E[V/(1 + c V)] with h = 1/(c + 1/v) over the atoms
+    of nonzero value, and the arrays (w h, h), written into the arrays h
+    and wh where given (_work_arrays) and else into new ones.
 
     numpy gives each operand it broadcasts an iterator buffer of up to
     8 192 elements, 128 KiB for complex, so given arrays are filled with
@@ -281,54 +502,51 @@ def _side(atoms, c, h=None, wh=None):
     return np.add.reduce(wh, axis=-1), wh, h
 
 
-def _fixed_point_map(atoms_d, atoms_t, g, gb, ggb, x, work=(None,) * 4):
+def _fixed_point_map(ex_d, ex_t, g, gb, ggb, x, work=(None,) * 4):
     """F(x) = g(x) - x at a scalar x, or at each point of a vector x, where
     gb = gamma beta and ggb = gamma^2 beta, with its slope g'(x) = ggb A B
-    from the same arrays (_side): A = sum(w_T h_T^2), B = sum(w_D h_D^2).
-    Returns (F, E1 at x, g'(x), A, (B, w_D h_D^2, h_D)); _log_tangent reads
-    A, _eta the last three. A vector's points are rows of (points x atoms)
-    arrays summed along the atom axis, so each row is computed alone, by
-    the same loops over the atoms as a scalar point. ``work`` holds the
-    arrays (h_D, w_D h_D, h_T, w_T h_T) to write into (_work_arrays), or
-    Nones for new ones."""
-    e1, whd, hd = _side(atoms_d, gb * x, *work[:2])
-    gx, wht, ht = _side(atoms_t, g * e1, *work[2:])
-    wht *= ht
-    whd *= hd
-    a, b = np.add.reduce(wht, axis=-1), np.add.reduce(whd, axis=-1)
-    return gx - x, e1, ggb * a * b, a, (b, whd, hd)
+    from the same evaluation (map_sums): A = E[h_T^2] at c = gamma E1, B =
+    E[h_D^2] at c = gb x. Returns (F, E1 at x, g'(x), A, (B, terms));
+    _log_tangent reads A, eta the last two. A vector's points are
+    computed alone: by closed forms, or as rows of (points x atoms) arrays
+    summed along the atom axis, by the same loops over the atoms as a
+    scalar point. ``work`` holds the arrays (h_D, w_D h_D, h_T, w_T h_T) a
+    kernel law writes into (_work_arrays), or Nones for new ones."""
+    e1, b, terms = ex_d.map_sums(gb * x, *work[:2])
+    gx, a, _ = ex_t.map_sums(g * e1, *work[2:])
+    return gx - x, e1, ggb * a * b, a, (b, terms)
 
 
-def _eta(atoms_d, gb, e2, e1, step, b, whh, h):
-    """eta = E[1/(1 + c D)] at the returned E2, c = gamma beta E2, from
-    the sums of the map's evaluation at x = E2 - step (the last three
-    values of _fixed_point_map): over the atoms eta = mass + sum(w) - c E1
-    exactly, and E1 at E2 is E1 - gb step B + (gb step)^2 C + O(step^3),
-    with B = sum(w h^2) and C = sum(w h^3), since dh/dx = -gb h^2. The
-    second-order term matters: without it the grid floor of b-spline 2/1,
-    rho 0.97, beta 1 moves by 1.3e-10 of the peak. whh becomes w h^3."""
-    c = np.add.reduce(np.multiply(whh, h, out=whh), axis=-1)
-    return atoms_d.total - gb * e2 * (e1 + gb * step * (gb * step * c - b))
+def _eta(atoms, c, dc, e1, b, whh, h, rows=Ellipsis):
+    """A kernel law's eta = E[1/(1 + c D)] at c, the returned E2's, from
+    the sums of the map's evaluation at c - dc (map_sums), for the given
+    rows of whh and h: over the atoms eta = mass + sum(w) - c E1 exactly,
+    and E1 at c is E1 - dc B + dc^2 C + O(dc^3), with B = sum(w h^2) and C
+    = sum(w h^3), since dh/dc = -h^2. The second-order term matters:
+    without it the grid floor of b-spline 2/1, rho 0.97, beta 1 moves by
+    1.3e-10 of the peak. whh becomes w h^3."""
+    cubes = np.add.reduce(np.multiply(whh, h, out=whh), axis=-1)[rows]
+    return atoms.total - c * (e1 + dc * (dc * cubes - b))
 
 
 def _log_tangent(g, x, e1, slope, a):
     """d log E2 / d log gamma at each point from the sums of the map's
     evaluation at x. Differentiating E2 = g(E2, gamma) gives dE2/dgamma =
     -A (e1 - gamma beta E2 B) / (1 - g'), and gamma beta E2 A B is
-    g' E2 / gamma, so the tangent costs no atom sum of its own."""
+    g' E2 / gamma, so the tangent costs no expectation of its own."""
     return (slope - g * a * e1 / x) / (1.0 - slope)
 
 
-def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
+def _solve_e2(ex_d, ex_t, beta, gamma, warm=None):
     """Solve E2 = g(E2) at a gamma or at each point of a vector of gamma;
     returns (e2, iterations, tangent, eta), the tangent being d log E2 /
-    d log gamma (_log_tangent) and eta = E[1/(1 + gamma beta D E2)] at the
-    returned E2 (_eta), both from the sums of the last map evaluation. A
-    complex scalar returns eta None: its E2 is only a start.
+    d log gamma (_log_tangent), from the sums of the last map evaluation,
+    and eta = E[1/(1 + gamma beta D E2)] at the returned E2 (the law's
+    eta). A complex scalar returns eta None: its E2 is only a start.
 
     ``warm`` gives each point its start E2 (a scalar start serves every
     point of a vector). Every point takes Newton steps on F(x) = g(x) - x
-    from its start, with g'(x) from the same atom sums as g
+    from its start, with g'(x) from the same evaluation as g
     (predictor-corrector continuation corrects a predicted point with
     Newton directly). Only a scalar gamma may omit its start (a cold
     start: eta_transform's real gamma, a sweep's top link, both outside
@@ -347,7 +565,8 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     The map's rounding: g is two sums over the atoms of D and of T, and a
     sum of n terms may be off by n units of roundoff (eps/2) relative to
     them, so F(x) cannot be told from zero once |F(x)| <= (n_D + n_T) eps/2
-    |x|, 2.8e-14 |x| at 128 atoms per law. Without this stop a tolerance
+    |x|, 2.8e-14 |x| at 128 atoms per law; a closed form counts its 8
+    rounded operations as n (``terms``). Without this stop a tolerance
     below rounding would leave a point at its root until the iteration
     cap ran out.
 
@@ -363,24 +582,26 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
     which returns scalars and brackets real gamma > 0. A complex vector
     with its starts (the density sweep's batches, the sqrt probe, a
     rescue) is solved here to _TOLERANCE and gives arrays over its points:
-    points are the rows of (points x atoms) arrays, summed along the atom
-    axis only, and each has its own stop test, so a point's answer does
-    not depend on the other points. Converged rows leave the arrays. A
-    failure names the index of its point in ConvergenceFailure.point.
+    each point is taken alone (closed forms elementwise, atom sums along
+    the atom axis of (points x atoms) arrays) and has its own stop test,
+    so a point's answer does not depend on the other points. Converged
+    rows leave the arrays, and the tangent and eta are formed for the
+    rows that finish alone (the law's eta). A failure names the index of
+    its point in ConvergenceFailure.point.
     """
     if not isinstance(gamma, np.ndarray):
-        return _solve_one(atoms_d, atoms_t, beta, gamma, warm)
+        return _solve_one(ex_d, ex_t, beta, gamma, warm)
     x = warm + np.zeros(len(gamma), complex)
-    atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
-    work = _work_arrays(len(x), atoms_d, atoms_t)
+    ex_d, ex_t = ex_d.as_complex(), ex_t.as_complex()
+    work = _work_arrays(len(x), ex_d, ex_t)
     gb, ggb = gamma * beta, gamma * gamma * beta
-    rounding = _map_rounding(atoms_d, atoms_t)
+    rounding = _map_rounding(ex_d, ex_t)
     e2, tangent, eta = np.empty((3, len(x)), x.dtype)
     point, g, its = np.arange(len(x)), gamma, np.zeros(len(x), dtype=int)
     # the loop tests masks with np.count_nonzero, a few times cheaper than
     # .any() on arrays this small
     for it in range(1, _MAX_ITERS + 1):
-        f, e1, slope, a, terms = _fixed_point_map(atoms_d, atoms_t, g, gb,
+        f, e1, slope, a, terms = _fixed_point_map(ex_d, ex_t, g, gb,
                                                   ggb, x, work)
         residual = _modulus(f)
         step = f / (1.0 - slope)
@@ -389,12 +610,16 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
         done = stepped | (residual <= rounding * _modulus(x))
         finished = np.count_nonzero(done)
         if finished:
-            # eta of every row (two more atom operations), kept where done
-            got, rows = np.where(stepped, new, x), point[done]
-            e2[rows], its[rows] = got[done], it
-            tangent[rows] = _log_tangent(g, x, e1, slope, a)[done]
-            eta[rows] = _eta(atoms_d, gb, got, e1,
-                             np.where(stepped, step, 0.0), *terms)[done]
+            # the tangent and eta of the finished rows alone
+            rows = Ellipsis if finished == len(x) else done
+            got, at = np.where(stepped, new, x)[rows], point[rows]
+            e2[at], its[at] = got, it
+            tangent[at] = _log_tangent(g[rows], x[rows], e1[rows],
+                                       slope[rows], a[rows])
+            b, law_terms = terms
+            eta[at] = ex_d.eta(gb[rows] * got,
+                               gb[rows] * np.where(stepped, step, 0.0)[rows],
+                               e1[rows], b[rows], law_terms, rows)
             if finished == len(x):
                 return e2, its, tangent, eta
             keep = ~done
@@ -412,7 +637,7 @@ def _solve_e2(atoms_d, atoms_t, beta, gamma, warm=None):
 _WORK = threading.local()  # per thread: the batch loop's work buffers
 
 
-def _work_arrays(rows, atoms_d, atoms_t):
+def _work_arrays(rows, ex_d, ex_t):
     """The batch loop's four complex work arrays (h_D, w_D h_D, h_T, w_T
     h_T), each (rows x atoms of nonzero value), as contiguous views of
     flat buffers that each thread keeps and grows on demand, so a row is
@@ -425,16 +650,17 @@ def _work_arrays(rows, atoms_d, atoms_t):
     if held is None:
         held = _WORK.buffers = [np.empty(0, complex) for _ in range(4)]
     views = []
-    for i, n in enumerate((atoms_d.inv.size,) * 2 + (atoms_t.inv.size,) * 2):
+    for i, n in enumerate((ex_d.width,) * 2 + (ex_t.width,) * 2):
         if held[i].size < rows * n:
             held[i] = np.empty(rows * n, complex)
         views.append(held[i][:rows * n].reshape(rows, n))
     return views
 
 
-def _map_rounding(atoms_d, atoms_t):
-    """(n_D + n_T) eps/2, the fixed-point map's rounding relative to |E2|."""
-    return 0.5 * _EPS * (atoms_d.values.size + atoms_t.values.size)
+def _map_rounding(ex_d, ex_t):
+    """(n_D + n_T) eps/2, the fixed-point map's rounding relative to |E2|,
+    for n_D and n_T terms summed per law (``terms``)."""
+    return 0.5 * _EPS * (ex_d.terms + ex_t.terms)
 
 
 def _modulus(z):
@@ -446,15 +672,16 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _solve_one(atoms_d, atoms_t, beta, gamma, x):
+def _solve_one(ex_d, ex_t, beta, gamma, x):
     """_solve_e2 at one scalar gamma from the scalar start x (None for a
     cold start): a complex gamma (a chain link's walk) to _LOOSE, a real
     one (eta_transform's) to _TOLERANCE. The start, iterates, stop test
     and tangent are scalars, and numpy does only the atom operations of
     each evaluation (_fixed_point_map, the batch loop's map and slope on
-    one point): a chain link's walk does not pay numpy's per-call cost on
-    one-row arrays. Returns (e2, iterations, tangent, eta) as scalars, eta
-    None for complex gamma. Failures raise as in _solve_e2, with point 0.
+    one point; a closed form uses cmath and math): a chain link's walk
+    does not pay numpy's per-call cost on one-row arrays. Returns (e2,
+    iterations, tangent, eta) as scalars, eta None for complex gamma.
+    Failures raise as in _solve_e2, with point 0.
 
     Python's complex multiply and divide round differently from numpy's
     array loops in the last ulp on some inputs, so a complex point solved
@@ -469,18 +696,18 @@ def _solve_one(atoms_d, atoms_t, beta, gamma, x):
     """
     loose = isinstance(gamma, complex)
     if x is None:
-        x = _side(atoms_t, gamma)[0]  # E[T/(1 + gamma T)]: E1 = 1
+        x = ex_t.map_sums(gamma)[0]  # E[T/(1 + gamma T)]: E1 = 1
     if loose:
-        atoms_d, atoms_t = atoms_d.as_complex(), atoms_t.as_complex()
+        ex_d, ex_t = ex_d.as_complex(), ex_t.as_complex()
     bracketed = not loose and gamma > 0
-    lo, hi = 0.0, atoms_t.mean
+    lo, hi = 0.0, ex_t.mean
     if bracketed and not lo < x.real < hi:
         x = 0.5 * (lo + hi)
     gb, ggb = gamma * beta, gamma * gamma * beta
-    rounding = _map_rounding(atoms_d, atoms_t)
+    rounding = _map_rounding(ex_d, ex_t)
     tolerance = _LOOSE if loose else _TOLERANCE
     for it in range(1, _MAX_ITERS + 1):
-        f, e1, slope, a, terms = _fixed_point_map(atoms_d, atoms_t, gamma,
+        f, e1, slope, a, terms = _fixed_point_map(ex_d, ex_t, gamma,
                                                   gb, ggb, x)
         residual = abs(f)
         if bracketed:
@@ -493,7 +720,7 @@ def _solve_one(atoms_d, atoms_t, beta, gamma, x):
         if stepped or residual <= rounding * abs(x):
             new, step = (new, step) if stepped else (x, 0.0)
             return new, it, _log_tangent(gamma, x, e1, slope, a), \
-                None if loose else _eta(atoms_d, gb, new, e1, step, *terms)
+                None if loose else ex_d.eta(gb * new, gb * step, e1, *terms)
         x = new
     raise ConvergenceFailure(
         f"fixed point not converged after {_MAX_ITERS} iterations "
@@ -506,12 +733,13 @@ def eta_transform(law_d, law_t, beta, gamma):
 
     The whole computation stays in real arithmetic, and E2* is the
     positive root of the fixed point, the physical one, which the solver
-    brackets. eta comes with E2* from the solver's own sums, as mass +
-    sum(w) - gamma beta E2* E1 (_eta): within 3.1e-16 absolute of a direct
-    sum over D at the same E2* for gamma from 1e-4 to 1e14 (MP, genuine rho
-    0.97 and 0.9999, b-spline 2/1 rho 0.97, beta 0.25 and 1). The
-    difference loses relative precision only where eta is near 0: 1.3e-9
-    relative at eta 1e-7 (MP, beta 1, gamma 1e14). Raises InputError for a
+    brackets. eta comes with E2*: from a genuine or linear law's closed
+    form at E2*, and from a kernel law's own sums as mass + sum(w) - gamma
+    beta E2* E1 (_eta), which loses relative precision where eta is near
+    0. Either is within 1e-15 absolute of eta's definition at the same E2*
+    for gamma from 1e-4 to 1e14 (MP, genuine rho 0.97 and 0.9999 against
+    16 384-atom sums, b-spline 2/1 rho 0.97 against a sum over its atoms;
+    beta 0.25 and 1; TestEtaIdentity). Raises InputError for a
     beta outside (0, 1] and for a gamma
     that is complex, negative or not finite: the Stieltjes transform
     S(z) = gamma eta(gamma) at gamma = -1/z inside the support needs a
@@ -584,7 +812,7 @@ class EigenPdf:
         return cum / total
 
 
-def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm):
+def _solve_at(ex_d, ex_t, beta, lam, nu, warm):
     """_solve_e2 at gamma = -1/(lam + i nu) for a point lam (a chain link,
     walked loose) or the points of a vector lam (solved to the tolerance)
     from the start ``warm``; returns (gamma, e2, iterations, tangent, eta),
@@ -593,7 +821,7 @@ def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm):
     raises ConvergenceFailure naming the lambda of its point."""
     gamma = -1.0 / (lam + 1j * nu)
     try:
-        e2, its, tangent, eta = _solve_e2(atoms_d, atoms_t, beta, gamma,
+        e2, its, tangent, eta = _solve_e2(ex_d, ex_t, beta, gamma,
                                           warm)
     except ConvergenceFailure as exc:
         at = lam[exc.point] if np.ndim(lam) else lam
@@ -602,7 +830,7 @@ def _solve_at(atoms_d, atoms_t, beta, lam, nu, warm):
     return gamma, e2, its, lam * gamma * tangent, eta
 
 
-def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm):
+def _density_points(ex_d, ex_t, beta, zero_mass, lam, nu, warm):
     """Densities of the continuous part at the points lam, smoothed by nu.
 
     Solves the fixed point at gamma = -1/(lam + i nu) for all points at
@@ -619,10 +847,10 @@ def _density_points(atoms_d, atoms_t, beta, zero_mass, lam, nu, warm):
     the tangent d log E2 / d log lambda, lambda gamma times the solver's
     d log E2 / d log gamma, is that of the solve a point keeps.
     """
-    rounding = _map_rounding(atoms_d, atoms_t)
+    rounding = _map_rounding(ex_d, ex_t)
 
     def solve(lam, start):
-        gamma, e2, its, tangent, eta = _solve_at(atoms_d, atoms_t, beta, lam,
+        gamma, e2, its, tangent, eta = _solve_at(ex_d, ex_t, beta, lam,
                                                  nu, start)
         s = gamma * eta
         smear = zero_mass * nu / (np.pi * (lam * lam + nu * nu))
@@ -684,17 +912,17 @@ def _predicted(value, chord, logs):
     return np.exp(start) if logs else start
 
 
-def _support_edges(atoms_d, atoms_t, beta):
+def _support_edges(ex_d, ex_t, beta):
     """The folds that end the nonzero-eigenvalue support, upper first, as
     (lambda_e, E2_e, side): the upper edge (side 1) and, where the support
     has a gap above zero, the lower edge (side -1)."""
-    edges = [_fold_edge(atoms_d, atoms_t, beta, upper=True) + (1.0,)]
-    if not _support_reaches_zero(atoms_d, atoms_t, beta):
-        edges.append(_fold_edge(atoms_d, atoms_t, beta, upper=False) + (-1.0,))
+    edges = [_fold_edge(ex_d, ex_t, beta, upper=True) + (1.0,)]
+    if not _support_reaches_zero(ex_d, ex_t, beta):
+        edges.append(_fold_edge(ex_d, ex_t, beta, upper=False) + (-1.0,))
     return edges
 
 
-def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
+def _sweep(ex_d, ex_t, beta, zero_mass, grid, nu, edges):
     """Densities over an increasing grid, walked from the largest lambda down.
 
     eigen_pdf gives a grid whose top lies above the support. Every
@@ -752,7 +980,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
         for b in range(0, len(idx), _BATCH_POINTS):
             at = idx[b:b + _BATCH_POINTS]
             density[at], e2[at], budget[at], its, resc, tangent[at] = \
-                _density_points(atoms_d, atoms_t, beta, zero_mass, grid[at],
+                _density_points(ex_d, ex_t, beta, zero_mass, grid[at],
                                 nu, start[b:b + _BATCH_POINTS])
             iters += int(its.sum())
             rescued += int(resc.sum())
@@ -788,7 +1016,7 @@ def _sweep(atoms_d, atoms_t, beta, zero_mass, grid, nu, edges):
             *_quadratic(abscissa(k, f), *coords(links[i - 1], f), *anchor),
             f < 0)
         _, e2[k], its, tangent[k], _ = _solve_at(
-            atoms_d, atoms_t, beta, grid.item(k), nu, warm)
+            ex_d, ex_t, beta, grid.item(k), nu, warm)
         iters += its
     solve(down, e2[down])
     for rest, lower, upper in fills:
@@ -834,14 +1062,14 @@ def _plan(n, chain_stride, top_links, fill_strides):
 _kept_plan = functools.lru_cache(maxsize=4)(_plan)
 
 
-def _support_reaches_zero(atoms_d, atoms_t, beta):
+def _support_reaches_zero(ex_d, ex_t, beta):
     """P(D != 0)/beta <= P(T != 0): the nonzero-eigenvalue support has no
     gap above zero (beta = 1 for identical laws). Atoms of value 0 count
     with the point mass."""
-    return atoms_d.nonzero / beta <= atoms_t.nonzero
+    return ex_d.nonzero / beta <= ex_t.nonzero
 
 
-def _default_grid(atoms_d, atoms_t, beta, zero_mass, edges):
+def _default_grid(ex_d, ex_t, beta, zero_mass, edges):
     """The default grid of _WALK_POINTS points, log-spaced up to 1.02
     times the upper support edge, which every density sweep walks.
 
@@ -867,10 +1095,10 @@ def _default_grid(atoms_d, atoms_t, beta, zero_mass, edges):
     if len(edges) > 1:
         return np.geomspace(0.98 * edges[1][0], 1.02 * edges[0][0],
                             _WALK_POINTS)
-    scale = beta * atoms_d.mean * atoms_t.mean
+    scale = beta * ex_d.mean * ex_t.mean
     lo = 1e-8 * scale
-    start = -1j * np.sqrt((1.0 - atoms_d.mass) * lo / beta ** 3)
-    f_probe = _density_points(atoms_d, atoms_t, beta, zero_mass,
+    start = -1j * np.sqrt((1.0 - ex_d.mass) * lo / beta ** 3)
+    f_probe = _density_points(ex_d, ex_t, beta, zero_mass,
                               np.array([lo]), 1e-4 * lo, start)[0][0]
     sqrt_coeff = max(f_probe, 0.0) * np.sqrt(lo)
     if 2.0 * sqrt_coeff * np.sqrt(lo) > 1e-3 * beta:
@@ -886,27 +1114,28 @@ def _fold_sums(q, r):
     return np.add.reduce(q), np.add.reduce(qr), np.add.reduce(qr * r)
 
 
-def _fold_edge(atoms_d, atoms_t, beta, upper):
+def _fold_edge(ex_d, ex_t, beta, upper):
     """An edge of the nonzero-eigenvalue support as a fold of the fixed
     point's real inverse map (Silverstein & Choi 1995).
 
     Outside the support the fixed point has a real solution. With u =
     gamma E2 and v = gamma E1 it reads u psi(u) = phi(v) at lambda =
     -psi(u)/v, where psi(u) = E[D/(1 + beta D u)], phi(v) = E[vT/(1 + vT)].
-    In w = -1/v, phi = E[T/(T - w)] increases on each branch off the atoms
-    of T, so each u has one root w(u) there (_fold_root), and lambda(u) =
-    w(u) psi(u). The lower edge is the maximum of lambda on w < min T, u >
-    0 (lambda rises through 0 at u psi(u) = P(T != 0), then falls back to
-    0); the upper edge is the minimum on w > max T, u in (-1/(beta max D),
-    0) (lambda falls from infinity at u -> 0 and climbs back at the pole
-    of psi).
+    In w = -1/v, phi = E[T/(T - w)] increases on each branch off the
+    values of T, so each u has one root w(u) there (_fold_root), and
+    lambda(u) = w(u) psi(u). The lower edge is the maximum of lambda on w
+    < min T, u > 0 (lambda rises through 0 at u psi(u) = P(T != 0), then
+    falls back to 0); the upper edge is the minimum on w > max T, u in
+    (-1/(beta max D), 0) (lambda falls from infinity at u -> 0 and climbs
+    back at the pole of psi).
 
     In s = u or s = -u the root of dlambda/du = w' psi + w psi' is found by
     Newton steps in 1/s, whose derivative d2lambda/du2 = w'' psi + 2 w'
-    psi' + w psi'' takes psi'' and phi''(w), two more sums over the same
-    atoms (w' = (u psi)'/phi'(w), w'' = ((u psi)'' - phi''(w) w'^2) /
-    phi'(w)). The upper edge starts at the smaller of half the pole and the
-    upper fold of Marchenko-Pastur, u = -1/(m r (1 + r)) for r = sqrt(beta)
+    psi' + w psi'' takes psi'' and phi''(w), from the same law evaluations
+    (ex_d.fold: E[h], E[h^2], E[h^3] at c = beta u; ex_t.phi) (w' = (u
+    psi)'/phi'(w), w'' = ((u psi)'' - phi''(w) w'^2) / phi'(w)). The upper
+    edge starts at the smaller of half the pole and the upper fold of
+    Marchenko-Pastur, u = -1/(m r (1 + r)) for r = sqrt(beta)
     and m = E[D^3]/E[D^2], a mean that follows the peak of a peaked D, so
     the start follows the fold toward u = 0 as beta falls (MP takes one
     evaluation at every beta). The lower edge starts at half the lower
@@ -927,30 +1156,27 @@ def _fold_edge(atoms_d, atoms_t, beta, upper):
     there. Raises ConvergenceFailure if a root w is not found, or the fold
     after 100 evaluations.
     """
-    d, wd = atoms_d.values, atoms_d.wv
-    t, wt = atoms_t.positive
     if upper:
-        sign, branch, w = -1.0, (t.max(), np.inf), 2.0 * t.max()
-        lo, hi = 0.0, 1.0 / (beta * d.max())
-        m, r = float((wd * d * d).sum() / (wd * d).sum()), np.sqrt(beta)
+        sign, branch, w = -1.0, (ex_t.peak, np.inf), 2.0 * ex_t.peak
+        lo, hi = 0.0, 1.0 / (beta * ex_d.peak)
+        m, r = ex_d.spread, np.sqrt(beta)
         s = min(0.5 * hi, 1.0 / (m * r * (1.0 + r)))
     else:
-        sign, branch, w = 1.0, (-np.inf, t.min()), 0.0
-        r = np.sqrt(beta * atoms_t.nonzero / atoms_d.nonzero)
+        sign, branch, w = 1.0, (-np.inf, ex_t.low), 0.0
+        r = np.sqrt(beta * ex_t.nonzero / ex_d.nonzero)
         lo, hi = 0.0, np.inf
-        s = 0.5 / (atoms_d.harmonic * r * (1.0 - r))
+        s = 0.5 / (ex_d.harmonic * r * (1.0 - r))
     last = None
     for _ in range(100):
         u = sign * s
-        a = 1.0 + beta * u * d
-        psi, p2, p3 = _fold_sums(wd / a, d / a)
+        psi, p2, p3 = ex_d.fold(beta * u)
         if last is not None:
             # the last root moved along w' and w''
             du = u - last[0]
             guess = w + (last[1] + 0.5 * last[2] * du) * du
             if branch[0] < guess < branch[1]:
                 w = guess
-        w, phi1, phi2 = _fold_root(t, wt, u, u * psi, w, branch)
+        w, phi1, phi2 = _fold_root(ex_t, u, u * psi, w, branch)
         dpsi, ddpsi = -beta * p2, 2.0 * beta * beta * p3
         dw = (psi + u * dpsi) / phi1
         ddw = (2.0 * dpsi + u * ddpsi - phi2 * dw * dw) / phi1
@@ -975,9 +1201,10 @@ def _fold_edge(atoms_d, atoms_t, beta, upper):
                              f"u={u:g}", residual=abs(slope))
 
 
-def _fold_root(t, wt, u, target, w, branch):
+def _fold_root(ex_t, u, target, w, branch):
     """The root w of phi(w) = E[T/(T - w)] = target = u psi(u) on the
-    branch (lo, hi) of _fold_edge, from w; returns (w, phi'(w), phi''(w)).
+    branch (lo, hi) of _fold_edge, from w; returns (w, phi'(w), phi''(w)),
+    phi and its derivatives from ex_t.phi.
 
     Newton steps on 1/phi(w) = 1/target, exactly linear in w for a T of one
     atom and nearly so at both ends of each branch, where phi has a pole or
@@ -987,8 +1214,7 @@ def _fold_root(t, wt, u, target, w, branch):
     step. Raises ConvergenceFailure after 100 steps."""
     lo, hi = branch
     for _ in range(100):
-        r = 1.0 / (t - w)
-        phi, phi1, phi2 = _fold_sums(wt * r, r)
+        phi, phi1, phi2 = ex_t.phi(w)
         f = phi - target
         lo, hi = (lo, w) if f > 0 else (w, hi)
         new = w - f * phi / (target * phi1)
@@ -1003,14 +1229,14 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0):
 
     The edge is the fold of the fixed point's real inverse map, the
     maximum of lambda(u) = w(u) psi(u) on u > 0 (_fold_edge), found from
-    the same atom sums as the densities by Newton steps on dlambda/du,
-    about 5 evaluations of lambda(u) on the benchmark's laws (the atoms of
-    a law are built once, _law_atoms). It matches the Marchenko-Pastur
-    (1 - sqrt beta)^2 within 3e-13 relative for beta from 0.125 to 0.995
-    and within 1e-12 up to 0.999, where the edge is 2.5e-7. Atoms of value
-    0 count with the point mass. Returns 0.0 when the support reaches
-    zero, i.e. P(D != 0)/beta <= P(T != 0) (beta = 1 for identical laws).
-    Raises ConvergenceFailure if a root is not found.
+    the same law expectations as the densities (_law_atoms: closed forms
+    or atoms, built once per law) by Newton steps on dlambda/du. It
+    matches the Marchenko-Pastur (1 - sqrt beta)^2 within 3e-13 relative
+    for beta from 0.125 to 0.995 and within 1e-12 up to 0.999, where the
+    edge is 2.5e-7. Atoms of value 0 count with the point mass. Returns
+    0.0 when the support reaches zero, i.e. P(D != 0)/beta <= P(T != 0)
+    (beta = 1 for identical laws). Raises ConvergenceFailure if a root is
+    not found.
 
     ``xi`` is not read: the laws carry their point masses. It stays only
     because the density benchmark (``perfbench/workloads.py``) passes it
@@ -1018,10 +1244,10 @@ def support_lower_edge(law_d, law_t, beta, xi=1.0):
     to the benchmark.
     """
     check_range("beta", beta, 0, 1, low_open=True)
-    atoms_d, atoms_t = _law_atoms(law_d), _law_atoms(law_t)
-    if _support_reaches_zero(atoms_d, atoms_t, beta):
+    ex_d, ex_t = _law_atoms(law_d), _law_atoms(law_t)
+    if _support_reaches_zero(ex_d, ex_t, beta):
         return 0.0
-    return _fold_edge(atoms_d, atoms_t, beta, upper=False)[0]
+    return _fold_edge(ex_d, ex_t, beta, upper=False)[0]
 
 
 def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
@@ -1066,9 +1292,11 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     or more points, which has the same ends) enters it alike and is swept
     alone, so a 512-point default call sweeps exactly its own grid and a
     finer one does not pay for the 510 inner points of the 512-point
-    grid. Laws' atoms are built once per law (equal laws share them), the
-    sweep's order once per length. The walk follows a chain of every 16th
-    point and of the points 1, 2, 4 and 8 below the top: every link is
+    grid. A law's expectations (closed forms for genuine and linear laws,
+    128 quadrature atoms for kernel laws) are built once per law (equal
+    laws share them), the sweep's order once per length. The walk follows
+    a chain of every 16th point and of the points 1, 2, 4 and 8 below the
+    top: every link is
     solved only until its Newton step is within 1e-2 of |E2|, the top one
     from a cold start, and then the links are corrected to the tolerance
     in batches of 128. Last the points at stride 4 between the links, then
@@ -1086,16 +1314,8 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     nonpositive nu, a grid that is not finite, increasing and positive,
     fewer than 2 or more than 2**20 points, or an omitted xi with laws
     that carry different factors. The bound on points keeps a call to a few
-    seconds and its per-point arrays near 16 MiB: each point costs about
-    0.004-0.008 ms of solving over the 128 atoms (whole calls of 8 192
-    points take 35-42 ms, of 512 points 3.5-4.1 ms, best of 7 and of 9
-    repeated calls over genuine and five upscaled laws of rho 0.97 at beta
-    0.5, linear 3/2, catmull-rom 2/1, b-spline 2/1 and 3/2 and lanczos3
-    3/2, alike in a fresh process and after three 512-point calls of the
-    same laws, in the quiet rounds on a 2-core Intel Xeon box with AVX-512
-    whose speed swings by up to 80 % with other load; 2**20 points take
-    about 6.4 s for the genuine law), and the complex E2 of 2**20 points
-    takes 16 MiB. The
+    seconds (BENCH_exactforms.json records call times) and its per-point
+    arrays near 16 MiB: the complex E2 of 2**20 points takes 16 MiB. The
     figures use the default 512.
 
     EigenPdf's budgets (zero_mass + integral = 1 within 1e-2, first moment
@@ -1105,12 +1325,15 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
     2 688 calls) every call meets both budgets with no point re-solved
     from conj(E2): the largest errors are 8.1e-4 in mass (b-spline 2/1,
     rho 0.9, beta 1) and 2.1e-3 in first moment (the same law at beta
-    0.05). Below 0.05 the first moment can miss its budget (by 4.6 % at
-    beta 0.003 for genuine rho 0.97; b-spline 2/1, rho 0.97 is 0.94 % low
-    at 0.01, inside it). MP's continuous part stays within 0.4 % of beta
-    down to beta 1e-8, but the continuous part is off by +7.3 % at 1e-6
-    for linear 3/2 and -35 % at 1e-8 for genuine rho 0.97, while the total
-    mass, mostly zero_mass = 1 - beta/xi, still meets its budget.
+    0.05). Genuine and linear laws take closed forms, with no quadrature
+    error, and meet both budgets toward rho = 1 too (genuine rho 0.999 at
+    beta 0.02, rho 0.9999 at beta 0.25 and 0.5). Below 0.05 the first
+    moment can miss its budget on a kernel law's 128 atoms (b-spline 2/1,
+    rho 0.97 is 0.94 % low at 0.01, inside it; genuine rho 0.97 is 0.58 %
+    low at 0.003). MP's continuous part stays within 0.4 % of beta down to
+    beta 1e-8, but the continuous part is off by -3.2 % at 1e-6 for linear
+    3/2 and -4.5 % at 1e-8 for genuine rho 0.97, while the total mass,
+    mostly zero_mass = 1 - beta/xi, still meets its budget.
     Raises ConvergenceFailure (annotated with the offending lambda) if
     some grid point cannot be solved.
     """
@@ -1130,9 +1353,9 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
                              f"{law_d.xi} and {law_t.xi}; pass xi")
         xi = law_d.xi
     zero_mass = afze(beta, xi)  # checks beta
-    atoms_d, atoms_t = _law_atoms(law_d), _law_atoms(law_t)
-    edges = _support_edges(atoms_d, atoms_t, beta)
-    walk = _default_grid(atoms_d, atoms_t, beta, zero_mass, edges)
+    ex_d, ex_t = _law_atoms(law_d), _law_atoms(law_t)
+    edges = _support_edges(ex_d, ex_t, beta)
+    walk = _default_grid(ex_d, ex_t, beta, zero_mass, edges)
     if grid is None:
         grid = np.geomspace(walk[0], walk[-1], points)
     if nu is None:
@@ -1145,7 +1368,7 @@ def eigen_pdf(law_d, law_t, beta, xi=None, grid=None, nu=None, points=512):
         np.diff(np.log(grid)).max() <= np.diff(np.log(walk)).max()
     sweep = grid if alone else np.union1d(grid, walk[walk > grid[0]])
     density, iters, rescued, clamped = _sweep(
-        atoms_d, atoms_t, beta, zero_mass, sweep, nu, edges)
+        ex_d, ex_t, beta, zero_mass, sweep, nu, edges)
     at = np.searchsorted(sweep, grid)
     return EigenPdf(zero_mass=zero_mass, lambda_grid=grid,
                     density=np.maximum(density[at], 0.0),

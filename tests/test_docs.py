@@ -103,7 +103,9 @@ def test_readme_states_where_eta_comes_from():
         == ["_eta"]
     assert [name for name in rmt._LawAtoms.__slots__
             if name.startswith("wv")] == ["wv"]
-    atoms = rmt._law_atoms(respectra.law_genuine(0.97))
+    spline = respectra.ResampleSpec(L=2, M=1,
+                                    kernel=respectra.KERNELS["b-spline"])
+    atoms = rmt._law_atoms(respectra.law_upscaled(0.97, spline))
     assert atoms.as_complex().inv.dtype == complex
 
 

@@ -22,9 +22,10 @@ from respectra import (ArParams, ConvergenceFailure, InputError, KERNELS,
 from respectra.rmt import (_CHAIN_STRIDE, MAX_POINTS, _PLAN_POINTS,
                            _atoms_of, _density_points, _fixed_point_map,
                            _fold_edge, _fold_root, _hermite, _kept_plan,
-                           _law_atoms, _LawAtoms, _modulus, _predicted,
-                           _quadratic, _solve_e2, _support_edges,
-                           _support_reaches_zero, _walk_plan)
+                           _law_atoms, _LawAtoms, _LawForms, _modulus,
+                           _predicted, _quadratic, _solve_e2,
+                           _support_edges, _support_reaches_zero,
+                           _walk_plan)
 
 
 def mp_eta_closed_form(gamma, beta):
@@ -59,10 +60,30 @@ class StandIn:
 def cold_starts(atoms, gamma):
     """The paper-style cold value E2 = E[T / (1 + gamma T)] (E1 = 1) at
     each gamma, which a scalar gamma starts from when it is given none; an
-    array of gamma must be given its starts."""
+    array of gamma must be given its starts. A law of closed forms gives
+    it as E[h] at c = gamma."""
     gamma = np.atleast_1d(gamma)
+    if isinstance(atoms, _LawForms):
+        return atoms.map_sums(gamma)[0]
     return np.add.reduce(
         atoms.wv / (1.0 + gamma[:, None] * atoms.values), axis=1)
+
+
+def exact_sums(law, c):
+    """(E[h], E[h^2], E[h^3], eta) of a genuine or linear law at each c,
+    with h = V/(1 + c V) and eta = E[1/(1 + c V)]: sums over 16 384 atoms
+    (512 graded panels of 32 Gauss-Legendre nodes) of V = P/Q, with Q =
+    (1 - rho)^2 + 4 rho sin^2(omega/2), which does not cancel near omega =
+    0. An oracle for the closed forms that shares none of their algebra."""
+    nodes, weights = respectra.rmt._quadrature(32, 512, 3.0)
+    r0, *rest = law.r_hh
+    v = (r0 + 2.0 * sum(rest) * np.cos(nodes)) / (
+        (1.0 - law.rho) ** 2 + 4.0 * law.rho * np.sin(0.5 * nodes) ** 2)
+    w = 2.0 * law.angular_density * weights
+    c = np.atleast_1d(c)[:, None]
+    h = v / (1.0 + c * v)
+    return tuple(np.add.reduce(w * h ** k, axis=1) for k in (1, 2, 3)) \
+        + (law.zero_mass + np.add.reduce(w / (1.0 + c * v), axis=1),)
 
 
 def staged_sweep(atoms, beta, zero_mass, grid, nu, walk):
@@ -162,7 +183,7 @@ def walk_e2(law, beta, xi, lam):
     start on the physical branch there."""
     pdf = eigen_pdf(law, law, beta, xi=xi)
     grid = pdf.lambda_grid
-    e2 = staged_sweep(_LawAtoms(law), beta, pdf.zero_mass, grid, pdf.nu,
+    e2 = staged_sweep(_law_atoms(law), beta, pdf.zero_mass, grid, pdf.nu,
                       grid)[1]
     lam = np.asarray(lam, dtype=float)[:, None]
     return e2[np.argmin(np.abs(np.log(grid / lam)), axis=1)]
@@ -172,21 +193,36 @@ def brute_upper_edge(law, beta):
     """The minimum of lambda(u) = w(u) psi(u) over u in (-1/(beta max D),
     0) by brute force: w(u) = max T (1 + e^x) by bisection in x on every
     point of a scan of u, the scan refined twice around its smallest
-    lambda."""
-    atoms = _LawAtoms(law)
-    d, wd = atoms.values, atoms.wv
-    t, wt = atoms.values[atoms.values > 0], atoms.wv[atoms.values > 0]
-    s_max = 1.0 / (beta * d.max())
+    lambda. psi and phi are the law's expectations (_law_atoms) at every
+    point of the scan at once: closed forms take arrays, atoms are summed
+    here."""
+    ex = _law_atoms(law)
+    if isinstance(ex, _LawForms):
+        def psi_of(s):
+            return ex.fold(-beta * s)[0]
+
+        def phi_of(w):
+            return ex.phi(w)[0]
+    else:
+        d, wd = ex.values, ex.wv
+        t, wt = ex.positive
+
+        def psi_of(s):
+            return (wd / (1.0 - beta * d * s[:, None])).sum(axis=1)
+
+        def phi_of(w):
+            return (wt / (t - w[:, None])).sum(axis=1)
+    s_max = 1.0 / (beta * ex.peak)
 
     def lam(s):
-        psi = (wd / (1.0 - beta * d * s[:, None])).sum(axis=1)
+        psi = psi_of(s)
         lo, hi = np.full(len(s), -36.0), np.full(len(s), 60.0)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            w = t.max() * (1.0 + np.exp(mid))
-            f = (wt / (t - w[:, None])).sum(axis=1) + s * psi
+            w = ex.peak * (1.0 + np.exp(mid))
+            f = phi_of(w) + s * psi
             lo, hi = np.where(f > 0, lo, mid), np.where(f > 0, mid, hi)
-        return t.max() * (1.0 + np.exp(0.5 * (lo + hi))) * psi
+        return ex.peak * (1.0 + np.exp(0.5 * (lo + hi))) * psi
 
     s = s_max * np.geomspace(1e-9, 1.0, 4001)[:-1]
     for _ in range(3):
@@ -413,7 +449,7 @@ class TestOnePointPath:
         law = law_genuine(rho)
         gammas = self.gammas(lam, nu)
         with solver_settings(**settings):
-            atoms = _LawAtoms(law)
+            atoms = _law_atoms(law)
             start = cold_starts(atoms, gammas)
             with pytest.raises(ConvergenceFailure, match=match) as one:
                 _solve_e2(atoms, atoms, 0.5, gammas[:1], warm=start[:1])
@@ -534,7 +570,7 @@ class TestTangentStarts:
         beta, h = 0.5, 1e-4
         pdf = eigen_pdf(law, law, beta, xi=xi)
         edge = support_lower_edge(law, law, beta)
-        atoms, zero_mass = _LawAtoms(law), afze(beta, xi)
+        atoms, zero_mass = _law_atoms(law), afze(beta, xi)
         peak = pdf.lambda_grid[np.argmax(pdf.density)]
         lams = (0.5 * edge, peak, 3.0 * edge, 2.0 * pdf.upper_edge)
         for lam, start in zip(lams, walk_e2(law, beta, xi, lams)):
@@ -623,7 +659,7 @@ class TestEdgeStarts:
         # at both folds (beta 0.5 leaves a gap on each law) E2_e =
         # -lambda_e u solves E2 = g(E2) at gamma = -1/lambda_e; at the fold
         # the root is double, so the residual is taken relative to E2
-        atoms = _LawAtoms(law)
+        atoms = _law_atoms(law)
         edges = _support_edges(atoms, atoms, 0.5)
         assert [side for _, _, side in edges] == [1.0, -1.0]
         pdf = eigen_pdf(law, law, 0.5)
@@ -693,24 +729,28 @@ class TestStieltjes:
         assert abs(s - gamma[0]) < 1e-5
 
 
-def direct_eta(atoms, beta, gamma, e2):
-    """eta = E[1/(1 + gamma beta D E2)] summed over every atom of D at the
-    given E2, the definition the solver's identity replaces."""
+def direct_eta(law, atoms, beta, gamma, e2):
+    """eta = E[1/(1 + gamma beta D E2)] at the given E2 from its
+    definition: summed over every atom of D where the law takes atoms, and
+    over the 16 384 atoms of exact_sums where it takes closed forms."""
     gamma, e2 = np.atleast_1d(gamma), np.atleast_1d(e2)
+    if isinstance(atoms, _LawForms):
+        return exact_sums(law, gamma * beta * e2)[3]
     return atoms.mass + np.add.reduce(atoms.weights / (
         1.0 + (gamma * beta * e2)[:, None] * atoms.values), axis=1)
 
 
 class TestEtaIdentity:
-    """The solver returns eta with E2, from the map's own sums: eta = mass
-    + sum(w) - gamma beta E2 E1, with E1 moved to the returned E2 to
-    second order."""
+    """The solver returns eta with E2: a kernel law's from the map's own
+    sums, eta = mass + sum(w) - gamma beta E2 E1, with E1 moved to the
+    returned E2 to second order; a genuine or linear law's from its closed
+    form at the returned E2."""
 
     @pytest.mark.parametrize("rho", [0.9, 0.97])
     def test_densities_match_a_direct_sum(self, rho, monkeypatch):
         # every row _density_points returns over the beta = 1 laws (genuine
         # and four kernels at 3/2 and 2/1), the sqrt probe at the grid floor
-        # included, against the density from a direct sum over D at the E2
+        # included, against the density from eta's definition at the E2
         # it returns. A first-order E1 (no sum(w h^3) term) moves the
         # probe of b-spline 2/1, rho 0.97 by 1.3e-10 of the peak
         rows = []
@@ -733,25 +773,27 @@ class TestEtaIdentity:
             assert len(rows) > 1
             for atoms, beta, zero_mass, lam, nu, out in rows:
                 gamma = -1.0 / (lam + 1j * nu)
-                s = gamma * direct_eta(atoms, beta, gamma, out[1])
+                s = gamma * direct_eta(law, atoms, beta, gamma, out[1])
                 direct = s.imag / np.pi \
                     - zero_mass * nu / (np.pi * (lam * lam + nu * nu))
                 err = np.abs(out[0] - direct).max()
                 assert err <= 1e-12 * peak, (law.descriptor, lam.min(), err)
 
     def test_eta_transform_matches_a_direct_sum(self):
-        # within 1e-15 absolute; relative to eta the identity loses
-        # precision only where eta is near 0 (1.3e-9 at eta 1e-7, MP,
-        # beta 1, gamma 1e14)
+        # within 1e-15 absolute, against the definition at the solver's E2;
+        # relative to eta a kernel law's identity loses precision only
+        # where eta is near 0 (1.3e-9 at eta 1e-7, MP, beta 1, gamma 1e14,
+        # when MP took atoms)
         spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
         for law in (law_genuine(0.0), law_genuine(0.97), law_genuine(0.9999),
                     law_upscaled(0.97, spline)):
-            atoms = _LawAtoms(law)
+            atoms = _law_atoms(law)
             for beta in (0.25, 1.0):
                 for gamma in np.logspace(-4, 14, 37).tolist():
                     e2 = _solve_e2(atoms, atoms, beta, gamma)[0]
                     eta = eta_transform(law, law, beta, gamma)
-                    assert abs(eta - direct_eta(atoms, beta, gamma, e2)[0]) \
+                    assert abs(eta - direct_eta(law, atoms, beta, gamma,
+                                                e2)[0]) \
                         <= 1e-15, (law.descriptor, beta, gamma)
 
 
@@ -938,7 +980,7 @@ class TestEigenPdf:
         # the 512-point default grid is the walk itself: swept alone, it
         # gives the bits and the 666 iterations of its merge with the walk
         law = law_genuine(0.97)
-        atoms, zero_mass = _LawAtoms(law), afze(0.5, 1.0)
+        atoms, zero_mass = _law_atoms(law), afze(0.5, 1.0)
         pdf = eigen_pdf(law, law, 0.5)
         assert pdf.solver_iterations == 666
         dens, _, its = staged_sweep(atoms, 0.5, zero_mass, pdf.lambda_grid,
@@ -974,7 +1016,7 @@ class TestEigenPdf:
         # in batches of 128 from the top and by the oracle in chunks of 32
         # from the bottom
         law = law_upscaled(0.9, ResampleSpec(L=3, M=2))
-        atoms = _LawAtoms(law)
+        atoms = _law_atoms(law)
         grid, nu = np.geomspace(0.05, 2.0, 100), 7.27324e-7
         walk = eigen_pdf(law, law, 0.125, xi=1.5).lambda_grid
         assert len(np.union1d(grid, walk[walk > grid[0]])) == 612
@@ -992,7 +1034,7 @@ class TestEigenPdf:
         # points above that grid's top are walked alone, on the clipped
         # chain
         law = law_genuine(0.97)
-        atoms, zero_mass = _LawAtoms(law), afze(0.5, 1.0)
+        atoms, zero_mass = _law_atoms(law), afze(0.5, 1.0)
         walk = eigen_pdf(law, law, 0.5).lambda_grid
         pdfs = [eigen_pdf(law, law, 0.5, points=n) for n in (2, 3, 5, 17)]
         pdfs.append(eigen_pdf(law, law, 0.5, grid=np.geomspace(0.01, 40.0, 10),
@@ -1017,7 +1059,7 @@ class TestEigenPdf:
         spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
         for law, xi in ((law_genuine(0.97), 1.0),
                         (law_upscaled(0.97, spline), 2.0)):
-            atoms = _LawAtoms(law)
+            atoms = _law_atoms(law)
             edge = _fold_edge(atoms, atoms, 0.5, upper=True)[0]
             assert edge == pytest.approx(brute_upper_edge(law, 0.5),
                                          rel=1e-12), law.descriptor
@@ -1049,7 +1091,7 @@ class TestEigenPdf:
         # 3/2, rho 0.97 (3.2e-5 against 1 619, mass 0.991)
         reach = 0
         for law, xi, beta in scan_laws():
-            atoms = _LawAtoms(law)
+            atoms = _law_atoms(law)
             if not _support_reaches_zero(atoms, atoms, beta):
                 continue
             reach += 1
@@ -1362,13 +1404,19 @@ class TestFixedCost:
 
     def test_atoms_follow_the_quadrature_rule(self, solver_settings):
         # a memo keyed on the law alone would hand the 4 096-atom solves
-        # the 128 atoms already built, and compare them with themselves
-        law = law_genuine(0.97)
+        # the 128 atoms already built, and compare them with themselves. A
+        # genuine or linear law takes closed forms under every rule
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        law = law_upscaled(0.97, spline)
+        linear = law_upscaled(0.97, ResampleSpec(L=3, M=2))
         assert _law_atoms(law).values.size == 128
         with solver_settings(quad_panels=128):
             assert _law_atoms(law).values.size == 4096
-            assert _law_atoms(law_genuine(0.97)).wv.size == 4096
+            assert _law_atoms(law_upscaled(0.97, spline)).wv.size == 4096
+            assert isinstance(_law_atoms(law_genuine(0.97)), _LawForms)
+            assert isinstance(_law_atoms(linear), _LawForms)
         assert _law_atoms(law).values.size == 128
+        assert isinstance(_law_atoms(law_genuine(0.97)), _LawForms)
 
     def test_equal_laws_share_read_only_atoms(self):
         spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
@@ -1495,18 +1543,21 @@ class TestWorkArrays:
 
 # the upper and lower support edges of fig5's 40 laws at beta 0.125, from
 # the bracketed regula falsi (Illinois) folds this module used before its
-# Newton folds
+# Newton folds. The linear laws take closed forms: their rows are the
+# closed forms' folds, within 1.1e-16 of Newton folds over 16 384 atoms
+# with Q = (1 - rho)^2 + 4 rho sin^2(omega/2) at rho 0.9 and 0.98 (the
+# atom rows read up to 1.4e-13 off, from the cancelling Q of the atoms)
 FIG5_EDGES = {
-    ("linear", 0.9, 3, 2): (1023.8936290236426, 0.11970404291762772),
-    ("linear", 0.92, 3, 2): (1987.8723742970506, 0.11744942788284085),
-    ("linear", 0.94, 3, 2): (4684.322477719439, 0.11477681861264462),
-    ("linear", 0.96, 3, 2): (15718.097079529858, 0.11165630783592413),
-    ("linear", 0.98, 3, 2): (125027.5163354562, 0.10808806053435183),
-    ("linear", 0.95, 6, 5): (6449.955818677249, 0.07833856269525102),
-    ("linear", 0.95, 7, 5): (7524.244943314866, 0.09014185642893348),
-    ("linear", 0.95, 8, 5): (8598.615242092315, 0.1020910513648865),
-    ("linear", 0.95, 9, 5): (9673.039657040299, 0.11413716877691626),
-    ("linear", 0.95, 2, 1): (10780.231166312202, 0.18614124852311095),
+    ("linear", 0.9, 3, 2): (1023.8936290236484, 0.11970404291762773),
+    ("linear", 0.92, 3, 2): (1987.8723742970483, 0.11744942788284078),
+    ("linear", 0.94, 3, 2): (4684.322477719528, 0.11477681861264458),
+    ("linear", 0.96, 3, 2): (15718.097079530779, 0.11165630783592424),
+    ("linear", 0.98, 3, 2): (125027.51633543873, 0.1080880605343518),
+    ("linear", 0.95, 6, 5): (6449.955818677085, 0.07833856269525097),
+    ("linear", 0.95, 7, 5): (7524.244943314676, 0.09014185642893335),
+    ("linear", 0.95, 8, 5): (8598.615242092099, 0.10209105136488646),
+    ("linear", 0.95, 9, 5): (9673.039657040052, 0.11413716877691624),
+    ("linear", 0.95, 2, 1): (10780.231166311924, 0.18614124852311098),
     ("catmull-rom", 0.9, 3, 2): (1037.6471291541527, 0.16442637926030887),
     ("catmull-rom", 0.92, 3, 2): (2009.1025416130237, 0.16131609689323084),
     ("catmull-rom", 0.94, 3, 2): (4721.616501286446, 0.15764085132657207),
@@ -1544,43 +1595,45 @@ FIG5_EDGES = {
 # of the lower fold): the edges as found when the upper search started at
 # half the pole whatever beta, the evaluations since it starts from the
 # Marchenko-Pastur upper fold for E[D^3]/E[D^2] (then 28 and 2 for MP at
-# beta 1e-8, 33 and 27 for b-spline 2/1)
+# beta 1e-8, 33 and 27 for b-spline 2/1). MP and the genuine laws take
+# closed forms: their rows are the closed forms' folds, within 2.2e-16 of
+# the same folds searched from half the pole
 SMALL_BETA_FOLDS = {
     "MP": [
-        (1e-08, 1.00020001, 0.9998000100000001, 1, 2),
-        (1e-05, 1.0063345553203369, 0.993685444679663, 1, 2),
-        (0.001, 1.0642455532033672, 0.9377544467966323, 1, 2),
-        (0.05, 1.4972135954999581, 0.602786404500042, 1, 2),
-        (0.25, 2.25, 0.25000000000000006, 1, 7),
-        (0.5, 2.9142135623730945, 0.08578643762690495, 1, 6),
-        (0.999, 3.997999749874922, 2.501250781794817e-07, 1, 3),
+        (1e-08, 1.00020001, 0.9998000100000002, 1, 2),
+        (1e-05, 1.0063345553203369, 0.9936854446796631, 1, 2),
+        (0.001, 1.0642455532033679, 0.9377544467966323, 1, 2),
+        (0.05, 1.497213595499958, 0.602786404500042, 1, 2),
+        (0.25, 2.25, 0.25, 1, 7),
+        (0.5, 2.9142135623730954, 0.08578643762690492, 1, 6),
+        (0.999, 3.9979997498749213, 2.5012507817971426e-07, 1, 3),
     ],
     "genuine 0.5": [
-        (1e-08, 5.33336621612708, 0.592584797417204, 12, 11),
-        (1e-05, 5.336622101522429, 0.5918329731325825, 9, 8),
-        (0.001, 5.404402297855093, 0.5763895532851134, 7, 7),
-        (0.05, 6.335649758930839, 0.4000234486761125, 5, 4),
-        (0.25, 8.481885906080443, 0.16460366719717323, 5, 4),
-        (0.5, 10.619535899174027, 0.055436456143042365, 5, 5),
-        (0.999, 14.38893235920711, 1.6008005362442816e-07, 6, 3),
+        (1e-08, 5.333366216209535, 0.5925849927363714, 12, 11),
+        (1e-05, 5.33662210152243, 0.5918329719618067, 9, 8),
+        (0.001, 5.404402297855093, 0.5763895532851145, 7, 7),
+        (0.05, 6.335649758930839, 0.40002344867611256, 5, 4),
+        (0.25, 8.481885906080441, 0.1646036671971732, 5, 4),
+        (0.5, 10.619535899174027, 0.055436456143042344, 5, 5),
+        (0.999, 14.388932359207113, 1.6008005362448978e-07, 6, 3),
     ],
     "genuine 0.97": [
-        (1e-08, 18800.603464525186, 4.3595438717142425, 11, 21),
-        (1e-05, 18810.91501835884, 4.320867487997203, 9, 16),
-        (0.001, 19025.295030874422, 3.5855719381310482, 7, 11),
-        (0.05, 21999.589517165154, 0.49258869991385756, 5, 7),
-        (0.25, 29004.771018338524, 0.08490886062522261, 4, 4),
-        (0.5, 36112.7773976484, 0.02419123111399678, 5, 4),
-        (0.999, 48824.550627083845, 6.639738440361346e-08, 6, 3),
+        (1e-08, 18800.630331623215, 4.359543293060013, 12, 21),
+        (1e-05, 18810.919997129087, 4.320867488001827, 9, 16),
+        (0.001, 19025.29502600478, 3.5855719381312734, 7, 11),
+        (0.05, 21999.58951716971, 0.492588699913859, 5, 7),
+        (0.25, 29004.77101834469, 0.08490886062522264, 4, 4),
+        (0.5, 36112.77739765616, 0.02419123111399678, 5, 4),
+        (0.999, 48824.55062709439, 6.639738440362605e-08, 6, 3),
     ],
     "genuine 0.9999": [
-        (1e-08, 361392781199.0095, 1305.5930210180293, 4, 25),
-        (1e-05, 363013865584.80304, 862.3393570458209, 4, 17),
-        (0.001, 378381679355.7382, 24.04099237869168, 4, 12),
-        (0.05, 496567476950.36664, 0.47763002205095423, 3, 7),
-        (0.25, 712438029264.9169, 0.08007139865758975, 4, 4),
-        (0.5, 910270136244.0889, 0.02279154625609053, 4, 4),
-        (0.999, 1242589141065.5837, 6.254378487530534e-08, 5, 3),
+        (1e-08, 500027764417.1065, 1245.1065975112688, 12, 25),
+        (1e-05, 500301368323.87506, 827.5192564042424, 9, 17),
+        (0.001, 506001646189.8106, 24.040992375577055, 7, 12),
+        (0.05, 585090556410.4069, 0.4776300220509532, 5, 7),
+        (0.25, 771373036797.5498, 0.08007139865758973, 4, 4),
+        (0.5, 960397367582.7498, 0.022791546256090534, 5, 4),
+        (0.999, 1298453469764.5842, 6.254378487533575e-08, 6, 3),
     ],
     "b-spline 2/1": [
         (1e-08, 36961.49733529506, 0.47617622559974215, 11, 27),
@@ -1676,17 +1729,143 @@ class TestFolds:
     def test_unfound_root_raises(self, monkeypatch):
         # phi(w) = E[T/(T - w)] is negative above max T, so a positive
         # target has no root there; and a fold whose sums are not numbers
-        # finds no root either
-        law = law_genuine(0.97)
-        t, wt = _law_atoms(law).positive
+        # finds no root either: a kernel law's atom sums, or a genuine
+        # law's closed forms
+        spline = ResampleSpec(L=2, M=1, kernel=KERNELS["b-spline"])
+        laws = (law_genuine(0.97), law_upscaled(0.97, spline))
         with np.errstate(all="ignore"):
-            with pytest.raises(ConvergenceFailure,
-                               match="no real root at u=-1"):
-                _fold_root(t, wt, -1.0, 1.0, 2.0 * t.max(),
-                           (t.max(), np.inf))
+            for law in laws:
+                ex = _law_atoms(law)
+                with pytest.raises(ConvergenceFailure,
+                                   match="no real root at u=-1"):
+                    _fold_root(ex, -1.0, 1.0, 2.0 * ex.peak,
+                               (ex.peak, np.inf))
             monkeypatch.setattr(respectra.rmt, "_fold_sums",
                                 lambda q, r: (np.nan,) * 3)
-            with pytest.raises(ConvergenceFailure, match="no real root"):
-                support_lower_edge(law, law, 0.5)
-            with pytest.raises(ConvergenceFailure, match="no real root"):
-                eigen_pdf(law, law, 0.5)
+            monkeypatch.setattr(_LawForms, "_forms",
+                                lambda self, x, ends: (np.nan,) * 3)
+            for law in laws:
+                with pytest.raises(ConvergenceFailure, match="no real root"):
+                    support_lower_edge(law, law, 0.5)
+                with pytest.raises(ConvergenceFailure, match="no real root"):
+                    eigen_pdf(law, law, 0.5)
+
+
+def closed_form_laws():
+    """(label, law) of MP, genuine rho 0.5, 0.97 and 0.999 and linear 3/2
+    and 2/1 at each of those rho: the laws that take closed forms."""
+    yield "MP", law_genuine(0.0)
+    for rho in (0.5, 0.97, 0.999):
+        yield f"genuine {rho}", law_genuine(rho)
+        for lnum, m in ((3, 2), (2, 1)):
+            spec = ResampleSpec(L=lnum, M=m, kernel=KERNELS["linear"])
+            yield f"linear {lnum}/{m} {rho}", law_upscaled(rho, spec)
+
+
+def stable_atoms(law, solver_settings):
+    """``law`` over 16 384 atoms (512 graded panels of 32 nodes), its
+    spectrum taken with Q = (1 - rho)^2 + 4 rho sin^2(omega/2): the atoms
+    of today's rule grown 128-fold, without the cancelling Q of
+    law.transform, which moves the upper fold of rho 0.9999 by 1e-8."""
+    r0, *rest = law.r_hh
+
+    def transform(omega):
+        return (r0 + 2.0 * sum(rest) * np.cos(omega)) / (
+            (1.0 - law.rho) ** 2 + 4.0 * law.rho * np.sin(0.5 * omega) ** 2)
+
+    with solver_settings(quad_panels=512):
+        return _LawAtoms(StandIn(law.zero_mass, law.angular_density,
+                                 transform))
+
+
+class TestClosedForms:
+    """A law whose r_hh has one or two terms (genuine, linear) takes
+    closed forms: E[h], E[h^2], E[h^3] with h = V/(1 + c V), eta and the
+    folds' phi, against 16 384-atom sums of the exact law (exact_sums)."""
+
+    # off the cut: the complex half-planes, small and large |c|
+    POINTS = (0.3 + 0.2j, 5.0 - 1.0j, 1e-3 + 1e-6j, 100.0 + 1.0j,
+              -0.3 + 0.5j, 2.0j, 1e6 + 1e3j)
+
+    def test_expectations_match_16384_atom_sums(self):
+        # measured: 1.9e-15 relative at most (E[h^3]); linear laws also at
+        # points near B = 2 rho - 2 r1 c = 0, where t = B/(A + s) vanishes
+        for label, law in closed_form_laws():
+            ex = _law_atoms(law)
+            assert isinstance(ex, _LawForms), label
+            c = np.array(self.POINTS)
+            if len(law.r_hh) == 2 and law.rho > 0:
+                at_zero = law.rho / law.r_hh[1]
+                c = np.append(c, [at_zero + 1e-9j,
+                                  at_zero * (1.0 + 1e-8) + 1e-12j])
+            want = exact_sums(law, c)
+            got = ex.fold(c) + (ex.eta(c, 0.0, None, None, None),)
+            for name, g, w in zip(("E[h]", "E[h^2]", "E[h^3]", "eta"), got,
+                                  want):
+                err = np.abs(g / w - 1.0).max()
+                assert err <= 1e-14, (label, name, err)
+            # the map's own forms of E[h] and E[h^2]
+            for g, w in zip(ex.map_sums(c)[:2], want):
+                assert np.abs(g / w - 1.0).max() <= 1e-14, label
+
+    def test_real_c_stays_real_with_the_laws_sign(self):
+        # real c > 0 (eta_transform), c between the cut and 0 (the upper
+        # fold's psi) and c below the cut, where Q + c P < 0 at every
+        # angle, so E[h] and E[h^3] are negative: floats, of the sign and
+        # value of the 16 384-atom sums
+        for label, law in closed_form_laws():
+            ex = _law_atoms(law)
+            cut = (-1.0 / ex.low, -1.0 / ex.peak)
+            for c in (0.7, 1e4, 0.5 * cut[1], 2.0 * cut[0]):
+                values = ex.map_sums(c)[:2] + ex.fold(c) \
+                    + (ex.eta(c, 0.0, None, None, None),)
+                assert all(type(v) is float for v in values), (label, c)
+                want = exact_sums(law, c)
+                for got, ref in zip(ex.fold(c), want):
+                    assert got == pytest.approx(ref[0], rel=1e-13), (label, c)
+                assert values[-1] == pytest.approx(want[3][0], rel=1e-13)
+                sign = -1.0 if c < cut[0] else 1.0
+                assert sign * values[0] > 0 and values[1] > 0, (label, c)
+            # phi(w) = E[T/(T - w)] = c E[h] at c = -1/w, on both branches
+            for w in (2.0 * ex.peak, 0.5 * ex.low, -ex.low):
+                phi = ex.phi(w)
+                assert all(type(v) is float for v in phi), (label, w)
+                c = -1.0 / w
+                e, e2, e3, _ = (v[0] for v in exact_sums(law, c))
+                want = (c * e, c * c * (e - c * e2),
+                        c ** 3 * (e - 2.0 * c * e2 + c * c * e3))
+                assert phi == pytest.approx(want, rel=1e-12), (label, w)
+                assert (phi[0] < 0) == (w > ex.peak), (label, w)
+
+
+class TestNearUnitRho:
+    """Genuine laws near rho = 1, where 128 atoms fell short of the
+    budgets: their closed forms meet them."""
+
+    def test_rho_0999_at_beta_002_meets_both_budgets(self):
+        # raised ConvergenceFailure at lambda 3.47e7 on 128 atoms
+        rho, beta = 0.999, 0.02
+        law = law_genuine(rho)
+        mean = 1.0 / ((1.0 - rho) * (1.0 + rho))
+        pdf = eigen_pdf(law, law, beta)
+        assert abs(pdf.total_mass() - 1.0) <= 1e-2
+        assert pdf.first_moment() == pytest.approx(beta * mean * mean,
+                                                   rel=1e-2)
+        assert pdf.rescued_points == 0
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5])
+    def test_rho_09999_edge_and_first_moment(self, beta, solver_settings):
+        # on 128 atoms E[D] read 5 242.8 against 5 000.25, the upper edge
+        # at beta 0.25 7.12e11 against 7.71e11, and the first moment
+        # 1.1001 (beta 0.25) and 0.9726 (beta 0.5) of its exact value
+        rho = 0.9999
+        law = law_genuine(rho)
+        mean = 1.0 / ((1.0 - rho) * (1.0 + rho))
+        assert _law_atoms(law).mean == pytest.approx(mean, rel=1e-12)
+        fine = stable_atoms(law, solver_settings)
+        pdf = eigen_pdf(law, law, beta)
+        assert pdf.upper_edge == pytest.approx(
+            _fold_edge(fine, fine, beta, upper=True)[0], rel=1e-12)
+        assert pdf.first_moment() == pytest.approx(beta * mean * mean,
+                                                   rel=1e-2)
+        assert abs(pdf.total_mass() - 1.0) <= 1e-2
