@@ -355,7 +355,7 @@ class _LawForms:
         r0, *rest = law.r_hh
         r0, r1 = float(r0), float(sum(rest))
         self.mass, self.nonzero = law.zero_mass, 1.0 / law.xi
-        self._p = r0, r1
+        self._p = r0 / law.xi, r1 / law.xi
         # eta = mass + ((1 - rho^2)^2 + k c + (1 + rho^2) s)/(xi (A + s) s)
         self._eta_q = tuple(v / law.xi for v in (
             ((1.0 - rho * rho) ** 2, (1.0 + rho * rho) * r0 + 4.0 * rho * r1,
@@ -376,51 +376,41 @@ class _LawForms:
     def as_complex(self):
         return self
 
-    def _forms(self, x, ends):
-        """F = (r0 + 2 r1 t)/s and its first two derivatives in x, each
-        over xi, for the (A - B, A + B) = (p0 + dp x, q0 + dq x) of
-        ``ends``: in c they are E[h], -E[h^2] and 2 E[h^3]."""
+    def _forms(self, x, ends, second=True):
+        """F = (r0 + 2 r1 t)/(xi s), -F' and F''/2 in x, for the (A - B,
+        A + B) = (p0 + dp x, q0 + dq x) of ``ends``: in c they are E[h],
+        E[h^2] and E[h^3]. F''/2 is None unless ``second``. Where r1 = 0
+        (the genuine law) F = r0/(xi s), and t is not formed."""
         r0, r1 = self._p
         p0, q0, dp, dq = ends
         p, q = p0 + dp * x, q0 + dq * x
         s = _root(p, q)
-        t = (q - p) / (p + q + 2.0 * s)     # B/(A + s)
         inv = 1.0 / s
-        ds = 0.5 * (dp * q + p * dq) * inv
-        g = r0 + 2.0 * r1 * t
+        ds = (0.5 * dp * q + 0.5 * dq * p) * inv
         # with A' and B' the slopes of A and B: t' = (B' (1 + t^2) - 2 A'
         # t)/(2 s), s'' = (A'^2 - B'^2 - s'^2)/s, t'' = t' (B' t - A' -
-        # s')/s
-        da, db = 0.5 * (dp + dq), 0.5 * (dq - dp)
-        dt = (0.5 * db * (1.0 + t * t) - da * t) * inv
-        d2s = (da * da - db * db - ds * ds) * inv
-        d2t = dt * (db * t - da - ds) * inv
-        f, df = g * inv, (2.0 * r1 * dt - g * ds * inv) * inv
-        d2f = (2.0 * r1 * (d2t - 2.0 * dt * ds * inv)
-               - g * (d2s - 2.0 * ds * ds * inv) * inv) * inv
-        return self.nonzero * f, self.nonzero * df, self.nonzero * d2f
+        # s')/s, where A'^2 - B'^2 = dp dq
+        if r1:
+            da, db = 0.5 * (dp + dq), 0.5 * (dq - dp)
+            t = (q - p) / (p + q + 2.0 * s)     # B/(A + s)
+            f = (r0 + 2.0 * r1 * t) * inv
+            dt = (0.5 * db * (1.0 + t * t) - da * t) * inv
+            less = (f * ds - 2.0 * r1 * dt) * inv
+        else:
+            f = r0 * inv
+            less = f * ds * inv
+        if not second:
+            return f, less, None
+        d2s = (dp * dq - ds * ds) * inv
+        bend = f * (d2s - 2.0 * ds * ds * inv)      # -s F''; t's terms below
+        if r1:
+            bend -= 2.0 * r1 * (dt * (db * t - da - ds) - 2.0 * dt * ds) * inv
+        return f, less, -0.5 * bend * inv
 
     def map_sums(self, c, h=None, wh=None):
         """(E[h], E[h^2], None) at a scalar c or at each point of a vector
-        c; h and wh are not read. E[h^2] = (G s' + 2 r1 N)/(xi s^2), G = r0
-        + 2 r1 t, with s' = (r0 A + 2 r1 B)/s and N = r1 (1 + t^2) + r0 t =
-        -s t' the derivatives of s and t in c; G = r0 and N drops out where
-        r1 = 0."""
-        r0, r1 = self._p
-        p0, q0, dp, dq = self._in_c
-        p, q = p0 + dp * c, q0 + dq * c
-        s = _root(p, q)
-        # s s' = r0 A + 2 r1 B = ((r0 + 2 r1) (A + B) + (r0 - 2 r1) (A - B))/2
-        ss = (0.5 * dp) * q + (0.5 * dq) * p
-        inv = 1.0 / s
-        if not r1:
-            e = (self.nonzero * r0) * inv
-            return e, e * ss * inv * inv, None
-        t = (q - p) / (p + q + 2.0 * s)
-        g = r0 + (2.0 * r1) * t
-        n = r1 * (1.0 + t * t) + r0 * t
-        w = self.nonzero * inv
-        return w * g, w * (g * ss * inv + (2.0 * r1) * n) * inv, None
+        c, from the forms of fold; h and wh are not read."""
+        return self._forms(c, self._in_c, second=False)
 
     def eta(self, c, dc, e1, b, terms, rows=Ellipsis):
         """eta at c from its closed form alone; the other arguments are not
@@ -438,15 +428,14 @@ class _LawForms:
     def fold(self, c):
         """(E[h], E[h^2], E[h^3]) at a real c, or at each point of a real
         vector c, off the cut."""
-        e, de, d2e = self._forms(c, self._in_c)
-        return e, -de, 0.5 * d2e
+        return self._forms(c, self._in_c)
 
     def phi(self, w):
         """(phi, phi', phi''/2) at a real w off [low, peak], or at each
         point of a real vector w: phi = E[T/(T - w)] = E[P/(P - w Q)] and
         its derivatives in w."""
-        f, df, d2f = self._forms(w, self._in_w)
-        return f, df, 0.5 * d2f
+        f, less, half = self._forms(w, self._in_w)
+        return f, -less, half
 
 
 def _freeze(*arrays):
@@ -471,7 +460,7 @@ def _law_atoms(law):
 
 @functools.lru_cache(maxsize=_ATOMS_KEPT)
 def _atoms_of(law, rule):
-    r0, *rest = getattr(law, "r_hh", (0.0,) * 3)  # no r_hh: atoms
+    r0, *rest = law.r_hh
     if len(rest) <= 1 and r0 > 2.0 * abs(sum(rest)):
         return _LawForms(law)
     return _LawAtoms(law)

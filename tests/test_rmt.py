@@ -50,11 +50,13 @@ def mp_density(lam, beta, s2=1.0):
 
 @dataclass(frozen=True)
 class StandIn:
-    """A law reduced to the three fields _LawAtoms reads."""
+    """A law reduced to the three fields _LawAtoms reads, and an r_hh of
+    three terms, which _law_atoms gives atoms."""
 
     zero_mass: float
     angular_density: float
     transform: object
+    r_hh: tuple = (0.0, 0.0, 0.0)
 
 
 def cold_starts(atoms, gamma):
@@ -1681,11 +1683,14 @@ class TestFolds:
     def test_density_workload_folds_take_half_the_sums(self, monkeypatch):
         # the benchmark's six eigen_pdf and two support_lower_edge calls
         # make 12 folds. Their bracketed regula falsi took 170 evaluations
-        # of lambda(u) and 775 Newton steps of w(u), one atom sum call each
-        sums, roots = [], []
-        fold_sums, fold_root = respectra.rmt._fold_sums, _fold_root
-        monkeypatch.setattr(respectra.rmt, "_fold_sums",
-                            lambda *a: sums.append(1) or fold_sums(*a))
+        # of lambda(u) and 775 Newton steps of w(u), one atom sum call each.
+        # A step reads phi from T's object: closed forms or atoms
+        steps, roots = [], []
+        for kind in (_LawAtoms, _LawForms):
+            monkeypatch.setattr(
+                kind, "phi", lambda ex, w, phi=kind.phi:
+                steps.append(1) or phi(ex, w))
+        fold_root = _fold_root
         monkeypatch.setattr(respectra.rmt, "_fold_root",
                             lambda *a: roots.append(1) or fold_root(*a))
         folds = []
@@ -1701,7 +1706,7 @@ class TestFolds:
         evaluations = len(roots)
         assert len(folds) == 12
         assert evaluations <= 170 // 2
-        assert len(sums) - evaluations <= 775 // 2
+        assert len(steps) <= 775 // 2
 
     def test_edges_match_the_regula_falsi_folds_on_fig5(self):
         for (name, rho, lnum, m), (upper, lower) in FIG5_EDGES.items():
@@ -1804,7 +1809,7 @@ class TestClosedForms:
                                   want):
                 err = np.abs(g / w - 1.0).max()
                 assert err <= 1e-14, (label, name, err)
-            # the map's own forms of E[h] and E[h^2]
+            # the map's E[h] and E[h^2], taken without the second derivative
             for g, w in zip(ex.map_sums(c)[:2], want):
                 assert np.abs(g / w - 1.0).max() <= 1e-14, label
 
@@ -1836,6 +1841,48 @@ class TestClosedForms:
                         c ** 3 * (e - 2.0 * c * e2 + c * c * e3))
                 assert phi == pytest.approx(want, rel=1e-12), (label, w)
                 assert (phi[0] < 0) == (w > ex.peak), (label, w)
+
+    def test_densities_match_16384_atom_solves(self, solver_settings):
+        # genuine and linear laws, and closed-form D against b-spline 2/1
+        # atoms T (one side of each kind in one solve), against the same
+        # call with every closed-form law replaced by its 16 384 atoms
+        # (stable_atoms), on the same grid and nu: within 1.5e-9 of the
+        # peak, the bound 128 atoms held against 4 096 (measured: 1.9e-12
+        # at most), with the rounding of the smeared point mass on top.
+        # The reference solves 16 points a batch in work arrays of its own
+        rho = 0.97
+
+        def linear(rho, lnum, m):
+            return law_upscaled(rho, ResampleSpec(L=lnum, M=m,
+                                                  kernel=KERNELS["linear"]))
+
+        kernel = law_upscaled(rho, ResampleSpec(L=2, M=1,
+                                                kernel=KERNELS["b-spline"]))
+        cases = [(law_genuine(0.9), law_genuine(0.9), 0.25, 1.0),
+                 (law_genuine(rho), law_genuine(rho), 0.5, 1.0),
+                 (linear(rho, 3, 2), linear(rho, 3, 2), 0.5, 1.5),
+                 (linear(rho, 2, 1), linear(rho, 2, 1), 0.25, 2.0),
+                 (linear(0.9, 2, 1), linear(0.9, 2, 1), 1.0, 2.0),
+                 (law_genuine(rho), kernel, 0.5, 2.0),
+                 (linear(rho, 3, 2), kernel, 0.25, 2.0)]
+        for law_d, law_t, beta, xi in cases:
+            label = f"{law_d.descriptor} {law_t.descriptor} beta={beta}"
+            pdf = eigen_pdf(law_d, law_t, beta, xi=xi)
+            fine = {law: stable_atoms(law, solver_settings)
+                    for law in (law_d, law_t)
+                    if isinstance(_law_atoms(law), _LawForms)}
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(respectra.rmt, "_law_atoms", lambda law: (
+                    fine[law] if law in fine else _law_atoms(law)))
+                patch.setattr(respectra.rmt, "_WORK", threading.local())
+                patch.setattr(respectra.rmt, "_BATCH_POINTS", 16)
+                ref = eigen_pdf(law_d, law_t, beta, xi=xi,
+                                grid=pdf.lambda_grid, nu=pdf.nu)
+            smear = pdf.zero_mass * pdf.nu / (
+                np.pi * (pdf.lambda_grid ** 2 + pdf.nu ** 2))
+            err = (np.abs(pdf.density - ref.density)
+                   - 8 * np.finfo(float).eps * smear).max()
+            assert err <= 1.5e-9 * ref.density.max(), label
 
 
 class TestNearUnitRho:
